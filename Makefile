@@ -49,8 +49,11 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# equivalence runs the planned-vs-unplanned bit-identity property tests
-# under the race detector (they exercise the parallel sweep path too).
+# equivalence runs the render oracle suite under the race detector: every
+# production render (planned, static-cached, run-length segmented, blocked
+# refresh, serial and parallel, faulted) must match its test-only reference
+# bit for bit — the per-sample emitter oracles, the unplanned uncached
+# wrapped scene — plus the journal and observability equivalences.
 equivalence:
 	$(GO) test -run Equivalence -race ./...
 
@@ -243,7 +246,9 @@ cover:
 # obs-smoke runs a tiny instrumented campaign through the CLI with every
 # observability output enabled, then validates the run manifest and event
 # journal against their schemas, sanity-checks the trace and metrics
-# files, archives two runs into a run-history store and diffs them,
+# files, archives two runs into a run-history store, plants a torn
+# manifest beside them (fase runs must still list both runs and name the
+# torn file; fase diff must still resolve @N), and diffs them,
 # exercises the live debug server end-to-end (/progress, Prometheus
 # /metrics, and the /events SSE stream) against a lingering scan, and
 # drives `fase serve` end to end: submit a scan over HTTP, poll it to
@@ -269,8 +274,11 @@ obs-smoke:
 	grep -q '"build"' $$tmp/run.json || { echo "obs-smoke: manifest missing build info"; rm -rf $$tmp; exit 1; }; \
 	$$tmp/fase -f1 250e3 -f2 550e3 -fres 200 -fdelta 1e3 -seed 2 \
 		-runs-dir $$tmp/runs >/dev/null || { rm -rf $$tmp; exit 1; }; \
-	$$tmp/fase runs -dir $$tmp/runs | grep -q '^@1' || { echo "obs-smoke: run store did not list two runs"; rm -rf $$tmp; exit 1; }; \
-	$$tmp/fase diff -dir $$tmp/runs @1 @0 > $$tmp/diff.txt || { rm -rf $$tmp; exit 1; }; \
+	printf '{"schema": "fase-run' > $$tmp/runs/0badc0ffee00.json; \
+	$$tmp/fase runs -dir $$tmp/runs > $$tmp/runs.txt 2>&1 || { echo "obs-smoke: fase runs failed beside a torn manifest"; rm -rf $$tmp; exit 1; }; \
+	grep -q '^@1' $$tmp/runs.txt || { echo "obs-smoke: run store did not list two runs"; rm -rf $$tmp; exit 1; }; \
+	grep -q '0badc0ffee00.json' $$tmp/runs.txt || { echo "obs-smoke: fase runs did not name the torn manifest"; rm -rf $$tmp; exit 1; }; \
+	$$tmp/fase diff -dir $$tmp/runs @1 @0 > $$tmp/diff.txt || { echo "obs-smoke: fase diff failed beside a torn manifest"; rm -rf $$tmp; exit 1; }; \
 	grep -q '^run diff:' $$tmp/diff.txt || { echo "obs-smoke: diff report malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q 'detections (matched within' $$tmp/diff.txt || { echo "obs-smoke: diff missing detection section"; rm -rf $$tmp; exit 1; }; \
 	$$tmp/fase -f1 250e3 -f2 350e3 -fres 400 -fdelta 2e3 \

@@ -66,8 +66,6 @@ func run() int {
 	fdelta := flag.Float64("fdelta", 0.5e3, "alternation frequency step, Hz")
 	seed := flag.Int64("seed", 1, "random seed")
 	env := flag.Bool("environment", true, "include the metropolitan RF environment")
-	noReuse := flag.Bool("no-reuse", false, "disable the cross-sweep static render cache (bit-identical results, slower)")
-	noSegment := flag.Bool("no-segment", false, "disable run-length segmentation in load-following renderers (bit-identical results, slower)")
 	adaptive := flag.Bool("adaptive", false, "use the budgeted coarse-to-fine scan planner (requires -budget)")
 	budget := flag.Int("budget", 0, "capture budget for -adaptive (total analyzer captures the scan may spend)")
 	reconFres := flag.Float64("recon-fres", 0, "recon-pass resolution bandwidth for -adaptive, Hz (0 = 8×fres)")
@@ -164,8 +162,6 @@ func run() int {
 		F1: *f1, F2: *f2, Fres: *fres,
 		FAlt1: *falt, FDelta: *fdelta,
 		X: x, Y: y, Seed: *seed,
-		NoReuse:   *noReuse,
-		NoSegment: *noSegment,
 	}
 	if *adaptive || *budget != 0 {
 		campaign.Budget = *budget
@@ -278,10 +274,13 @@ func runRuns(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	entries, err := store.List()
+	entries, skipped, err := store.List()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
+	}
+	for _, path := range skipped {
+		fmt.Fprintf(os.Stderr, "warning: skipped unreadable run manifest %s\n", path)
 	}
 	if len(entries) == 0 {
 		fmt.Printf("no archived runs in %s\n", *dir)

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
 	"fase/internal/microbench"
 	"fase/internal/obs"
+	"fase/internal/par"
 	"fase/internal/specan"
 )
 
@@ -274,33 +274,28 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 // same alternation realization the exhaustive campaign's sweep i would.
 func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int, span obs.Span) []*spectral.Spectrum {
 	out := make([]*spectral.Spectrum, len(idx))
-	var wg sync.WaitGroup
-	for j, i := range idx {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			fa := falts[i]
-			faGen := fa * (1 + c.Faults.DriftFor(c.Seed+int64(i)*104729))
-			tr := microbench.Generate(microbench.Config{
-				X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
-				Seed: c.Seed + int64(i)*104729,
-			}, an.TotalDuration(f1, f2)+0.05)
-			// Track 1+i is the global ladder index's event stream; the
-			// planner processes windows sequentially, so each track sees its
-			// sweeps in a deterministic order even though the sweeps of one
-			// band run concurrently.
-			jt := r.Obs.Track(1 + int64(i))
-			jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
-			out[j] = an.Sweep(specan.Request{
-				Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
-				Seed:      c.Seed,
-				NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-				Span:   span,
-				Events: jt,
-			})
-		}(j, i)
-	}
-	wg.Wait()
+	par.Do(len(idx), func(j int) {
+		i := idx[j]
+		fa := falts[i]
+		faGen := fa * (1 + c.Faults.DriftFor(c.Seed+int64(i)*104729))
+		tr := microbench.Generate(microbench.Config{
+			X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
+			Seed: c.Seed + int64(i)*104729,
+		}, an.TotalDuration(f1, f2)+0.05)
+		// Track 1+i is the global ladder index's event stream; the
+		// planner processes windows sequentially, so each track sees its
+		// sweeps in a deterministic order even though the sweeps of one
+		// band run concurrently.
+		jt := r.Obs.Track(1 + int64(i))
+		jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
+		out[j] = an.Sweep(specan.Request{
+			Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
+			Seed:      c.Seed,
+			NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
+			Span:   span,
+			Events: jt,
+		})
+	})
 	return out
 }
 
@@ -491,10 +486,13 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		}
 	}
 
+	// Recon and refine analyzers each get their own static render cache:
+	// every sweep of a pass shares the campaign seed, so a pass's captures
+	// replay each other's static layers.
 	anCfg := func(fres float64, avg int, m *specan.Meter) specan.Config {
 		return specan.Config{Fres: fres, Averages: avg, Parallelism: c.Parallelism,
-			MaxFFT: c.MaxFFT, NoPlan: c.NoPlan, ReuseStatic: !c.NoReuse,
-			NoSegment: c.NoSegment, Faults: c.Faults, Meter: m, Obs: run}
+			MaxFFT: c.MaxFFT, Faults: c.Faults, Meter: m,
+			Statics: specan.NewStaticCache(), Obs: run}
 	}
 	// Price the equivalent exhaustive campaign (same geometry, no meter)
 	// for the manifest's savings ratio.

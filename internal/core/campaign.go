@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fase/internal/activity"
 	"fase/internal/dsp/peaks"
@@ -12,6 +11,7 @@ import (
 	"fase/internal/emsim"
 	"fase/internal/microbench"
 	"fase/internal/obs"
+	"fase/internal/par"
 	"fase/internal/specan"
 )
 
@@ -67,21 +67,6 @@ type Campaign struct {
 	// Zero means runtime.GOMAXPROCS(0). Results are bit-identical for any
 	// setting — see specan.Config.Parallelism.
 	Parallelism int
-	// NoPlan disables per-segment render planning in the campaign's
-	// analyzer (see specan.Config.NoPlan). Planned and unplanned rendering
-	// are bit-identical; this is a debugging escape hatch.
-	NoPlan bool
-	// NoReuse disables the static render cache (specan.Config.ReuseStatic):
-	// every capture then re-renders its activity-independent components
-	// instead of replaying them from the campaign-scoped cache. Cached and
-	// uncached rendering are bit-identical; like NoPlan, this is a
-	// debugging escape hatch, not a result-changing switch.
-	NoReuse bool
-	// NoSegment disables run-length segmentation in load-following
-	// renderers (specan.Config.NoSegment): captures then walk the activity
-	// trace sample by sample. Segmented and per-sample rendering are
-	// bit-identical; like NoPlan, this is a debugging escape hatch.
-	NoSegment bool
 	// Faults, when non-nil, deterministically degrades the measurement
 	// chain (see emsim.FaultPlan): per-capture faults are applied by the
 	// campaign's analyzer, and FAltDriftPPM perturbs each sweep's
@@ -390,15 +375,9 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	ms := make([]Measurement, len(p.FAlts))
 	endSweeps := run.Stage("sweeps")
 	sweepsSpan := camp.Child("sweeps")
-	var wg sync.WaitGroup
-	for i := range p.FAlts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms[i] = r.RenderShard(nil, an, p, i, run, sweepsSpan)
-		}(i)
-	}
-	wg.Wait()
+	par.Do(len(p.FAlts), func(i int) {
+		ms[i] = r.RenderShard(nil, an, p, i, run, sweepsSpan)
+	})
 	sweepsSpan.End()
 	endSweeps()
 	return r.ReduceShards(p, ms, run, camp)
@@ -445,9 +424,6 @@ type campaignConfig struct {
 	Y           string  `json:"y"`
 	Seed        int64   `json:"seed"`
 	Parallelism int     `json:"parallelism"`
-	NoPlan      bool    `json:"no_plan"`
-	NoReuse     bool    `json:"no_reuse"`
-	NoSegment   bool    `json:"no_segment"`
 	// FaultsInjected flags runs whose measurement chain was degraded by a
 	// fault plan; their timings and detections are not comparable to
 	// clean runs.
@@ -471,8 +447,7 @@ func manifestConfig(c Campaign) campaignConfig {
 		MinScore: c.MinScore, SmoothBins: c.SmoothBins,
 		MergeBins: c.MergeBins, MinElevated: c.MinElevated,
 		X: c.X.String(), Y: c.Y.String(),
-		Seed: c.Seed, Parallelism: c.Parallelism, NoPlan: c.NoPlan, NoReuse: c.NoReuse,
-		NoSegment:      c.NoSegment,
+		Seed: c.Seed, Parallelism: c.Parallelism,
 		FaultsInjected: c.Faults != nil,
 		MaxFFT:         c.MaxFFT,
 		Adaptive:       c.Adaptive != nil,

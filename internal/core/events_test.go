@@ -34,8 +34,9 @@ func normalizedJournal(t *testing.T, j *obs.Journal) []byte {
 
 // TestEventJournalEquivalence pins the journal's determinism claim: the
 // canonical event stream (timestamps zeroed) must be byte-identical
-// across serial vs parallel rendering and cached vs uncached sweeps,
-// for both the exhaustive and the adaptive planner. Runs under -race via
+// across serial vs parallel rendering and the production vs reference
+// render path (opaqueScene: nothing culled, prepared, or cached), for
+// both the exhaustive and the adaptive planner. Runs under -race via
 // `make equivalence`, which also hammers the concurrent emission paths.
 func TestEventJournalEquivalence(t *testing.T) {
 	sys := machine.IntelCoreI7Desktop()
@@ -57,22 +58,25 @@ func TestEventJournalEquivalence(t *testing.T) {
 			variants := []struct {
 				name        string
 				parallelism int
-				noReuse     bool
+				reference   bool
 			}{
 				{"serial-cached", 1, false},
-				{"serial-uncached", 1, true},
+				{"serial-reference", 1, true},
 				{"parallel-cached", 0, false},
-				{"parallel-uncached", 0, true},
+				{"parallel-reference", 0, true},
 			}
 			var want []byte
 			var wantName string
 			for _, v := range variants {
 				c := plan.c
 				c.Parallelism = v.parallelism
-				c.NoReuse = v.noReuse
+				scene := sys.Scene(21, true)
+				if v.reference {
+					scene = opaqueScene(scene)
+				}
 				run := obs.NewRun()
 				run.Journal = obs.NewJournal()
-				if _, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c); err != nil {
+				if _, err := (&Runner{Scene: scene, Obs: run}).RunE(c); err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				got := normalizedJournal(t, run.Journal)

@@ -48,16 +48,17 @@ func PlanShards(c Campaign) (*ShardPlan, error) {
 }
 
 // AnalyzerConfig is the specan configuration RunE would build for this
-// campaign. Callers running shards on separate analyzers (one per worker)
-// should override Parallelism to 1 and share a specan.StaticCache via
-// Config.Statics so the fleet, not each analyzer, bounds concurrency
-// while cross-sweep static-layer reuse still works.
+// campaign, including a fresh static render cache that every analyzer
+// built from the returned config shares: the campaign's sweeps all use the
+// campaign seed, so each capture's static layer is built once and replayed
+// by the other NumAlts-1 sweeps. Callers running shards on separate
+// analyzers (one per worker) should override Parallelism to 1 so the
+// fleet, not each analyzer, bounds concurrency.
 func (p *ShardPlan) AnalyzerConfig(run *obs.Run) specan.Config {
 	c := p.Campaign
 	return specan.Config{Fres: c.Fres, Averages: c.Averages, Parallelism: c.Parallelism,
-		MaxFFT: c.MaxFFT,
-		NoPlan: c.NoPlan, ReuseStatic: !c.NoReuse, NoSegment: c.NoSegment,
-		Faults: c.Faults, Obs: run}
+		MaxFFT: c.MaxFFT, Faults: c.Faults,
+		Statics: specan.NewStaticCache(), Obs: run}
 }
 
 // Begin prices the campaign against an analyzer (any analyzer built from

@@ -6,17 +6,20 @@ import (
 	"testing"
 
 	"fase/internal/activity"
+	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/obs"
 )
 
-// TestCampaignEquivalenceStaticCache runs the same campaign with the
-// cross-sweep static render cache on (the default) and off (NoReuse) and
-// requires bit-identical measurements and detections. Because every sweep
-// of a campaign shares the campaign seed, the cached run builds each
-// capture's static layer once and replays it NumAlts times — the counter
-// check proves that actually happened, so the equivalence isn't two
-// uncached runs agreeing with each other.
+// TestCampaignEquivalenceStaticCache runs the same campaign through the
+// production path (static render cache attached) and through the
+// reference path — the scene wrapped in opaqueScene, which the planner
+// cannot cull or prepare and the cache cannot classify — and requires
+// bit-identical measurements and detections. Because every sweep of a
+// campaign shares the campaign seed, the cached run builds each capture's
+// static layer once and replays it NumAlts times — the counter check
+// proves that actually happened, so the equivalence isn't two uncached
+// runs agreeing with each other.
 func TestCampaignEquivalenceStaticCache(t *testing.T) {
 	sys := machine.IntelCoreI7Desktop()
 	c := Campaign{
@@ -33,28 +36,26 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 	if hits.Value() == h0 {
 		t.Fatal("default campaign replayed no static layers — test is vacuous")
 	}
-	noReuse := c
-	noReuse.NoReuse = true
-	bare, err := (&Runner{Scene: sys.Scene(21, true)}).RunE(noReuse)
+	bare, err := (&Runner{Scene: opaqueScene(sys.Scene(21, true))}).RunE(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cached.Measurements) != len(bare.Measurements) {
-		t.Fatalf("measurement count %d cached vs %d NoReuse", len(cached.Measurements), len(bare.Measurements))
+		t.Fatalf("measurement count %d cached vs %d reference", len(cached.Measurements), len(bare.Measurements))
 	}
 	for i := range bare.Measurements {
 		a, b := bare.Measurements[i].Spectrum, cached.Measurements[i].Spectrum
 		if a.Bins() != b.Bins() {
-			t.Fatalf("measurement %d: %d bins cached vs %d NoReuse", i, b.Bins(), a.Bins())
+			t.Fatalf("measurement %d: %d bins cached vs %d reference", i, b.Bins(), a.Bins())
 		}
 		for k := range a.PmW {
 			if math.Float64bits(a.PmW[k]) != math.Float64bits(b.PmW[k]) {
-				t.Fatalf("measurement %d bin %d differs between cached and NoReuse runs", i, k)
+				t.Fatalf("measurement %d bin %d differs between cached and reference runs", i, k)
 			}
 		}
 	}
 	if len(cached.Detections) != len(bare.Detections) {
-		t.Fatalf("detections: %d cached vs %d NoReuse", len(cached.Detections), len(bare.Detections))
+		t.Fatalf("detections: %d cached vs %d reference", len(cached.Detections), len(bare.Detections))
 	}
 	for i := range bare.Detections {
 		a, b := bare.Detections[i], cached.Detections[i]
@@ -64,4 +65,19 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 			t.Fatalf("detection %d differs: %+v vs %+v", i, b, a)
 		}
 	}
+}
+
+// opaque hides every capability of a scene component but Name and Render.
+type opaque struct{ emsim.Component }
+
+// opaqueScene wraps every component of s in opaque. A campaign over the
+// wrapped scene renders every capture live — nothing culled, prepared, or
+// replayed from the static cache — which makes it the reference path the
+// campaign-level equivalence tests compare the production path against.
+func opaqueScene(s *emsim.Scene) *emsim.Scene {
+	out := &emsim.Scene{}
+	for _, c := range s.Components {
+		out.Add(opaque{c})
+	}
+	return out
 }

@@ -67,12 +67,6 @@ type Context struct {
 	// was rendered under a RenderPlan (see Prepper), nil otherwise.
 	// Renderers must produce bit-identical output with or without it.
 	Prep any
-	// NoSegment asks load-following renderers to walk the activity trace
-	// sample by sample instead of iterating its constant-load runs. Both
-	// paths are bit-identical by contract (enforced by the equivalence
-	// tests); this is a debugging escape hatch, mirrored by
-	// specan.Config.NoSegment.
-	NoSegment bool
 }
 
 // Dt returns the sample period.
@@ -175,10 +169,6 @@ type Capture struct {
 	// reproduces the window-constant loads it was built under; RenderInto
 	// verifies this against the capture's cond-static key.
 	Static *StaticSet
-	// NoSegment is forwarded to Context.NoSegment: load-following
-	// renderers fall back to per-sample trace walks (bit-identical; a
-	// debugging escape hatch).
-	NoSegment bool
 	// Obs, when non-nil, attributes this capture's live component renders
 	// by wall time and count (the per-component table of the run
 	// manifest, plus the fase_render_component_seconds histogram).
@@ -247,7 +237,6 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 		Activity:        cap.Activity,
 		NearField:       cap.NearField,
 		NearFieldGainDB: cap.NearFieldGainDB,
-		NoSegment:       cap.NoSegment,
 	}
 	plan := cap.Plan
 	if plan != nil {

@@ -280,16 +280,12 @@ func harmonicsIn(f0 float64, maxN int, f1, f2 float64) []float64 {
 // output repeats bitwise (its fixpoint for the run's load — further steps
 // are idempotent, so skipping them is exact), after which the duty phasor
 // and line amplitudes are frozen and the rest of the run renders through
-// the phasor loop alone. Bit-identical to the per-sample walk
-// (renderPerSample, kept as the ctx.NoSegment escape hatch and enforced
-// by the equivalence tests): run loads are exactly the per-sample cursor
-// loads, the loop filter and wander state evolve through the same
-// operations, and renormalization hits the same global sample positions.
+// the phasor loop alone. Bit-identical to a per-sample walk of the trace
+// (the reference the equivalence tests hold this path to): run loads are
+// exactly the per-sample cursor loads, the loop filter and wander state
+// evolve through the same operations, and renormalization hits the same
+// global sample positions.
 func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
-	if ctx.NoSegment {
-		g.renderPerSample(dst, ctx)
-		return
-	}
 	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
 		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
 	}
@@ -483,156 +479,6 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 				for k := range z {
 					z[k] = sig.Renormalize(z[k])
 				}
-			}
-		}
-	}
-}
-
-// renderPerSample is the pre-segmentation render path, kept verbatim as
-// the ctx.NoSegment escape hatch and as the reference the equivalence
-// tests hold the segmented path to.
-func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Context) {
-	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
-		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
-	}
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	// In-band harmonics and static rotations come from the segment prep
-	// when rendering under a plan, and are derived inline (by the same
-	// expressions) otherwise.
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n++ {
-			if ctx.Band.Contains(float64(n) * g.FSw) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
-	if len(ns) == 0 {
-		return
-	}
-	r := ctx.Rand
-	dt := ctx.Dt()
-	fs := ctx.Band.SampleRate
-	// Amplitude scale: |A0·c1(BaseDuty)|² = fundamental power.
-	c1 := cmplx.Abs(sig.PulseHarmonic(g.BaseDuty, 1))
-	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) / c1 * nearGain(ctx)
-
-	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
-	wander.Init(r)
-	// Clamp the control-loop bandwidth below Nyquist for narrow captures;
-	// the capture cannot resolve faster loop dynamics anyway.
-	bw := g.LoopBw
-	if bw > 0.4*fs {
-		bw = 0.4 * fs
-	}
-	loop := filter.NewOnePole(bw, fs)
-	cur := ctx.Loads()
-
-	// Phasor-rotation synthesis: each harmonic carries a unit phasor
-	// z[k] = e^{i·phase_k}, advanced per sample by a precomputed static
-	// step (the nominal comb-line offset from the band center) times the
-	// shared wander rotation raised to the n-th power. Two trig calls per
-	// sample — the wander rotation and the duty phasor e^{-iπd} — replace
-	// a Sincos plus a Sin per harmonic per sample; the duty phasor's
-	// powers also provide sin(πnd) for the d·sinc(n·d) line magnitudes.
-	base := 2 * math.Pi * r.Float64()
-	cs.grow(len(ns))
-	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
-		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
-		wpow[k] = 1
-	}
-	// Re-slice the working arrays to a common length so the hot loops
-	// index them without bounds checks.
-	z = z[:len(ns)]
-	stepStatic = stepStatic[:len(z)]
-	dpow = dpow[:len(z)]
-	amp = amp[:len(z)]
-	// The duty phasor and line amplitudes depend only on (d, ampl), which
-	// the one-pole loop holds constant once the load settles — so they are
-	// refreshed only when the smoothed load moves, not every sample.
-	lastD, lastAmpl := math.NaN(), math.NaN()
-	renorm := 0
-	for i := range dst {
-		t := ctx.Start + float64(i)*dt
-		load := g.Dom.Of(cur.At(t))
-		smoothedLoad := loop.Step(load)
-		d := g.BaseDuty + g.DutySwing*smoothedLoad
-		ampl := 1 + g.AmpSwing*smoothedLoad
-		df := wander.Step(dt, r)
-		if d != lastD || ampl != lastAmpl {
-			if d != lastD {
-				ds, dc := math.Sincos(-math.Pi * d)
-				sig.PowChain(dpow, ns, complex(dc, ds))
-			}
-			for k, n := range ns {
-				fn := float64(n)
-				// Fourier magnitude of harmonic n at duty d: d·sinc(n·d),
-				// with sin(πnd) = −imag(e^{-iπnd}) read off the duty phasor.
-				x := fn * d
-				mag := d
-				if x != 0 {
-					mag = d * -imag(dpow[k]) / (math.Pi * x)
-				}
-				amp[k] = a0 * mag * ampl
-			}
-			lastD, lastAmpl = d, ampl
-		}
-		if df != 0 {
-			// Fused wander power chain (see UnmodulatedClock.Render): cur
-			// runs through PowChain's exact multiply sequence, so z evolves
-			// bit-identically without the wpow array round trip.
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
-			w := complex(wc, ws)
-			curw := complex(1, 0)
-			m := 0
-			acc := dst[i]
-			for k := range z {
-				dd := ns[k] - m
-				if dd < 8 {
-					for ; dd > 0; dd-- {
-						curw *= w
-					}
-				} else {
-					curw *= sig.Ipow(w, dd)
-				}
-				m = ns[k]
-				// Pulse-train harmonic phase is -π·n·d (pulse centering).
-				v := z[k] * dpow[k]
-				acc += complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * curw
-			}
-			dst[i] = acc
-		} else {
-			acc := dst[i]
-			for k := range z {
-				v := z[k] * dpow[k]
-				acc += complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * wpow[k]
-			}
-			dst[i] = acc
-		}
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
 			}
 		}
 	}
@@ -918,8 +764,8 @@ func (g *RefreshEmitter) BandExtent() emsim.Extent { return emsim.Everywhere() }
 // bounds-check-free (fusing keeps the phasors out of a scratch array the
 // deposit loop would immediately re-read). Pulses deposit in grid order
 // with phase and tap arithmetic identical to per-pulse Sincos + Add, so
-// output is bit-identical to the ctx.NoSegment escape hatch below
-// (enforced by the equivalence tests).
+// output is bit-identical to depositing one kernel per pulse (the
+// reference the equivalence tests hold this path to).
 func (g *RefreshEmitter) Render(dst []complex128, ctx *emsim.Context) {
 	if g.Ranks <= 0 {
 		panic(fmt.Sprintf("machine: refresh emitter %q needs at least one rank", g.Label))
@@ -948,37 +794,9 @@ func (g *RefreshEmitter) Render(dst []complex128, ctx *emsim.Context) {
 	// overlapping sample 0 are included.
 	startK := int(math.Floor((ctx.Start - 2*g.TRefi) / g.TRefi))
 	endT := ctx.Start + duration + 2*g.TRefi
-	if ctx.NoSegment {
-		// Per-pulse escape hatch: the pre-blocking path, one kernel
-		// deposit per surviving pulse.
-		for k := startK; ; k++ {
-			base := float64(k) * g.TRefi
-			if base > endT {
-				break
-			}
-			load := g.Dom.Of(cur.At(math.Max(base, ctx.Start)))
-			for rank := 0; rank < g.Ranks; rank++ {
-				tNom := base + float64(rank)*g.TRefi/float64(g.Ranks)
-				disp := g.TRefi * (g.JitterIdle*r.NormFloat64() + g.DisruptGain*load*(2*r.Float64()-1))
-				if g.IntervalDither > 0 {
-					disp += g.TRefi * g.IntervalDither * (2*r.Float64() - 1)
-				}
-				tk := tNom + disp
-				pos := (tk - ctx.Start) * fs
-				if pos < -16 || pos > float64(ctx.N)+16 {
-					continue
-				}
-				ph := -2 * math.Pi * ctx.Band.Center * tk
-				s, c := math.Sincos(ph)
-				qw := q * weights[rank]
-				impulseKernel8.Add(dst, pos, complex(qw*c, qw*s), fs)
-			}
-		}
-		return
-	}
-	// Phase 1: the same grid walk and draw sequence as the per-pulse path
-	// (every displacement is drawn before the window clip, exactly as
-	// before), collecting the surviving pulses.
+	// Phase 1: the same grid walk and draw sequence as a per-pulse render
+	// (every displacement is drawn before the window clip), collecting the
+	// surviving pulses.
 	poss, tks, qws := sc.pos[:0], sc.tk[:0], sc.qw[:0]
 	for k := startK; ; k++ {
 		base := float64(k) * g.TRefi
@@ -1233,14 +1051,10 @@ func (g *SSCClock) renderTermsEnv(terms [][]complex128, env float64, ctx *emsim.
 // envelope and harmonic amplitudes are refreshed once per run instead of
 // being re-derived (and guard-compared) every sample, while the sweep
 // chain, phasor updates, and renorm schedule advance per sample exactly
-// as in the per-sample walk (renderPerSample, kept as the ctx.NoSegment
-// escape hatch) — run loads are the per-sample cursor loads by
-// construction, so both paths are bit-identical.
+// as in a per-sample walk — run loads are the per-sample cursor loads by
+// construction, so the output is bit-identical to that walk (the
+// reference the equivalence tests hold this path to).
 func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
-	if ctx.NoSegment {
-		g.renderPerSample(dst, ctx)
-		return
-	}
 	// Collect odd harmonics whose swept range intersects the band.
 	cs := combPool.Get().(*combScratch)
 	defer combPool.Put(cs)
@@ -1320,93 +1134,6 @@ func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
 				for k := range z {
 					z[k] = sig.Renormalize(z[k])
 				}
-			}
-		}
-	}
-}
-
-// renderPerSample is the pre-segmentation render path, kept verbatim as
-// the ctx.NoSegment escape hatch and as the reference the equivalence
-// tests hold the segmented path to.
-func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if g.sscInBand(ctx.Band, n) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
-	if len(ns) == 0 {
-		return
-	}
-	r := ctx.Rand
-	dt := ctx.Dt()
-	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) * nearGain(ctx)
-	ssc := sig.SSC{F0: g.F0, SpreadHz: g.SpreadHz, RateHz: g.RateHz, Profile: g.Profile}
-	ssc.Start(r)
-	cur := ctx.Loads()
-	// Phasor rotation: each harmonic advances by a static step (nominal
-	// comb line at n·F0 offset from the band center) times the n-th power
-	// of the shared sweep rotation e^{i2π(f−F0)dt} — one trig call per
-	// sample instead of one per harmonic per sample.
-	cs.grow(len(ns))
-	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * ssc.Phase()))
-		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
-		fpow[k] = 1
-	}
-	spread := g.SpreadHz != 0
-	// Harmonic amplitudes depend only on the activity envelope, which is
-	// piecewise constant — refresh them when it moves, not every sample.
-	lastEnv := math.NaN()
-	renorm := 0
-	for i := range dst {
-		t := ctx.Start + float64(i)*dt
-		load := g.Dom.Of(cur.At(t))
-		env := g.IdleFrac + (1-g.IdleFrac)*load
-		if spread {
-			fs2, fc2 := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
-			sig.PowChain(fpow, ns, complex(fc2, fs2))
-		}
-		if env != lastEnv {
-			for k, n := range ns {
-				amp[k] = a0 * env / float64(n) // square-wave harmonic rolloff
-			}
-			lastEnv = env
-		}
-		acc := dst[i]
-		for k := range ns {
-			acc += complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-			z[k] *= stepStatic[k] * fpow[k]
-		}
-		dst[i] = acc
-		// ssc's own phase accumulator is unused — the per-harmonic phasors
-		// above integrate n·Freq() directly — but Step also advances the
-		// sweep position, which Freq() reads.
-		ssc.Step(dt, 0)
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
 			}
 		}
 	}

@@ -41,11 +41,15 @@ func noWanderScene(r *rand.Rand) *emsim.Scene {
 }
 
 // TestSegmentedRenderEquivalence is the run-length segmentation's core
-// property test: the default render (change-point segmented regulators
-// and clocks, blocked refresh impulse train) must be bit-identical to the
-// per-sample escape hatch (Capture.NoSegment) — across randomized scenes,
-// bands, seeds, and activity traces (idle, constant, and alternating at a
-// rate that splits every capture into thousands of runs).
+// property test: the production render (change-point segmented
+// regulators and clocks, blocked refresh impulse train) must be
+// bit-identical to the per-sample oracles (oracleScene) — across
+// randomized scenes, bands, seeds, and activity traces: idle, constant,
+// alternating at a rate that splits every capture into thousands of
+// short runs, and alternating slowly enough that the regulator's control
+// loop settles inside a run (the settle-skip). Every other trial centers
+// its band on a carrier of a load-following regulator or clock, so their
+// segmented kernels actually render instead of scanning an empty band.
 func TestSegmentedRenderEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 12; trial++ {
@@ -58,7 +62,11 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 			Center:     100e3 + r.Float64()*4e6,
 			SampleRate: float64(n) * (50 + r.Float64()*200),
 		}
+		if f, ok := loadFollowingCarrier(scene, r); ok && trial%2 == 1 {
+			band.Center = f + (r.Float64()-0.5)*band.SampleRate/4
+		}
 		kinds := []activity.Kind{activity.LDM, activity.LDL1, activity.LDL2, activity.Idle}
+		dur := 0.5 + float64(n)/band.SampleRate
 		traces := []*activity.Trace{
 			nil,
 			microbench.Constant(kinds[r.Intn(len(kinds))]),
@@ -66,7 +74,12 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 				X: kinds[r.Intn(len(kinds))], Y: kinds[r.Intn(len(kinds))],
 				FAlt:   30e3 + r.Float64()*20e3,
 				Jitter: microbench.DefaultJitter(), Seed: r.Int63(),
-			}, 0.5+float64(n)/band.SampleRate),
+			}, dur),
+			microbench.Generate(microbench.Config{
+				X: activity.LDM, Y: activity.Idle,
+				FAlt:   200 + r.Float64()*800,
+				Jitter: microbench.DefaultJitter(), Seed: r.Int63(),
+			}, dur),
 		}
 		for ti, trace := range traces {
 			capt := emsim.Capture{
@@ -77,12 +90,36 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 				NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
 			}
 			want := make([]complex128, n)
-			ref := capt
-			ref.NoSegment = true
-			scene.RenderInto(want, ref)
+			oracleScene(scene).RenderInto(want, capt)
 			got := make([]complex128, n)
 			scene.RenderInto(got, capt)
 			bitsEqual(t, "segmented render", trial*100+ti, got, want)
 		}
 	}
+}
+
+// loadFollowingCarrier picks one of scene's activity-modulated switching
+// regulators and clocks — the emitters with run-length segmented kernels —
+// at random, then one of its carriers below 5 MHz.
+func loadFollowingCarrier(scene *emsim.Scene, r *rand.Rand) (float64, bool) {
+	var combs [][]float64
+	for _, c := range scene.Components {
+		var carriers []float64
+		switch g := c.(type) {
+		case *SwitchingRegulator:
+			carriers = g.Carriers(50e3, 5e6)
+		case *SSCClock:
+			if g.Dom != activity.DomainNone {
+				carriers = g.Carriers(50e3, 5e6)
+			}
+		}
+		if len(carriers) > 0 {
+			combs = append(combs, carriers)
+		}
+	}
+	if len(combs) == 0 {
+		return 0, false
+	}
+	carriers := combs[r.Intn(len(combs))]
+	return carriers[r.Intn(len(carriers))], true
 }

@@ -53,6 +53,12 @@ const (
 	// and elevated count at that carrier.
 	EventDetection         = "detection"
 	EventDetectionHarmonic = "detection_harmonic"
+	// EventPanic records the panic that failed a campaign-service job:
+	// Name is the panic value, Stack the panicking goroutine's stack. It
+	// is emitted on the coordinator track after the job's tasks stopped,
+	// and only by failed jobs, so it never disturbs the byte-comparable
+	// journals of healthy runs.
+	EventPanic = "panic"
 	// EventEventsDropped is synthesized per SSE subscriber when the
 	// slow-subscriber drop policy discarded Dropped events since the last
 	// delivery. It exists only in live streams, never in the archived
@@ -106,6 +112,7 @@ type Event struct {
 	Detections  int     `json:"detections,omitempty"`
 	Dropped     int64   `json:"dropped,omitempty"`
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
+	Stack       string  `json:"stack,omitempty"`
 }
 
 // Process-wide journal counters (all journals share them).
@@ -374,6 +381,7 @@ var knownEventKinds = map[string]bool{
 	EventBudgetReserve: true,
 	EventWindowProbe:   true, EventWindowOutcome: true,
 	EventDetection: true, EventDetectionHarmonic: true,
+	EventPanic: true,
 }
 
 // ValidateJournal checks a serialized journal against the schema: header

@@ -40,7 +40,7 @@ type Run struct {
 	PlanCacheHits   Counter
 	PlanCacheMisses Counter
 	// StaticCacheHits/Misses count the analyzer's static-layer cache
-	// behaviour for this run (see specan.Config.ReuseStatic): hits are
+	// behaviour for this run (see specan.Config.Statics): hits are
 	// captures whose activity-independent layer was replayed rather than
 	// re-rendered.
 	StaticCacheHits   Counter

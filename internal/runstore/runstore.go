@@ -5,8 +5,9 @@
 // A run's identity is the SHA-256 of its canonicalized resolved config
 // (JSON with sorted keys — the seed is part of the config, so the key is
 // (config, seed) by construction), truncated to 12 hex digits. Archiving
-// the same configuration twice overwrites in place: bit-identical
-// configs name bit-identical runs.
+// the same configuration twice replaces the entry: bit-identical configs
+// name bit-identical runs. Entries are replaced atomically, so a reader
+// sees either the old manifest or the new one, never a torn file.
 package runstore
 
 import (
@@ -14,6 +15,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,63 +72,110 @@ type Entry struct {
 }
 
 // Add archives a manifest, returning its entry. Same config → same id →
-// overwrite in place.
+// the entry is replaced. The manifest is written to a temporary file in
+// the store directory, synced, and renamed over <id>.json, so a crash
+// mid-write leaves the previous entry (or none) intact, and concurrent
+// completions of one id each install a whole file — the last rename wins.
 func (s *Store) Add(m *obs.Manifest) (Entry, error) {
 	id, err := ConfigID(m.Config)
 	if err != nil {
 		return Entry{}, err
 	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return Entry{}, fmt.Errorf("runstore: marshal manifest: %w", err)
+	}
 	path := filepath.Join(s.Dir, id+".json")
-	if err := m.WriteFile(path); err != nil {
+	if err := writeAtomic(path, append(data, '\n')); err != nil {
 		return Entry{}, err
 	}
 	return Entry{ID: id, Path: path, CreatedUnix: m.CreatedUnix}, nil
 }
 
+// writeAtomic replaces path with data via a synced temporary file in the
+// same directory and a rename. The temporary name does not end in .json,
+// so List never sees a half-written entry.
+func writeAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("runstore: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) // best effort: a leftover temp file is never listed
+		return fmt.Errorf("runstore: write %s: %w", path, err)
+	}
+	return nil
+}
+
 // List returns the archived runs, most recently created first (ties
-// break on id so the order is total).
-func (s *Store) List() ([]Entry, error) {
+// break on id so the order is total), and the paths of entries it
+// skipped because they could not be read or parsed — a torn file left by
+// a crash, or one damaged by hand. One bad entry never hides the rest.
+func (s *Store) List() (entries []Entry, skipped []string, err error) {
 	glob, err := filepath.Glob(filepath.Join(s.Dir, "*.json"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []Entry
 	for _, path := range glob {
+		m, err := readManifestFile(path)
+		if err != nil {
+			skipped = append(skipped, path)
+			continue
+		}
 		id := strings.TrimSuffix(filepath.Base(path), ".json")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		m, err := obs.ReadManifest(data)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: %s: %w", path, err)
-		}
-		out = append(out, Entry{ID: id, Path: path, CreatedUnix: m.CreatedUnix})
+		entries = append(entries, Entry{ID: id, Path: path, CreatedUnix: m.CreatedUnix})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].CreatedUnix != out[b].CreatedUnix {
-			return out[a].CreatedUnix > out[b].CreatedUnix
+	sort.Slice(entries, func(a, b int) bool {
+		if entries[a].CreatedUnix != entries[b].CreatedUnix {
+			return entries[a].CreatedUnix > entries[b].CreatedUnix
 		}
-		return out[a].ID < out[b].ID
+		return entries[a].ID < entries[b].ID
 	})
-	return out, nil
+	return entries, skipped, nil
+}
+
+// Lookup reads the entry archived under exactly id with a single file
+// open — no listing, so its cost does not grow with the store. A missing
+// entry returns an error wrapping fs.ErrNotExist; an unparsable one
+// returns the parse error.
+func (s *Store) Lookup(id string) (*obs.Manifest, error) {
+	return readManifestFile(filepath.Join(s.Dir, id+".json"))
 }
 
 // Resolve turns a run reference into a manifest. Three forms are
 // accepted: a file path to a manifest (used as-is), "@N" (the Nth most
 // recent archived run — @0 is the newest), and an id or unique id
-// prefix.
+// prefix. A reference that names no run — including a path (anything
+// with a directory separator or a .json suffix) to a file that does not
+// exist, which is answered without listing the store — returns an error
+// wrapping fs.ErrNotExist.
 func (s *Store) Resolve(ref string) (*obs.Manifest, string, error) {
 	if st, err := os.Stat(ref); err == nil && !st.IsDir() {
 		m, err := readManifestFile(ref)
 		return m, ref, err
+	}
+	if strings.ContainsRune(ref, filepath.Separator) || strings.HasSuffix(ref, ".json") {
+		return nil, "", fmt.Errorf("runstore: no run manifest at %s: %w", ref, fs.ErrNotExist)
 	}
 	if n, ok := strings.CutPrefix(ref, "@"); ok {
 		idx, err := strconv.Atoi(n)
 		if err != nil || idx < 0 {
 			return nil, "", fmt.Errorf("runstore: bad run reference %q (want @N, N ≥ 0)", ref)
 		}
-		entries, err := s.List()
+		entries, _, err := s.List()
 		if err != nil {
 			return nil, "", err
 		}
@@ -136,7 +185,7 @@ func (s *Store) Resolve(ref string) (*obs.Manifest, string, error) {
 		m, err := readManifestFile(entries[idx].Path)
 		return m, entries[idx].ID, err
 	}
-	entries, err := s.List()
+	entries, _, err := s.List()
 	if err != nil {
 		return nil, "", err
 	}
@@ -148,7 +197,7 @@ func (s *Store) Resolve(ref string) (*obs.Manifest, string, error) {
 	}
 	switch len(hits) {
 	case 0:
-		return nil, "", fmt.Errorf("runstore: no archived run matches %q", ref)
+		return nil, "", fmt.Errorf("runstore: no archived run matches %q: %w", ref, fs.ErrNotExist)
 	case 1:
 		m, err := readManifestFile(hits[0].Path)
 		return m, hits[0].ID, err

@@ -1,9 +1,12 @@
 package runstore
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fase/internal/obs"
@@ -79,9 +82,12 @@ func TestStoreAddListResolve(t *testing.T) {
 		t.Fatal("distinct configs collided")
 	}
 
-	entries, err := s.List()
+	entries, skipped, err := s.List()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(skipped) != 0 {
+		t.Errorf("healthy store reported skipped entries %v", skipped)
 	}
 	if len(entries) != 2 || entries[0].ID != e2.ID || entries[1].ID != e1.ID {
 		t.Fatalf("list not newest-first: %+v", entries)
@@ -126,7 +132,7 @@ func TestStoreAddListResolve(t *testing.T) {
 	if again.ID != e1.ID {
 		t.Fatalf("re-add changed id: %q vs %q", again.ID, e1.ID)
 	}
-	entries, _ = s.List()
+	entries, _, _ = s.List()
 	if len(entries) != 2 {
 		t.Fatalf("overwrite grew the store to %d entries", len(entries))
 	}
@@ -240,11 +246,169 @@ func TestArchivedManifestsValidate(t *testing.T) {
 	if err := obs.ValidateManifestFile(e.Path); err != nil {
 		t.Fatalf("archived manifest fails validation: %v", err)
 	}
-	// A store directory with a corrupt file must fail List loudly.
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef0000.json"), []byte("{"), 0o644); err != nil {
+	// A corrupt file in the store is reported by List, never silently
+	// dropped, and never hides the valid entry beside it.
+	bad := filepath.Join(dir, "deadbeef0000.json")
+	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.List(); err == nil {
-		t.Error("corrupt archived manifest must fail List")
+	entries, skipped, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].ID != e.ID {
+		t.Errorf("List beside a corrupt file = %+v, want only %s", entries, e.ID)
+	}
+	if len(skipped) != 1 || skipped[0] != bad {
+		t.Errorf("List skipped %v, want [%s]", skipped, bad)
+	}
+}
+
+// TestStoreTornManifest plants a truncated manifest — what an in-place
+// write interrupted by a crash leaves behind — beside two good ones: the
+// store must still list and resolve the good runs, by @N and by id, and
+// name the bad file.
+func TestStoreTornManifest(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := s.Add(storeManifest(100, map[string]any{"seed": 1.0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := s.Add(storeManifest(200, map[string]any{"seed": 2.0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(e1.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(s.Dir, "0123456789ab.json")
+	if err := os.WriteFile(torn, full[:len(full)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, skipped, err := s.List()
+	if err != nil {
+		t.Fatalf("List failed on a store with one torn entry: %v", err)
+	}
+	if len(entries) != 2 || entries[0].ID != e2.ID || entries[1].ID != e1.ID {
+		t.Errorf("List = %+v, want [%s %s]", entries, e2.ID, e1.ID)
+	}
+	if len(skipped) != 1 || skipped[0] != torn {
+		t.Errorf("List skipped %v, want [%s]", skipped, torn)
+	}
+	for ref, want := range map[string]string{"@0": e2.ID, "@1": e1.ID, e1.ID[:6]: e1.ID} {
+		if _, id, err := s.Resolve(ref); err != nil || id != want {
+			t.Errorf("Resolve(%s) = %q, %v; want %q", ref, id, err, want)
+		}
+	}
+}
+
+// TestStoreMissBesideCorruptEntry pins the cost and the answer of a
+// lookup miss in a store holding an unparsable manifest: a missing id or
+// a missing path must come back as not-found (the campaign service treats
+// it as a cache miss and renders), not as the unrelated entry's parse
+// error, which is what a lookup that lists the whole store reports.
+func TestStoreMissBesideCorruptEntry(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add(storeManifest(100, map[string]any{"seed": 1.0})); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir, "deadbeef0000.json"), []byte(`{"schema":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const missing = "0123456789ab"
+	for _, ref := range []string{missing, filepath.Join(s.Dir, missing+".json")} {
+		if _, _, err := s.Resolve(ref); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("Resolve(%s) error %v, want one wrapping fs.ErrNotExist", ref, err)
+		}
+	}
+}
+
+// TestStoreLookup covers the service's single-open lookup: a hit returns
+// the archived manifest, a miss wraps fs.ErrNotExist, and a corrupt entry
+// returns its parse error (a cache miss to the caller, never a crash).
+func TestStoreLookup(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.Add(storeManifest(100, map[string]any{"seed": 1.0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := s.Lookup(e.ID); err != nil || m.CreatedUnix != 100 {
+		t.Errorf("Lookup(%s) = %+v, %v", e.ID, m, err)
+	}
+	if _, err := s.Lookup("0123456789ab"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Lookup of a missing id: %v, want fs.ErrNotExist", err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir, "deadbeef0000.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lookup("deadbeef0000"); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Lookup of a corrupt entry: %v, want a parse error", err)
+	}
+}
+
+// TestStoreAddAtomic races completions of one id against readers: every
+// read must see a complete manifest (an in-place write exposes truncated
+// files between its truncate and its last write), and no temporary file
+// may outlive the writes.
+func TestStoreAddAtomic(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := map[string]any{"seed": 1.0}
+	e, err := s.Add(storeManifest(1, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, adds = 4, 50
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				if _, err := s.Add(storeManifest(int64(w*adds+i), cfg)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	reads, torn := 0, 0
+	var readErr error
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		reads++
+		if _, err := s.Lookup(e.ID); err != nil {
+			torn++
+			readErr = err
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d concurrent reads saw an incomplete manifest (last: %v)", torn, reads, readErr)
+	}
+	left, err := filepath.Glob(filepath.Join(s.Dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 {
+		t.Errorf("store holds %v after the writes, want only %s", left, e.Path)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,6 +15,7 @@ import (
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/obs"
+	"fase/internal/par"
 	"fase/internal/runstore"
 	"fase/internal/specan"
 )
@@ -236,12 +236,13 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 		submitted: time.Now(), state: StateQueued,
 	}
 	j.ctx, j.cancel = context.WithCancel(s.base)
-	// Content-addressed result reuse: resolve the archive entry directly
-	// by path (O(1), no store listing). A hit means this exact work —
+	// Content-addressed result reuse: look the archive entry up by id
+	// (one file open, no store listing). A hit means this exact work —
 	// same system, environment, resolved config, seed — already ran;
 	// the job completes immediately without queueing, rendering, or
-	// charging the tenant's quota.
-	if m, _, rerr := s.store.Resolve(filepath.Join(s.store.Dir, resultID+".json")); rerr == nil {
+	// charging the tenant's quota. A missing or unparsable entry is a
+	// miss: the job renders and its archive replaces the entry.
+	if m, lerr := s.store.Lookup(resultID); lerr == nil {
 		j.state = StateDone
 		j.cached = true
 		j.manifest = m
@@ -369,10 +370,19 @@ func (s *Server) terminate(j *Job, state, errMsg string) {
 }
 
 // runJob is one job's coordinator: it drives the shard fan-out (or the
-// unsharded adaptive run), reduces, archives, and terminates the job.
+// unsharded adaptive run), reduces, archives, and terminates the job. A
+// panic anywhere in the job — in the coordinator itself or re-raised from
+// one of its tasks (see runTasks) — fails this job alone: the panic value
+// goes into the job's error, the panicking goroutine's stack into its
+// journal, and the deferred releases free its quota and active slot.
 func (s *Server) runJob(j *Job) {
 	defer s.jobWG.Done()
 	defer func() { <-s.active }()
+	defer func() {
+		if v := recover(); v != nil {
+			s.failPanicked(j, par.Recovered(v))
+		}
+	}()
 	if j.ctx.Err() != nil {
 		s.terminate(j, StateCancelled, "cancelled before start")
 		return
@@ -434,33 +444,21 @@ func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
 	if run != nil {
 		camp = run.Tracer.Begin("campaign")
 	}
+	// Every shard analyzer shares acfg's static cache.
 	acfg := plan.AnalyzerConfig(run)
 	acfg.Parallelism = 1
-	acfg.Statics = specan.NewStaticCache()
 	plan.Begin(specan.New(acfg), run)
 	ms := make([]core.Measurement, len(plan.FAlts))
 	endSweeps := run.Stage("sweeps")
 	sweepsSpan := camp.Child("sweeps")
-	var wg sync.WaitGroup
-	for i := range plan.FAlts {
-		i := i
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			if j.ctx.Err() != nil {
-				return
-			}
-			s.shardsRun.Add(1)
-			svcShardsTotal.Inc()
-			ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweepsSpan)
+	s.runTasks(j, len(plan.FAlts), func(i int) {
+		if j.ctx.Err() != nil {
+			return
 		}
-		select {
-		case s.tasks <- task:
-		case <-j.ctx.Done():
-			wg.Done() // task never enqueued
-		}
-	}
-	wg.Wait()
+		s.shardsRun.Add(1)
+		svcShardsTotal.Inc()
+		ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweepsSpan)
+	})
 	sweepsSpan.End()
 	endSweeps()
 	if j.ctx.Err() != nil {
@@ -477,23 +475,54 @@ func (s *Server) runAdaptiveJob(j *Job, run *obs.Run) (*core.Result, error) {
 	runner := &core.Runner{Scene: j.scene, Obs: run}
 	var res *core.Result
 	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	task := func() {
-		defer wg.Done()
-		res, err = runner.RunE(j.campaign)
-	}
-	select {
-	case s.tasks <- task:
-	case <-j.ctx.Done():
-		wg.Done()
-		return nil, nil
-	}
-	wg.Wait()
+	s.runTasks(j, 1, func(int) { res, err = runner.RunE(j.campaign) })
 	if j.ctx.Err() != nil {
 		return nil, nil
 	}
 	return res, err
+}
+
+// runTasks runs fn(0), …, fn(n-1) as tasks on the worker fleet and waits
+// for them; tasks not yet handed to a worker when j is cancelled are
+// dropped. A task that panics is recovered on its worker, which keeps
+// serving; once every task has finished, the lowest-indexed panic is
+// re-raised here, on j's coordinator, where runJob fails the job.
+func (s *Server) runTasks(j *Job, n int, fn func(i int)) {
+	panics := make([]*par.Panic, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panics[i] = par.Recovered(v)
+				}
+			}()
+			fn(i)
+		}
+		select {
+		case s.tasks <- task:
+		case <-j.ctx.Done():
+			wg.Done() // task never enqueued
+		}
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// failPanicked terminates a job whose coordinator recovered p: the panic
+// value becomes the job's error and the stack goes into its journal.
+func (s *Server) failPanicked(j *Job, p *par.Panic) {
+	if run := j.runNow(); run != nil {
+		run.Track(0).Emit(obs.Event{Kind: obs.EventPanic,
+			Name: fmt.Sprint(p.Value), Stack: string(p.Stack)})
+	}
+	s.terminate(j, StateFailed, fmt.Sprintf("service: job panicked: %v", p.Value))
 }
 
 // Stats is the /v1/stats snapshot.

@@ -74,7 +74,7 @@ func TestSweepReuseStaticSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := New(Config{Fres: 100, MaxFFT: 4096, Parallelism: 1, ReuseStatic: true})
+	an := New(Config{Fres: 100, MaxFFT: 4096, Parallelism: 1, Statics: NewStaticCache()})
 	// Unlike the base test the seed is fixed: the cache keys on capture
 	// identity, and the steady state being pinned is "every capture
 	// replayed from a warm entry".

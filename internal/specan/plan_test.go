@@ -17,7 +17,8 @@ import (
 // TestSweepEquivalencePlannedUnplanned is the end-to-end counterpart of
 // the machine-level render equivalence test: one Request swept with and
 // without render planning, serial and parallel, must produce the same
-// spectrum bit for bit.
+// spectrum bit for bit. The unplanned cases sweep opaqueScene, whose
+// components the planner can neither cull nor prepare.
 func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	sys, err := machine.Lookup("i7-desktop")
 	if err != nil {
@@ -34,20 +35,24 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	}
 	var ref *spectral.Spectrum
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name      string
+		cfg       Config
+		unplanned bool
 	}{
-		{"planned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}},
-		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, NoPlan: true}},
-		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}},
-		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true}},
+		{"planned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, false},
+		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, true},
+		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, false},
+		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, true},
 		// Observability on must not change a single bit: timings and spans
 		// observe the pipeline, never steer it.
-		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: tracedRun()}},
-		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}},
-		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true, Obs: tracedRun()}},
+		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: tracedRun()}, false},
+		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, false},
+		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, true},
 	} {
 		scene := sys.Scene(17, true)
+		if tc.unplanned {
+			scene = opaqueScene(scene)
+		}
 		s := New(tc.cfg).Sweep(req(scene))
 		if ref == nil {
 			ref = s

@@ -5,82 +5,15 @@ import (
 
 	"fase/internal/activity"
 	"fase/internal/dsp/spectral"
-	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/microbench"
 )
-
-// TestSweepEquivalenceSegmented holds the segmented render kernels to the
-// sweep-level contract: a sweep through the default path (run-length
-// segmented regulators/clocks, blocked refresh, conditional static
-// splits) must match the per-sample NoSegment escape hatch bit for bit —
-// planned and unplanned, serial and parallel, with and without the static
-// cache, and with a fault plan mangling the capture chain. Runs under the
-// race detector via `make equivalence` (the parallel cases exercise the
-// shared cond-key scratch pool and two-level cache).
-func TestSweepEquivalenceSegmented(t *testing.T) {
-	sys, err := machine.Lookup("i7-desktop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqFor := func(scene *emsim.Scene, act *activity.Trace) Request {
-		return Request{Scene: scene, F1: 250e3, F2: 750e3, Seed: 23, Activity: act}
-	}
-	alt := microbench.Generate(microbench.Config{
-		X: activity.LDM, Y: activity.LDL1, FAlt: 43.3e3,
-		Jitter: microbench.DefaultJitter(), Seed: 23,
-	}, 1.0)
-	faults := &emsim.FaultPlan{
-		Seed: 7, DropProb: 0.2, TruncProb: 0.2,
-		ExtraNoiseDBmPerHz: -165, BurstProb: 0.3,
-	}
-	// One reference per (trace, fault) combination, rendered the dumbest
-	// way available: per-sample, no plan, no cache, serial.
-	refFor := func(act *activity.Trace, fp *emsim.FaultPlan) *spectral.Spectrum {
-		cfg := Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1,
-			NoPlan: true, NoSegment: true, Faults: fp}
-		return New(cfg).Sweep(reqFor(sys.Scene(23, true), act))
-	}
-	refs := map[*activity.Trace]map[bool]*spectral.Spectrum{
-		nil: {false: refFor(nil, nil)},
-		alt: {false: refFor(alt, nil), true: refFor(alt, faults)},
-	}
-
-	for _, tc := range []struct {
-		name    string
-		act     *activity.Trace
-		par     int
-		noPlan  bool
-		reuse   bool
-		faulted bool
-	}{
-		{"idle planned serial", nil, 1, false, false, false},
-		{"planned serial", alt, 1, false, false, false},
-		{"planned parallel", alt, 4, false, false, false},
-		{"unplanned serial", alt, 1, true, false, false},
-		{"cached serial", alt, 1, false, true, false},
-		{"cached parallel", alt, 4, false, true, false},
-		{"faulted serial", alt, 1, false, false, true},
-		{"faulted parallel", alt, 4, false, false, true},
-	} {
-		var fp *emsim.FaultPlan
-		if tc.faulted {
-			fp = faults
-		}
-		an := New(Config{
-			Fres: 100, MaxFFT: 1 << 14, Parallelism: tc.par,
-			NoPlan: tc.noPlan, ReuseStatic: tc.reuse, Faults: fp,
-		})
-		got := an.Sweep(reqFor(sys.Scene(23, true), tc.act))
-		compareSpectraBits(t, tc.name, got, refs[tc.act][tc.faulted])
-	}
-}
 
 // TestSweepCondStaticKeying pins the two-level static cache's keying: two
 // requests that share every outer key (same band plan, seeds, geometry)
 // but whose window-constant loads differ must build separate conditional
 // entries — and each must replay bit-identically against its own
-// uncached reference. A constant activity trace makes every
+// unplanned, uncached reference (opaqueScene). A constant activity trace makes every
 // load-following emitter window-constant, so the conditional layer, not
 // the unconditional one, carries the difference.
 func TestSweepCondStaticKeying(t *testing.T) {
@@ -98,12 +31,12 @@ func TestSweepCondStaticKeying(t *testing.T) {
 	reqB := reqA
 	reqB.Activity = ldl1
 	refFor := func(req Request) *spectral.Spectrum {
-		req.Scene = sys.Scene(31, true)
-		return New(Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, NoPlan: true}).Sweep(req)
+		req.Scene = opaqueScene(sys.Scene(31, true))
+		return New(Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}).Sweep(req)
 	}
 	refA, refB := refFor(reqA), refFor(reqB)
 
-	an := New(Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, ReuseStatic: true})
+	an := New(Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Statics: NewStaticCache()})
 	m0 := staticMissesTotal.Value()
 	coldA := an.Sweep(reqA)
 	m1 := staticMissesTotal.Value()

@@ -23,6 +23,7 @@ import (
 	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/obs"
+	"fase/internal/par"
 )
 
 // Process-wide analyzer counters; per-run attribution goes through
@@ -64,27 +65,6 @@ type Config struct {
 	// their sweep position and reduced in a fixed order, so parallelism
 	// changes only wall-clock time, never output.
 	Parallelism int
-	// NoPlan disables per-segment render planning (see emsim.RenderPlan):
-	// every capture then walks every scene component with no precomputed
-	// state. Planned and unplanned rendering are bit-identical by design —
-	// this is a debugging escape hatch for isolating the planner, not a
-	// result-changing switch.
-	NoPlan bool
-	// ReuseStatic enables the campaign-scoped static render cache: the
-	// activity-independent layer of each capture identity (segment band,
-	// length, seed, start time, probe placement — see emsim.StaticSet) is
-	// built once and replayed by every sweep on this analyzer that renders
-	// the same identity. Profitable exactly when sweeps share Seed and
-	// differ only in activity, as a campaign's alternation sweeps do.
-	// Replay is bit-identical to live rendering at any Parallelism; the
-	// default (off) is the escape hatch, mirrored by core.Campaign.NoReuse.
-	ReuseStatic bool
-	// NoSegment disables run-length segmentation in load-following
-	// renderers: captures then walk the activity trace sample by sample
-	// (see emsim.Context.NoSegment). Segmented and per-sample rendering
-	// are bit-identical by contract — this is a debugging escape hatch,
-	// mirrored by core.Campaign.NoSegment.
-	NoSegment bool
 	// Faults, when non-nil, deterministically degrades every rendered
 	// capture before its FFT (see emsim.FaultPlan): dropped/truncated
 	// traces, ADC clipping, burst interferers, added noise. Nil — the
@@ -98,16 +78,22 @@ type Config struct {
 	// Meter.Reserve before each Sweep call. Nil (the default) keeps the
 	// capture path meter-free.
 	Meter *Meter
-	// Statics, when non-nil (and ReuseStatic is set), is the static-layer
-	// cache this analyzer shares with others. A campaign service that
-	// renders a campaign's ladder sweeps on separate single-threaded
-	// analyzers — one per shard worker — hands all of them one cache, so
-	// cross-sweep static reuse works exactly as it does on a single shared
-	// analyzer. Nil gives the analyzer a private cache. Sharing is only
+	// Statics, when non-nil, is the static render cache: the
+	// activity-independent layer of each capture identity (segment band,
+	// length, seed, start time, probe placement — see emsim.StaticSet) is
+	// built once and replayed by every sweep that renders the same
+	// identity. Profitable exactly when sweeps share Seed and differ only
+	// in activity, as a campaign's alternation sweeps do — which is why
+	// every campaign analyzer gets one (core.ShardPlan.AnalyzerConfig). One
+	// cache may serve several analyzers: the campaign service renders a
+	// campaign's ladder sweeps on separate single-threaded analyzers, one
+	// per shard, all sharing the campaign's cache. Sharing is only
 	// meaningful between analyzers with identical geometry configuration
 	// (Fres, Averages, MaxFFT, UsableFrac, Window); cache keys carry the
 	// full capture identity, so mismatched sharing is wasteful, never
-	// incorrect.
+	// incorrect. Replay is bit-identical to live rendering at any
+	// Parallelism. Nil — the default, kept by one-off analyzers — renders
+	// every capture live.
 	Statics *StaticCache
 	// Obs, when non-nil, attaches run-level observability: per-capture
 	// render/FFT timing, plan-cache statistics, and — when Obs.Tracer is
@@ -154,10 +140,6 @@ type Analyzer struct {
 	// component culling and per-component preparation happens once, not
 	// once per capture.
 	plans sync.Map
-	// statics caches built static layers per capture identity (staticKey)
-	// when Config.ReuseStatic is set — either this analyzer's private
-	// cache or one shared through Config.Statics.
-	statics *StaticCache
 	// arena retains capture and bin buffers for the analyzer's lifetime:
 	// the process-wide bufpool can lose its contents to a garbage
 	// collection between sweeps, but a campaign's analyzer re-renders the
@@ -179,14 +161,13 @@ type staticKey struct {
 	nearGainDB float64
 }
 
-// StaticCache is a static-layer render cache, normally private to one
-// analyzer (see Config.ReuseStatic) but shareable between several via
-// Config.Statics. A plain struct-keyed map behind an RWMutex rather than
-// a sync.Map: warm lookups then neither box the key nor allocate, keeping
-// the steady-state sweep allocation-free. Each identity holds a bucket
-// keyed by the capture's conditional-static key (empty for sets with no
-// conditional layer), so sweeps under different window-constant loads
-// cache distinct sets side by side.
+// StaticCache is a static-layer render cache (see Config.Statics),
+// shareable between analyzers. A plain struct-keyed map behind an RWMutex
+// rather than a sync.Map: warm lookups then neither box the key nor
+// allocate, keeping the steady-state sweep allocation-free. Each identity
+// holds a bucket keyed by the capture's conditional-static key (empty for
+// sets with no conditional layer), so sweeps under different
+// window-constant loads cache distinct sets side by side.
 type StaticCache struct {
 	mu sync.RWMutex
 	m  map[staticKey]*staticBucket
@@ -235,9 +216,6 @@ type planKey struct {
 // first use. Concurrent first uses may both compute the plan; plans are
 // deterministic, so either result is valid and LoadOrStore keeps one.
 func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.RenderPlan {
-	if a.cfg.NoPlan {
-		return nil
-	}
 	key := planKey{scene: scene, center: band.Center, fs: band.SampleRate, n: n}
 	if v, ok := a.plans.Load(key); ok {
 		planHitsTotal.Inc()
@@ -258,10 +236,10 @@ func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.Re
 }
 
 // staticFor returns the cached static layer for a capture identity,
-// building it on first use (nil when the scene has nothing cacheable for
-// the geometry — the entry still caches that answer).
+// building it on first use. It returns nil without touching the cache
+// when the plan classified nothing cacheable for the geometry.
 func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, start float64, plan *emsim.RenderPlan) *emsim.StaticSet {
-	if plan != nil && plan.StaticCount() == 0 && plan.CondStaticCount() == 0 {
+	if plan.StaticCount() == 0 && plan.CondStaticCount() == 0 {
 		return nil
 	}
 	key := staticKey{
@@ -275,14 +253,14 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 	// out conditional components for this geometry.
 	var kb *condKeyBuf
 	cond := []byte(nil)
-	if plan == nil || plan.CondStaticCount() > 0 {
+	if plan.CondStaticCount() > 0 {
 		kb = condKeyPool.Get().(*condKeyBuf)
 		kb.b = req.Scene.AppendCondStaticKey(kb.b[:0], emsim.Capture{
 			Band: band, Start: start, N: n, Activity: req.Activity, Plan: plan,
 		})
 		cond = kb.b
 	}
-	sc := a.statics
+	sc := a.cfg.Statics
 	sc.mu.RLock()
 	bk := sc.m[key]
 	sc.mu.RUnlock()
@@ -334,15 +312,7 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 // New creates an analyzer. See Config for defaults.
 func New(cfg Config) *Analyzer {
 	cfg = cfg.withDefaults()
-	a := &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
-	if cfg.ReuseStatic {
-		if cfg.Statics != nil {
-			a.statics = cfg.Statics
-		} else {
-			a.statics = NewStaticCache()
-		}
-	}
-	return a
+	return &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
 }
 
 // Fres returns the configured resolution bandwidth.
@@ -472,7 +442,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	start := float64(capIdx) * a.CaptureDuration()
 	rp := a.planFor(req.Scene, band, p.nfft)
 	var static *emsim.StaticSet
-	if a.cfg.ReuseStatic {
+	if a.cfg.Statics != nil {
 		static = a.staticFor(req, band, p.nfft, capSeed, start, rp)
 	}
 	req.Scene.RenderInto(buf, emsim.Capture{
@@ -485,7 +455,6 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		NearFieldGainDB: req.NearFieldGainDB,
 		Plan:            rp,
 		Static:          static,
-		NoSegment:       a.cfg.NoSegment,
 		Obs:             run,
 	})
 	if run != nil {
@@ -515,13 +484,24 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	}
 }
 
+// capture renders one capture inside the analyzer's concurrency budget.
+// The slot is released even if the render panics, so a panicking capture
+// cannot wedge the other sweeps sharing this analyzer.
+func (a *Analyzer) capture(req Request, p plan, capIdx int, out *spectral.Spectrum, sw obs.Span) {
+	a.sem <- struct{}{}
+	defer func() { <-a.sem }()
+	a.renderCapture(req, p, capIdx, out, sw)
+}
+
 // Sweep measures the spectrum of the scene over [F1, F2].
 //
 // The segs × averages captures are independent — each is seeded by its
 // position in the sweep — so they render concurrently on up to
 // Config.Parallelism goroutines. The periodograms are then reduced into
 // per-segment trace averages in the same (segment, trace) order the serial
-// loop used, keeping the result bit-identical to Parallelism: 1.
+// loop used, keeping the result bit-identical to Parallelism: 1. A capture
+// that panics does so on the caller's goroutine at any Parallelism
+// (wrapped in a *par.Panic when it rendered on a worker goroutine).
 func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 	if req.Scene == nil {
 		panic("specan: sweep without a scene")
@@ -558,22 +538,12 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	}
 	if a.cfg.Parallelism == 1 {
 		for i := 0; i < nCaps; i++ {
-			a.sem <- struct{}{}
-			a.renderCapture(req, p, i, &specs[i], sw)
-			<-a.sem
+			a.capture(req, p, i, &specs[i], sw)
 		}
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(nCaps)
-		for i := 0; i < nCaps; i++ {
-			go func(i int) {
-				defer wg.Done()
-				a.sem <- struct{}{}
-				defer func() { <-a.sem }()
-				a.renderCapture(req, p, i, &specs[i], sw)
-			}(i)
-		}
-		wg.Wait()
+		// A capture that panics re-raises on this goroutine, after the
+		// sweep's other captures finish (see par.Do).
+		par.Do(nCaps, func(i int) { a.capture(req, p, i, &specs[i], sw) })
 	}
 	// Deterministic reduction: segment by segment, traces in capture
 	// order, exactly as the serial sweep accumulated them. Progress

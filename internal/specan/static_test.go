@@ -13,14 +13,16 @@ import (
 
 // TestSweepEquivalenceCachedStatic extends the equivalence suite to the
 // static render cache: a sweep that replays cached activity-independent
-// layers must match the uncached, unplanned sweep bit for bit — with a
-// cold cache (build + replay in one sweep), a warm cache (second sweep of
-// the same request on the same analyzer), serial and parallel, and with a
-// fault plan mangling the capture chain after the render. The counter
-// checks keep the test honest: the cold sweep must actually build cache
-// entries and the warm sweep must serve every capture from them, so a
-// regression that quietly disables caching fails here instead of becoming
-// a silent perf loss.
+// layers must match the uncached, unplanned sweep (opaqueScene, no cache)
+// bit for bit — with a cold cache (build + replay in one sweep), a warm
+// cache (second sweep of the same request on the same analyzer), serial
+// and parallel, and with a fault plan mangling the capture chain after the
+// render. The counter checks keep the test honest: the cold sweep must
+// actually build cache entries and the warm sweep must serve every capture
+// from them, so a regression that quietly disables caching fails here
+// instead of becoming a silent perf loss. The unplanned case sweeps
+// opaqueScene with the cache attached: its components expose nothing
+// cacheable, so it must build no entries and still match.
 func TestSweepEquivalenceCachedStatic(t *testing.T) {
 	sys, err := machine.Lookup("i7-desktop")
 	if err != nil {
@@ -42,16 +44,16 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 	// One reference per fault setting, rendered the dumbest way available:
 	// no plan, no cache, serial.
 	refFor := func(fp *emsim.FaultPlan) *spectral.Spectrum {
-		cfg := Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, NoPlan: true, Faults: fp}
-		return New(cfg).Sweep(req(sys.Scene(17, true)))
+		cfg := Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Faults: fp}
+		return New(cfg).Sweep(req(opaqueScene(sys.Scene(17, true))))
 	}
 	refs := map[bool]*spectral.Spectrum{false: refFor(nil), true: refFor(faults)}
 
 	for _, tc := range []struct {
-		name    string
-		par     int
-		noPlan  bool
-		faulted bool
+		name      string
+		par       int
+		unplanned bool
+		faulted   bool
 	}{
 		{"planned serial", 1, false, false},
 		{"planned parallel", 4, false, false},
@@ -65,9 +67,13 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 		}
 		an := New(Config{
 			Fres: 100, MaxFFT: 1 << 14, Parallelism: tc.par,
-			NoPlan: tc.noPlan, ReuseStatic: true, Faults: fp,
+			Statics: NewStaticCache(), Faults: fp,
 		})
-		r := req(sys.Scene(17, true))
+		scene := sys.Scene(17, true)
+		if tc.unplanned {
+			scene = opaqueScene(scene)
+		}
+		r := req(scene)
 		ref := refs[tc.faulted]
 
 		h0, m0 := staticHitsTotal.Value(), staticMissesTotal.Value()
@@ -76,18 +82,21 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 		warm := an.Sweep(r)
 		h2, m2 := staticHitsTotal.Value(), staticMissesTotal.Value()
 
+		switch {
+		case tc.unplanned:
+			if m2 != m0 || h2 != h0 {
+				t.Errorf("%s: opaque components touched the static cache (%d misses, %d hits)",
+					tc.name, m2-m0, h2-h0)
+			}
 		// Every capture keys its own entry (distinct seed/start), so the
 		// cold sweep is all misses and the warm repeat all hits.
-		if m1 == m0 {
+		case m1 == m0:
 			t.Fatalf("%s: cold sweep built no static cache entries — test is vacuous", tc.name)
-		}
-		if h2 == h1 {
+		case h2 == h1:
 			t.Fatalf("%s: warm sweep hit no static cache entries", tc.name)
-		}
-		if m2 != m1 {
+		case m2 != m1:
 			t.Errorf("%s: warm sweep rebuilt %d static entries, want 0", tc.name, m2-m1)
 		}
-		_ = h0
 
 		compareSpectraBits(t, tc.name+" cold", cold, ref)
 		compareSpectraBits(t, tc.name+" warm", warm, ref)
@@ -107,4 +116,21 @@ func compareSpectraBits(t *testing.T, name string, s, ref *spectral.Spectrum) {
 				math.Float64bits(ref.PmW[i]))
 		}
 	}
+}
+
+// opaque hides every capability of a scene component but Name and Render,
+// so the planner can neither cull nor prepare it and the static cache
+// never classifies it.
+type opaque struct{ emsim.Component }
+
+// opaqueScene wraps every component of s in opaque: swept with no static
+// cache, the wrapped scene is the unplanned, uncached render path by
+// construction — the reference the planner and cache equivalence tests
+// compare against.
+func opaqueScene(s *emsim.Scene) *emsim.Scene {
+	out := &emsim.Scene{}
+	for _, c := range s.Components {
+		out.Add(opaque{c})
+	}
+	return out
 }
