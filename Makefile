@@ -60,7 +60,9 @@ equivalence:
 # fuzz-smoke briefly fuzzes the Band/extent overlap invariants the render
 # planner's culling correctness rests on, the campaign config validator,
 # the manifest table renderer (NaN/Inf/negative-frequency inputs), the
-# real-input FFT against the complex reference transform, and the campaign
+# real-input FFT against the complex reference transform, the small-angle
+# Sincos the regulator loops use (within 1 ulp of math.Sincos for
+# |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), and the campaign
 # service's submit endpoint (arbitrary request bodies must answer 400 and
 # never panic the server).
 fuzz-smoke:
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAdaptivePlan -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzManifestTables -fuzztime 5s ./internal/report
 	$(GO) test -run xxx -fuzz FuzzRFFT -fuzztime 5s ./internal/dsp/fft
+	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to

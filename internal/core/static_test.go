@@ -9,12 +9,14 @@ import (
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/obs"
+	"fase/internal/specan"
 )
 
 // TestCampaignEquivalenceStaticCache runs the same campaign through the
 // production path (static render cache attached) and through the
 // reference path — the scene wrapped in opaqueScene, which the planner
-// cannot cull or prepare and the cache cannot classify — and requires
+// cannot cull or prepare, its shards rendered on an analyzer with no
+// static cache and reduced by the same ReduceShards — and requires
 // bit-identical measurements and detections. Because every sweep of a
 // campaign shares the campaign seed, the cached run builds each capture's
 // static layer once and replays it NumAlts times — the counter check
@@ -36,7 +38,19 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 	if hits.Value() == h0 {
 		t.Fatal("default campaign replayed no static layers — test is vacuous")
 	}
-	bare, err := (&Runner{Scene: opaqueScene(sys.Scene(21, true))}).RunE(c)
+	p, err := PlanShards(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := p.AnalyzerConfig(nil)
+	cfg.Statics = nil
+	an := specan.New(cfg)
+	ref := &Runner{Scene: opaqueScene(sys.Scene(21, true))}
+	ms := make([]Measurement, len(p.FAlts))
+	for i := range ms {
+		ms[i] = ref.RenderShard(nil, an, p, i, nil, obs.Span{})
+	}
+	bare, err := ref.ReduceShards(p, ms, nil, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +81,32 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 	}
 }
 
-// opaque hides every capability of a scene component but Name and Render.
+// opaque hides every capability of a scene component but Name, Render,
+// and its static-layer classification, which stays because it fixes
+// render order (static layer first, see emsim.StaticRenderer).
 type opaque struct{ emsim.Component }
 
+func (o opaque) Static(band emsim.Band, n int) bool {
+	s, ok := o.Component.(emsim.StaticRenderer)
+	return ok && s.Static(band, n)
+}
+
+func (o opaque) CondStatic(band emsim.Band, n int) bool {
+	c, ok := o.Component.(emsim.CondStaticRenderer)
+	return ok && c.CondStatic(band, n)
+}
+
+func (o opaque) Domain() activity.Domain {
+	if c, ok := o.Component.(emsim.CondStaticRenderer); ok {
+		return c.Domain()
+	}
+	return activity.DomainNone
+}
+
 // opaqueScene wraps every component of s in opaque. A campaign over the
-// wrapped scene renders every capture live — nothing culled, prepared, or
-// replayed from the static cache — which makes it the reference path the
-// campaign-level equivalence tests compare the production path against.
+// wrapped scene renders with nothing culled or prepared, which makes it
+// the reference path the campaign-level equivalence tests compare the
+// production path against.
 func opaqueScene(s *emsim.Scene) *emsim.Scene {
 	out := &emsim.Scene{}
 	for _, c := range s.Components {

@@ -159,15 +159,15 @@ type Capture struct {
 	// (their child-seed draw is still consumed, so output is bit-identical)
 	// and active components receive their prepared state via Context.Prep.
 	Plan *RenderPlan
-	// Static, when non-nil, is the cached activity-independent layer built
-	// by Scene.BuildStaticSet for this exact capture identity (band, n,
-	// start, seed, probe): components the set covers are replayed from
-	// their cached addend streams instead of re-rendered. Replay is
-	// bit-identical to live rendering (see StaticRenderer). A set that
-	// additionally caches conditionally static components (see
-	// CondStaticRenderer) is valid only for captures whose activity trace
-	// reproduces the window-constant loads it was built under; RenderInto
-	// verifies this against the capture's cond-static key.
+	// Static, when non-nil, is the cached static layer built by
+	// Scene.BuildStaticSet for this exact capture identity (band, n, start,
+	// seed, probe): it is copied into dst in place of rendering its members
+	// live, which is bit-identical because every render starts with the
+	// static layer (see StaticRenderer). A set whose members include
+	// conditionally static components (see CondStaticRenderer) is valid
+	// only for captures whose activity trace reproduces the window-constant
+	// loads it was built under; RenderInto verifies this against the
+	// capture's cond-static key.
 	Static *StaticSet
 	// Obs, when non-nil, attributes this capture's live component renders
 	// by wall time and count (the per-component table of the run
@@ -183,6 +183,10 @@ type Capture struct {
 type renderScratch struct {
 	root, child *rand.Rand
 	ctx         Context
+	// seeds[i] is component i's child seed and layered[i] its static-layer
+	// membership for the current live-rendered capture.
+	seeds   []int64
+	layered []bool
 	// cond is the capture's conditional-static key scratch (see
 	// AppendCondStaticKey), pooled so set verification stays allocation-free.
 	cond []byte
@@ -194,6 +198,57 @@ var scratchPool = sync.Pool{New: func() any {
 		child: rand.New(rand.NewSource(0)),
 	}
 }}
+
+// begin prepares the scratch for one capture of a scene with ncomp
+// components: the probe context, and every component's child seed, drawn
+// from the capture's root stream in component-index order (the same
+// derivation as seeding a fresh generator with root.Int63()). The draws
+// happen whatever order the components render in, and even for components
+// a plan culls or a static set replays, so every component's stream — and
+// therefore the rendered output — is independent of all three.
+func (sc *renderScratch) begin(cap Capture, ncomp int) {
+	sc.ctx = Context{
+		Band:            cap.Band,
+		Start:           cap.Start,
+		N:               cap.N,
+		NearField:       cap.NearField,
+		NearFieldGainDB: cap.NearFieldGainDB,
+	}
+	sc.root.Seed(cap.Seed)
+	if len(sc.seeds) < ncomp {
+		sc.seeds = make([]int64, ncomp)
+	}
+	for i := range ncomp {
+		sc.seeds[i] = sc.root.Int63()
+	}
+}
+
+// end drops the capture's references and returns the scratch to the pool.
+func (sc *renderScratch) end() {
+	sc.ctx = Context{}
+	scratchPool.Put(sc)
+}
+
+// renderOne adds component i's render to dst on its own child stream, with
+// the plan's prepared state, timing it into run when one is attached.
+// Seeding the child is deferred to here: rand.Seed walks the generator's
+// whole 607-word state, which costs more than replaying a cached layer.
+func (s *Scene) renderOne(dst []complex128, sc *renderScratch, i int, plan *RenderPlan, run *obs.Run) {
+	c := s.Components[i]
+	sc.child.Seed(sc.seeds[i])
+	sc.ctx.Rand = sc.child
+	if plan != nil {
+		sc.ctx.Prep = plan.prep[i]
+	}
+	if run != nil {
+		t0 := time.Now()
+		c.Render(dst, &sc.ctx)
+		run.AddComponentRender(c.Name(), time.Since(t0).Seconds())
+	} else {
+		c.Render(dst, &sc.ctx)
+	}
+	sc.ctx.Prep = nil
+}
 
 // Render counters: captures rendered and components the active plan let a
 // capture skip — the planner's realized savings, per capture.
@@ -215,6 +270,11 @@ func (s *Scene) Render(cap Capture) []complex128 {
 // pool, so only component-internal state allocates. Concurrent RenderInto
 // calls on one Scene are safe as long as every component's Render is
 // (all components in this repository are).
+//
+// Every path — planned or not, cached or live — renders in one order: the
+// static layer first (see StaticRenderer), then the remaining active
+// components, each pass in component-index order. With cap.Static set the
+// first pass is a copy of the cached layer.
 func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	if cap.N <= 0 {
 		panic(fmt.Sprintf("emsim: capture length %d must be positive", cap.N))
@@ -225,19 +285,7 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	if len(dst) != cap.N {
 		panic(fmt.Sprintf("emsim: destination has %d samples for a %d-sample capture", len(dst), cap.N))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
 	sc := scratchPool.Get().(*renderScratch)
-	sc.root.Seed(cap.Seed)
-	sc.ctx = Context{
-		Band:            cap.Band,
-		Start:           cap.Start,
-		N:               cap.N,
-		Activity:        cap.Activity,
-		NearField:       cap.NearField,
-		NearFieldGainDB: cap.NearFieldGainDB,
-	}
 	plan := cap.Plan
 	if plan != nil {
 		plan.check(cap, len(s.Components))
@@ -246,58 +294,53 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	static := cap.Static
 	if static != nil {
 		static.check(cap, len(s.Components))
-		if static.cond != "" {
-			// The set bakes in conditionally static layers: the capture's
-			// activity trace must reproduce the same classification and
-			// window-constant loads the set was built under.
-			sc.cond = s.AppendCondStaticKey(sc.cond[:0], cap)
-			if string(sc.cond) != static.cond {
-				panic(fmt.Sprintf(
-					"emsim: static set built for cond-static key %x used with a capture keying %x",
-					static.cond, sc.cond))
-			}
+		// The set's members render first, so the capture's activity trace
+		// must reproduce exactly the conditionally static members and
+		// window-constant loads the set was built under — none included: a
+		// member missing from the set would otherwise render after the
+		// layer instead of inside it.
+		sc.cond = s.AppendCondStaticKey(sc.cond[:0], cap)
+		if string(sc.cond) != static.cond {
+			panic(fmt.Sprintf(
+				"emsim: static set built for cond-static key %x used with a capture keying %x",
+				static.cond, sc.cond))
 		}
 	}
 	capturesRendered.Inc()
 	run := cap.Obs
-	for i, c := range s.Components {
-		// Each component draws from its own child stream (same derivation
-		// as seeding a fresh generator with root.Int63()). The draw happens
-		// even for components the plan skips or the static set replays, so
-		// every component's stream — and therefore the rendered output —
-		// is independent of both. Actually seeding the child is deferred
-		// until a component renders: rand.Seed walks the generator's whole
-		// 607-word state, which costs more than replaying a cached layer.
-		seed := sc.root.Int63()
-		if plan != nil {
-			if !plan.active[i] {
-				continue
+	sc.begin(cap, len(s.Components))
+	sc.ctx.Activity = cap.Activity
+	var layered []bool
+	if static != nil {
+		copy(dst, static.layer)
+		layered = static.in
+		staticReplays.Add(int64(static.cached))
+		if run != nil {
+			for i, in := range layered {
+				if in {
+					run.AddComponentReplay(s.Components[i].Name())
+				}
 			}
-			sc.ctx.Prep = plan.prep[i]
 		}
-		if static != nil && static.comps[i] != nil {
-			static.replay(dst, i)
-			staticReplays.Inc()
-			if run != nil {
-				run.AddComponentReplay(c.Name())
-			}
-			sc.ctx.Prep = nil
+	} else {
+		clear(dst)
+		if len(sc.layered) < len(s.Components) {
+			sc.layered = make([]bool, len(s.Components))
+		}
+		layered = sc.layered[:len(s.Components)]
+		clear(layered)
+		s.forEachLayered(cap, func(i int, _ bool, _ float64) {
+			layered[i] = true
+			s.renderOne(dst, sc, i, plan, run)
+		})
+	}
+	for i := range s.Components {
+		if layered[i] || (plan != nil && !plan.active[i]) {
 			continue
 		}
-		sc.child.Seed(seed)
-		sc.ctx.Rand = sc.child
-		if run != nil {
-			t0 := time.Now()
-			c.Render(dst, &sc.ctx)
-			run.AddComponentRender(c.Name(), time.Since(t0).Seconds())
-		} else {
-			c.Render(dst, &sc.ctx)
-		}
-		sc.ctx.Prep = nil
+		s.renderOne(dst, sc, i, plan, run)
 	}
-	sc.ctx.Rand = nil
-	sc.ctx.Activity = nil
-	scratchPool.Put(sc)
+	sc.end()
 }
 
 // GroundTruthCarrier is one expected detection for validation.

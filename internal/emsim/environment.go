@@ -75,15 +75,10 @@ func (a *AMStation) Prepare(Band, int) any {
 	return &t
 }
 
-// StaticTerms implements StaticRenderer: broadcast program audio is not
+// Static implements StaticRenderer: broadcast program audio is not
 // program activity — the station renders identically for every
-// alternation scan, adding one carrier×envelope value per sample.
-func (a *AMStation) StaticTerms(band Band, _ int) (int, bool) {
-	if !band.Contains(a.Freq) {
-		return 0, true
-	}
-	return 1, true
-}
+// alternation scan.
+func (a *AMStation) Static(Band, int) bool { return true }
 
 // Render implements Component: carrier × (1 + depth·audio(t)), where the
 // audio is a random mixture of low-frequency tones (program content).
@@ -183,15 +178,9 @@ func (s *FMStation) Prepare(Band, int) any {
 	return &t
 }
 
-// StaticTerms implements StaticRenderer: like the AM band, FM program
-// audio is independent of the micro-benchmark, and the station adds one
-// value per sample.
-func (s *FMStation) StaticTerms(band Band, _ int) (int, bool) {
-	if !band.Contains(s.Freq) {
-		return 0, true
-	}
-	return 1, true
-}
+// Static implements StaticRenderer: like the AM band, FM program audio is
+// independent of the micro-benchmark.
+func (s *FMStation) Static(Band, int) bool { return true }
 
 // Render implements Component. The audio tones are synthesized by phasor
 // rotation; the carrier keeps a per-sample Sincos because its phase
@@ -300,10 +289,9 @@ func (b *Background) Prepare(band Band, n int) any {
 	return &bgPrep{sd: sd}
 }
 
-// StaticTerms implements StaticRenderer: the noise floor and its hills
-// are environmental — activity never shapes them — and the synthesized
-// noise is added to dst in a single pass.
-func (b *Background) StaticTerms(Band, int) (int, bool) { return 1, true }
+// Static implements StaticRenderer: the noise floor and its hills are
+// environmental — activity never shapes them.
+func (b *Background) Static(Band, int) bool { return true }
 
 // Render implements Component.
 func (b *Background) Render(dst []complex128, ctx *Context) {

@@ -95,18 +95,12 @@ type RenderPlan struct {
 	nactive int
 	active  []bool
 	prep    []any
-	// Activity classification (see StaticRenderer): staticTerms[i] is the
-	// per-sample addend count of component i when it is active and
-	// activity-independent for this geometry, 0 otherwise. BuildStaticSet
-	// consumes it so classification runs once per segment, not per capture.
-	staticTerms []int
-	nstatic     int
-	// Conditional classification (see CondStaticRenderer): condTerms[i] is
-	// the addend count of component i when it can be cached under a
-	// window-constant domain load, 0 otherwise. Disjoint from staticTerms —
-	// unconditional classification takes precedence.
-	condTerms []int
-	ncond     int
+	// class[i] is component i's static-layer classification (see
+	// classify) when it is active, dynamicLayer otherwise: classification
+	// runs once per segment, not per capture. nstatic and ncond count the
+	// static and conditionally static components.
+	class          []layerClass
+	nstatic, ncond int
 }
 
 // Planner counters: how many plans were built and, across all of them,
@@ -126,13 +120,12 @@ var (
 // prepared state reproduces exactly what Render would compute inline.
 func (s *Scene) Plan(band Band, n int) *RenderPlan {
 	p := &RenderPlan{
-		band:        band,
-		n:           n,
-		ncomp:       len(s.Components),
-		active:      make([]bool, len(s.Components)),
-		prep:        make([]any, len(s.Components)),
-		staticTerms: make([]int, len(s.Components)),
-		condTerms:   make([]int, len(s.Components)),
+		band:   band,
+		n:      n,
+		ncomp:  len(s.Components),
+		active: make([]bool, len(s.Components)),
+		prep:   make([]any, len(s.Components)),
+		class:  make([]layerClass, len(s.Components)),
 	}
 	for i, c := range s.Components {
 		act := true
@@ -147,11 +140,10 @@ func (s *Scene) Plan(band Band, n int) *RenderPlan {
 		if pp, ok := c.(Prepper); ok {
 			p.prep[i] = pp.Prepare(band, n)
 		}
-		if terms, ok := classifyStatic(c, band, n); ok {
-			p.staticTerms[i] = terms
+		switch p.class[i] = classify(c, band, n); p.class[i] {
+		case staticLayer:
 			p.nstatic++
-		} else if terms, ok := classifyCondStatic(c, band, n); ok {
-			p.condTerms[i] = terms
+		case condLayer:
 			p.ncond++
 		}
 	}

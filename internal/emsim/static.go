@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fase/internal/activity"
 	"fase/internal/obs"
 )
 
@@ -15,74 +16,74 @@ import (
 // scan of a campaign — the scans share capture seeds and differ only in
 // activity.
 //
-// The contract is exact, not approximate: replay must reproduce the
-// unplanned render bit for bit. Because float addition is not
-// associative, the classification must also describe *how* the component
-// touches dst — the term count below is the number of += operations the
-// component applies to each sample, and replay re-applies the cached
-// addend streams in the same order, preserving the accumulation chain
-// (((dst+t₀)+t₁)+…) exactly.
+// Classification also fixes the render order. RenderInto renders the
+// capture's static layer first — the static components and the
+// conditionally static ones whose domain load is constant over the window
+// (see CondStaticRenderer), in component-index order, into the zeroed
+// capture — and every other active component after it, again in index
+// order. The layer is therefore an exact prefix of every render's
+// accumulation, and replaying its cached sum is bit-identical to rendering
+// it live.
 type StaticRenderer interface {
 	Component
-	// StaticTerms returns (terms, true) when the component's contribution
-	// to captures of n samples in band is independent of the activity
-	// trace, where terms is the number of += operations Render applies to
-	// each sample of dst (its in-band line count for comb renderers, 1 for
-	// single-carrier and noise sources). (0, true) means the component is
-	// activity-independent but contributes nothing in this band. Any
-	// activity dependence must return ok == false.
-	StaticTerms(band Band, n int) (terms int, ok bool)
-}
-
-// StaticTermRenderer must additionally be implemented by StaticRenderers
-// that apply more than one += per sample (multi-line comb renderers):
-// replaying their summed contribution as a single addition would
-// reassociate the accumulation, so the build captures each addend stream
-// separately instead.
-type StaticTermRenderer interface {
-	StaticRenderer
-	// RenderStaticTerms writes the component's addend streams: terms[t][i]
-	// must be exactly the t-th value Render would have added to sample i
-	// (terms has the length StaticTerms reported). It must draw from
-	// ctx.Rand precisely as Render does.
-	RenderStaticTerms(terms [][]complex128, ctx *Context)
+	// Static reports whether the component's contribution to captures of n
+	// samples in band is independent of the activity trace. Any activity
+	// dependence must return false.
+	Static(band Band, n int) bool
 }
 
 // CondStaticRenderer is the conditional-static capability: a component
 // whose render depends on the activity trace only through the trace's
-// projection onto the component's power domain. When that projection is a
-// single constant across the capture window, the contribution is a pure
-// function of (capture identity, load) — a regulator under an idle or
+// projection onto its power domain. When that projection is a single
+// constant across the capture window, the contribution is a pure function
+// of (capture identity, load) — a regulator under an idle or
 // domain-constant workload, a partially-idle comb whose envelope freezes —
-// and can be cached and replayed through the same term-major static
-// machinery as unconditionally static components, keyed additionally by
-// the window-constant load (see Scene.AppendCondStaticKey).
+// and joins the static layer, keyed additionally by the window-constant
+// load (see Scene.AppendCondStaticKey).
 //
-// The contract is exact, like StaticRenderer's: for any activity trace
-// whose Domain() projection equals load at every sample of the capture,
-// RenderCondStaticTerms must write precisely the addend streams Render
-// would have applied to dst under that trace, drawing from ctx.Rand
-// exactly as Render does. Deliberately a separate interface from
-// StaticRenderer: these components are NOT activity-independent, so they
-// must not classify through StaticTerms.
+// The contract is exact, like StaticRenderer's: for any two activity
+// traces whose Domain() projections equal the same constant at every
+// sample of the capture, Render must produce bit-identical output.
+// Deliberately a separate interface from StaticRenderer: these components
+// are NOT activity-independent, so they must not classify through Static.
 type CondStaticRenderer interface {
-	Emitter
-	// CondStaticTerms returns the number of += operations Render applies
-	// per sample in the band (the in-band line count), and whether the
-	// component supports conditional-static replay for this geometry.
-	CondStaticTerms(band Band, n int) (terms int, ok bool)
-	// RenderCondStaticTerms writes the component's addend streams for the
-	// window-constant projected load: terms[t][i] must be exactly the t-th
-	// value Render would have added to sample i (terms has the length
-	// CondStaticTerms reported).
-	RenderCondStaticTerms(terms [][]complex128, load float64, ctx *Context)
+	Component
+	// Domain is the power domain whose load the component reads.
+	Domain() activity.Domain
+	// CondStatic reports whether the component supports conditional-static
+	// rendering for captures of n samples in band.
+	CondStatic(band Band, n int) bool
 }
 
-// StaticSet is the cached activity-independent layer of one capture: the
-// addend streams of every static-classified component, keyed by the full
-// capture identity (geometry, start time, seed, probe placement). It is
-// immutable after BuildStaticSet returns and safe to share between
-// concurrent RenderInto calls.
+// layerClass is a component's static-layer classification for one
+// capture geometry.
+type layerClass uint8
+
+const (
+	dynamicLayer layerClass = iota // rendered live, after the static layer
+	staticLayer                    // activity-independent: always in the layer
+	condLayer                      // in the layer when its domain load is window-constant
+)
+
+// classify resolves a component's classification for one geometry.
+// Unconditional classification takes precedence, so a component that is
+// static never classifies as conditionally static.
+func classify(c Component, band Band, n int) layerClass {
+	if sr, ok := c.(StaticRenderer); ok && sr.Static(band, n) {
+		return staticLayer
+	}
+	if cr, ok := c.(CondStaticRenderer); ok && cr.CondStatic(band, n) {
+		return condLayer
+	}
+	return dynamicLayer
+}
+
+// StaticSet is the cached static layer of one capture: the summed render
+// of every layered component, keyed by the full capture identity
+// (geometry, start time, seed, probe placement) and, for conditionally
+// static members, by their window-constant loads. It is immutable after
+// BuildStaticSet returns and safe to share between concurrent RenderInto
+// calls.
 type StaticSet struct {
 	band            Band
 	start           float64
@@ -91,12 +92,13 @@ type StaticSet struct {
 	nearField       bool
 	nearFieldGainDB float64
 	ncomp           int
-	// comps[i] holds component i's addend streams; nil means the component
-	// is rendered live (dynamic, inactive, or contributing zero terms).
-	comps  [][][]complex128
+	// layer is the members' renders, summed in index order into a zeroed
+	// buffer; in[i] marks component i as a member.
+	layer  []complex128
+	in     []bool
 	cached int
 	// cond is the conditional-static key the set was built under (empty
-	// when no conditionally static component is cached): the (component
+	// when no conditionally static component is a member): the (component
 	// index, load bits) pairs of every CondStaticRenderer whose domain
 	// projection was window-constant. RenderInto verifies a capture's key
 	// against it before replaying.
@@ -114,55 +116,16 @@ var (
 // Components reports how many components the set caches.
 func (st *StaticSet) Components() int { return st.cached }
 
-// classifyStatic resolves a component's static classification for one
-// geometry: its declared addend count, gated on the replay machinery
-// actually being able to reproduce it (multi-addend components must
-// implement StaticTermRenderer).
-func classifyStatic(c Component, band Band, n int) (int, bool) {
-	sr, ok := c.(StaticRenderer)
-	if !ok {
-		return 0, false
-	}
-	terms, static := sr.StaticTerms(band, n)
-	if !static || terms <= 0 {
-		return 0, false
-	}
-	if terms > 1 {
-		if _, ok := c.(StaticTermRenderer); !ok {
-			return 0, false
-		}
-	}
-	return terms, true
-}
-
-// classifyCondStatic resolves a component's conditional-static
-// classification for one geometry: its declared addend count when the
-// component can be replayed under a window-constant domain load.
-// Unconditional static classification takes precedence — a component that
-// classifies through StaticTerms never classifies here, so the two cached
-// layers are disjoint.
-func classifyCondStatic(c Component, band Band, n int) (int, bool) {
-	if _, ok := classifyStatic(c, band, n); ok {
-		return 0, false
-	}
-	cr, ok := c.(CondStaticRenderer)
-	if !ok {
-		return 0, false
-	}
-	terms, cond := cr.CondStaticTerms(band, n)
-	if !cond || terms <= 0 {
-		return 0, false
-	}
-	return terms, true
-}
-
-// forEachCondStatic walks the components that are conditionally static AND
-// whose domain projection of the capture's activity trace is constant
-// across the capture window, yielding each one's index, addend count, and
-// window-constant load. Both the cache key (AppendCondStaticKey) and the
-// set build (BuildStaticSet) go through this walk, so they agree on which
-// components a set caches by construction.
-func (s *Scene) forEachCondStatic(cap Capture, fn func(i, terms int, load float64)) {
+// forEachLayered calls fn, in component-index order, for every member of
+// the capture's static layer: the components classified static for its
+// geometry, and the conditionally static ones whose domain load is
+// constant across the capture window (cond is then true and load is that
+// constant). A plan supplies the classification precomputed per segment
+// and excludes the components it culls. The cache key
+// (AppendCondStaticKey), the set build (BuildStaticSet), and the live
+// render order (RenderInto) all walk the layer through here, so they agree
+// on its membership by construction.
+func (s *Scene) forEachLayered(cap Capture, fn func(i int, cond bool, load float64)) {
 	plan := cap.Plan
 	tr := cap.Activity
 	if tr == nil {
@@ -171,57 +134,59 @@ func (s *Scene) forEachCondStatic(cap Capture, fn func(i, terms int, load float6
 	dt := 1 / cap.Band.SampleRate
 	t1 := cap.Start + float64(cap.N-1)*dt
 	for i, c := range s.Components {
-		var terms int
+		var cl layerClass
 		if plan != nil {
-			if !plan.active[i] {
-				continue
+			cl = plan.class[i]
+		} else {
+			cl = classify(c, cap.Band, cap.N)
+		}
+		switch cl {
+		case staticLayer:
+			fn(i, false, 0)
+		case condLayer:
+			if load, ok := tr.DomainConstant(c.(CondStaticRenderer).Domain(), cap.Start, t1); ok {
+				fn(i, true, load)
 			}
-			terms = plan.condTerms[i]
-		} else if t, ok := classifyCondStatic(c, cap.Band, cap.N); ok {
-			terms = t
 		}
-		if terms == 0 {
-			continue
-		}
-		load, constant := tr.DomainConstant(c.(CondStaticRenderer).Domain(), cap.Start, t1)
-		if !constant {
-			continue
-		}
-		fn(i, terms, load)
 	}
 }
 
-// AppendCondStaticKey appends the capture's conditional-static key to dst
-// and returns the extended slice: for every conditionally static component
-// whose domain load is constant across the capture window, the component
+// appendCondKey appends one conditional-static key entry: the component
 // index (2 bytes big-endian) followed by the load's IEEE-754 bits (8
-// bytes). Two captures with equal static identity and equal keys replay
-// the same cached layers bit for bit; the empty key means no component
-// qualifies under this activity trace. Allocation-free when dst has
-// capacity.
+// bytes).
+func appendCondKey(dst []byte, i int, load float64) []byte {
+	b := math.Float64bits(load)
+	return append(dst,
+		byte(i>>8), byte(i),
+		byte(b>>56), byte(b>>48), byte(b>>40), byte(b>>32),
+		byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
+}
+
+// AppendCondStaticKey appends the capture's conditional-static key to dst
+// and returns the extended slice: one entry (see appendCondKey) for every
+// conditionally static component whose domain load is constant across the
+// capture window. Two captures with equal static identity and equal keys
+// render the same static layer bit for bit; the empty key means no
+// component qualifies under this activity trace. Allocation-free when dst
+// has capacity.
 func (s *Scene) AppendCondStaticKey(dst []byte, cap Capture) []byte {
-	s.forEachCondStatic(cap, func(i, terms int, load float64) {
-		b := math.Float64bits(load)
-		dst = append(dst,
-			byte(i>>8), byte(i),
-			byte(b>>56), byte(b>>48), byte(b>>40), byte(b>>32),
-			byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
+	s.forEachLayered(cap, func(i int, cond bool, load float64) {
+		if cond {
+			dst = appendCondKey(dst, i, load)
+		}
 	})
 	return dst
 }
 
-// BuildStaticSet renders the activity-independent layer of the capture:
-// every component the capture's plan (or, without a plan, a direct extent
-// test) leaves active and that classifies itself static has its addend
-// streams rendered standalone, consuming exactly the child-seed draws
-// RenderInto would. cap.Activity never feeds the unconditional renders —
-// they run against a nil trace, so a misclassified component diverges from
-// the live render immediately rather than matching one scan's activity by
-// accident. The trace is consulted only to classify conditionally static
-// components (see CondStaticRenderer): those whose domain load is constant
-// across the window render their addend streams for that load, and the set
-// records the resulting cond-static key. Returns nil when no component
-// qualifies.
+// BuildStaticSet renders the capture's static layer: every member (see
+// forEachLayered) renders through its own Render, in index order, into
+// one zeroed buffer, consuming exactly the child seed RenderInto would
+// hand it. Unconditionally static members render against a nil activity
+// trace, so a misclassified component diverges from the live render
+// immediately rather than matching one scan's activity by accident.
+// Conditionally static members get the capture's trace, whose projection
+// onto their domain is the window-constant load the set's key records.
+// Returns nil when no component qualifies.
 func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	if cap.N <= 0 || cap.Band.SampleRate <= 0 {
 		panic(fmt.Sprintf("emsim: invalid static-set capture geometry %+v", cap.Band))
@@ -229,39 +194,6 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	plan := cap.Plan
 	if plan != nil {
 		plan.check(cap, len(s.Components))
-	}
-	// First pass, geometry only: classify and size the arena so every
-	// addend stream comes out of one allocation. A plan carries the
-	// classification precomputed per segment. Conditional classification
-	// additionally consults the activity trace for window constancy; the
-	// two layers are disjoint (see classifyCondStatic).
-	layout := make([]int, len(s.Components))
-	condLayout := make([]int, len(s.Components))
-	condLoad := make([]float64, len(s.Components))
-	total, cached, condCached := 0, 0, 0
-	for i, c := range s.Components {
-		var terms int
-		if plan != nil {
-			terms = plan.staticTerms[i]
-		} else if t, ok := classifyStatic(c, cap.Band, cap.N); ok {
-			terms = t
-		}
-		if terms == 0 {
-			continue
-		}
-		layout[i] = terms
-		total += terms
-		cached++
-	}
-	s.forEachCondStatic(cap, func(i, terms int, load float64) {
-		condLayout[i] = terms
-		condLoad[i] = load
-		total += terms
-		cached++
-		condCached++
-	})
-	if cached == 0 {
-		return nil
 	}
 	st := &StaticSet{
 		band:            cap.Band,
@@ -271,93 +203,31 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 		nearField:       cap.NearField,
 		nearFieldGainDB: cap.NearFieldGainDB,
 		ncomp:           len(s.Components),
-		comps:           make([][][]complex128, len(s.Components)),
+		in:              make([]bool, len(s.Components)),
 	}
-	if condCached > 0 {
-		st.cond = string(s.AppendCondStaticKey(nil, cap))
-	}
-	arena := make([]complex128, total*cap.N)
-	// Second pass: the same root-stream walk as RenderInto, rendering the
-	// classified components' addend streams.
 	sc := scratchPool.Get().(*renderScratch)
-	sc.root.Seed(cap.Seed)
-	sc.ctx = Context{
-		Band:            cap.Band,
-		Start:           cap.Start,
-		N:               cap.N,
-		NearField:       cap.NearField,
-		NearFieldGainDB: cap.NearFieldGainDB,
+	sc.begin(cap, len(s.Components))
+	var cond []byte
+	s.forEachLayered(cap, func(i int, isCond bool, load float64) {
+		if st.layer == nil {
+			st.layer = make([]complex128, cap.N)
+		}
+		st.in[i] = true
+		st.cached++
+		sc.ctx.Activity = nil
+		if isCond {
+			cond = appendCondKey(cond, i, load)
+			sc.ctx.Activity = cap.Activity
+		}
+		s.renderOne(st.layer, sc, i, plan, nil)
+	})
+	sc.end()
+	if st.cached == 0 {
+		return nil
 	}
-	for i, c := range s.Components {
-		seed := sc.root.Int63()
-		terms, cond := layout[i], condLayout[i]
-		if terms == 0 && cond == 0 {
-			continue
-		}
-		sc.child.Seed(seed)
-		tvs := make([][]complex128, terms+cond)
-		for t := range tvs {
-			tvs[t], arena = arena[:cap.N:cap.N], arena[cap.N:]
-		}
-		if plan != nil {
-			sc.ctx.Prep = plan.prep[i]
-		}
-		sc.ctx.Rand = sc.child
-		switch {
-		case cond != 0:
-			// Conditionally static: render for the window-constant load the
-			// capture's trace projects (ctx.Activity stays nil — the load is
-			// passed explicitly, so the renderer cannot accidentally depend
-			// on trace shape).
-			c.(CondStaticRenderer).RenderCondStaticTerms(tvs, condLoad[i], &sc.ctx)
-		case terms == 1:
-			// Single-addend components render straight into the zeroed
-			// stream: 0 + t == t for every addend a renderer produces.
-			c.Render(tvs[0], &sc.ctx)
-		default:
-			c.(StaticTermRenderer).RenderStaticTerms(tvs, &sc.ctx)
-		}
-		sc.ctx.Prep = nil
-		st.comps[i] = tvs
-	}
-	sc.ctx.Rand = nil
-	scratchPool.Put(sc)
-	st.cached = cached
-	staticComponents.Add(int64(cached))
+	st.cond = string(cond)
+	staticComponents.Add(int64(st.cached))
 	return st
-}
-
-// replay adds component i's cached addend streams to dst. Adding the
-// streams one after another reproduces the live render's per-sample
-// accumulation chain exactly: the t-th pass leaves dst[j] holding
-// (((dst₀[j]+t₀[j])+t₁[j])+…+t_t[j]), the same association Render builds
-// in its harmonic loop.
-// Eight (then four) streams are folded per pass: each dst[j] still
-// receives its additions in ascending term order, so the arithmetic is
-// unchanged — blocking only cuts the number of times dst streams through
-// memory.
-func (st *StaticSet) replay(dst []complex128, i int) {
-	tvs := st.comps[i]
-	k := 0
-	for ; k+8 <= len(tvs); k += 8 {
-		t0, t1, t2, t3 := tvs[k], tvs[k+1], tvs[k+2], tvs[k+3]
-		t4, t5, t6, t7 := tvs[k+4], tvs[k+5], tvs[k+6], tvs[k+7]
-		for j := range dst {
-			dst[j] = dst[j] + t0[j] + t1[j] + t2[j] + t3[j] + t4[j] + t5[j] + t6[j] + t7[j]
-		}
-	}
-	if k+4 <= len(tvs) {
-		t0, t1, t2, t3 := tvs[k], tvs[k+1], tvs[k+2], tvs[k+3]
-		for j := range dst {
-			dst[j] = dst[j] + t0[j] + t1[j] + t2[j] + t3[j]
-		}
-		k += 4
-	}
-	for ; k < len(tvs); k++ {
-		for j, v := range tvs[k] {
-			dst[j] += v
-		}
-	}
 }
 
 // check panics if the set was built for a different capture identity than

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"fase/internal/activity"
 	"fase/internal/dsp/filter"
 	"fase/internal/emsim"
 	"fase/internal/sig"
@@ -15,12 +16,34 @@ import (
 // bit for bit: the pre-segmentation per-sample regulator and SSC clock
 // renderers and the pre-blocking per-pulse refresh renderer.
 
-// oracle strips a scene component down to emsim.Component: it exposes
-// only Name and Render, so the planner never culls or prepares it and the
-// static cache never classifies it. For the three load-following emitters
-// Render runs the per-sample (or per-pulse) oracle instead of the
-// production kernel.
-type oracle struct{ c emsim.Component }
+// layering forwards a component's static-layer classification and
+// nothing else. The reference wrappers keep it because classification
+// fixes render order (static layer first, see emsim.StaticRenderer); an
+// unclassified wrapper would sum the same addends in another order.
+type layering struct{ c emsim.Component }
+
+func (l layering) Static(band emsim.Band, n int) bool {
+	s, ok := l.c.(emsim.StaticRenderer)
+	return ok && s.Static(band, n)
+}
+
+func (l layering) CondStatic(band emsim.Band, n int) bool {
+	c, ok := l.c.(emsim.CondStaticRenderer)
+	return ok && c.CondStatic(band, n)
+}
+
+func (l layering) Domain() activity.Domain {
+	if c, ok := l.c.(emsim.CondStaticRenderer); ok {
+		return c.Domain()
+	}
+	return activity.DomainNone
+}
+
+// oracle strips a scene component down to Name, Render, and its
+// static-layer classification, so the planner never culls or prepares it.
+// For the three load-following emitters Render runs the per-sample (or
+// per-pulse) oracle instead of the production kernel.
+type oracle struct{ layering }
 
 func (o oracle) Name() string { return o.c.Name() }
 
@@ -43,21 +66,25 @@ func (o oracle) Render(dst []complex128, ctx *emsim.Context) {
 func oracleScene(s *emsim.Scene) *emsim.Scene {
 	out := &emsim.Scene{}
 	for _, c := range s.Components {
-		out.Add(oracle{c})
+		out.Add(oracle{layering{c}})
 	}
 	return out
 }
 
-// opaque hides every capability of a component but Name and Render, like
-// oracle, while rendering through the production kernel.
-type opaque struct{ emsim.Component }
+// opaque hides every capability of a component but Name, Render, and its
+// static-layer classification, like oracle, while rendering through the
+// production kernel.
+type opaque struct {
+	emsim.Component
+	layering
+}
 
 // opaqueScene wraps every component of s in opaque: the scene renders
-// the production kernels with no plan culling, preparation, or caching.
+// the production kernels with no plan culling or preparation.
 func opaqueScene(s *emsim.Scene) *emsim.Scene {
 	out := &emsim.Scene{}
 	for _, c := range s.Components {
-		out.Add(opaque{c})
+		out.Add(opaque{c, layering{c}})
 	}
 	return out
 }
@@ -112,10 +139,10 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	// Phasor-rotation synthesis: each harmonic carries a unit phasor
 	// z[k] = e^{i·phase_k}, advanced per sample by a precomputed static
 	// step (the nominal comb-line offset from the band center) times the
-	// shared wander rotation raised to the n-th power. Two trig calls per
-	// sample — the wander rotation and the duty phasor e^{-iπd} — replace
-	// a Sincos plus a Sin per harmonic per sample; the duty phasor's
-	// powers also provide sin(πnd) for the d·sinc(n·d) line magnitudes.
+	// shared wander rotation raised to the n-th power. The wander rotation
+	// and the duty phasor e^{-iπd} (stepped by dutyPhasor) replace a Sincos
+	// plus a Sin per harmonic per sample; the duty phasor's powers also
+	// provide sin(πnd) for the d·sinc(n·d) line magnitudes.
 	base := 2 * math.Pi * r.Float64()
 	cs.grow(len(ns))
 	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
@@ -142,6 +169,7 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	// The duty phasor and line amplitudes depend only on (d, ampl), which
 	// the one-pole loop holds constant once the load settles — so they are
 	// refreshed only when the smoothed load moves, not every sample.
+	var duty dutyPhasor
 	lastD, lastAmpl := math.NaN(), math.NaN()
 	renorm := 0
 	for i := range dst {
@@ -153,8 +181,7 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 		df := wander.Step(dt, r)
 		if d != lastD || ampl != lastAmpl {
 			if d != lastD {
-				ds, dc := math.Sincos(-math.Pi * d)
-				sig.PowChain(dpow, ns, complex(dc, ds))
+				sig.PowChain(dpow, ns, duty.set(d))
 			}
 			for k, n := range ns {
 				fn := float64(n)
@@ -173,7 +200,7 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 			// Fused wander power chain (see UnmodulatedClock.Render): cur
 			// runs through PowChain's exact multiply sequence, so z evolves
 			// bit-identically without the wpow array round trip.
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
+			ws, wc := sig.SmallSincos(2 * math.Pi * df * dt)
 			w := complex(wc, ws)
 			curw := complex(1, 0)
 			m := 0

@@ -103,20 +103,70 @@ func TestStaticClassification(t *testing.T) {
 	if _, ok := emsim.Component(&RefreshEmitter{}).(emsim.StaticRenderer); ok {
 		t.Error("RefreshEmitter must not classify static (activity-disrupted timing)")
 	}
+	if _, ok := emsim.Component(&RefreshEmitter{}).(emsim.CondStaticRenderer); ok {
+		t.Error("RefreshEmitter must not classify conditionally static (per-pulse load reads)")
+	}
 	clk := &UnmodulatedClock{F0: 100e3, MaxHarmonics: 5}
-	if terms, ok := clk.StaticTerms(band, 512); !ok || terms != 3 {
-		t.Errorf("UnmodulatedClock static = (%d, %v), want 3 in-band harmonics, static", terms, ok)
+	if !clk.Static(band, 512) {
+		t.Error("UnmodulatedClock must classify static")
 	}
 	modulated := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 0.4, Dom: activity.DomainDRAM}
-	if _, ok := modulated.StaticTerms(band, 512); ok {
+	if modulated.Static(band, 512) {
 		t.Error("activity-modulated SSCClock must not classify static")
 	}
 	decoy := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 0.4, Dom: activity.DomainNone}
-	if terms, ok := decoy.StaticTerms(band, 512); !ok || terms != 1 {
-		t.Errorf("DomainNone SSCClock static = (%d, %v), want (1, true)", terms, ok)
+	if !decoy.Static(band, 512) {
+		t.Error("DomainNone SSCClock must classify static")
 	}
 	idle := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 1, Dom: activity.DomainDRAM}
-	if terms, ok := idle.StaticTerms(band, 512); !ok || terms != 1 {
-		t.Errorf("IdleFrac=1 SSCClock static = (%d, %v), want (1, true)", terms, ok)
+	if !idle.Static(band, 512) {
+		t.Error("IdleFrac=1 SSCClock must classify static")
+	}
+}
+
+// TestStaticSetCondKeyMismatch pins RenderInto's replay check in both
+// directions: a set built while the regulator's domain load alternated
+// (no conditional members) must not serve a capture that holds that load
+// constant, and a set holding the regulator must not serve a capture
+// whose load alternates. Either replay would render the regulator on the
+// wrong side of the static layer.
+func TestStaticSetCondKeyMismatch(t *testing.T) {
+	reg := &SwitchingRegulator{Label: "reg", FSw: 315e3, BaseDuty: 0.083,
+		DutySwing: 0.035, FundamentalDBm: -104, MaxHarmonics: 4,
+		WanderSigma: 350, WanderTau: 1.2e-3, LoopBw: 65e3, Dom: activity.DomainDRAM}
+	scene := &emsim.Scene{}
+	scene.Add(reg, &UnmodulatedClock{Label: "clk", F0: 300e3, FundamentalDBm: -110, MaxHarmonics: 3},
+		&emsim.Background{FloorDBmPerHz: -172})
+	const n = 1024
+	alt := microbench.Generate(microbench.Config{
+		X: activity.LDM, Y: activity.LDL1, FAlt: 43.3e3,
+		Jitter: microbench.DefaultJitter(), Seed: 3,
+	}, 0.1)
+	constant := microbench.Constant(activity.LDM)
+	capt := emsim.Capture{Band: emsim.Band{Center: 315e3, SampleRate: 102.4e3}, N: n, Seed: 5}
+	for _, tc := range []struct {
+		name         string
+		build, use   *activity.Trace
+		wantBuildKey bool
+	}{
+		{"alternating set, constant capture", alt, constant, false},
+		{"constant set, alternating capture", constant, alt, true},
+	} {
+		build := capt
+		build.Activity = tc.build
+		if key := scene.AppendCondStaticKey(nil, build); (len(key) > 0) != tc.wantBuildKey {
+			t.Fatalf("%s: build key %x, want non-empty %v", tc.name, key, tc.wantBuildKey)
+		}
+		use := capt
+		use.Activity = tc.use
+		use.Static = scene.BuildStaticSet(build)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: replay under a mismatched cond-static key did not panic", tc.name)
+				}
+			}()
+			scene.RenderInto(make([]complex128, n), use)
+		}()
 	}
 }

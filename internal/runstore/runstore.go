@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"fase/internal/obs"
 )
@@ -118,6 +120,40 @@ func writeAtomic(path string, data []byte) error {
 		return fmt.Errorf("runstore: write %s: %w", path, err)
 	}
 	return nil
+}
+
+// orphanAge is how old a temporary file must be before Recover treats it
+// as orphaned. Add holds its temporary file only for one write, fsync,
+// and rename, so a file this old was left by a writer that crashed, not
+// by one still running.
+const orphanAge = time.Hour
+
+// Recover removes the temporary files that Adds interrupted by a crash
+// left in the store (<id>.json.*.tmp, see writeAtomic), returning the
+// paths it removed. Only files older than orphanAge go, so the in-flight
+// file of a writer running concurrently survives. List never reads
+// temporary files, so recovery reclaims disk space without changing what
+// the store lists.
+func (s *Store) Recover() ([]string, error) {
+	glob, err := filepath.Glob(filepath.Join(s.Dir, "*.json.*.tmp"))
+	if err != nil {
+		return nil, err
+	}
+	cutoff := time.Now().Add(-orphanAge)
+	var removed []string
+	var errs []error
+	for _, path := range glob {
+		st, err := os.Lstat(path)
+		if err != nil || !st.Mode().IsRegular() || st.ModTime().After(cutoff) {
+			continue
+		}
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, fmt.Errorf("runstore: %w", err))
+			continue
+		}
+		removed = append(removed, path)
+	}
+	return removed, errors.Join(errs...)
 }
 
 // List returns the archived runs, most recently created first (ties

@@ -5,9 +5,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fase/internal/obs"
 )
@@ -410,5 +412,67 @@ func TestStoreAddAtomic(t *testing.T) {
 	}
 	if len(left) != 1 {
 		t.Errorf("store holds %v after the writes, want only %s", left, e.Path)
+	}
+}
+
+// TestStoreRecover plants the temporary files of two interrupted Adds
+// beside two archived runs and a torn entry: one older than orphanAge (a
+// crashed writer's) and one fresh (a concurrent writer's, mid-write).
+// Recover must remove only the old one, and List — entries and skipped
+// set — must read the same before and after.
+func TestStoreRecover(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := s.Add(storeManifest(100, map[string]any{"seed": 1.0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add(storeManifest(200, map[string]any{"seed": 2.0})); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(s.Dir, "0123456789ab.json")
+	if err := os.WriteFile(torn, []byte(`{"schema": "fase-run`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(s.Dir, e1.ID+".json.1111.tmp")
+	fresh := filepath.Join(s.Dir, e1.ID+".json.2222.tmp")
+	for _, path := range []string{old, fresh} {
+		if err := os.WriteFile(path, []byte(`{"schema": "fase-ru`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := time.Now().Add(-2 * orphanAge)
+	if err := os.Chtimes(old, stale, stale); err != nil {
+		t.Fatal(err)
+	}
+	entries, skipped, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	removed, err := s.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(removed) != 1 || removed[0] != old {
+		t.Errorf("Recover removed %v, want [%s]", removed, old)
+	}
+	if _, err := os.Stat(old); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("orphaned temp file survived recovery: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("in-flight temp file did not survive recovery: %v", err)
+	}
+	after, skippedAfter, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, entries) || !slices.Equal(skippedAfter, skipped) {
+		t.Errorf("List changed across recovery: %v %v, then %v %v", entries, skipped, after, skippedAfter)
+	}
+	if len(after) != 2 || len(skippedAfter) != 1 || skippedAfter[0] != torn {
+		t.Errorf("List = %v, skipped %v; want 2 runs and the torn entry", after, skippedAfter)
 	}
 }

@@ -151,6 +151,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Reclaim the temporary files of archive writes a crash interrupted,
+	// before any job of this server starts writing its own.
+	if _, err := store.Recover(); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:    cfg,
 		store:  store,

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -386,4 +388,23 @@ func trySubmit(client *http.Client, base string, req *ScanRequest) (ScanStatus, 
 		_ = json.NewDecoder(resp.Body).Decode(&st)
 	}
 	return st, resp.StatusCode
+}
+
+// TestServerRecoversStore checks that a starting server reclaims the
+// temporary file a crash left mid-archive in its store before it accepts
+// any job: a day-old <id>.json.*.tmp is gone once New returns.
+func TestServerRecoversStore(t *testing.T) {
+	dir := t.TempDir()
+	orphan := filepath.Join(dir, "0123456789ab.json.42.tmp")
+	if err := os.WriteFile(orphan, []byte(`{"schema": "fase-ru`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	day := time.Now().Add(-24 * time.Hour)
+	if err := os.Chtimes(orphan, day, day); err != nil {
+		t.Fatal(err)
+	}
+	newServer(t, Config{StoreDir: dir})
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived server start: %v", err)
+	}
 }

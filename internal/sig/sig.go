@@ -73,10 +73,10 @@ func (o *Oscillator) Start(r *rand.Rand) {
 	o.Wander.Init(r)
 }
 
-// Step advances the oscillator by dt against the reference frequency fref
-// and returns the current offset phase 2π·(F0−fref)·t + ∫wander. The first
-// call should be made before using the phase of sample 0? No: Step returns
-// the phase *after* advancing; call Phase() for the current value first.
+// Step advances the oscillator's offset phase 2π·(F0−fref)·t + ∫wander by
+// dt against the reference frequency fref. It returns nothing: read
+// Phase() before the first Step for sample 0, and after each Step for the
+// next sample.
 func (o *Oscillator) Step(dt, fref float64, r *rand.Rand) {
 	f := o.F0 - fref + o.Wander.Step(dt, r)
 	o.phase += 2 * math.Pi * f * dt
@@ -139,6 +139,34 @@ func (r *Rotator) Next4() (v0, v1, v2, v3 complex128) {
 		r.z = Renormalize(r.z)
 	}
 	return
+}
+
+// smallAngle is the largest |x| SmallSincos evaluates by polynomial; larger
+// arguments (and NaN, ±Inf, ±0) go to math.Sincos.
+const smallAngle = 1.0 / 32
+
+// Taylor coefficients of SmallSincos, as compile-time reciprocals.
+const (
+	sinC1, sinC2, sinC3, sinC4 = -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880
+	cosC2, cosC3, cosC4        = 1.0 / 24, -1.0 / 720, 1.0 / 40320
+)
+
+// SmallSincos returns sin(x) and cos(x) for the small per-sample rotation
+// angles of oscillator wander and duty updates (|x| ≈ 1e-3 rad), where the
+// argument reduction and degree-6 polynomials of math.Sincos are wasted
+// work. For |x| ≤ smallAngle it evaluates the Taylor series by Horner's
+// rule, within 1 ulp of math.Sincos (the truncated terms are below 0.03
+// ulp there); every other argument returns math.Sincos(x) exactly, so NaN
+// and ±Inf propagate as they do there. Zero also falls back, which keeps
+// the sign of sin(−0).
+func SmallSincos(x float64) (sin, cos float64) {
+	if a := math.Abs(x); !(a <= smallAngle) || a == 0 {
+		return math.Sincos(x)
+	}
+	z := x * x
+	sin = x + x*z*(((sinC4*z+sinC3)*z+sinC2)*z+sinC1)
+	cos = 1 - 0.5*z + z*z*((cosC4*z+cosC3)*z+cosC2)
+	return sin, cos
 }
 
 // Renormalize rescales a unit phasor back to magnitude 1, undoing the
@@ -221,10 +249,10 @@ func sinc(x float64) float64 {
 	return math.Sin(math.Pi*x) / (math.Pi * x)
 }
 
-// SquareHarmonic returns the Fourier coefficient of a 50%-duty square wave
-// (a clock): odd harmonics only, magnitude 2/(πn) relative to the
-// fundamental's π/... — specifically c_n for the unit square wave in
-// [-1, 1] is 2/(iπn) for odd n, 0 for even n, 0 for n = 0 (DC removed).
+// SquareHarmonic returns the Fourier coefficient c_n of the unit 50%-duty
+// square wave in [-1, 1] (a clock): 2/(iπn) for odd n, and 0 for even n
+// and for n = 0 (DC removed). Odd harmonics therefore fall off as 1/n
+// relative to the fundamental.
 func SquareHarmonic(n int) complex128 {
 	if n < 0 {
 		n = -n

@@ -1,9 +1,12 @@
 package specan
 
 import (
+	"runtime"
 	"testing"
 
+	"fase/internal/activity"
 	"fase/internal/machine"
+	"fase/internal/microbench"
 )
 
 // TestSweepSteadyStateAllocs pins the per-sweep allocation count of the
@@ -97,5 +100,52 @@ func TestSweepReuseStaticSteadyStateAllocs(t *testing.T) {
 	const maxAllocs = 32
 	if allocs > maxAllocs {
 		t.Errorf("warm cached sweep made %.0f allocations, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestSweepColdStaticBytes pins the bytes, not just the allocation count,
+// of filling a cold static cache: an i7-desktop sweep over 200–900 kHz at
+// 100 Hz RBW (one 16384-sample segment, 4 captures) under a campaign's
+// LDM/LDL1 alternation, on an analyzer whose cache has never seen the
+// request. Each capture's static layer is one summed 16384-sample buffer
+// (256 KiB), so the cold sweep stays near 2.5 MB including the analyzer's
+// first plan and arena buffers; caching one addend stream per harmonic
+// instead would cost about 70 MB and fail here. A warm-up sweep on another
+// analyzer and cache first fills the process-wide pools and FFT plans.
+func TestSweepColdStaticBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin only holds on plain builds")
+	}
+	sys, err := machine.Lookup("i7-desktop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Fres: 100, Parallelism: 1, Statics: NewStaticCache()}
+	req := Request{
+		Scene: sys.Scene(1, true), F1: 200e3, F2: 900e3, Seed: 1,
+		Activity: microbench.Generate(microbench.Config{
+			X: activity.LDM, Y: activity.LDL1, FAlt: 43.3e3,
+			Jitter: microbench.DefaultJitter(), Seed: 1,
+		}, 1.0),
+	}
+	New(cfg).Sweep(req)
+	cfg.Statics = NewStaticCache()
+	an := New(cfg)
+	if got := an.SweepCaptures(req.F1, req.F2); got != 4 {
+		t.Fatalf("sweep renders %d captures, want 4", got)
+	}
+	misses := staticMissesTotal.Value()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	an.Sweep(req)
+	runtime.ReadMemStats(&after)
+	if built := staticMissesTotal.Value() - misses; built != 4 {
+		t.Fatalf("cold sweep built %d static sets, want 4", built)
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("cold cached sweep allocated %.2f MB", mb)
+	const maxMB = 4
+	if mb > maxMB {
+		t.Errorf("cold cached sweep allocated %.2f MB, want <= %d MB", mb, maxMB)
 	}
 }
