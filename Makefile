@@ -53,7 +53,9 @@ shuffle:
 # production render (planned, static-cached, run-length segmented, blocked
 # refresh, serial and parallel, faulted) must match its test-only reference
 # bit for bit — the per-sample emitter oracles, the unplanned uncached
-# wrapped scene — plus the journal and observability equivalences.
+# wrapped scene — plus the journal and observability equivalences and the
+# manifest attribution gate (concurrent service jobs archive the same
+# manifests as their solo runs).
 equivalence:
 	$(GO) test -run Equivalence -race ./...
 
@@ -248,8 +250,9 @@ cover:
 
 # obs-smoke runs a tiny instrumented campaign through the CLI with every
 # observability output enabled, then validates the run manifest and event
-# journal against their schemas, sanity-checks the trace and metrics
-# files, archives two runs into a run-history store, plants a torn
+# journal against their schemas, checks the manifest counts only its own
+# run (one plan for its one segment, no process-wide dsp caches),
+# sanity-checks the trace and metrics files, archives two runs into a run-history store, plants a torn
 # manifest beside them (fase runs must still list both runs and name the
 # torn file; fase diff must still resolve @N), and diffs them,
 # exercises the live debug server end-to-end (/progress, Prometheus
@@ -272,6 +275,8 @@ obs-smoke:
 	grep -q '"traceEvents"' $$tmp/trace.json || { echo "obs-smoke: trace output malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"fase_core_campaigns_total": 1' $$tmp/metrics.json || { echo "obs-smoke: metrics snapshot malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"components_skipped": 0' $$tmp/run.json && { echo "obs-smoke: planner recorded no skips"; rm -rf $$tmp; exit 1; }; \
+	grep -q '"plans_built": 1,' $$tmp/run.json || { echo "obs-smoke: one-segment campaign did not build exactly one plan"; rm -rf $$tmp; exit 1; }; \
+	grep -q '"fft_plan"' $$tmp/run.json && { echo "obs-smoke: manifest carries the process-wide fft_plan cache"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"kind":"campaign_start"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing campaign_start"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"kind":"sweep_end"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing sweep events"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"build"' $$tmp/run.json || { echo "obs-smoke: manifest missing build info"; rm -rf $$tmp; exit 1; }; \

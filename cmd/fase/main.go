@@ -136,7 +136,7 @@ func run() int {
 	}
 	runner := &core.Runner{Scene: sys.Scene(*seed, *env)}
 	// The primary campaign carries the observability run; the optional
-	// classification pass shares the tracer lanes but not the manifest.
+	// classification pass runs uninstrumented.
 	instrumented := *manifestOut != "" || *traceOut != "" ||
 		*eventsOut != "" || *runsDir != "" || *pprofAddr != ""
 	if instrumented {

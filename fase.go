@@ -108,7 +108,7 @@ type Tracer = obs.Tracer
 // RunManifest is the per-run record an instrumented campaign produces.
 type RunManifest = obs.Manifest
 
-// NewObsRun starts an observability run (clock + metrics snapshot).
+// NewObsRun starts an observability run (its clock and empty records).
 func NewObsRun() *ObsRun { return obs.NewRun() }
 
 // NewTracer creates a span tracer whose epoch is now.

@@ -460,13 +460,8 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	campaignsTotal.Inc()
 	adaptiveCampaignsTotal.Inc()
 	run := r.Obs
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
 	meter := specan.NewMeter(int64(c.Budget))
 	falts := c.FAlts()
-	run.SetBudget(int64(c.Budget))
 	run.SetTotals(int64(c.Budget), 0, 0)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignStart, Name: "adaptive",
 		F1Hz: c.F1, F2Hz: c.F2, Total: int64(c.Budget)})
@@ -479,8 +474,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 			if !granted {
 				outcome = obs.ReserveDenied
 			}
-			run.SetBudgetReserved(meter.Reserved())
-			run.Track(0).Emit(obs.Event{Kind: obs.EventBudgetReserve,
+			run.Emit(run.Track(0), obs.Event{Kind: obs.EventBudgetReserve,
 				Captures: n, Outcome: outcome,
 				Reserved: meter.Reserved(), Cap: meter.Cap()})
 		}
@@ -509,16 +503,13 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 
 	// Recon: coarse full-band pass, scored like the exhaustive campaign
 	// but over the recon ladder subset.
-	endRecon := run.Stage("recon")
-	reconSpan := camp.Child("recon")
+	recon := run.Begin("recon")
 	reconCost := int64(len(reconIdx)) * reconAn.SweepCaptures(c.F1, c.F2)
 	if !meter.Reserve(reconCost) {
-		reconSpan.End()
-		endRecon()
-		camp.End()
+		recon.End()
 		return nil, fmt.Errorf("core: adaptive Budget %d cannot fund the %d-capture recon pass", c.Budget, reconCost)
 	}
-	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx, reconSpan)
+	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx, recon)
 	res.Measurements = make([]Measurement, len(reconSpectra))
 	for j, sp := range reconSpectra {
 		res.Measurements[j] = Measurement{FAlt: reconFAlts[j], Spectrum: sp}
@@ -534,14 +525,12 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	}
 	releaseSmoothed(reconSmoothed)
 	cands := reconCandidates(res.Scores, res.Elevated, c.Harmonics, reconSpectra[0], c, ap)
-	reconSpan.End()
-	endRecon()
+	recon.End()
 	reconUsed := meter.Used()
 
 	// Refine: probe-gated full-resolution re-sweeps of the candidate
 	// windows, highest recon priority first, under the budget.
-	endRefine := run.Stage("refine")
-	refineSpan := camp.Child("refine")
+	refineStage := run.Begin("refine")
 	windows := buildWindows(cands, c, falts)
 	if ap.MaxWindows > 0 && len(windows) > ap.MaxWindows {
 		sort.SliceStable(windows, func(a, b int) bool { return windows[a].priority > windows[b].priority })
@@ -556,7 +545,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))
 	probe := func(w refineWindow) float64 {
-		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx, refineSpan)
+		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx, refineStage)
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
 		best := 0.0
@@ -574,7 +563,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		return best
 	}
 	refine := func(w refineWindow, _ float64) int {
-		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx, refineSpan)
+		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx, refineStage)
 		spectra := make([]*spectral.Spectrum, c.NumAlts)
 		for j, i := range reconIdx {
 			spectra[i] = probeStash[w.idx][j]
@@ -599,15 +588,13 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		return len(dets)
 	}
 	outcomes := scheduleRefinement(windows, meter, ap.abandonThreshold(c), probe, refine)
-	refineSpan.End()
-	endRefine()
+	refineStage.End()
 	refineUsed := meter.Used() - reconUsed
 
 	// Detect: merge the windows' detections globally — dedupe across
 	// window boundaries, then one artifact-filter pass over the combined
 	// set (a ghost's parent carrier may sit in a different window).
-	endDetect := run.Stage("detect")
-	detectSpan := camp.Child("detect")
+	detectStage := run.Begin("detect")
 	var all []Detection
 	for _, dets := range windowDets {
 		all = append(all, dets...)
@@ -619,8 +606,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		// Measurements), preserving Grid/provenance round-trips.
 		res.Detections[i].Bin = recon0.Index(res.Detections[i].Freq)
 	}
-	detectSpan.End()
-	endDetect()
+	detectStage.End()
 
 	stats := &obs.AdaptiveStats{
 		Budget:             int64(c.Budget),
@@ -667,7 +653,6 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: meter.Used(), Detections: len(res.Detections)})
-	camp.End()
 	if run != nil {
 		if m := run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c)); m != nil {
 			m.Adaptive = stats

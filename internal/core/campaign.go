@@ -359,10 +359,6 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	// bit-identical by construction.
 	p := &ShardPlan{Campaign: c, FAlts: c.FAlts()}
 	run := r.Obs
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
 	an := specan.New(p.AnalyzerConfig(run))
 	p.Begin(an, run)
 	// The per-f_alt measurements are independent observations of the same
@@ -373,14 +369,12 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	// one build. The sweeps run concurrently; results are written by
 	// index, keeping the output identical to a sequential run.
 	ms := make([]Measurement, len(p.FAlts))
-	endSweeps := run.Stage("sweeps")
-	sweepsSpan := camp.Child("sweeps")
+	sweeps := run.Begin("sweeps")
 	par.Do(len(p.FAlts), func(i int) {
-		ms[i] = r.RenderShard(nil, an, p, i, run, sweepsSpan)
+		ms[i] = r.RenderShard(nil, an, p, i, run, sweeps)
 	})
-	sweepsSpan.End()
-	endSweeps()
-	return r.ReduceShards(p, ms, run, camp)
+	sweeps.End()
+	return r.ReduceShards(p, ms, run, obs.Span{})
 }
 
 // emitDetections journals the campaign's merged detections on the

@@ -114,8 +114,10 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 // ordered by ladder index, ms[i] from RenderShard(i) — through the
 // smooth/score/detect stages and finalizes the run manifest. The reduce
 // is pure fixed-order computation over the spectra, so where the shards
-// rendered is invisible to it.
-func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp obs.Span) (*Result, error) {
+// rendered is invisible to it. The stages trace under run's own root
+// span; the obs.Span parameter is unused, and stays only because the
+// benchmark (fasebench) calls ReduceShards with obs.Span{}.
+func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ obs.Span) (*Result, error) {
 	c := p.Campaign
 	if len(ms) != len(p.FAlts) {
 		return nil, fmt.Errorf("core: ReduceShards got %d measurements for %d shards", len(ms), len(p.FAlts))
@@ -123,8 +125,7 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	res := &Result{Campaign: c, Measurements: ms,
 		SimulatedSeconds: p.SimulatedSeconds, Captures: p.Captures}
 	falts := p.FAlts
-	endSmooth := run.Stage("smooth")
-	smoothSpan := camp.Child("smooth")
+	smooth := run.Begin("smooth")
 	spectra := make([]*spectral.Spectrum, len(res.Measurements))
 	smoothed := make([]*spectral.Spectrum, len(res.Measurements))
 	for i, m := range res.Measurements {
@@ -134,22 +135,17 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 		smoothed[i] = &spectral.Spectrum{PmW: bufpool.Float(m.Spectrum.Bins())}
 		SmoothSpectrumInto(smoothed[i], m.Spectrum, c.SmoothBins)
 	}
-	smoothSpan.End()
-	endSmooth()
-	endScore := run.Stage("score")
-	scoreSpan := camp.Child("score")
+	smooth.End()
+	score := run.Begin("score")
 	res.Scores = make(map[int][]float64, len(c.Harmonics))
 	res.Elevated = make(map[int][]int, len(c.Harmonics))
 	for _, h := range c.Harmonics {
 		res.Scores[h], res.Elevated[h] = ScoreDetail(smoothed, falts, h, 2)
 	}
-	scoreSpan.End()
-	endScore()
-	endDetect := run.Stage("detect")
-	detectSpan := camp.Child("detect")
+	score.End()
+	detectStage := run.Begin("detect")
 	res.Detections = detect(res, spectra, smoothed, falts)
-	detectSpan.End()
-	endDetect()
+	detectStage.End()
 	for _, sp := range smoothed {
 		bufpool.PutFloat(sp.PmW)
 		sp.PmW = nil
@@ -158,7 +154,6 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: res.Captures, Detections: len(res.Detections)})
-	camp.End()
 	if run != nil {
 		run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c))
 	}

@@ -171,8 +171,9 @@ type Capture struct {
 	Static *StaticSet
 	// Obs, when non-nil, attributes this capture's live component renders
 	// by wall time and count (the per-component table of the run
-	// manifest, plus the fase_render_component_seconds histogram).
-	// Instrumentation never changes rendered output.
+	// manifest, plus the fase_render_component_seconds histogram) and
+	// counts the components its plan skipped. Instrumentation never
+	// changes rendered output.
 	Obs *obs.Run
 }
 
@@ -250,12 +251,9 @@ func (s *Scene) renderOne(dst []complex128, sc *renderScratch, i int, plan *Rend
 	sc.ctx.Prep = nil
 }
 
-// Render counters: captures rendered and components the active plan let a
-// capture skip — the planner's realized savings, per capture.
-var (
-	capturesRendered = obs.Default.Counter(obs.MetricRenderCaptures)
-	renderSkips      = obs.Default.Counter(obs.MetricRenderComponentSkips)
-)
+// capturesRendered counts captures rendered. The components a plan lets a
+// capture skip are counted through Capture.Obs.
+var capturesRendered = obs.Default.Counter(obs.MetricRenderCaptures)
 
 // Render produces the complex-baseband samples for a capture.
 func (s *Scene) Render(cap Capture) []complex128 {
@@ -289,7 +287,7 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	plan := cap.Plan
 	if plan != nil {
 		plan.check(cap, len(s.Components))
-		renderSkips.Add(int64(plan.ncomp - plan.nactive))
+		cap.Obs.Count(obs.StatRenderSkips, int64(plan.ncomp-plan.nactive))
 	}
 	static := cap.Static
 	if static != nil {

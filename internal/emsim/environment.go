@@ -34,10 +34,17 @@ type AMStation struct {
 	// side-bands sit at the same frequencies in every measurement. Only
 	// phases vary per capture.
 	AudioSeed int64
+
+	nameOnce sync.Once
+	name     string
 }
 
-// Name implements Component.
-func (a *AMStation) Name() string { return fmt.Sprintf("AM station %s @ %.0f kHz", a.Call, a.Freq/1e3) }
+// Name implements Component. The name is formatted once: instrumented
+// renders name every component they render or replay.
+func (a *AMStation) Name() string {
+	a.nameOnce.Do(func() { a.name = fmt.Sprintf("AM station %s @ %.0f kHz", a.Call, a.Freq/1e3) })
+	return a.name
+}
 
 // BandExtent implements Extenter: a single line at the carrier — the same
 // frequency Render gates on. (The audio side-bands sit within a few kHz of
@@ -161,10 +168,16 @@ type FMStation struct {
 	DeviationHz float64
 	// AudioSeed fixes the station's (stationary) program audio.
 	AudioSeed int64
+
+	nameOnce sync.Once
+	name     string
 }
 
-// Name implements Component.
-func (s *FMStation) Name() string { return fmt.Sprintf("FM station %s @ %.1f MHz", s.Call, s.Freq/1e6) }
+// Name implements Component, formatted once like AMStation's.
+func (s *FMStation) Name() string {
+	s.nameOnce.Do(func() { s.name = fmt.Sprintf("FM station %s @ %.1f MHz", s.Call, s.Freq/1e6) })
+	return s.name
+}
 
 // BandExtent implements Extenter: a single line at the carrier, matching
 // Render's own gate. (Broadcast FM deviation is ±75 kHz, negligible next

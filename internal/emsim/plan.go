@@ -1,10 +1,6 @@
 package emsim
 
-import (
-	"fmt"
-
-	"fase/internal/obs"
-)
+import "fmt"
 
 // Span is a closed frequency interval [Lo, Hi] in Hz. A spectral line is a
 // degenerate span with Lo == Hi.
@@ -103,15 +99,6 @@ type RenderPlan struct {
 	nstatic, ncond int
 }
 
-// Planner counters: how many plans were built and, across all of them,
-// how many component/band tests kept vs culled the component. RenderInto
-// separately counts the skips actually realized per capture.
-var (
-	plansBuilt  = obs.Default.Counter(obs.MetricPlansBuilt)
-	planActive  = obs.Default.Counter(obs.MetricPlanComponentsActive)
-	planSkipped = obs.Default.Counter(obs.MetricPlanComponentsSkip)
-)
-
 // Plan computes the render plan for captures of n samples in the given
 // band: every component's extent is tested against the band once, and
 // active Preppers precompute their per-segment state. Rendering with the
@@ -147,9 +134,6 @@ func (s *Scene) Plan(band Band, n int) *RenderPlan {
 			p.ncond++
 		}
 	}
-	plansBuilt.Inc()
-	planActive.Add(int64(p.nactive))
-	planSkipped.Add(int64(p.ncomp - p.nactive))
 	return p
 }
 

@@ -105,13 +105,10 @@ type StaticSet struct {
 	cond string
 }
 
-// Static-layer counters: components captured into static sets and
-// component renders replaced by replays. The cache-level hit/miss pair
-// lives with the cache owner in package specan.
-var (
-	staticComponents = obs.Default.Counter(obs.MetricStaticComponents)
-	staticReplays    = obs.Default.Counter(obs.MetricStaticReplays)
-)
+// staticReplays counts component renders replaced by replays. The
+// cache owner (package specan) counts the cache's lookups and the
+// components it captures.
+var staticReplays = obs.Default.Counter(obs.MetricStaticReplays)
 
 // Components reports how many components the set caches.
 func (st *StaticSet) Components() int { return st.cached }
@@ -226,7 +223,6 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 		return nil
 	}
 	st.cond = string(cond)
-	staticComponents.Add(int64(st.cached))
 	return st
 }
 

@@ -307,8 +307,8 @@ func TestJournalConcurrentEmitHammer(t *testing.T) {
 func TestJournalStatsInManifest(t *testing.T) {
 	run := NewRun()
 	run.Journal = NewJournal()
-	run.Stage("sweeps")()
-	run.Captures.Inc()
+	run.Begin("sweeps").End()
+	run.Count(StatCaptures, 1)
 	m := run.Finish("cfg", 0, nil)
 	if m.Events == nil || m.Events.Emitted != 2 {
 		t.Fatalf("manifest events block: %+v (want the two stage events)", m.Events)

@@ -25,18 +25,26 @@ type Manifest struct {
 	// TotalWallSeconds spans Run creation to Finish; the stage walls are
 	// sequential sub-intervals, so they sum to ≈ this.
 	TotalWallSeconds float64 `json:"total_wall_seconds"`
-	TotalCPUSeconds  float64 `json:"total_cpu_seconds"`
+	// TotalCPUSeconds, like each stage's CPUSeconds, is a process-CPU
+	// delta: it includes any other work the process did meanwhile (e.g. a
+	// concurrent service job), so it is the one figure not scoped to
+	// the run.
+	TotalCPUSeconds float64 `json:"total_cpu_seconds"`
 	// SimulatedAnalyzerSeconds is the observation time the modeled
 	// spectrum analyzer would have spent (Analyzer.TotalDuration summed
 	// over the campaign's sweeps) — the paper's "scan time".
 	SimulatedAnalyzerSeconds float64 `json:"simulated_analyzer_seconds"`
 	// Captures, RenderSeconds, FFTSeconds break down the measurement
 	// work: capture count and the render vs window+FFT+calibrate split.
-	Captures      int64                 `json:"captures"`
-	RenderSeconds float64               `json:"render_seconds"`
-	FFTSeconds    float64               `json:"fft_seconds"`
-	Planner       PlannerStats          `json:"planner"`
-	Caches        map[string]CacheStats `json:"caches"`
+	Captures      int64        `json:"captures"`
+	RenderSeconds float64      `json:"render_seconds"`
+	FFTSeconds    float64      `json:"fft_seconds"`
+	Planner       PlannerStats `json:"planner"`
+	// Caches holds the run's own cache statistics: the analyzer's plan
+	// cache ("specan_plan") and static-layer cache ("render_static").
+	// Process-wide caches, shared by every run in the process, are on
+	// /metrics only.
+	Caches map[string]CacheStats `json:"caches"`
 	// RenderComponents attributes live render wall time (and static-cache
 	// replays) to individual scene components, sorted by wall time
 	// descending. Present only on runs whose captures were instrumented
@@ -60,8 +68,9 @@ type Manifest struct {
 	// events the run emitted and how many live-subscriber deliveries the
 	// drop policy discarded (the journal itself is lossless).
 	Events *EventStats `json:"events,omitempty"`
-	// Histograms are the run-attributed metric distributions (registry
-	// deltas with at least one observation), with derived p50/p90/p99.
+	// Histograms are the run's own capture-timing distributions (render,
+	// FFT, component render) that saw at least one observation, with
+	// derived p50/p90/p99.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -301,7 +310,9 @@ func ValidateManifest(data []byte) error {
 	if m.Caches == nil {
 		return fmt.Errorf("obs: manifest missing caches")
 	}
-	for _, name := range []string{"fft_plan", "rfft_plan", "window", "bufpool_complex", "bufpool_float", "specan_plan", "render_static"} {
+	// Only the run-scoped caches are required: manifests from older builds
+	// also carry the process-wide dsp caches, and still validate.
+	for _, name := range []string{"specan_plan", "render_static"} {
 		c, ok := m.Caches[name]
 		if !ok {
 			return fmt.Errorf("obs: manifest missing cache %q", name)

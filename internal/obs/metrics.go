@@ -1,13 +1,17 @@
 // Package obs is the zero-dependency observability layer of the FASE
 // pipeline: a process-wide metrics registry (counters, gauges,
-// fixed-bucket histograms — all atomic), span-based stage tracing that
-// emits Chrome trace_event JSON, per-run manifests recording where a
-// campaign's time went and why each detection fired, and a debug HTTP
-// server exposing net/http/pprof plus a metrics snapshot.
+// fixed-bucket histograms — all atomic), per-run records (Run) that are
+// the only source of each run's manifest — where a campaign's time went,
+// what its planner and caches did, and why each detection fired — and a
+// debug HTTP server exposing net/http/pprof, the registry's snapshot,
+// and the run's live progress and event stream. One call instruments a
+// pipeline stage: Run.Begin times it, traces it (Chrome trace_event
+// JSON), journals it and reports it at /progress.
 //
 // Everything is stdlib-only and safe under the rendering worker pools.
-// Every hook is a nil-safe no-op: a nil *Run, nil *Tracer, or zero Span
-// does nothing and allocates nothing, so the instrumented hot path stays
+// Every hook is nil-safe: a nil *Run, nil *Tracer, or zero Span records
+// nothing and allocates nothing (a nil run's counts still move their
+// process-wide twins), so the instrumented hot path stays
 // allocation-free and bit-identical when observability is off (enforced
 // by the planner equivalence tests, which run with it on).
 package obs
@@ -25,9 +29,9 @@ import (
 )
 
 // Canonical metric names instrumented across the pipeline. The packages
-// that own each site register these against Default at init, and
-// Run.Finish reads their deltas into the manifest's cache and planner
-// statistics. See DESIGN.md "Observability" for the full catalogue.
+// that own each site register these against Default at init; the ones a
+// run also counts for itself (see Stat) are registered here. See
+// DESIGN.md "Observability" for the full catalogue.
 const (
 	MetricFFTPlanHits          = "fase_fft_plan_cache_hits_total"
 	MetricFFTPlanMisses        = "fase_fft_plan_cache_misses_total"
@@ -326,7 +330,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, the
-// expvar-style view served at /metrics and embedded in manifests.
+// expvar-style view served at /metrics and written by -metrics-out.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -356,35 +360,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// Sub returns the delta s - prev: counters and histogram counts/sums
-// subtract, gauges keep their end value. Used to attribute process-wide
-// metric movement to one run.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     s.Gauges,
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, h := range s.Histograms {
-		p, ok := prev.Histograms[name]
-		if !ok || len(p.Counts) != len(h.Counts) {
-			out.Histograms[name] = h
-			continue
-		}
-		d := HistogramSnapshot{Bounds: h.Bounds, Counts: make([]int64, len(h.Counts)), Sum: h.Sum - p.Sum}
-		for i := range h.Counts {
-			d.Counts[i] = h.Counts[i] - p.Counts[i]
-			d.Count += d.Counts[i]
-		}
-		d.computeQuantiles()
-		out.Histograms[name] = d
-	}
-	return out
 }
 
 // WriteJSON writes the registry's snapshot as indented JSON (keys

@@ -43,9 +43,15 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 
 func TestNilRunAndTracerAreNoOps(t *testing.T) {
 	var run *Run
-	run.Stage("x")()
+	if sp := run.Begin("x"); sp != (Span{}) {
+		t.Error("nil run opened a stage")
+	}
+	run.Begin("x").End()
 	run.RecordPlan(1, 2, 3, 4, 5)
-	if run.Stages() != nil || run.Manifest() != nil || run.Finish(nil, 0, nil) != nil {
+	run.Count(StatCaptures, 1)
+	run.Capture(Span{}, time.Time{}, time.Time{}, 1)
+	run.Emit(nil, Event{Kind: EventSweepEnd})
+	if run.Stat(StatCaptures) != 0 || run.Manifest() != nil || run.Finish(nil, 0, nil) != nil {
 		t.Error("nil run returned data")
 	}
 	var tr *Tracer
@@ -107,35 +113,6 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotSub(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 10})
-	c.Add(3)
-	g.Set(1.5)
-	h.Observe(0.5)
-	before := r.Snapshot()
-	c.Add(4)
-	g.Set(2.5)
-	h.Observe(20)
-	delta := r.Snapshot().Sub(before)
-	if delta.Counters["c"] != 4 {
-		t.Errorf("counter delta %d, want 4", delta.Counters["c"])
-	}
-	if delta.Gauges["g"] != 2.5 {
-		t.Errorf("gauge in delta keeps end value: %g", delta.Gauges["g"])
-	}
-	hd := delta.Histograms["h"]
-	if hd.Count != 1 || hd.Counts[2] != 1 || hd.Sum != 20 {
-		t.Errorf("histogram delta %+v", hd)
-	}
-	// Same-name lookups return the same metric.
-	if r.Counter("c") != c || r.Gauge("g") != g || r.Histogram("h", nil) != h {
-		t.Error("registry lookup is not idempotent")
-	}
-}
-
 func TestRegistryWriteJSONStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z").Add(1)
@@ -156,6 +133,10 @@ func TestRegistryWriteJSONStable(t *testing.T) {
 	}
 	if s.Counters["a"] != 2 || s.Counters["z"] != 1 {
 		t.Errorf("snapshot round trip: %+v", s)
+	}
+	// Same-name lookups return the same metric.
+	if r.Counter("a") != r.Counter("a") || r.Gauge("g") != r.Gauge("g") || r.Histogram("h", nil) != r.Histogram("h", []float64{1}) {
+		t.Error("registry lookup is not idempotent")
 	}
 }
 
@@ -178,12 +159,12 @@ func TestConcurrentExactTotals(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			root := run.Tracer.Begin(fmt.Sprintf("worker-%d", w))
+			t0 := time.Now().Add(-time.Millisecond)
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				g.Set(float64(w))
 				h.Observe(float64(i % 300))
-				run.Captures.Inc()
-				run.RenderSeconds.Add(0.001)
+				run.Capture(Span{}, t0, t0.Add(time.Millisecond), 0)
 			}
 			run.RecordPlan(float64(w), 1e6, 1024, 3, 2)
 			root.End()
@@ -197,11 +178,14 @@ func TestConcurrentExactTotals(t *testing.T) {
 	if got := h.snapshot().Count; got != total {
 		t.Errorf("histogram count %d, want %d", got, total)
 	}
-	if got := run.Captures.Value(); got != total {
+	if got := run.Stat(StatCaptures); got != total {
 		t.Errorf("run captures %d, want %d", got, total)
 	}
+	if got := run.hists[histRender].snapshot().Count; got != total {
+		t.Errorf("run render histogram count %d, want %d", got, total)
+	}
 	want := 0.001 * float64(total)
-	if got := run.RenderSeconds.Value(); got < want*(1-1e-9) || got > want*(1+1e-9) {
+	if got := run.hists[histRender].sum.Value(); got < want*(1-1e-9) || got > want*(1+1e-9) {
 		t.Errorf("render seconds %g, want %g", got, want)
 	}
 	if got := len(run.Tracer.Events()); got != workers {
@@ -303,11 +287,12 @@ func TestTracerLanePooling(t *testing.T) {
 
 func TestRunStagesAndManifest(t *testing.T) {
 	run := NewRun()
-	end := run.Stage("sweeps")
+	run.Tracer = NewTracer()
+	sweeps := run.Begin("sweeps")
 	time.Sleep(2 * time.Millisecond)
-	end()
-	run.Stage("detect")()
-	run.Captures.Add(8)
+	sweeps.End()
+	run.Begin("detect").End()
+	run.Count(StatCaptures, 8)
 	run.RecordPlan(400e3, 409600, 2048, 9, 20)
 	m := run.Finish(map[string]any{"fres_hz": 100.0}, 1.5, []DetectionRecord{{
 		FreqHz: 315e3, Score: 100, BestHarmonic: 1,
@@ -325,6 +310,19 @@ func TestRunStagesAndManifest(t *testing.T) {
 	if m.SimulatedAnalyzerSeconds != 1.5 || m.Captures != 8 {
 		t.Errorf("manifest totals: %+v", m)
 	}
+	if p := m.Planner; p.PlansBuilt != 1 || p.ComponentsActive != 9 || p.ComponentsSkipped != 20 {
+		t.Errorf("planner block not built from the recorded plan: %+v", p)
+	}
+	// Each stage is a child of the run's root span, which Finish closed.
+	spans := map[string]SpanEvent{}
+	for _, e := range run.Tracer.Events() {
+		spans[e.Name] = e
+	}
+	root, ok := spans["campaign"]
+	if len(spans) != 3 || !ok || root.Parent != 0 ||
+		spans["sweeps"].Parent != root.ID || spans["detect"].Parent != root.ID {
+		t.Errorf("stage spans: %+v", spans)
+	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -336,12 +334,12 @@ func TestRunStagesAndManifest(t *testing.T) {
 
 func TestRunComponentRenderStats(t *testing.T) {
 	run := NewRun()
-	end := run.Stage("sweeps")
+	sweeps := run.Begin("sweeps")
 	// Let the stage dominate the run's wall time so validation's stage-sum
 	// check has a meaningful denominator.
 	time.Sleep(5 * time.Millisecond)
-	end()
-	run.Captures.Inc()
+	sweeps.End()
+	run.Count(StatCaptures, 1)
 	run.AddComponentRender("reg A", 0.002)
 	run.AddComponentRender("reg A", 0.003)
 	run.AddComponentRender("crystal", 0.001)
@@ -361,6 +359,12 @@ func TestRunComponentRenderStats(t *testing.T) {
 	if c := m.RenderComponents[1]; c.Name != "crystal" || c.Renders != 1 || c.Replays != 2 {
 		t.Errorf("replay attribution: %+v", c)
 	}
+	if m.Planner.StaticReplays != 2 {
+		t.Errorf("planner static replays %d, want the table's 2", m.Planner.StaticReplays)
+	}
+	if h := m.Histograms[MetricRenderComponentSeconds]; h.Count != 3 {
+		t.Errorf("component render histogram count %d, want 3", h.Count)
+	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -372,8 +376,8 @@ func TestRunComponentRenderStats(t *testing.T) {
 
 func TestFinishSanitizesNonFinite(t *testing.T) {
 	run := NewRun()
-	run.Stage("s")()
-	run.Captures.Inc()
+	run.Begin("s").End()
+	run.Count(StatCaptures, 1)
 	inf := func() float64 { var z float64; return -1 / z }()
 	m := run.Finish("cfg", 0, []DetectionRecord{{
 		FreqHz: 1e3, Score: 10, BestHarmonic: -1, DepthDB: inf, MagnitudeDBm: inf,
@@ -415,12 +419,12 @@ func validAdaptiveStats() *AdaptiveStats {
 func TestValidateManifestRejects(t *testing.T) {
 	base := func() *Manifest {
 		run := NewRun()
-		end := run.Stage("sweeps")
+		sweeps := run.Begin("sweeps")
 		// Let the stage dominate the run's wall time so the 10% stage-sum
 		// check has a meaningful denominator.
 		time.Sleep(5 * time.Millisecond)
-		end()
-		run.Captures.Inc()
+		sweeps.End()
+		run.Count(StatCaptures, 1)
 		return run.Finish("cfg", 0, nil)
 	}
 	cases := []struct {
@@ -434,8 +438,8 @@ func TestValidateManifestRejects(t *testing.T) {
 		{"negative stage", func(m *Manifest) { m.Stages[0].WallSeconds = -1 }},
 		{"stage sum off", func(m *Manifest) { m.TotalWallSeconds = m.TotalWallSeconds*10 + 1 }},
 		{"no captures", func(m *Manifest) { m.Captures = 0 }},
-		{"missing cache", func(m *Manifest) { delete(m.Caches, "window") }},
-		{"bad hit rate", func(m *Manifest) { m.Caches["window"] = CacheStats{HitRate: 2} }},
+		{"missing cache", func(m *Manifest) { delete(m.Caches, "render_static") }},
+		{"bad hit rate", func(m *Manifest) { m.Caches["specan_plan"] = CacheStats{HitRate: 2} }},
 		{"negative planner", func(m *Manifest) { m.Planner.PlansBuilt = -1 }},
 		{"detection without provenance", func(m *Manifest) {
 			m.Detections = []DetectionRecord{{FreqHz: 1, BestHarmonic: 1}}

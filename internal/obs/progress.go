@@ -1,13 +1,9 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // progress is the Run's live position, written with atomics from the
 // campaign coordinator and the analyzer's capture workers and read by
@@ -18,8 +14,8 @@ type progress struct {
 	capturesTotal  atomic.Int64 // planned captures (exhaustive) or budget cap (adaptive)
 	sweepsTotal    atomic.Int64
 	sweepsDone     atomic.Int64
-	simTotal       atomic.Uint64 // float64 bits: planned simulated seconds
-	simDone        atomic.Uint64 // float64 bits: simulated seconds rendered so far
+	simTotal       Gauge      // planned simulated seconds
+	simDone        FloatAdder // simulated seconds rendered so far
 	budgetReserved atomic.Int64
 	budgetCap      atomic.Int64
 	done           atomic.Bool
@@ -48,14 +44,6 @@ type ProgressInfo struct {
 	EventsDropped    int64   `json:"events_dropped,omitempty"`
 }
 
-// SetStage records the currently running stage name for /progress.
-func (r *Run) SetStage(name string) {
-	if r == nil {
-		return
-	}
-	r.progress.stage.Store(name)
-}
-
 // SetTotals declares the run's planned scope: total captures (the budget
 // cap in adaptive mode), number of sweeps, and total simulated analyzer
 // seconds the plan would produce. Zero values mean "unknown".
@@ -65,55 +53,7 @@ func (r *Run) SetTotals(captures, sweeps int64, simSeconds float64) {
 	}
 	r.progress.capturesTotal.Store(captures)
 	r.progress.sweepsTotal.Store(sweeps)
-	r.progress.simTotal.Store(floatBits(simSeconds))
-}
-
-// SetBudget records the adaptive planner's budget cap.
-func (r *Run) SetBudget(cap int64) {
-	if r == nil {
-		return
-	}
-	r.progress.budgetCap.Store(cap)
-}
-
-// SetBudgetReserved records the meter's current reservation level.
-func (r *Run) SetBudgetReserved(reserved int64) {
-	if r == nil {
-		return
-	}
-	r.progress.budgetReserved.Store(reserved)
-}
-
-// AddSweepDone counts one completed sweep.
-func (r *Run) AddSweepDone() {
-	if r == nil {
-		return
-	}
-	r.progress.sweepsDone.Add(1)
-}
-
-// AddSimSeconds accumulates simulated analyzer time as captures render.
-// CAS loop, same shape as FloatAdder (kept inline to stay on the
-// progress struct's atomics).
-func (r *Run) AddSimSeconds(s float64) {
-	if r == nil {
-		return
-	}
-	for {
-		old := r.progress.simDone.Load()
-		nw := floatBits(floatFromBits(old) + s)
-		if r.progress.simDone.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// SetDone marks the run finished for /progress (Finish calls it).
-func (r *Run) SetDone() {
-	if r == nil {
-		return
-	}
-	r.progress.done.Store(true)
+	r.progress.simTotal.Set(simSeconds)
 }
 
 // Progress snapshots the run's live position. Percent complete prefers
@@ -128,14 +68,14 @@ func (r *Run) Progress() ProgressInfo {
 	info := ProgressInfo{
 		Done:             p.done.Load(),
 		ElapsedSeconds:   time.Since(r.start).Seconds(),
-		CapturesUsed:     r.Captures.Value(),
+		CapturesUsed:     r.Stat(StatCaptures),
 		CapturesReserved: p.budgetReserved.Load(),
 		CapturesTotal:    p.capturesTotal.Load(),
 		BudgetCap:        p.budgetCap.Load(),
 		SweepsDone:       p.sweepsDone.Load(),
 		SweepsTotal:      p.sweepsTotal.Load(),
-		SimulatedSeconds: floatFromBits(p.simDone.Load()),
-		SimulatedTotal:   floatFromBits(p.simTotal.Load()),
+		SimulatedSeconds: p.simDone.Value(),
+		SimulatedTotal:   p.simTotal.Value(),
 	}
 	if s, ok := p.stage.Load().(string); ok {
 		info.Stage = s

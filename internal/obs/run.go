@@ -1,62 +1,118 @@
 package obs
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Run collects one campaign's observability: stage wall/CPU timings,
-// per-segment planner decisions, capture counts and render/FFT time from
-// the analyzer's workers, and (optionally) a Tracer. Finish folds it all,
-// plus the Default registry's deltas, into a Manifest.
+// Run collects one campaign's observability, and its own records are the
+// only source of its Manifest: stage timings (Begin), planner decisions
+// (RecordPlan), counts (Count), capture timings and histograms (Capture),
+// and per-component render attribution. Every count and histogram also
+// moves its process-wide twin in Default, so /metrics sees all work while
+// a manifest sees only its run's, even beside concurrent `fase serve`
+// jobs. The one process-wide figure left is CPU: stage and total CPU
+// seconds are process-CPU deltas.
 //
-// All methods are nil-safe no-ops on a nil *Run, so instrumented code
-// threads a *Run unconditionally and pays only a nil check when
-// observability is off.
-//
-// Cache and planner statistics come from process-wide counters, so they
-// are only attributable to this run when no other campaign runs
-// concurrently in the process (true for the CLI; tests that assert on
-// them run their campaigns alone).
+// All methods are nil-safe, so instrumented code threads a *Run
+// unconditionally and pays only a nil check when observability is off;
+// a nil run's Count, RecordPlan and Capture still move the twins.
 type Run struct {
-	// Tracer, when non-nil, records spans alongside the timings.
+	// Tracer, when non-nil, records spans alongside the timings: each
+	// stage is a child of the run's root "campaign" span, which the
+	// first Begin opens and Finish closes.
 	Tracer *Tracer
 	// Journal, when non-nil, receives the run's structured event stream
-	// (see events.go): Stage emits stage_start/stage_end on track 0, and
+	// (see events.go): Begin emits stage_start/stage_end on track 0, and
 	// the campaign/planner/analyzer emit their own events through tracks
-	// obtained from Track.
+	// obtained from Track (or through Emit, for events /progress reads).
 	Journal *Journal
 
-	// Captures counts analyzer captures rendered under this run.
-	Captures Counter
-	// RenderSeconds and FFTSeconds accumulate the two halves of each
-	// capture: scene rendering vs window+FFT+calibration.
-	RenderSeconds FloatAdder
-	FFTSeconds    FloatAdder
-	// PlanCacheHits/Misses count the analyzer's per-segment render-plan
-	// cache behaviour for this run.
-	PlanCacheHits   Counter
-	PlanCacheMisses Counter
-	// StaticCacheHits/Misses count the analyzer's static-layer cache
-	// behaviour for this run (see specan.Config.Statics): hits are
-	// captures whose activity-independent layer was replayed rather than
-	// re-rendered.
-	StaticCacheHits   Counter
-	StaticCacheMisses Counter
+	start    time.Time
+	startCPU float64
 
-	start     time.Time
-	startCPU  float64
-	startSnap Snapshot
+	stats [numStats]Counter
+	hists [numHists]*Histogram // their sums are the manifest's render/FFT seconds
 
 	progress progress
 
 	mu         sync.Mutex
+	root       Span // opened by the first Begin, closed by Finish
 	stages     []StageTiming
 	segments   []SegmentPlan
 	components map[string]*componentStat
 	manifest   *Manifest
+}
+
+// Stat names a per-run count that has a process-wide twin in Default.
+type Stat int
+
+const (
+	StatCaptures         Stat = iota // analyzer captures rendered
+	StatPlanHits                     // analyzer render-plan cache hits
+	StatPlanMisses                   // ... and misses (plans built)
+	StatStaticHits                   // static-layer cache hits (captures replaying a layer)
+	StatStaticMisses                 // ... and misses (layers built)
+	StatStaticComponents             // components captured into static layers
+	StatRenderSkips                  // components a render plan let a capture skip
+	numStats
+)
+
+// statTwins are the Default counters each Stat moves with.
+var statTwins = [numStats]*Counter{
+	StatCaptures:         Default.Counter(MetricSpecanCaptures),
+	StatPlanHits:         Default.Counter(MetricSpecanPlanHits),
+	StatPlanMisses:       Default.Counter(MetricSpecanPlanMisses),
+	StatStaticHits:       Default.Counter(MetricStaticCacheHits),
+	StatStaticMisses:     Default.Counter(MetricStaticCacheMisses),
+	StatStaticComponents: Default.Counter(MetricStaticComponents),
+	StatRenderSkips:      Default.Counter(MetricRenderComponentSkips),
+}
+
+// Planner counters: plans built and, across all of them, how many
+// component/band tests kept vs culled the component.
+var (
+	plansBuilt  = Default.Counter(MetricPlansBuilt)
+	planActive  = Default.Counter(MetricPlanComponentsActive)
+	planSkipped = Default.Counter(MetricPlanComponentsSkip)
+)
+
+// The run's histograms; each has a twin of the same name in Default.
+const (
+	histRender = iota
+	histFFT
+	histComponent
+	numHists
+)
+
+var (
+	histNames = [numHists]string{MetricRenderSeconds, MetricFFTSeconds, MetricRenderComponentSeconds}
+	histTwins = [numHists]*Histogram{
+		Default.Histogram(MetricRenderSeconds, ExpBuckets(1e-5, 4, 12)),
+		Default.Histogram(MetricFFTSeconds, ExpBuckets(1e-5, 4, 12)),
+		Default.Histogram(MetricRenderComponentSeconds, ExpBuckets(1e-6, 4, 12)),
+	}
+)
+
+// componentStat accumulates one component's render attribution (guarded
+// by Run.mu; the sweep workers call AddComponentRender concurrently).
+type componentStat struct {
+	renders int64
+	replays int64
+	wall    float64
+}
+
+// NewRun starts a run clock.
+func NewRun() *Run {
+	r := &Run{start: time.Now(), startCPU: processCPUSeconds()}
+	for i, twin := range histTwins {
+		r.hists[i] = newHistogram(twin.bounds)
+	}
+	return r
 }
 
 // Track returns the journal track with the given id, or nil (whose Emit
@@ -69,51 +125,85 @@ func (r *Run) Track(id int64) *JournalTrack {
 	return r.Journal.Track(id)
 }
 
-// componentStat accumulates one component's render attribution (guarded
-// by Run.mu; the sweep workers call AddComponentRender concurrently).
-type componentStat struct {
-	renders int64
-	replays int64
-	wall    float64
+// Emit journals e on t and folds the facts /progress reports into the
+// run's live position: a sweep_end counts a finished sweep, and a
+// budget_reserve sets the reservation level and cap. Either of r and t
+// may be nil.
+func (r *Run) Emit(t *JournalTrack, e Event) {
+	if r != nil {
+		switch e.Kind {
+		case EventSweepEnd:
+			r.progress.sweepsDone.Add(1)
+		case EventBudgetReserve:
+			r.progress.budgetReserved.Store(e.Reserved)
+			r.progress.budgetCap.Store(e.Cap)
+		}
+	}
+	t.Emit(e)
 }
 
-// renderComponentSeconds is the process-wide distribution of component
-// render times; instrumented runs feed it alongside their own table.
-var renderComponentSeconds = Default.Histogram(MetricRenderComponentSeconds,
-	ExpBuckets(1e-6, 4, 12))
-
-// NewRun starts a run clock and snapshots the Default registry so Finish
-// can attribute metric deltas to this run.
-func NewRun() *Run {
-	return &Run{start: time.Now(), startCPU: processCPUSeconds(), startSnap: Default.Snapshot()}
-}
-
-var nopStageEnd = func() {}
-
-// Stage starts timing a named pipeline stage and returns the function
-// that ends it. Stages are expected to be sequential at the campaign
-// level, so their wall times sum to ≈ the run's total and their CPU
-// times are read as process-CPU deltas.
-func (r *Run) Stage(name string) func() {
+// Begin opens the named pipeline stage: a trace span under the run's
+// root span, stage_start on track 0, and the /progress stage. The
+// returned span's End records the stage's StageTiming and emits
+// stage_end. Stages are sequential at the campaign level, so their wall
+// times sum to ≈ the run's total. A nil run returns the zero Span.
+func (r *Run) Begin(name string) Span {
 	if r == nil {
-		return nopStageEnd
+		return Span{}
 	}
-	r.SetStage(name)
+	r.progress.stage.Store(name)
 	r.Track(0).Emit(Event{Kind: EventStageStart, Name: name})
-	t0, c0 := time.Now(), processCPUSeconds()
-	return func() {
-		st := StageTiming{Name: name, WallSeconds: time.Since(t0).Seconds(),
-			CPUSeconds: processCPUSeconds() - c0}
-		r.mu.Lock()
-		r.stages = append(r.stages, st)
-		r.mu.Unlock()
-		r.Track(0).Emit(Event{Kind: EventStageEnd, Name: name, WallSeconds: st.WallSeconds})
+	r.mu.Lock()
+	if !r.root.Active() {
+		r.root = r.Tracer.Begin("campaign")
 	}
+	s := r.root.Child(name)
+	r.mu.Unlock()
+	if s.tr == nil {
+		s.name, s.start = name, time.Since(r.start)
+	}
+	s.run, s.cpu = r, processCPUSeconds()
+	return s
+}
+
+// endStage records stage span s (see Span.End).
+func (r *Run) endStage(s Span) {
+	epoch := r.start
+	if s.tr != nil {
+		epoch = s.tr.start
+	}
+	st := StageTiming{Name: s.name, WallSeconds: (time.Since(epoch) - s.start).Seconds(),
+		CPUSeconds: processCPUSeconds() - s.cpu}
+	r.mu.Lock()
+	r.stages = append(r.stages, st)
+	r.mu.Unlock()
+	r.Track(0).Emit(Event{Kind: EventStageEnd, Name: s.name, WallSeconds: st.WallSeconds})
+}
+
+// Count adds n to stat s on the run and on its Default twin. A nil run
+// moves only the twin.
+func (r *Run) Count(s Stat, n int64) {
+	statTwins[s].Add(n)
+	if r != nil {
+		r.stats[s].Add(n)
+	}
+}
+
+// Stat returns the run's own count of s.
+func (r *Run) Stat(s Stat) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.stats[s].Value()
 }
 
 // RecordPlan records one segment's render-plan decision: how many scene
-// components stayed active vs were culled for the segment's band.
+// components stayed active vs were culled for the segment's band. The
+// run's planner block is built from these records.
 func (r *Run) RecordPlan(centerHz, sampleRate float64, samples, active, skipped int) {
+	plansBuilt.Inc()
+	planActive.Add(int64(active))
+	planSkipped.Add(int64(skipped))
 	if r == nil {
 		return
 	}
@@ -121,6 +211,31 @@ func (r *Run) RecordPlan(centerHz, sampleRate float64, samples, active, skipped 
 	r.segments = append(r.segments, SegmentPlan{CenterHz: centerHz, SampleRate: sampleRate,
 		Samples: samples, Active: active, Skipped: skipped})
 	r.mu.Unlock()
+}
+
+// Capture counts one rendered analyzer capture, called as it completes.
+// On an instrumented run it also adds the capture's simulated seconds to
+// /progress and splits its wall time into render [t0, t1) and
+// window+FFT [t1, now): both feed the run's totals and histograms, and
+// become "render" and "fft" marks on the capture span cs, which Capture
+// ends. A nil run only counts, and never reads the clock.
+func (r *Run) Capture(cs Span, t0, t1 time.Time, simSeconds float64) {
+	r.Count(StatCaptures, 1)
+	if r == nil {
+		return
+	}
+	render, fft := t1.Sub(t0), time.Since(t1)
+	r.progress.simDone.Add(simSeconds)
+	r.observe(histRender, render.Seconds())
+	r.observe(histFFT, fft.Seconds())
+	cs.Mark("render", t0, render)
+	cs.Mark("fft", t1, fft)
+	cs.End()
+}
+
+func (r *Run) observe(h int, v float64) {
+	histTwins[h].Observe(v)
+	r.hists[h].Observe(v)
 }
 
 // AddComponentRender attributes one live component render to the run: the
@@ -131,7 +246,7 @@ func (r *Run) AddComponentRender(name string, seconds float64) {
 	if r == nil {
 		return
 	}
-	renderComponentSeconds.Observe(seconds)
+	r.observe(histComponent, seconds)
 	r.mu.Lock()
 	cs := r.component(name)
 	cs.renders++
@@ -164,22 +279,10 @@ func (r *Run) component(name string) *componentStat {
 	return cs
 }
 
-// Stages returns a copy of the stage timings recorded so far.
-func (r *Run) Stages() []StageTiming {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]StageTiming, len(r.stages))
-	copy(out, r.stages)
-	return out
-}
-
-// Finish assembles the run's manifest: resolved config (any
-// JSON-marshalable value), the simulated spectrum-analyzer observation
-// time, and the detection provenance records. The first call wins;
-// subsequent calls return the existing manifest unchanged.
+// Finish closes the run's root span and assembles its manifest: resolved
+// config (any JSON-marshalable value), the simulated spectrum-analyzer
+// observation time, and the detection provenance records. The first call
+// wins; subsequent calls return the existing manifest unchanged.
 func (r *Run) Finish(config any, simulatedSeconds float64, detections []DetectionRecord) *Manifest {
 	if r == nil {
 		return nil
@@ -189,7 +292,29 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 	if r.manifest != nil {
 		return r.manifest
 	}
-	delta := Default.Snapshot().Sub(r.startSnap)
+	r.root.End()
+	// Segments are recorded in first-render order, which parallel
+	// captures make nondeterministic; sorting keeps the block a function
+	// of the run's configuration.
+	segs := append([]SegmentPlan(nil), r.segments...)
+	slices.SortFunc(segs, func(a, b SegmentPlan) int {
+		return cmp.Or(cmp.Compare(a.CenterHz, b.CenterHz),
+			cmp.Compare(a.SampleRate, b.SampleRate), cmp.Compare(a.Samples, b.Samples))
+	})
+	p := PlannerStats{
+		PlansBuilt:             int64(len(segs)),
+		CacheHits:              r.Stat(StatPlanHits),
+		CacheMisses:            r.Stat(StatPlanMisses),
+		RenderSkips:            r.Stat(StatRenderSkips),
+		StaticCacheHits:        r.Stat(StatStaticHits),
+		StaticCacheMisses:      r.Stat(StatStaticMisses),
+		StaticComponentsCached: r.Stat(StatStaticComponents),
+		Segments:               segs,
+	}
+	for _, s := range segs {
+		p.ComponentsActive += int64(s.Active)
+		p.ComponentsSkipped += int64(s.Skipped)
+	}
 	m := &Manifest{
 		Schema:                   ManifestSchema,
 		CreatedUnix:              time.Now().Unix(),
@@ -198,30 +323,12 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 		TotalWallSeconds:         time.Since(r.start).Seconds(),
 		TotalCPUSeconds:          processCPUSeconds() - r.startCPU,
 		SimulatedAnalyzerSeconds: simulatedSeconds,
-		Captures:                 r.Captures.Value(),
-		RenderSeconds:            r.RenderSeconds.Value(),
-		FFTSeconds:               r.FFTSeconds.Value(),
-		Planner: PlannerStats{
-			PlansBuilt:             delta.Counters[MetricPlansBuilt],
-			CacheHits:              r.PlanCacheHits.Value(),
-			CacheMisses:            r.PlanCacheMisses.Value(),
-			ComponentsActive:       delta.Counters[MetricPlanComponentsActive],
-			ComponentsSkipped:      delta.Counters[MetricPlanComponentsSkip],
-			RenderSkips:            delta.Counters[MetricRenderComponentSkips],
-			StaticCacheHits:        r.StaticCacheHits.Value(),
-			StaticCacheMisses:      r.StaticCacheMisses.Value(),
-			StaticComponentsCached: delta.Counters[MetricStaticComponents],
-			StaticReplays:          delta.Counters[MetricStaticReplays],
-			Segments:               append([]SegmentPlan(nil), r.segments...),
-		},
+		Captures:                 r.Stat(StatCaptures),
+		RenderSeconds:            r.hists[histRender].sum.Value(),
+		FFTSeconds:               r.hists[histFFT].sum.Value(),
 		Caches: map[string]CacheStats{
-			"fft_plan":        cacheStats(delta, MetricFFTPlanHits, MetricFFTPlanMisses),
-			"rfft_plan":       cacheStats(delta, MetricRFFTPlanHits, MetricRFFTPlanMisses),
-			"window":          cacheStats(delta, MetricWindowHits, MetricWindowMisses),
-			"bufpool_complex": cacheStats(delta, MetricBufpoolComplexHits, MetricBufpoolComplexMisses),
-			"bufpool_float":   cacheStats(delta, MetricBufpoolFloatHits, MetricBufpoolFloatMisses),
-			"specan_plan":     cacheStats(delta, MetricSpecanPlanHits, MetricSpecanPlanMisses),
-			"render_static":   cacheStats(delta, MetricStaticCacheHits, MetricStaticCacheMisses),
+			"specan_plan":   cacheStats(p.CacheHits, p.CacheMisses),
+			"render_static": cacheStats(p.StaticCacheHits, p.StaticCacheMisses),
 		},
 		Detections: sanitizeDetections(detections),
 		Build:      CurrentBuildInfo(),
@@ -230,18 +337,18 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 		emitted, dropped := r.Journal.Stats()
 		m.Events = &EventStats{Emitted: emitted, Dropped: dropped}
 	}
-	for name, h := range delta.Histograms {
-		if h.Count <= 0 {
-			continue
+	for i, h := range r.hists {
+		if s := h.snapshot(); s.Count > 0 {
+			if m.Histograms == nil {
+				m.Histograms = make(map[string]HistogramSnapshot)
+			}
+			m.Histograms[histNames[i]] = s
 		}
-		if m.Histograms == nil {
-			m.Histograms = make(map[string]HistogramSnapshot)
-		}
-		m.Histograms[name] = h
 	}
 	if len(r.components) > 0 {
 		comps := make([]ComponentRenderStats, 0, len(r.components))
 		for name, cs := range r.components {
+			p.StaticReplays += cs.replays
 			comps = append(comps, ComponentRenderStats{
 				Name: name, Renders: cs.renders, Replays: cs.replays, WallSeconds: cs.wall})
 		}
@@ -253,6 +360,7 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 		})
 		m.RenderComponents = comps
 	}
+	m.Planner = p
 	r.manifest = m
 	r.progress.done.Store(true)
 	return m
@@ -269,10 +377,10 @@ func (r *Run) Manifest() *Manifest {
 	return r.manifest
 }
 
-func cacheStats(delta Snapshot, hitKey, missKey string) CacheStats {
-	s := CacheStats{Hits: delta.Counters[hitKey], Misses: delta.Counters[missKey]}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
+func cacheStats(hits, misses int64) CacheStats {
+	s := CacheStats{Hits: hits, Misses: misses}
+	if total := hits + misses; total > 0 {
+		s.HitRate = float64(hits) / float64(total)
 	}
 	return s
 }

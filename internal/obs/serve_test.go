@@ -124,11 +124,11 @@ func TestServeSSEStreamsBacklogAndLive(t *testing.T) {
 func TestProgressEndpoint(t *testing.T) {
 	run := NewRun()
 	run.Journal = NewJournal()
-	run.SetStage("sweeps")
+	run.Begin("sweeps")
 	run.SetTotals(100, 4, 10)
-	run.Captures.Add(25)
-	run.AddSimSeconds(2.5)
-	run.AddSweepDone()
+	run.Count(StatCaptures, 25)
+	run.progress.simDone.Add(2.5)
+	run.Emit(nil, Event{Kind: EventSweepEnd})
 	ds, err := Serve("127.0.0.1:0", NewRegistry(), run)
 	if err != nil {
 		t.Fatal(err)

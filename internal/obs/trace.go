@@ -46,16 +46,15 @@ func NewTracer() *Tracer {
 }
 
 // Span is one in-flight interval. The zero Span is a no-op; spans are
-// values, so disabled tracing allocates nothing. The start time is kept
-// as an offset from the tracer's epoch rather than a time.Time: that
-// holds Span at 64 bytes, small enough that structs embedding one (e.g.
-// specan.Request) stay under the compiler's 128-byte limit for by-value
-// closure capture — past it, every parallel sweep would heap-allocate
-// its request even with tracing off.
+// values, so disabled tracing allocates nothing. A span opened by
+// Run.Begin is also a pipeline stage: its End records the stage on the
+// run, traced or not.
 type Span struct {
 	tr     *Tracer
+	run    *Run // stage spans only
 	name   string
-	start  time.Duration // offset from the tracer's epoch
+	start  time.Duration // offset from the tracer's epoch, or the run's for an untraced stage
+	cpu    float64       // stage spans: process CPU seconds at Begin
 	lane   int64
 	id     int64
 	parent int64
@@ -104,9 +103,13 @@ func (s Span) Mark(name string, start time.Time, d time.Duration) {
 		Lane: s.lane, Start: start.Sub(s.tr.start), Dur: d})
 }
 
-// End records the span and releases its lane if it owned one. Ending the
-// zero Span does nothing.
+// End records the span and releases its lane if it owned one; ending a
+// stage span also records the stage on its run (see Run.Begin). Ending
+// the zero Span does nothing.
 func (s Span) End() {
+	if s.run != nil {
+		s.run.endStage(s)
+	}
 	if s.tr == nil {
 		return
 	}

@@ -86,7 +86,7 @@ func (j *Job) finish(state, errMsg string) bool {
 	j.errMsg = errMsg
 	j.finished = time.Now()
 	if j.run != nil {
-		j.captures = j.run.Captures.Value()
+		j.captures = j.run.Stat(obs.StatCaptures)
 	}
 	return true
 }

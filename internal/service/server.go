@@ -445,32 +445,25 @@ func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
 		return nil, err
 	}
 	runner := &core.Runner{Scene: j.scene, Obs: run}
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
 	// Every shard analyzer shares acfg's static cache.
 	acfg := plan.AnalyzerConfig(run)
 	acfg.Parallelism = 1
 	plan.Begin(specan.New(acfg), run)
 	ms := make([]core.Measurement, len(plan.FAlts))
-	endSweeps := run.Stage("sweeps")
-	sweepsSpan := camp.Child("sweeps")
+	sweeps := run.Begin("sweeps")
 	s.runTasks(j, len(plan.FAlts), func(i int) {
 		if j.ctx.Err() != nil {
 			return
 		}
 		s.shardsRun.Add(1)
 		svcShardsTotal.Inc()
-		ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweepsSpan)
+		ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweeps)
 	})
-	sweepsSpan.End()
-	endSweeps()
+	sweeps.End()
 	if j.ctx.Err() != nil {
-		camp.End()
 		return nil, nil
 	}
-	return runner.ReduceShards(plan, ms, run, camp)
+	return runner.ReduceShards(plan, ms, run, obs.Span{})
 }
 
 // runAdaptiveJob runs an adaptive campaign as a single unsharded task on

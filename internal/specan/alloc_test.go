@@ -7,6 +7,7 @@ import (
 	"fase/internal/activity"
 	"fase/internal/machine"
 	"fase/internal/microbench"
+	"fase/internal/obs"
 )
 
 // TestSweepSteadyStateAllocs pins the per-sweep allocation count of the
@@ -58,6 +59,42 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	const maxAllocs = 92
 	if allocs > maxAllocs {
 		t.Errorf("steady-state sweep made %.0f allocations, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestSweepSteadyStateAllocsInstrumented pins the same bound on the same
+// sweep with a run and its event journal attached: instrumentation adds
+// no per-capture allocation. Every rendered component is timed and named
+// into the run's table, so a Name that formats per call (as the RF
+// environment's stations once did) costs one allocation per component
+// per capture and fails here, as would any new per-capture allocation in
+// the run's capture or journal path.
+func TestSweepSteadyStateAllocsInstrumented(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin only holds on plain builds")
+	}
+	sys, err := machine.Lookup("i7-desktop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := obs.NewRun()
+	run.Journal = obs.NewJournal()
+	an := New(Config{Fres: 100, MaxFFT: 4096, Parallelism: 1, Obs: run})
+	req := Request{Scene: sys.Scene(1, true), F1: 100e3, F2: 1.3e6, Seed: 1, Events: run.Track(1)}
+	for i := 0; i < 2; i++ { // warm pools, plan cache, and the run's tables
+		req.Seed++
+		an.Sweep(req)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		req.Seed++
+		if sp := an.Sweep(req); sp.Bins() == 0 {
+			t.Fatal("empty sweep")
+		}
+	})
+	t.Logf("measured %.0f allocs/sweep", allocs)
+	const maxAllocs = 92
+	if allocs > maxAllocs {
+		t.Errorf("steady-state instrumented sweep made %.0f allocations, want <= %d", allocs, maxAllocs)
 	}
 }
 

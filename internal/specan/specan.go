@@ -26,19 +26,10 @@ import (
 	"fase/internal/par"
 )
 
-// Process-wide analyzer counters; per-run attribution goes through
-// Config.Obs. The two histograms receive samples only while a run is
-// attached, so the uninstrumented hot path never reads the clock.
-var (
-	sweepsTotal       = obs.Default.Counter(obs.MetricSweeps)
-	capturesTotal     = obs.Default.Counter(obs.MetricSpecanCaptures)
-	planHitsTotal     = obs.Default.Counter(obs.MetricSpecanPlanHits)
-	planMissesTotal   = obs.Default.Counter(obs.MetricSpecanPlanMisses)
-	staticHitsTotal   = obs.Default.Counter(obs.MetricStaticCacheHits)
-	staticMissesTotal = obs.Default.Counter(obs.MetricStaticCacheMisses)
-	renderSeconds     = obs.Default.Histogram(obs.MetricRenderSeconds, obs.ExpBuckets(1e-5, 4, 12))
-	fftSeconds        = obs.Default.Histogram(obs.MetricFFTSeconds, obs.ExpBuckets(1e-5, 4, 12))
-)
+// sweepsTotal is the process-wide sweep counter. Captures and cache
+// lookups are counted through Config.Obs (obs.Run.Count), which moves the
+// process-wide counters even when no run is attached.
+var sweepsTotal = obs.Default.Counter(obs.MetricSweeps)
 
 // Config tunes the analyzer.
 type Config struct {
@@ -212,27 +203,33 @@ type planKey struct {
 	n          int
 }
 
-// planFor returns the cached render plan for a segment, computing it on
-// first use. Concurrent first uses may both compute the plan; plans are
-// deterministic, so either result is valid and LoadOrStore keeps one.
+// planEntry is one plan-cache slot. Like staticEntry, the sync.Once
+// builds the plan once however many captures of the segment start
+// concurrently, so the plans built and the hit/miss split are the same
+// at any Parallelism.
+type planEntry struct {
+	once sync.Once
+	plan *emsim.RenderPlan
+}
+
+// planFor returns the cached render plan for a segment, building it on
+// first use.
 func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.RenderPlan {
 	key := planKey{scene: scene, center: band.Center, fs: band.SampleRate, n: n}
-	if v, ok := a.plans.Load(key); ok {
-		planHitsTotal.Inc()
-		if run := a.cfg.Obs; run != nil {
-			run.PlanCacheHits.Inc()
-		}
-		return v.(*emsim.RenderPlan)
+	v, ok := a.plans.Load(key)
+	if !ok {
+		v, _ = a.plans.LoadOrStore(key, &planEntry{})
 	}
-	planMissesTotal.Inc()
-	p := scene.Plan(band, n)
-	if run := a.cfg.Obs; run != nil {
-		run.PlanCacheMisses.Inc()
-		run.RecordPlan(band.Center, band.SampleRate, n,
-			p.ActiveCount(), len(scene.Components)-p.ActiveCount())
-	}
-	v, _ := a.plans.LoadOrStore(key, p)
-	return v.(*emsim.RenderPlan)
+	e := v.(*planEntry)
+	stat := obs.StatPlanHits
+	e.once.Do(func() {
+		stat = obs.StatPlanMisses
+		e.plan = scene.Plan(band, n)
+		a.cfg.Obs.RecordPlan(band.Center, band.SampleRate, n,
+			e.plan.ActiveCount(), len(scene.Components)-e.plan.ActiveCount())
+	})
+	a.cfg.Obs.Count(stat, 1)
+	return e.plan
 }
 
 // staticFor returns the cached static layer for a capture identity,
@@ -283,29 +280,23 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 		}
 		bk.mu.Unlock()
 	}
-	hit := true
+	stat := obs.StatStaticHits
 	e.once.Do(func() {
-		hit = false
-		staticMissesTotal.Inc()
-		if run := a.cfg.Obs; run != nil {
-			run.StaticCacheMisses.Inc()
-		}
+		stat = obs.StatStaticMisses
 		e.set = req.Scene.BuildStaticSet(emsim.Capture{
 			Band: band, Start: start, N: n, Seed: seed,
 			Activity:  req.Activity,
 			NearField: req.NearField, NearFieldGainDB: req.NearFieldGainDB,
 			Plan: plan,
 		})
+		if e.set != nil {
+			a.cfg.Obs.Count(obs.StatStaticComponents, int64(e.set.Components()))
+		}
 	})
 	if kb != nil {
 		condKeyPool.Put(kb)
 	}
-	if hit {
-		staticHitsTotal.Inc()
-		if run := a.cfg.Obs; run != nil {
-			run.StaticCacheHits.Inc()
-		}
-	}
+	a.cfg.Obs.Count(stat, 1)
 	return e.set
 }
 
@@ -372,7 +363,7 @@ type Request struct {
 	// without a context.
 	Ctx context.Context
 	// Span, when active, is the trace span the sweep nests under (e.g.
-	// a campaign span). The zero value is fine: with Config.Obs tracing
+	// a campaign stage). The zero value is fine: with Config.Obs tracing
 	// enabled the sweep then opens a root span of its own.
 	Span obs.Span
 	// Activity is the program-activity envelope during the sweep (nil =
@@ -430,7 +421,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	_, center, _ := a.segGeom(p, req.F1, capIdx/a.cfg.Averages)
 	band := emsim.Band{Center: center, SampleRate: p.fs}
 	buf := a.arena.Complex(p.nfft)
-	var t0, t1, t2 time.Time
+	var t0, t1 time.Time
 	var cs obs.Span
 	if run != nil {
 		if parent.Active() {
@@ -468,20 +459,8 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	}
 	spectral.PeriodogramInPlace(out, buf, p.fs, center, a.cfg.Window)
 	a.arena.PutComplex(buf)
-	capturesTotal.Inc()
 	a.cfg.Meter.record()
-	if run != nil {
-		t2 = time.Now()
-		run.Captures.Inc()
-		run.AddSimSeconds(a.CaptureDuration())
-		run.RenderSeconds.Add(t1.Sub(t0).Seconds())
-		run.FFTSeconds.Add(t2.Sub(t1).Seconds())
-		renderSeconds.Observe(t1.Sub(t0).Seconds())
-		fftSeconds.Observe(t2.Sub(t1).Seconds())
-		cs.Mark("render", t0, t1.Sub(t0))
-		cs.Mark("fft", t1, t2.Sub(t1))
-		cs.End()
-	}
+	run.Capture(cs, t0, t1, a.CaptureDuration())
 }
 
 // capture renders one capture inside the analyzer's concurrency budget.
@@ -569,8 +548,8 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 				Captures: int64((s + 1) * a.cfg.Averages), Total: int64(nCaps)})
 		}
 	}
-	req.Events.Emit(obs.Event{Kind: obs.EventSweepEnd,
+	// Through the run, which counts the finished sweep for /progress.
+	a.cfg.Obs.Emit(req.Events, obs.Event{Kind: obs.EventSweepEnd,
 		Captures: int64(nCaps), Total: int64(nCaps)})
-	a.cfg.Obs.AddSweepDone()
 	return spectral.Stitch(parts)
 }

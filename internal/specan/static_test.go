@@ -9,6 +9,14 @@ import (
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/microbench"
+	"fase/internal/obs"
+)
+
+// The process-wide static-cache counters, which every analyzer moves
+// whether or not a run is attached.
+var (
+	staticHitsTotal   = obs.Default.Counter(obs.MetricStaticCacheHits)
+	staticMissesTotal = obs.Default.Counter(obs.MetricStaticCacheMisses)
 )
 
 // TestSweepEquivalenceCachedStatic extends the equivalence suite to the

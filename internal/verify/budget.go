@@ -78,7 +78,7 @@ func (c Config) budgetCampaign(seed int64, budget int) core.Campaign {
 }
 
 // runBudget executes the recall-vs-budget sweep over the corpus.
-func runBudget(cfg Config, scens []*scenario, simSeconds *float64) (*BudgetReport, error) {
+func runBudget(cfg Config, scens []*scenario, spent *cost) (*BudgetReport, error) {
 	rep := &BudgetReport{MaxFFT: budgetMaxFFT}
 
 	// Exhaustive reference at the pinned transform cap. Its per-scenario
@@ -96,9 +96,7 @@ func runBudget(cfg Config, scens []*scenario, simSeconds *float64) (*BudgetRepor
 		rep.CarriersTotal += sc.planted
 		rep.ExhaustiveCaptures += res.Captures
 		perScenario = res.Captures
-		if simSeconds != nil {
-			*simSeconds += res.SimulatedSeconds
-		}
+		spent.add(res)
 	}
 	rep.ExhaustiveRecall = recall(rep.ExhaustiveFound, rep.CarriersTotal)
 
@@ -127,9 +125,7 @@ func runBudget(cfg Config, scens []*scenario, simSeconds *float64) (*BudgetRepor
 					p.Skipped++
 				}
 			}
-			if simSeconds != nil {
-				*simSeconds += res.SimulatedSeconds
-			}
+			spent.add(res)
 		}
 		p.CaptureFrac = float64(p.CapturesUsed) / float64(rep.ExhaustiveCaptures)
 		p.Recall = recall(p.CarriersFound, rep.CarriersTotal)

@@ -228,14 +228,13 @@ func Evaluate(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	run := cfg.Obs
-	capsBefore := obs.Default.Snapshot().Counters[obs.MetricSpecanCaptures]
 
-	endGen := run.Stage("generate")
+	gen := run.Begin("generate")
 	scens := make([]*scenario, cfg.Scenarios)
 	for i := range scens {
 		scens[i] = newScenario(cfg, i)
 	}
-	endGen()
+	gen.End()
 
 	rep := &Report{
 		Schema:    ReportSchema,
@@ -251,47 +250,61 @@ func Evaluate(cfg Config) (*Report, error) {
 	// Clean corpus: the gated pass at the default threshold plus — per
 	// scenario, reusing the same seeds so the sweeps are identical — an
 	// unthresholded pass whose scored candidates feed the ROC sweep.
-	endClean := run.Stage("clean_corpus")
+	var spent cost
+	clean := run.Begin("clean_corpus")
 	var roc rocAccum
-	rep.NoFault, err = runCorpus(cfg, scens, nil, &roc, &rep.SimulatedSeconds)
-	endClean()
+	rep.NoFault, err = runCorpus(cfg, scens, nil, &roc, &spent)
+	clean.End()
 	if err != nil {
 		return nil, err
 	}
 	rep.ROC = roc.points(cfg)
 
 	if cfg.Faults != nil {
-		endFault := run.Stage("fault_corpus")
-		rep.Faulted, err = runCorpus(cfg, scens, cfg.Faults, nil, &rep.SimulatedSeconds)
-		endFault()
+		fault := run.Begin("fault_corpus")
+		rep.Faulted, err = runCorpus(cfg, scens, cfg.Faults, nil, &spent)
+		fault.End()
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	if cfg.Budget {
-		endBudget := run.Stage("budget_corpus")
-		rep.Budget, err = runBudget(cfg, scens, &rep.SimulatedSeconds)
-		endBudget()
+		budget := run.Begin("budget_corpus")
+		rep.Budget, err = runBudget(cfg, scens, &spent)
+		budget.End()
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	if run != nil {
-		run.Captures.Add(obs.Default.Snapshot().Counters[obs.MetricSpecanCaptures] - capsBefore)
-		if m := run.Finish(rep.Config, rep.SimulatedSeconds, nil); m != nil {
-			m.Accuracy = rep.accuracyStats()
-		}
+	rep.SimulatedSeconds = spent.seconds
+	// The corpus campaigns run uninstrumented, so the manifest's capture
+	// count is what their results report.
+	if m := run.Finish(rep.Config, rep.SimulatedSeconds, nil); m != nil {
+		m.Captures = spent.captures
+		m.Accuracy = rep.accuracyStats()
 	}
 	return rep, nil
+}
+
+// cost is the measurement work the harness spent, summed over its
+// campaigns' results.
+type cost struct {
+	seconds  float64 // simulated analyzer seconds
+	captures int64
+}
+
+func (c *cost) add(res *core.Result) {
+	c.seconds += res.SimulatedSeconds
+	c.captures += res.Captures
 }
 
 // runCorpus executes one pass over every scenario: the gated campaign
 // always; when roc is non-nil, additionally the unthresholded ROC
 // campaign. The FASE pipeline itself is untouched — only Campaign.Faults
 // and MinScore differ between passes.
-func runCorpus(cfg Config, scens []*scenario, faults *emsim.FaultPlan, roc *rocAccum, simSeconds *float64) (*Corpus, error) {
+func runCorpus(cfg Config, scens []*scenario, faults *emsim.FaultPlan, roc *rocAccum, spent *cost) (*Corpus, error) {
 	corpus := &Corpus{}
 	for _, sc := range scens {
 		runner := &core.Runner{Scene: sc.scene}
@@ -302,18 +315,14 @@ func runCorpus(cfg Config, scens []*scenario, faults *emsim.FaultPlan, roc *rocA
 		}
 		m := matchDetections(sc.truth, res.Detections, cfg.MatchToleranceHz)
 		corpus.add(sc, m)
-		if simSeconds != nil {
-			*simSeconds += res.SimulatedSeconds
-		}
+		spent.add(res)
 		if roc != nil {
 			resROC, err := runner.RunE(cfg.campaign(campSeed, faults, true))
 			if err != nil {
 				return nil, fmt.Errorf("verify: scenario %d (roc): %w", sc.index, err)
 			}
 			roc.add(sc, matchDetections(sc.truth, resROC.Detections, cfg.MatchToleranceHz))
-			if simSeconds != nil {
-				*simSeconds += resROC.SimulatedSeconds
-			}
+			spent.add(resROC)
 		}
 	}
 	corpus.finalize()

@@ -329,6 +329,55 @@ func TestEvaluateManifest(t *testing.T) {
 	}
 }
 
+// TestEvaluateManifestCountsOwnCaptures: the harness manifest counts the
+// captures of its own campaigns — Σ res.Captures — even while another
+// campaign renders in the same process.
+func TestEvaluateManifestCountsOwnCaptures(t *testing.T) {
+	cfg := Config{Scenarios: 2, ROCPoints: 8}
+	resolved, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every campaign of the clean pass — a gated and an ROC campaign per
+	// scenario — has the same geometry, so one run prices them all.
+	one, err := (&core.Runner{Scene: newScenario(resolved, 0).scene}).RunE(resolved.campaign(1, nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 * int64(cfg.Scenarios) * one.Captures
+
+	stop := make(chan struct{})
+	neighbour := make(chan int)
+	go func() {
+		runner := &core.Runner{Scene: newScenario(resolved, 1).scene}
+		n := 0
+		for {
+			select {
+			case <-stop:
+				neighbour <- n
+				return
+			default:
+			}
+			if _, err := runner.RunE(resolved.campaign(2, nil, false)); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	cfg.Obs = obs.NewRun()
+	_, err = Evaluate(cfg)
+	close(stop)
+	if n := <-neighbour; n == 0 {
+		t.Error("the neighbour campaign never ran beside the harness")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Obs.Manifest().Captures; got != want {
+		t.Errorf("manifest captures %d, want the harness's own %d", got, want)
+	}
+}
+
 // TestConfigValidation: malformed harness configs are rejected up front.
 func TestConfigValidation(t *testing.T) {
 	if _, err := Evaluate(Config{Scenarios: -1}); err == nil {
