@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke bench-regress obs-smoke service-load accuracy cover profile
+.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke ab obs-smoke accuracy cover profile
 
 # ci is the full gate: formatting, vet + lint, build, tests (with the race
 # detector, then again in shuffled order — the race pass includes the
-# campaign-service concurrency hammer and its goroutine-leak check), the
-# planner equivalence suite, a short fuzz of the band/extent overlap logic
-# and the service submit endpoint, a benchmark smoke run, the sweep and
-# campaign regression gates, the observability smoke test, the service
-# load-test regression gate, the ground-truth accuracy gate, and the
-# detection-core coverage floor.
-ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke bench-regress obs-smoke service-load accuracy cover
+# campaign-service concurrency hammer and its goroutine-leak check, and
+# the exact adaptive-spend and load-test pins), the planner
+# equivalence suite, a short fuzz of the band/extent overlap logic and the
+# service submit endpoint, a benchmark smoke run, the speed gate against
+# REF, the observability smoke test, the ground-truth accuracy gate, and
+# the detection-core coverage floor.
+ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke ab obs-smoke accuracy cover
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -78,136 +78,32 @@ fuzz-smoke:
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to
 # catch a benchmark that no longer compiles or panics, without the cost of
-# a full timing run. The baseline outputs are discarded: a 1x run must
-# never overwrite the committed BENCH_*.json files.
+# a full timing run.
 bench-smoke:
-	FASE_BENCH_OUT=/dev/null FASE_BENCH_CAMPAIGN_OUT=/dev/null FASE_BENCH_KERNELS_OUT=/dev/null FASE_BENCH_ADAPTIVE_OUT=/dev/null \
-		$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|Refresh|SSC)$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|Refresh|SSC)$$' -benchtime 1x .
 
-# bench-regress re-times the wide CLI scan, the narrowband campaign, the
-# adaptive campaign, and the three dynamic-kernel microbenchmarks (idle
-# and loaded), printing old-vs-new ns/op with the percentage delta for
-# each, and fails (with the delta in the message) if any regressed against
-# its committed baseline (BENCH_sweep.json at 20%, BENCH_campaign.json and
-# BENCH_adaptive.json at 25% — the campaigns add scoring/detection
-# variance on top of the sweep — and BENCH_kernels.json at 35%, the
-# sub-millisecond kernels being the noisiest measurements). The adaptive
-# planner's capture spend is deterministic, so BENCH_adaptive.json's
-# captures_used is compared exactly: a planner change that spends more of
-# the budget fails the gate even if it happens to run fast. Fresh runs go
-# to temp files via FASE_BENCH_OUT / FASE_BENCH_CAMPAIGN_OUT /
-# FASE_BENCH_KERNELS_OUT / FASE_BENCH_ADAPTIVE_OUT so the baselines are
-# only updated deliberately (run the benchmarks without those variables
-# and commit the result).
-bench-regress:
-	@fresh=$$(mktemp); freshc=$$(mktemp); freshk=$$(mktemp); fresha=$$(mktemp); \
-	FASE_BENCH_OUT=$$fresh FASE_BENCH_CAMPAIGN_OUT=$$freshc FASE_BENCH_ADAPTIVE_OUT=$$fresha \
-		$(GO) test -run xxx -bench 'BenchmarkWideSweep$$|BenchmarkCampaignNarrowband$$|BenchmarkCampaignAdaptive$$' -benchtime 5x . >/dev/null || exit 1; \
-	FASE_BENCH_KERNELS_OUT=$$freshk \
-		$(GO) test -run xxx -bench 'BenchmarkRender(Regulator|Refresh|SSC)$$' -benchtime 100x . >/dev/null || exit 1; \
-	base=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' BENCH_sweep.json); \
-	now=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' $$fresh); \
-	cbase=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' BENCH_campaign.json); \
-	cnow=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' $$freshc); \
-	abase=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' BENCH_adaptive.json); \
-	anow=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' $$fresha); \
-	capbase=$$(sed -n 's/.*"captures_used": \([0-9]*\).*/\1/p' BENCH_adaptive.json); \
-	capnow=$$(sed -n 's/.*"captures_used": \([0-9]*\).*/\1/p' $$fresha); \
-	if [ -z "$$base" ] || [ -z "$$now" ]; then echo "bench-regress: missing sweep ns_per_op"; exit 1; fi; \
-	if [ -z "$$cbase" ] || [ -z "$$cnow" ]; then echo "bench-regress: missing campaign ns_per_op"; exit 1; fi; \
-	if [ -z "$$abase" ] || [ -z "$$anow" ]; then echo "bench-regress: missing adaptive ns_per_op"; exit 1; fi; \
-	if [ -z "$$capbase" ] || [ -z "$$capnow" ]; then echo "bench-regress: missing adaptive captures_used"; exit 1; fi; \
-	delta=$$(( (now - base) * 100 / base )); \
-	echo "bench-regress: BenchmarkWideSweep          $$base -> $$now ns/op ($$delta% vs baseline, limit +20%)"; \
-	cdelta=$$(( (cnow - cbase) * 100 / cbase )); \
-	echo "bench-regress: BenchmarkCampaignNarrowband $$cbase -> $$cnow ns/op ($$cdelta% vs baseline, limit +25%)"; \
-	adelta=$$(( (anow - abase) * 100 / abase )); \
-	echo "bench-regress: BenchmarkCampaignAdaptive   $$abase -> $$anow ns/op ($$adelta% vs baseline, limit +25%)"; \
-	echo "bench-regress: adaptive captures_used      $$capbase -> $$capnow (must match exactly)"; \
-	fail=0; \
-	if [ "$$now" -gt "$$((base * 120 / 100))" ]; then \
-		echo "bench-regress: FAIL BenchmarkWideSweep $$base -> $$now ns/op is +$$delta%, over the +20% gate"; fail=1; \
-	fi; \
-	if [ "$$cnow" -gt "$$((cbase * 125 / 100))" ]; then \
-		echo "bench-regress: FAIL BenchmarkCampaignNarrowband $$cbase -> $$cnow ns/op is +$$cdelta%, over the +25% gate"; fail=1; \
-	fi; \
-	if [ "$$anow" -gt "$$((abase * 125 / 100))" ]; then \
-		echo "bench-regress: FAIL BenchmarkCampaignAdaptive $$abase -> $$anow ns/op is +$$adelta%, over the +25% gate"; fail=1; \
-	fi; \
-	if [ "$$capnow" != "$$capbase" ]; then \
-		echo "bench-regress: FAIL adaptive captures_used changed $$capbase -> $$capnow (update BENCH_adaptive.json deliberately)"; fail=1; \
-	fi; \
-	for key in render_regulator_idle render_regulator_loaded \
-	           render_refresh_idle render_refresh_loaded \
-	           render_ssc_idle render_ssc_loaded; do \
-		kbase=$$(sed -n "s/.*\"$${key}_ns_per_op\": \([0-9]*\).*/\1/p" BENCH_kernels.json); \
-		know=$$(sed -n "s/.*\"$${key}_ns_per_op\": \([0-9]*\).*/\1/p" $$freshk); \
-		if [ -z "$$kbase" ] || [ -z "$$know" ]; then echo "bench-regress: missing $$key ns_per_op"; exit 1; fi; \
-		kdelta=$$(( (know - kbase) * 100 / kbase )); \
-		echo "bench-regress: $$key $$kbase -> $$know ns/op ($$kdelta% vs baseline, limit +35%)"; \
-		if [ "$$know" -gt "$$((kbase * 135 / 100))" ]; then \
-			echo "bench-regress: FAIL $$key $$kbase -> $$know ns/op is +$$kdelta%, over the +35% gate"; fail=1; \
-		fi; \
-	done; \
-	rm -f $$fresh $$freshc $$freshk $$fresha; \
-	exit $$fail
+# ab is the speed gate: cmd/benchgate exports REF with git archive, builds
+# both trees' benchmarks, times each gated row (the wide sweep, both
+# campaigns, the six render kernels, the service load) in 10 interleaved
+# pairs on this host, and fails when a row's median per-pair change/base
+# ratio goes past its bound. The bounds are constants in cmd/benchgate. To
+# gate a change, point REF at its parent: make ab REF=<rev>.
+REF ?= HEAD
+ab:
+	$(GO) run ./cmd/benchgate $(REF)
 
 # profile captures CPU and allocation profiles of the narrowband campaign
 # benchmark as artifacts under profiles/ (raw pprof files plus `go tool
 # pprof -top` summaries), for before/after comparison when working on the
-# render kernels. The benchmark's baseline outputs are discarded — a
-# profiling run must never overwrite the committed BENCH_*.json files.
+# render kernels.
 profile:
 	@mkdir -p profiles; \
-	FASE_BENCH_OUT=/dev/null FASE_BENCH_CAMPAIGN_OUT=/dev/null FASE_BENCH_KERNELS_OUT=/dev/null FASE_BENCH_ADAPTIVE_OUT=/dev/null \
-		$(GO) test -run xxx -bench 'BenchmarkCampaignNarrowband$$' -benchtime 10x \
+	$(GO) test -run xxx -bench 'BenchmarkCampaignNarrowband$$' -benchtime 10x \
 		-cpuprofile profiles/campaign_cpu.pprof -memprofile profiles/campaign_mem.pprof \
 		-o profiles/fase.test . >/dev/null || exit 1; \
 	$(GO) tool pprof -top -nodecount 25 profiles/fase.test profiles/campaign_cpu.pprof > profiles/campaign_cpu.txt || exit 1; \
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 25 profiles/fase.test profiles/campaign_mem.pprof > profiles/campaign_mem.txt || exit 1; \
 	echo "profile: wrote profiles/campaign_{cpu,mem}.pprof and -top summaries"
-
-# service-load is the campaign-service regression gate: it runs the full
-# load test (10 tenants × 6 concurrent campaigns against a deliberately
-# saturated queue) into a temp file and compares it against the committed
-# BENCH_service.json. The job accounting is deterministic — jobs_total,
-# jobs_completed, shards_total (5 per job), and detections_total (seeded
-# campaigns are bit-identical) must match the baseline exactly — while
-# the measured performance gets wide tolerances suited to a saturation
-# test on shared hardware: p99 submit-to-complete latency may grow to 4×
-# the baseline and throughput may drop to 1/4 before the gate fails.
-# Refresh the baseline deliberately with:
-# FASE_BENCH_SERVICE_OUT=$$PWD/BENCH_service.json go test -run TestServiceLoad -count=1 ./internal/service/loadtest
-service-load:
-	@freshs=$$(mktemp); \
-	FASE_BENCH_SERVICE_OUT=$$freshs \
-		$(GO) test -run TestServiceLoad -count=1 ./internal/service/loadtest >/dev/null || { rm -f $$freshs; exit 1; }; \
-	fail=0; \
-	for key in service_jobs_total service_jobs_completed service_shards_total service_detections_total; do \
-		base=$$(sed -n "s/.*\"$$key\": \([0-9]*\).*/\1/p" BENCH_service.json); \
-		now=$$(sed -n "s/.*\"$$key\": \([0-9]*\).*/\1/p" $$freshs); \
-		if [ -z "$$base" ] || [ -z "$$now" ]; then echo "service-load: missing $$key"; rm -f $$freshs; exit 1; fi; \
-		echo "service-load: $$key $$base -> $$now (must match exactly)"; \
-		if [ "$$now" != "$$base" ]; then \
-			echo "service-load: FAIL $$key changed $$base -> $$now (update BENCH_service.json deliberately)"; fail=1; \
-		fi; \
-	done; \
-	p99base=$$(sed -n 's/.*"service_p99_us": \([0-9]*\).*/\1/p' BENCH_service.json); \
-	p99now=$$(sed -n 's/.*"service_p99_us": \([0-9]*\).*/\1/p' $$freshs); \
-	tbase=$$(sed -n 's/.*"service_throughput_millijobs_per_sec": \([0-9]*\).*/\1/p' BENCH_service.json); \
-	tnow=$$(sed -n 's/.*"service_throughput_millijobs_per_sec": \([0-9]*\).*/\1/p' $$freshs); \
-	if [ -z "$$p99base" ] || [ -z "$$p99now" ]; then echo "service-load: missing p99"; rm -f $$freshs; exit 1; fi; \
-	if [ -z "$$tbase" ] || [ -z "$$tnow" ]; then echo "service-load: missing throughput"; rm -f $$freshs; exit 1; fi; \
-	echo "service-load: p99 $$p99base -> $$p99now us (limit 4x baseline)"; \
-	echo "service-load: throughput $$tbase -> $$tnow millijobs/s (floor baseline/4)"; \
-	if [ "$$p99now" -gt "$$((p99base * 4))" ]; then \
-		echo "service-load: FAIL p99 latency $$p99base -> $$p99now us, over the 4x gate"; fail=1; \
-	fi; \
-	if [ "$$tnow" -lt "$$((tbase / 4))" ]; then \
-		echo "service-load: FAIL throughput $$tbase -> $$tnow millijobs/s, under the 1/4 gate"; fail=1; \
-	fi; \
-	rm -f $$freshs; \
-	exit $$fail
 
 # accuracy runs the ground-truth harness (fase -verify): a 60-scenario
 # seeded-random machine corpus scanned by the unchanged pipeline, clean,

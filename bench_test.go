@@ -6,14 +6,14 @@
 //
 //	go test -bench=. -benchmem
 //
-// both times the full reproduction and emits the paper-vs-measured data.
-// See EXPERIMENTS.md for the recorded results.
+// both times the full reproduction and emits the paper-vs-measured data;
+// it writes no files. See EXPERIMENTS.md for the recorded results. The
+// pipeline benchmarks below are the rows of `make ab` (cmd/benchgate),
+// which times them against a base revision on the same host.
 package fase_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -166,39 +166,11 @@ func BenchmarkWideSweep(b *testing.B) {
 			b.Fatal("empty sweep")
 		}
 	}
-	b.StopTimer()
-	writeBenchJSON(b, "BenchmarkWideSweep", b.Elapsed().Nanoseconds()/int64(b.N))
-}
-
-// writeBenchJSON records the wide-sweep result for the Makefile's
-// bench-regress gate, which compares a fresh run against the committed
-// BENCH_sweep.json. FASE_BENCH_OUT redirects the output (the gate writes
-// its fresh run to a temporary path); unset, the committed baseline is
-// refreshed in place. Only reached under -bench, so plain `go test` never
-// writes.
-func writeBenchJSON(b *testing.B, name string, nsPerOp int64) {
-	path := os.Getenv("FASE_BENCH_OUT")
-	if path == "" {
-		path = "BENCH_sweep.json"
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark  string `json:"benchmark"`
-		Iterations int    `json:"iterations"`
-		NsPerOp    int64  `json:"ns_per_op"`
-	}{name, b.N, nsPerOp}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkCampaignNarrowband times the core FASE pipeline (5 sweeps +
 // scoring + detection) on a regulator-band campaign — the unit of work an
-// operator iterates on. It records BENCH_campaign.json for the Makefile's
-// campaign regression gate, including the per-stage wall split from one
-// instrumented run taken outside the timed region.
+// operator iterates on.
 func BenchmarkCampaignNarrowband(b *testing.B) {
 	sys, err := fase.LookupSystem("i7-desktop")
 	if err != nil {
@@ -219,29 +191,18 @@ func BenchmarkCampaignNarrowband(b *testing.B) {
 			b.Fatal("no detections")
 		}
 	}
-	b.StopTimer()
-	nsPerOp := b.Elapsed().Nanoseconds() / int64(b.N)
-	// One instrumented run, outside the timed loop, attributes the time to
-	// pipeline stages; the split rides along in the baseline file.
-	obsRunner := fase.NewRunner(sys.Scene(1, true))
-	obsRunner.Obs = fase.NewObsRun()
-	if _, err := obsRunner.RunE(campaign); err != nil {
-		b.Fatal(err)
-	}
-	writeCampaignBenchJSON(b, nsPerOp, obsRunner.Obs.Manifest())
 }
 
-// BenchmarkCampaignAdaptive times the budgeted coarse-to-fine planner on
-// the full regulator band (200–900 kHz, the accuracy corpus geometry),
-// with the transform cap pinned (MaxFFT 2048 splits the band into five
-// segments a window re-sweep can actually avoid) and the budget at 30%
-// of the exhaustive capture cost. It records BENCH_adaptive.json —
-// ns/op plus the captures the planner spent vs the exhaustive price —
-// for the Makefile's adaptive regression gate.
-func BenchmarkCampaignAdaptive(b *testing.B) {
+// adaptiveCampaign is the budgeted coarse-to-fine campaign on the full
+// regulator band (200–900 kHz, the accuracy corpus geometry), with the
+// transform cap pinned (MaxFFT 2048 splits the band into five segments a
+// window re-sweep can actually avoid) and the budget at 30% of the
+// exhaustive capture cost, which it returns beside the runner.
+func adaptiveCampaign(tb testing.TB) (*fase.Runner, fase.Campaign, int64) {
+	tb.Helper()
 	sys, err := fase.LookupSystem("i7-desktop")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	runner := fase.NewRunner(sys.Scene(1, true))
 	campaign := fase.Campaign{
@@ -250,15 +211,20 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 		X: fase.LDM, Y: fase.LDL1,
 		MaxFFT: 2048,
 	}
-	// Price the exhaustive campaign once (outside the timed loop) so the
-	// budget is a fraction of it, not a magic number.
+	// Price the exhaustive campaign so the budget is a fraction of it,
+	// not a magic number.
 	exhaustive, err := runner.RunE(campaign)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	campaign.Budget = int(exhaustive.Captures * 30 / 100)
 	campaign.Adaptive = &fase.AdaptivePlan{}
-	var capturesUsed int64
+	return runner, campaign, exhaustive.Captures
+}
+
+// BenchmarkCampaignAdaptive times the adaptive planner on adaptiveCampaign.
+func BenchmarkCampaignAdaptive(b *testing.B) {
+	runner, campaign, _ := adaptiveCampaign(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := campaign
@@ -270,63 +236,26 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 		if len(res.Detections) == 0 {
 			b.Fatal("no detections")
 		}
-		capturesUsed = res.Captures
-	}
-	b.StopTimer()
-	writeAdaptiveBenchJSON(b, b.Elapsed().Nanoseconds()/int64(b.N), capturesUsed, exhaustive.Captures)
-}
-
-// writeAdaptiveBenchJSON records the adaptive benchmark for the Makefile's
-// bench-regress gate. As with the other BENCH_* writers,
-// FASE_BENCH_ADAPTIVE_OUT redirects the fresh run to a temporary path;
-// unset, the committed BENCH_adaptive.json baseline is refreshed in place.
-func writeAdaptiveBenchJSON(b *testing.B, nsPerOp, capturesUsed, exhaustiveCaptures int64) {
-	path := os.Getenv("FASE_BENCH_ADAPTIVE_OUT")
-	if path == "" {
-		path = "BENCH_adaptive.json"
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark          string `json:"benchmark"`
-		Iterations         int    `json:"iterations"`
-		NsPerOp            int64  `json:"ns_per_op"`
-		CapturesUsed       int64  `json:"captures_used"`
-		ExhaustiveCaptures int64  `json:"exhaustive_captures"`
-	}{"BenchmarkCampaignAdaptive", b.N, nsPerOp, capturesUsed, exhaustiveCaptures}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
-// writeCampaignBenchJSON records the campaign benchmark result plus its
-// stage split for the bench-regress campaign gate. As with FASE_BENCH_OUT,
-// FASE_BENCH_CAMPAIGN_OUT redirects the fresh run to a temporary path;
-// unset, the committed BENCH_campaign.json baseline is refreshed in place.
-func writeCampaignBenchJSON(b *testing.B, nsPerOp int64, m *fase.RunManifest) {
-	path := os.Getenv("FASE_BENCH_CAMPAIGN_OUT")
-	if path == "" {
-		path = "BENCH_campaign.json"
+// TestCampaignAdaptiveCaptures pins the planner's deterministic spend on
+// the campaign BenchmarkCampaignAdaptive times: a planner change that
+// spends more (or less) of the budget fails here even if it runs fast.
+func TestCampaignAdaptiveCaptures(t *testing.T) {
+	runner, campaign, exhaustive := adaptiveCampaign(t)
+	if exhaustive != 100 || campaign.Budget != 30 {
+		t.Fatalf("exhaustive price %d captures, budget %d; want 100 and 30", exhaustive, campaign.Budget)
 	}
-	type stage struct {
-		Name        string  `json:"name"`
-		WallSeconds float64 `json:"wall_seconds"`
-	}
-	rec := struct {
-		Benchmark  string  `json:"benchmark"`
-		Iterations int     `json:"iterations"`
-		NsPerOp    int64   `json:"ns_per_op"`
-		Stages     []stage `json:"stages"`
-	}{Benchmark: "BenchmarkCampaignNarrowband", Iterations: b.N, NsPerOp: nsPerOp}
-	for _, st := range m.Stages {
-		rec.Stages = append(rec.Stages, stage{Name: st.Name, WallSeconds: st.WallSeconds})
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+	for seed := int64(0); seed < 5; seed++ {
+		c := campaign
+		c.Seed = seed
+		res, err := runner.RunE(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Captures != 19 {
+			t.Errorf("seed %d: adaptive campaign used %d captures, want 19", seed, res.Captures)
+		}
 	}
 }

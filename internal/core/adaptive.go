@@ -8,7 +8,6 @@ import (
 	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
-	"fase/internal/microbench"
 	"fase/internal/obs"
 	"fase/internal/par"
 	"fase/internal/specan"
@@ -269,32 +268,17 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 }
 
 // sweepBand runs one sweep per ladder index in idx over [f1, f2] on an,
-// returning spectra ordered like idx. Trace and fault-drift seeds use
-// the global ladder index, so a refinement sweep at falts[i] sees the
+// returning spectra ordered like idx. Each sweep uses its global ladder
+// index (see sweepLadder), so a refinement sweep at falts[i] sees the
 // same alternation realization the exhaustive campaign's sweep i would.
+// The planner processes windows sequentially, so each journal track sees
+// its sweeps in a deterministic order even though the sweeps of one band
+// run concurrently.
 func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int, span obs.Span) []*spectral.Spectrum {
 	out := make([]*spectral.Spectrum, len(idx))
 	par.Do(len(idx), func(j int) {
 		i := idx[j]
-		fa := falts[i]
-		faGen := fa * (1 + c.Faults.DriftFor(c.Seed+int64(i)*104729))
-		tr := microbench.Generate(microbench.Config{
-			X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
-			Seed: c.Seed + int64(i)*104729,
-		}, an.TotalDuration(f1, f2)+0.05)
-		// Track 1+i is the global ladder index's event stream; the
-		// planner processes windows sequentially, so each track sees its
-		// sweeps in a deterministic order even though the sweeps of one
-		// band run concurrently.
-		jt := r.Obs.Track(1 + int64(i))
-		jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
-		out[j] = an.Sweep(specan.Request{
-			Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
-			Seed:      c.Seed,
-			NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-			Span:   span,
-			Events: jt,
-		})
+		out[j] = r.sweepLadder(nil, an, c, f1, f2, falts[i], i, r.Obs, span)
 	})
 	return out
 }

@@ -77,37 +77,44 @@ func (p *ShardPlan) Begin(an *specan.Analyzer, run *obs.Run) {
 }
 
 // RenderShard renders ladder sweep i on the given analyzer and returns
-// its measurement. The shard's micro-benchmark seed is derived exactly as
-// the serial path derives it — c.Seed + i·104729 — and its journal events
-// land on track 1+i, so the canonical journal is identical however shards
-// are scheduled. ctx, when non-nil, cooperatively cancels the shard
+// its measurement (see sweepLadder for the seed and journal track it
+// uses, which make the canonical journal identical however shards are
+// scheduled). ctx, when non-nil, cooperatively cancels the shard
 // mid-render (see specan.Request.Ctx); a cancelled shard's measurement is
 // partial garbage and must be discarded, never reduced.
 func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, parent obs.Span) Measurement {
 	c := p.Campaign
 	fa := p.FAlts[i]
+	return Measurement{FAlt: fa, Spectrum: r.sweepLadder(ctx, an, c, c.F1, c.F2, fa, i, run, parent)}
+}
+
+// sweepLadder sweeps [f1, f2] while the micro-benchmark alternates at fa,
+// the frequency of ladder index i. The alternation trace and its fault
+// drift derive from c.Seed + i·104729, so a refinement sweep over part of
+// the band sees the same realization the exhaustive sweep i would, and
+// the sweep's journal events land on track 1+i.
+func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, run *obs.Run, span obs.Span) *spectral.Spectrum {
+	seed := c.Seed + int64(i)*104729
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
 	// the nominal ladder.
-	faGen := fa * (1 + c.Faults.DriftFor(c.Seed+int64(i)*104729))
 	tr := microbench.Generate(microbench.Config{
-		X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
-		Seed: c.Seed + int64(i)*104729,
-	}, an.TotalDuration(c.F1, c.F2)+0.05)
+		X: c.X, Y: c.Y, FAlt: fa * (1 + c.Faults.DriftFor(seed)), Jitter: *c.Jitter,
+		Seed: seed,
+	}, an.TotalDuration(f1, f2)+0.05)
 	// Journal track 1+i belongs to this ladder index: events within it
 	// are sequential, so the canonical journal is identical at any
 	// parallelism and any shard placement.
 	jt := run.Track(1 + int64(i))
-	jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: c.F1, F2Hz: c.F2})
-	sp := an.Sweep(specan.Request{
-		Scene: r.Scene, F1: c.F1, F2: c.F2, Activity: tr,
+	jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
+	return an.Sweep(specan.Request{
+		Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
 		Seed:      c.Seed,
 		NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-		Span:   parent,
+		Span:   span,
 		Events: jt,
 		Ctx:    ctx,
 	})
-	return Measurement{FAlt: fa, Spectrum: sp}
 }
 
 // ReduceShards merges the campaign's shard measurements — which must be

@@ -36,7 +36,7 @@ type Options struct {
 }
 
 // Find locates local maxima in x and returns them sorted by descending
-// value. A plateau reports its leftmost sample.
+// value, ties by index. A plateau reports its leftmost sample.
 func Find(x []float64, opt Options) []Peak {
 	var out []Peak
 	n := len(x)
@@ -53,14 +53,25 @@ func Find(x []float64, opt Options) []Peak {
 			i = j
 			continue
 		}
+		// The threshold goes first, so the O(n) prominence walk runs only
+		// for maxima that can be kept; the negated test also drops NaN.
+		if !(x[i] >= opt.MinValue) {
+			i = j
+			continue
+		}
 		p := Peak{Index: i, Value: x[i]}
 		p.Prominence, p.LeftBase, p.RightBase = prominence(x, i)
-		if p.Value >= opt.MinValue && p.Prominence >= opt.MinProminence {
+		if p.Prominence >= opt.MinProminence {
 			out = append(out, p)
 		}
 		i = j
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Value > out[b].Value })
+	// Equal values sort by index, so which tied peak MinDistance keeps
+	// does not depend on how many other peaks were found.
+	sort.Slice(out, func(a, b int) bool {
+		pa, pb := out[a], out[b]
+		return pa.Value > pb.Value || pa.Value == pb.Value && pa.Index < pb.Index
+	})
 	if opt.MinDistance > 0 {
 		out = enforceDistance(out, opt.MinDistance)
 	}

@@ -124,6 +124,47 @@ func TestFindProperties(t *testing.T) {
 	}
 }
 
+// TestFindMinValueFilters pins that MinValue only filters: a peak below
+// the threshold sorts after every kept peak, so it never suppresses one
+// under MinDistance, and Find with a threshold equals Find without one
+// filtered to Value >= MinValue — on traces with plateaus, ties and NaN.
+func TestFindMinValueFilters(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		x := make([]float64, 3+r.Intn(300))
+		for i := range x {
+			x[i] = math.Round(r.Float64()*20) / 2 // coarse values force plateaus and ties
+			if r.Intn(25) == 0 {
+				x[i] = math.NaN()
+			}
+		}
+		for _, dist := range []int{0, 1, 3, 10} {
+			opt := Options{MinValue: math.Round(r.Float64()*20) / 2, MinDistance: dist}
+			all := opt
+			all.MinValue = math.Inf(-1)
+			var want []Peak
+			for _, p := range Find(x, all) {
+				if p.Value >= opt.MinValue {
+					want = append(want, p)
+				}
+			}
+			got := Find(x, opt)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestS1KnownSpike(t *testing.T) {
 	x := make([]float64, 21)
 	x[10] = 7

@@ -2,9 +2,9 @@
 // harness: it drives a running server over real HTTP with N concurrent
 // tenants submitting seeded campaigns, records submit-to-complete
 // latency percentiles and saturation throughput, and reports the
-// deterministic job accounting (jobs, shards, detections) that the
-// Makefile's service-load gate compares exactly against the committed
-// BENCH_service.json baseline.
+// deterministic job accounting (jobs, shards, detections) that
+// TestServiceLoad pins exactly. BenchmarkServiceLoad reports the p99
+// latency and throughput that `make ab` compares against a base revision.
 package loadtest
 
 import (
@@ -39,27 +39,21 @@ type Options struct {
 	JobTimeout time.Duration
 }
 
-// Report is one load run's outcome. Every field is an integer so the
-// flat JSON baseline can be compared with shell arithmetic; the
-// jobs/shards/detections fields are deterministic for a given Options
-// and fresh store, the latency and throughput fields are the measured
-// performance.
+// Report is one load run's outcome. The job, shard and detection counts
+// are deterministic for a given Options and fresh store; the latencies
+// and throughput are the measured performance.
 type Report struct {
-	Tenants       int64 `json:"service_tenants"`
-	JobsPerTenant int64 `json:"service_jobs_per_tenant"`
-	JobsTotal     int64 `json:"service_jobs_total"`
-	JobsCompleted int64 `json:"service_jobs_completed"`
-	JobsCached    int64 `json:"service_jobs_cached"`
-	Retries429    int64 `json:"service_retries_429"`
-	ShardsTotal   int64 `json:"service_shards_total"`
-	Detections    int64 `json:"service_detections_total"`
-	MaxQueueDepth int64 `json:"service_max_queue_depth"`
+	JobsTotal     int64
+	JobsCompleted int64
+	JobsCached    int64
+	Retries429    int64
+	ShardsTotal   int64
+	Detections    int64
+	MaxQueueDepth int
 
-	P50Micros  int64 `json:"service_p50_us"`
-	P95Micros  int64 `json:"service_p95_us"`
-	P99Micros  int64 `json:"service_p99_us"`
-	ElapsedMS  int64 `json:"service_elapsed_ms"`
-	Throughput int64 `json:"service_throughput_millijobs_per_sec"`
+	// P50, P95 and P99 are submit-to-complete latency percentiles.
+	P50, P95, P99 time.Duration
+	Throughput    float64 // completed jobs per second
 }
 
 // Run executes the load test and aggregates the report. It fails on the
@@ -128,20 +122,17 @@ func Run(opts Options) (*Report, error) {
 	copy(sorted, latencies)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	return &Report{
-		Tenants:       int64(opts.Tenants),
-		JobsPerTenant: int64(opts.JobsPerTenant),
 		JobsTotal:     int64(n),
 		JobsCompleted: stats.Completed,
 		JobsCached:    cached.Load(),
 		Retries429:    retries.Load(),
 		ShardsTotal:   stats.Shards,
 		Detections:    detections.Load(),
-		MaxQueueDepth: int64(stats.MaxQueueDepth),
-		P50Micros:     percentile(sorted, 50).Microseconds(),
-		P95Micros:     percentile(sorted, 95).Microseconds(),
-		P99Micros:     percentile(sorted, 99).Microseconds(),
-		ElapsedMS:     elapsed.Milliseconds(),
-		Throughput:    int64(float64(n) / elapsed.Seconds() * 1000),
+		MaxQueueDepth: stats.MaxQueueDepth,
+		P50:           percentile(sorted, 50),
+		P95:           percentile(sorted, 95),
+		P99:           percentile(sorted, 99),
+		Throughput:    float64(n) / elapsed.Seconds(),
 	}, nil
 }
 

@@ -1,9 +1,8 @@
 package loadtest
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
+	"time"
 
 	"fase/internal/service"
 )
@@ -17,100 +16,66 @@ func tinySpec() service.ScanSpec {
 	}
 }
 
-// TestServiceLoad is the load-test harness entry point. A plain `go
-// test` runs a reduced smoke load (8 jobs) and writes nothing. With
-// FASE_BENCH_SERVICE_OUT set — as `make service-load` and a deliberate
-// baseline refresh do — it runs the full load (10 tenants × 6 jobs,
-// 60 concurrent campaigns against a deliberately saturated queue) and
-// writes the report to that path for the regression gate.
-func TestServiceLoad(t *testing.T) {
-	out := os.Getenv("FASE_BENCH_SERVICE_OUT")
-	opts := Options{
-		Tenants: 4, JobsPerTenant: 2,
-		System: "i7-desktop", Spec: tinySpec(), BaseSeed: 100,
-	}
-	if out != "" {
-		opts.Tenants, opts.JobsPerTenant = 10, 6
-	}
-
-	// A deliberately small server: the 60-client full load saturates the
-	// queue and the per-tenant quotas, so the report measures fair
-	// admission under pressure, not an idle fast path.
+// startLoad starts a server with a fresh store, closed when tb ends, and
+// returns the full load against it: 10 tenants × 6 jobs. The server is
+// deliberately small, so the 60 concurrent campaigns saturate the queue
+// and the per-tenant quotas, and the run measures fair admission under
+// pressure, not an idle fast path.
+func startLoad(tb testing.TB) Options {
+	tb.Helper()
 	s, err := service.New(service.Config{
 		Workers: 4, MaxActive: 3, QueueCapacity: 16, TenantQuota: 4,
-		StoreDir: t.TempDir(),
+		StoreDir: tb.TempDir(),
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
+	tb.Cleanup(func() { s.Close() })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts.BaseURL = "http://" + addr
-
-	rep, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	return Options{
+		BaseURL: "http://" + addr,
+		Tenants: 10, JobsPerTenant: 6,
+		System: "i7-desktop", Spec: tinySpec(), BaseSeed: 100,
 	}
-	t.Logf("load: %d jobs, p50 %dus p95 %dus p99 %dus, %d millijobs/s, %d retries, max depth %d, %d detections",
-		rep.JobsTotal, rep.P50Micros, rep.P95Micros, rep.P99Micros,
-		rep.Throughput, rep.Retries429, rep.MaxQueueDepth, rep.Detections)
-
-	// Invariants that hold at any load size: full completion, one shard
-	// task per ladder sweep, a fresh store (no cache hits with unique
-	// seeds), and sane latency ordering.
-	if rep.JobsCompleted != rep.JobsTotal {
-		t.Fatalf("completed %d of %d jobs", rep.JobsCompleted, rep.JobsTotal)
-	}
-	if want := rep.JobsTotal * 5; rep.ShardsTotal != want {
-		t.Fatalf("shards %d, want %d (5 per job)", rep.ShardsTotal, want)
-	}
-	if rep.JobsCached != 0 {
-		t.Fatalf("%d cache hits with unique seeds", rep.JobsCached)
-	}
-	if rep.P50Micros > rep.P95Micros || rep.P95Micros > rep.P99Micros {
-		t.Fatalf("latency percentiles out of order: %d/%d/%d",
-			rep.P50Micros, rep.P95Micros, rep.P99Micros)
-	}
-	if rep.Throughput <= 0 {
-		t.Fatal("throughput is zero")
-	}
-
-	if out == "" {
-		return
-	}
-	writeReport(t, out, rep)
 }
 
-// writeReport merges the report into the flat one-key-per-line JSON
-// baseline format the Makefile gate reads with sed (the same read-merge
-// pattern as BENCH_kernels.json).
-func writeReport(t *testing.T, path string, rep *Report) {
-	t.Helper()
-	raw, err := json.Marshal(rep)
+// TestServiceLoad runs the full load and pins its job accounting exactly:
+// every job completes, each renders one shard per ladder sweep, unique
+// seeds never hit the cache, and seeded campaigns are bit-identical, so
+// the detection total is reproducible.
+func TestServiceLoad(t *testing.T) {
+	rep, err := Run(startLoad(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := map[string]int64{}
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
+	t.Logf("load: %d jobs, p50 %v p95 %v p99 %v, %.1f jobs/s, %d retries, max depth %d, %d detections",
+		rep.JobsTotal, rep.P50, rep.P95, rep.P99,
+		rep.Throughput, rep.Retries429, rep.MaxQueueDepth, rep.Detections)
+	got := [5]int64{rep.JobsTotal, rep.JobsCompleted, rep.ShardsTotal, rep.Detections, rep.JobsCached}
+	if want := [5]int64{60, 60, 300, 53, 0}; got != want {
+		t.Errorf("jobs, completed, shards, detections, cached = %v, want %v", got, want)
 	}
-	merged := map[string]int64{}
-	if prev, err := os.ReadFile(path); err == nil && len(prev) > 0 {
-		if err := json.Unmarshal(prev, &merged); err != nil {
-			t.Fatalf("corrupt service baseline %s: %v", path, err)
+	if rep.P50 > rep.P95 || rep.P95 > rep.P99 {
+		t.Errorf("latency percentiles out of order: %v/%v/%v", rep.P50, rep.P95, rep.P99)
+	}
+}
+
+// BenchmarkServiceLoad runs the full load once per iteration, each on a
+// fresh server and store, and reports the mean p99 submit-to-complete
+// latency and throughput: the service rows of `make ab`.
+func BenchmarkServiceLoad(b *testing.B) {
+	var p99, jobsPerSec float64
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(startLoad(b))
+		if err != nil {
+			b.Fatal(err)
 		}
+		p99 += float64(rep.P99) / float64(time.Millisecond)
+		jobsPerSec += rep.Throughput
 	}
-	for k, v := range fields {
-		merged[k] = v
-	}
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	b.ReportMetric(p99/float64(b.N), "p99-ms")
+	b.ReportMetric(jobsPerSec/float64(b.N), "jobs/s")
 }

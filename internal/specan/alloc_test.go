@@ -153,6 +153,10 @@ func TestSweepColdStaticBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only holds on plain builds")
 	}
+	// One P for the whole test, as testing.AllocsPerRun does: sync.Pool
+	// keeps a private slot per P, so warm-up buffers left on another P
+	// are invisible to the measured sweep, which then allocates afresh.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sys, err := machine.Lookup("i7-desktop")
 	if err != nil {
 		t.Fatal(err)

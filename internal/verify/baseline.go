@@ -20,8 +20,8 @@ const (
 )
 
 // Baseline is the committed accuracy reference (VERIFY_baseline.json).
-// `make accuracy` fails when a fresh run scores below it — or below the
-// absolute floors — the same contract BENCH_*.json enforces for speed.
+// `make accuracy` fails when a fresh run scores below it or below the
+// absolute floors.
 type Baseline struct {
 	Schema    string `json:"schema"`
 	Scenarios int    `json:"scenarios"`

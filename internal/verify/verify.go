@@ -7,10 +7,9 @@
 // distributions, and an ROC sweep over the MinScore threshold.
 //
 // The committed VERIFY_baseline.json plus the Makefile `accuracy` target
-// turn detection accuracy into a regression-tested quantity, the same way
-// BENCH_*.json already gates speed: a change that silently stops finding
-// planted carriers (or starts reporting decoys) fails CI even though every
-// equivalence test still passes.
+// turn detection accuracy into a regression-tested quantity: a change that
+// silently stops finding planted carriers (or starts reporting decoys)
+// fails CI even though every equivalence test still passes.
 package verify
 
 import (

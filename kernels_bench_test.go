@@ -2,18 +2,13 @@
 // dynamic kernels the campaign spends its cycles in (switching regulator,
 // memory refresh, spread-spectrum clock), each idle and under load.
 //
-// Each parent benchmark records its sub-benchmark results into
-// BENCH_kernels.json for the Makefile's bench-regress gate (see
-// writeKernelBenchJSON). The idle case renders against the constant idle
-// trace — one run for the segmented paths — while the loaded case renders
-// against a generated alternation micro-benchmark trace, which forces the
-// run-length machinery to walk thousands of load change-points.
+// The idle case renders against the constant idle trace — one run for the
+// segmented paths — while the loaded case renders against a generated
+// alternation micro-benchmark trace, which forces the run-length
+// machinery to walk thousands of load change-points.
 package fase_test
 
 import (
-	"encoding/json"
-	"os"
-	"sync"
 	"testing"
 
 	"fase"
@@ -42,13 +37,11 @@ func kernelBenchTrace(b *testing.B) *fase.Trace {
 }
 
 // benchRenderComponent times a single component's render, idle and
-// loaded, and reports both into the kernels baseline under the given key
-// prefix.
-func benchRenderComponent(b *testing.B, key string, c emsim.Component, center float64) {
+// loaded.
+func benchRenderComponent(b *testing.B, c emsim.Component, center float64) {
 	scene := &emsim.Scene{}
 	scene.Add(c)
 	trace := kernelBenchTrace(b)
-	results := map[string]int64{}
 	for _, loaded := range []bool{false, true} {
 		name, activity := "idle", (*fase.Trace)(nil)
 		if loaded {
@@ -66,11 +59,8 @@ func benchRenderComponent(b *testing.B, key string, c emsim.Component, center fl
 					Activity: activity,
 				})
 			}
-			b.StopTimer()
-			results[key+"_"+name+"_ns_per_op"] = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
 	}
-	writeKernelBenchJSON(b, results)
 }
 
 // BenchmarkRenderRegulator times the i7 core supply regulator (332.5 kHz,
@@ -80,7 +70,7 @@ func BenchmarkRenderRegulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, "render_regulator", sys.CoreRegulator, 400e3)
+	benchRenderComponent(b, sys.CoreRegulator, 400e3)
 }
 
 // BenchmarkRenderRefresh times the DDR3 refresh impulse train — ~5120
@@ -90,7 +80,7 @@ func BenchmarkRenderRefresh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, "render_refresh", sys.Refresh, 400e3)
+	benchRenderComponent(b, sys.Refresh, 400e3)
 }
 
 // BenchmarkRenderSSC times the spread-spectrum DDR3 clock in its own
@@ -100,40 +90,5 @@ func BenchmarkRenderSSC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, "render_ssc", sys.DRAMClock, 333e6)
-}
-
-var kernelBenchMu sync.Mutex
-
-// writeKernelBenchJSON merges the given results into the kernels baseline
-// file — a flat one-key-per-line JSON object so the Makefile gate can
-// extract values with sed. Merging (read, update, rewrite) lets the three
-// parent benchmarks contribute to one file regardless of -bench filters.
-// FASE_BENCH_KERNELS_OUT redirects the output (the bench-regress gate
-// points it at a temporary path); unset, the committed BENCH_kernels.json
-// is refreshed in place. Only reached under -bench.
-func writeKernelBenchJSON(b *testing.B, results map[string]int64) {
-	b.Helper()
-	kernelBenchMu.Lock()
-	defer kernelBenchMu.Unlock()
-	path := os.Getenv("FASE_BENCH_KERNELS_OUT")
-	if path == "" {
-		path = "BENCH_kernels.json"
-	}
-	merged := map[string]int64{}
-	if prev, err := os.ReadFile(path); err == nil && len(prev) > 0 {
-		if err := json.Unmarshal(prev, &merged); err != nil {
-			b.Fatalf("corrupt kernels baseline %s: %v", path, err)
-		}
-	}
-	for k, v := range results {
-		merged[k] = v
-	}
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	benchRenderComponent(b, sys.DRAMClock, 333e6)
 }
