@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke ab obs-smoke accuracy cover profile
+.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke ab obs-smoke accuracy cover profile fasebench
 
 # ci is the full gate: formatting, vet + lint, build, tests (with the race
 # detector, then again in shuffled order — the race pass includes the
@@ -8,9 +8,9 @@ GO ?= go
 # the exact adaptive-spend and load-test pins), the planner
 # equivalence suite, a short fuzz of the band/extent overlap logic and the
 # service submit endpoint, a benchmark smoke run, the speed gate against
-# REF, the observability smoke test, the ground-truth accuracy gate, and
-# the detection-core coverage floor.
-ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke ab obs-smoke accuracy cover
+# REF, the observability smoke test, the ground-truth accuracy gate, the
+# detection-core coverage floor, and the benchmark module's vet and tests.
+ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke ab obs-smoke accuracy cover fasebench
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -129,6 +129,13 @@ accuracy:
 	grep -q '"budget"' $$tmp/report.json || { echo "accuracy: report missing recall-vs-budget sweep"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "accuracy: ok"
+
+# fasebench vets and tests the benchmark module. It is its own Go module
+# (replace fase => ../), so `go build ./...` at the root never builds it:
+# without this target, an API change that breaks the benchmark stays
+# invisible until the benchmark runs.
+fasebench:
+	$(GO) -C fasebench vet ./... && $(GO) -C fasebench test ./...
 
 # cover enforces a statement-coverage floor on the detection core — the
 # package the accuracy gate exists to protect.

@@ -33,26 +33,25 @@ var (
 // windows at full resolution, under a hard capture budget
 // (Campaign.Budget, enforced by specan.Meter):
 //
-//  1. Recon: ReconAlts sweeps of [F1, F2] at ReconFres with
-//     ReconAverages. Peaks of the recon heuristic above MinReconScore
-//     seed candidate windows, prioritized by score.
+//  1. Recon: reconAlts sweeps of [F1, F2] at ReconFres with
+//     reconAverages. Peaks of the recon heuristic above half the
+//     on-track score (see onTrackScore) seed candidate windows,
+//     prioritized by score.
 //  2. Probe: each window is first re-swept at full Fres for only the
-//     recon ladder entries. If the probe score falls below the
-//     abandonment threshold (AbandonRatio ×
-//     MinScore^(ReconAlts/NumAlts) — the level a genuine carrier on
-//     track for MinScore shows after ReconAlts of NumAlts
-//     measurements), the window is abandoned having cost only its
-//     probe.
-//  3. Refine: surviving windows get the remaining NumAlts − ReconAlts
+//     recon ladder entries. If the probe score falls below
+//     abandonRatio × the on-track score, the window is abandoned
+//     having cost only its probe.
+//  3. Refine: surviving windows get the remaining NumAlts − reconAlts
 //     sweeps; all NumAlts full-resolution measurements then run the
 //     unmodified scoring and detection gates.
 //
 // Every sweep is priced (specan.Analyzer.SweepCaptures) and reserved on
 // the budget before it starts, all-or-nothing, so the planner degrades
 // by skipping whole windows — never by producing half-measured spectra.
-// Recon and probe reuse the ladder's extreme entries (e.g. indices 0
-// and NumAlts−1), whose f_alt spacing stays resolvable at the coarse
-// recon bin width.
+// Recon and probe reuse the ladder's extreme entries (indices 0 and
+// NumAlts−1), whose f_alt spacing stays resolvable at the coarse recon
+// bin width. The recon and probe parameters are constants; only the
+// recon resolution is configurable.
 //
 // Adaptive results are judged by the verify corpus' recall-vs-budget
 // gates; they are NOT bit-identical to the exhaustive path (different
@@ -64,71 +63,37 @@ type AdaptivePlan struct {
 	// campaign, fine enough that side-bands at the ladder's extreme
 	// f_alt spacing still land in distinct bins.
 	ReconFres float64
-	// ReconAlts is how many ladder entries recon (and each window's
-	// probe) measures, spread across the ladder. At least 2 — the
-	// heuristic needs a pair to difference — and at most NumAlts. Zero
-	// means 2.
-	ReconAlts int
-	// ReconAverages is the recon sweeps' traces-per-segment average;
-	// zero means 2 (half the exhaustive default — recon only ranks).
-	ReconAverages int
-	// RefineAverages is the refinement sweeps' average count; zero
-	// means 1 — cheaper per window than the exhaustive campaign's 4,
-	// and enough because refinement only scores candidate windows the
-	// recon pass already ranked: the NumAlts-measurement score product
-	// and its elevation gates supply the corroboration that trace
-	// averaging supplies in a cold full-band sweep.
-	RefineAverages int
-	// MinReconScore is the recon-peak threshold that seeds a candidate
-	// window. Zero derives it from the campaign threshold:
-	// 0.5 × MinScore^(ReconAlts/NumAlts), i.e. half the score a
-	// carrier on track for MinScore shows after ReconAlts measurements.
-	// Use MinScoreZero for a literal 0 (every recon peak becomes a
-	// candidate).
-	MinReconScore float64
-	// AbandonRatio scales the probe abandonment threshold; zero means
-	// 0.5 (abandon windows probing below half the on-track score). Use
-	// MinScoreZero for a literal 0 — never abandon, spend the budget in
-	// priority order.
-	AbandonRatio float64
-	// MaxWindows caps how many candidate windows enter the refinement
-	// queue (highest priority first); zero means unlimited — the budget
-	// is then the only limit.
-	MaxWindows int
 }
 
+// The planner's fixed recon and probe parameters.
+const (
+	// reconAlts is how many ladder entries recon (and each window's
+	// probe) measures, spread across the ladder: the heuristic needs a
+	// pair to difference, and Validate guarantees NumAlts ≥ 2.
+	reconAlts = 2
+	// reconAverages is the recon sweeps' traces-per-segment average,
+	// half the exhaustive default: recon only ranks.
+	reconAverages = 2
+	// refineAverages is the refinement sweeps' average count — cheaper
+	// per window than the exhaustive campaign's 4, and enough because
+	// refinement only scores candidate windows the recon pass already
+	// ranked: the NumAlts-measurement score product and its elevation
+	// gates supply the corroboration that trace averaging supplies in a
+	// cold full-band sweep.
+	refineAverages = 1
+	// abandonRatio scales the probe abandonment threshold: a window
+	// probing below half the on-track score is abandoned.
+	abandonRatio = 0.5
+)
+
 // validate reports the first configuration error in the plan. It runs
-// before defaults resolve, so zero fields are legal everywhere.
+// before defaults resolve, so a zero ReconFres is legal.
 func (p *AdaptivePlan) validate(c Campaign) error {
-	for name, v := range map[string]float64{
-		"ReconFres": p.ReconFres, "MinReconScore": p.MinReconScore,
-		"AbandonRatio": p.AbandonRatio,
-	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: adaptive %s %g is not finite", name, v)
-		}
+	if math.IsNaN(p.ReconFres) || math.IsInf(p.ReconFres, 0) {
+		return fmt.Errorf("core: adaptive ReconFres %g is not finite", p.ReconFres)
 	}
 	if p.ReconFres != 0 && p.ReconFres < c.Fres {
 		return fmt.Errorf("core: adaptive ReconFres %g Hz is finer than the campaign resolution %g Hz", p.ReconFres, c.Fres)
-	}
-	n := c.NumAlts
-	if n == 0 {
-		n = 5
-	}
-	if p.ReconAlts != 0 && (p.ReconAlts < 2 || p.ReconAlts > n) {
-		return fmt.Errorf("core: adaptive ReconAlts must be in [2, NumAlts=%d], got %d", n, p.ReconAlts)
-	}
-	if p.ReconAverages < 0 || p.RefineAverages < 0 {
-		return fmt.Errorf("core: adaptive averages must be non-negative, got recon %d / refine %d", p.ReconAverages, p.RefineAverages)
-	}
-	if p.MinReconScore < 0 && p.MinReconScore != MinScoreZero {
-		return fmt.Errorf("core: adaptive MinReconScore %g is negative (use MinScoreZero for a zero threshold)", p.MinReconScore)
-	}
-	if p.AbandonRatio < 0 && p.AbandonRatio != MinScoreZero {
-		return fmt.Errorf("core: adaptive AbandonRatio %g is negative (use MinScoreZero to disable abandonment)", p.AbandonRatio)
-	}
-	if p.MaxWindows < 0 {
-		return fmt.Errorf("core: adaptive MaxWindows must be non-negative, got %d", p.MaxWindows)
 	}
 	return nil
 }
@@ -138,40 +103,17 @@ func (p AdaptivePlan) withDefaults(c Campaign) AdaptivePlan {
 	if p.ReconFres == 0 {
 		p.ReconFres = 8 * c.Fres
 	}
-	if p.ReconAlts == 0 {
-		p.ReconAlts = 2
-	}
-	if p.ReconAlts > c.NumAlts {
-		p.ReconAlts = c.NumAlts
-	}
-	if p.ReconAverages == 0 {
-		p.ReconAverages = 2
-	}
-	if p.RefineAverages == 0 {
-		p.RefineAverages = 1
-	}
-	switch p.MinReconScore {
-	case MinScoreZero:
-		p.MinReconScore = 0
-	case 0:
-		p.MinReconScore = 0.5 * math.Pow(c.MinScore, float64(p.ReconAlts)/float64(c.NumAlts))
-	}
-	switch p.AbandonRatio {
-	case MinScoreZero:
-		p.AbandonRatio = 0
-	case 0:
-		p.AbandonRatio = 0.5
-	}
 	return p
 }
 
-// abandonThreshold is the probe score below which a window is
-// abandoned: a carrier on track for MinScore over the full ladder shows
-// ≈ MinScore^(ReconAlts/NumAlts) after its ReconAlts probe
-// measurements (the product scales per measurement), scaled by
-// AbandonRatio for probe noise.
-func (p AdaptivePlan) abandonThreshold(c Campaign) float64 {
-	return p.AbandonRatio * math.Pow(c.MinScore, float64(p.ReconAlts)/float64(c.NumAlts))
+// onTrackScore is the score a carrier on track for MinScore over the
+// full ladder shows after its reconAlts recon or probe measurements
+// (the product scales per measurement): MinScore^(reconAlts/NumAlts).
+// Half of it is the recon-peak threshold that seeds a candidate window;
+// abandonRatio times it, allowing for probe noise, is the probe score
+// below which a window is abandoned.
+func onTrackScore(c Campaign) float64 {
+	return math.Pow(c.MinScore, reconAlts/float64(c.NumAlts))
 }
 
 // spreadIndices returns k ladder indices spread across [0, n), always
@@ -404,7 +346,7 @@ type reconCandidate struct {
 // reconCandidates extracts candidate carriers from the recon score
 // traces: per-bin max over the low-order harmonics, peak-found with the
 // merge radius rescaled to recon bins. A bin only counts for a harmonic
-// when every recon sub-score is elevated — with only ReconAlts
+// when every recon sub-score is elevated — with only reconAlts
 // measurements, a product can be carried by a single chi-square tail
 // event, and requiring full agreement is what makes a recon peak
 // ghost-pair evidence rather than noise.
@@ -414,7 +356,7 @@ func reconCandidates(scores map[int][]float64, elevated map[int][]int, hs []int,
 	for _, h := range priorityHarmonics(hs) {
 		elev := elevated[h]
 		for k, v := range scores[h] {
-			if elev[k] >= ap.ReconAlts && v > best[k] {
+			if elev[k] >= reconAlts && v > best[k] {
 				best[k] = v
 			}
 		}
@@ -425,7 +367,7 @@ func reconCandidates(scores map[int][]float64, elevated map[int][]int, hs []int,
 	}
 	var out []reconCandidate
 	for _, p := range peaks.Find(best, peaks.Options{
-		MinValue:    ap.MinReconScore,
+		MinValue:    0.5 * onTrackScore(c),
 		MinDistance: mergeRecon,
 	}) {
 		out = append(out, reconCandidate{freq: recon.Freq(p.Index), score: p.Value})
@@ -475,10 +417,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	// Price the equivalent exhaustive campaign (same geometry, no meter)
 	// for the manifest's savings ratio.
 	exhaustive := int64(len(falts)) * specan.New(anCfg(c.Fres, c.Averages, nil)).SweepCaptures(c.F1, c.F2)
-	reconAn := specan.New(anCfg(ap.ReconFres, ap.ReconAverages, meter))
-	refineAn := specan.New(anCfg(c.Fres, ap.RefineAverages, meter))
+	reconAn := specan.New(anCfg(ap.ReconFres, reconAverages, meter))
+	refineAn := specan.New(anCfg(c.Fres, refineAverages, meter))
 
-	reconIdx := spreadIndices(ap.ReconAlts, c.NumAlts)
+	reconIdx := spreadIndices(reconAlts, c.NumAlts)
 	reconFAlts := make([]float64, len(reconIdx))
 	for j, i := range reconIdx {
 		reconFAlts[j] = falts[i]
@@ -516,10 +458,6 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	// windows, highest recon priority first, under the budget.
 	refineStage := run.Begin("refine")
 	windows := buildWindows(cands, c, falts)
-	if ap.MaxWindows > 0 && len(windows) > ap.MaxWindows {
-		sort.SliceStable(windows, func(a, b int) bool { return windows[a].priority > windows[b].priority })
-		windows = windows[:ap.MaxWindows]
-	}
 	compIdx := complementIndices(reconIdx, c.NumAlts)
 	for i := range windows {
 		perSweep := refineAn.SweepCaptures(windows[i].f1, windows[i].f2)
@@ -571,7 +509,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		windowDets[w.idx] = dets
 		return len(dets)
 	}
-	outcomes := scheduleRefinement(windows, meter, ap.abandonThreshold(c), probe, refine)
+	outcomes := scheduleRefinement(windows, meter, abandonRatio*onTrackScore(c), probe, refine)
 	refineStage.End()
 	refineUsed := meter.Used() - reconUsed
 

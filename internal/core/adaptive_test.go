@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fase/internal/activity"
@@ -197,19 +198,24 @@ func decoyCampaign(budget int) Campaign {
 	}
 }
 
-// TestAdaptiveNoiseCandidateAbandoned runs the planner against the
-// decoy scene with the recon threshold dropped to zero (sentinel path)
-// and the abandonment ratio raised so the probe stage must clean up:
-// the decoy's candidate window probes orders of magnitude below the
-// genuine regulator (measured ≈7 against ≈24000) and is dropped at
-// probe cost, while the real carrier survives refinement — the
+// TestAdaptiveNoiseCandidateAbandoned runs the planner at its fixed
+// thresholds over a corpus-style random machine (machine.RandomSystem,
+// seed 39) whose recon pass seeds a window around 200–283 kHz that holds
+// no modulated carrier: the window's full-resolution probe scores the
+// neutral 1, below the abandonment threshold (≈1.97), so it is dropped
+// at probe cost, while every planted carrier survives refinement — the
 // decoy-resistance the two-stage design buys.
 func TestAdaptiveNoiseCandidateAbandoned(t *testing.T) {
-	runner := &Runner{Scene: decoyScene()}
-	c := decoyCampaign(40)
-	// Threshold = 100 × MinScore^(ReconAlts/NumAlts) ≈ 390: far above
-	// the decoy window's probe score, far below the genuine carrier's.
-	c.Adaptive = &AdaptivePlan{MinReconScore: MinScoreZero, AbandonRatio: 100}
+	const seed = 39
+	sys := machine.RandomSystem(rand.New(rand.NewSource(seed)), machine.RandomSpec{F1: 200e3, F2: 900e3})
+	scene := sys.Scene(seed, false)
+	runner := &Runner{Scene: scene}
+	c := Campaign{
+		F1: 200e3, F2: 900e3, Fres: 100,
+		FAlt1: 43.3e3, FDelta: 1e3,
+		X: activity.LDM, Y: activity.LDL1, Seed: seed,
+		MaxFFT: 2048, Budget: 30, Adaptive: &AdaptivePlan{},
+	}
 	res, err := runner.RunE(c)
 	if err != nil {
 		t.Fatal(err)
@@ -218,13 +224,14 @@ func TestAdaptiveNoiseCandidateAbandoned(t *testing.T) {
 	if stats == nil {
 		t.Fatal("no planner stats")
 	}
-	var refined, abandoned int
+	var refined int
+	var abandoned []obs.AdaptiveWindow
 	for _, w := range stats.Windows {
 		switch w.Outcome {
 		case obs.WindowRefined:
 			refined++
 		case obs.WindowAbandoned:
-			abandoned++
+			abandoned = append(abandoned, w)
 			if w.Detections != 0 {
 				t.Errorf("abandoned window [%.0f, %.0f] credited %d detections", w.F1Hz, w.F2Hz, w.Detections)
 			}
@@ -233,25 +240,37 @@ func TestAdaptiveNoiseCandidateAbandoned(t *testing.T) {
 			}
 		}
 	}
-	if abandoned == 0 {
-		t.Errorf("decoy window was not abandoned (windows: %+v)", stats.Windows)
+	if len(abandoned) == 0 {
+		t.Errorf("no window was abandoned (windows: %+v)", stats.Windows)
 	}
 	if refined == 0 {
 		t.Error("no window survived to refinement")
 	}
-	found := func(want float64) bool {
+	planted := 0
+	for _, g := range scene.GroundTruth(c.F1, c.F2, c.X, c.Y, 0.25) {
+		if !g.Modulated {
+			continue
+		}
+		planted++
+		found := false
 		for _, d := range res.Detections {
-			if math.Abs(d.Freq-want) <= 500 {
-				return true
+			if math.Abs(d.Freq-g.Freq) <= 500 {
+				found = true
 			}
 		}
-		return false
+		if !found {
+			t.Errorf("planted carrier at %.1f kHz lost; detections: %+v", g.Freq/1e3, res.Detections)
+		}
 	}
-	if !found(300e3) {
-		t.Errorf("genuine carrier at 300 kHz lost; detections: %+v", res.Detections)
+	if planted == 0 {
+		t.Fatal("scene plants no modulated carrier")
 	}
-	if found(600e3) {
-		t.Errorf("abandoned decoy at 600 kHz still detected: %+v", res.Detections)
+	for _, w := range abandoned {
+		for _, d := range res.Detections {
+			if d.Freq >= w.F1Hz && d.Freq <= w.F2Hz {
+				t.Errorf("abandoned window [%.0f, %.0f] still detected at %.1f kHz", w.F1Hz, w.F2Hz, d.Freq/1e3)
+			}
+		}
 	}
 }
 
@@ -319,12 +338,6 @@ func TestAdaptiveValidation(t *testing.T) {
 		{"budget without plan", func(c *Campaign) { c.Adaptive = nil }},
 		{"recon finer than campaign", func(c *Campaign) { c.Adaptive = &AdaptivePlan{ReconFres: 50} }},
 		{"NaN recon fres", func(c *Campaign) { c.Adaptive = &AdaptivePlan{ReconFres: math.NaN()} }},
-		{"one recon alt", func(c *Campaign) { c.Adaptive = &AdaptivePlan{ReconAlts: 1} }},
-		{"recon alts over ladder", func(c *Campaign) { c.Adaptive = &AdaptivePlan{ReconAlts: 9} }},
-		{"negative averages", func(c *Campaign) { c.Adaptive = &AdaptivePlan{ReconAverages: -1} }},
-		{"negative recon score", func(c *Campaign) { c.Adaptive = &AdaptivePlan{MinReconScore: -3} }},
-		{"negative abandon ratio", func(c *Campaign) { c.Adaptive = &AdaptivePlan{AbandonRatio: -2} }},
-		{"negative max windows", func(c *Campaign) { c.Adaptive = &AdaptivePlan{MaxWindows: -2} }},
 	}
 	for _, tc := range cases {
 		c := base()
@@ -379,28 +392,35 @@ func TestSpreadAndComplementIndices(t *testing.T) {
 // FuzzAdaptivePlan exercises the two load-bearing planner contracts
 // with arbitrary inputs:
 //
-//  1. Campaign.Validate never panics on an adaptive configuration, and
-//     zero or negative budgets are always rejected.
+//  1. Campaign.Validate never panics on an adaptive configuration, zero
+//     or negative budgets are always rejected, and an accepted plan
+//     resolves to a finite recon resolution no finer than the campaign's.
 //  2. scheduleRefinement is pure admission control: with fake probe and
 //     refine callbacks it terminates, never overcommits the meter,
 //     reports one outcome per window, and charges each window
 //     consistently with its outcome.
 func FuzzAdaptivePlan(f *testing.F) {
-	f.Add(int64(30), uint8(3), int64(2), int64(3), 1.95, 5.0)
-	f.Add(int64(1), uint8(1), int64(0), int64(0), 0.0, 0.0)
-	f.Add(int64(100), uint8(20), int64(7), int64(11), 2.0, 1.0)
-	f.Add(int64(-5), uint8(2), int64(1), int64(1), 1.0, 2.0)
-	f.Add(int64(0), uint8(0), int64(1), int64(1), 1.0, 2.0)
-	f.Fuzz(func(t *testing.T, budget int64, nw uint8, probeCost, fullCost int64, threshold, score float64) {
+	f.Add(int64(30), uint8(3), int64(2), int64(3), 1.95, 5.0, 0.0)
+	f.Add(int64(1), uint8(1), int64(0), int64(0), 0.0, 0.0, 800.0)
+	f.Add(int64(100), uint8(20), int64(7), int64(11), 2.0, 1.0, 50.0)
+	f.Add(int64(-5), uint8(2), int64(1), int64(1), 1.0, 2.0, math.NaN())
+	f.Add(int64(0), uint8(0), int64(1), int64(1), 1.0, 2.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, budget int64, nw uint8, probeCost, fullCost int64, threshold, score, reconFres float64) {
 		c := Campaign{
 			F1: 0.25e6, F2: 0.55e6, Fres: 100,
 			FAlt1: 43.3e3, FDelta: 1e3,
 			Budget:   int(budget),
-			Adaptive: &AdaptivePlan{MinReconScore: threshold, AbandonRatio: score},
+			Adaptive: &AdaptivePlan{ReconFres: reconFres},
 		}
 		err := c.Validate() // must not panic
 		if budget <= 0 && err == nil {
 			t.Fatalf("budget %d accepted for an adaptive campaign", budget)
+		}
+		if err == nil {
+			rf := c.withDefaults().Adaptive.ReconFres
+			if math.IsNaN(rf) || math.IsInf(rf, 0) || rf < c.Fres {
+				t.Fatalf("ReconFres %g accepted, resolved to %g", reconFres, rf)
+			}
 		}
 
 		if budget <= 0 {

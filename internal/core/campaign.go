@@ -9,7 +9,6 @@ import (
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
 	"fase/internal/emsim"
-	"fase/internal/microbench"
 	"fase/internal/obs"
 	"fase/internal/par"
 	"fase/internal/specan"
@@ -57,9 +56,6 @@ type Campaign struct {
 	MinElevated int
 	// X, Y is the activity pair of the alternation micro-benchmark.
 	X, Y activity.Kind
-	// Jitter models the micro-benchmark's timing variation; the zero
-	// value selects microbench.DefaultJitter.
-	Jitter *microbench.Jitter
 	// Seed drives all randomness in the campaign.
 	Seed int64
 	// Parallelism bounds how many captures render concurrently across the
@@ -112,13 +108,17 @@ func (c Campaign) Validate() error {
 	// Non-finite inputs pass every ordered comparison below (NaN compares
 	// false against everything), so reject them explicitly before the
 	// range checks — a NaN Fres would otherwise surface as an integer
-	// conversion panic deep in the sweep planner.
-	for name, v := range map[string]float64{
-		"F1": c.F1, "F2": c.F2, "Fres": c.Fres,
-		"FAlt1": c.FAlt1, "FDelta": c.FDelta, "MinScore": c.MinScore,
+	// conversion panic deep in the sweep planner. The fields are checked
+	// in declaration order, so the first non-finite one is the one named.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"F1", c.F1}, {"F2", c.F2}, {"Fres", c.Fres},
+		{"FAlt1", c.FAlt1}, {"FDelta", c.FDelta}, {"MinScore", c.MinScore},
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: campaign %s %g is not finite", name, v)
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: campaign %s %g is not finite", f.name, f.v)
 		}
 	}
 	if c.Fres <= 0 {
@@ -211,10 +211,6 @@ func (c Campaign) withDefaults() Campaign {
 	}
 	if c.MinElevated == 0 {
 		c.MinElevated = c.NumAlts/2 + 1
-	}
-	if c.Jitter == nil {
-		j := microbench.DefaultJitter()
-		c.Jitter = &j
 	}
 	if c.Adaptive != nil {
 		// Resolve into a copy so the caller's plan is never mutated.

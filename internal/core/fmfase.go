@@ -43,32 +43,35 @@ import (
 type FMCampaign struct {
 	// F1, F2 bound the candidate-carrier search.
 	F1, F2 float64
-	// FAlt1, FDelta, NumAlts are the alternation ladder (as in Campaign).
+	// FAlt1, FDelta are the alternation ladder of fmNumAlts entries (as
+	// in Campaign).
 	FAlt1, FDelta float64
-	NumAlts       int
-	// Fs is the demodulation capture bandwidth around each candidate; it
-	// must cover the carrier's full FM excursion. Zero means 250 kHz.
-	Fs float64
-	// CaptureN is the samples per capture. Zero means 1<<17.
-	CaptureN int
-	// FrameLen is the spectrogram frame length for carrier tracking;
-	// fs/FrameLen is the track's frequency resolution and several frames
-	// must fit in a half-period of f_alt. Zero means 64.
-	FrameLen int
-	// MinCarrierSNRdB selects candidate carriers from the idle sweep.
-	// Zero means 10 dB above the median floor.
-	MinCarrierSNRdB float64
-	// MinScore is the detection threshold on the sub-score product.
-	// Zero means 30.
-	MinScore float64
 	// X, Y is the activity pair.
 	X, Y activity.Kind
-	// Jitter models micro-benchmark timing variation; nil selects the
-	// default model.
-	Jitter *microbench.Jitter
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// FM-FASE's fixed capture and detection parameters.
+const (
+	// fmNumAlts is the number of alternation frequencies, as in the
+	// paper's AM campaigns.
+	fmNumAlts = 5
+	// fmFs is the demodulation capture bandwidth around each candidate,
+	// Hz; it must cover the carrier's full FM excursion.
+	fmFs = 250e3
+	// fmCaptureN is the samples per capture.
+	fmCaptureN = 1 << 17
+	// fmFrameLen is the spectrogram frame length for carrier tracking;
+	// fmFs/fmFrameLen is the track's frequency resolution, and several
+	// frames must fit in a half-period of f_alt.
+	fmFrameLen = 64
+	// fmMinCarrierSNRdB selects candidate carriers from the idle sweep:
+	// peaks this far above the floor.
+	fmMinCarrierSNRdB = 10.0
+	// fmMinScore is the detection threshold on the sub-score product.
+	fmMinScore = 30
+)
 
 // FMDetection is one frequency-modulated carrier found by FM-FASE.
 type FMDetection struct {
@@ -82,41 +85,16 @@ type FMDetection struct {
 	DeviationHz float64
 }
 
-func (c FMCampaign) withDefaults() FMCampaign {
-	if c.NumAlts == 0 {
-		c.NumAlts = 5
-	}
-	if c.Fs == 0 {
-		c.Fs = 250e3
-	}
-	if c.CaptureN == 0 {
-		c.CaptureN = 1 << 17
-	}
-	if c.FrameLen == 0 {
-		c.FrameLen = 64
-	}
-	if c.MinCarrierSNRdB == 0 {
-		c.MinCarrierSNRdB = 10
-	}
-	if c.MinScore == 0 {
-		c.MinScore = 30
-	}
-	if c.Jitter == nil {
-		j := microbench.DefaultJitter()
-		c.Jitter = &j
-	}
+// validate panics on a malformed alternation ladder.
+func (c FMCampaign) validate() {
 	if c.FAlt1 <= 0 || c.FDelta <= 0 {
 		panic(fmt.Sprintf("core: FM campaign needs positive FAlt1/FDelta, got %g/%g", c.FAlt1, c.FDelta))
 	}
-	if c.NumAlts < 2 {
-		panic("core: FM campaign needs at least 2 alternation frequencies")
-	}
-	return c
 }
 
 // falts returns the ladder.
 func (c FMCampaign) falts() []float64 {
-	out := make([]float64, c.NumAlts)
+	out := make([]float64, fmNumAlts)
 	for i := range out {
 		out[i] = c.FAlt1 + float64(i)*c.FDelta
 	}
@@ -125,7 +103,7 @@ func (c FMCampaign) falts() []float64 {
 
 // RunFM executes an FM-FASE campaign against the runner's scene.
 func (r *Runner) RunFM(c FMCampaign) []FMDetection {
-	c = c.withDefaults()
+	c.validate()
 	if r.Scene == nil {
 		panic("core: Runner needs a Scene")
 	}
@@ -143,18 +121,18 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 	// Floor estimate: a low percentile rather than the median — a smeared
 	// FM hump can occupy most of a narrow search band.
 	floor := percentilePower(idle.PmW, 0.15)
-	minPeak := floor * math.Pow(10, c.MinCarrierSNRdB/10)
+	minPeak := floor * math.Pow(10, fmMinCarrierSNRdB/10)
 	// Candidates at least half a capture bandwidth apart so their demod
 	// captures do not overlap.
-	minDist := int(c.Fs / 2 / idle.Fres)
+	minDist := int(fmFs / 2 / idle.Fres)
 	if minDist < 1 {
 		minDist = 1
 	}
 	cands := peaks.Find(idle.PmW, peaks.Options{MinValue: minPeak, MinDistance: minDist})
 
 	falts := c.falts()
-	hop := c.FrameLen / 2
-	trackRate := c.Fs / float64(hop)
+	hop := fmFrameLen / 2
+	trackRate := fmFs / float64(hop)
 	var out []FMDetection
 	for _, cd := range cands {
 		fc := idle.Freq(cd.Index)
@@ -165,28 +143,28 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 		// FM carrier's idle wander already occupies the full window its
 		// activity excursion needs.
 		window10 := lineWidth(idle, cd.Index)
-		trackWin := math.Max(window10/2, 3*c.Fs/float64(c.FrameLen))
+		trackWin := math.Max(window10/2, 3*fmFs/float64(fmFrameLen))
 		// One frequency track per alternation frequency, captured
 		// concurrently (independent seeds and traces).
-		tracks := make([][]float64, c.NumAlts)
+		tracks := make([][]float64, fmNumAlts)
 		var wg sync.WaitGroup
 		for i, fa := range falts {
 			wg.Add(1)
 			go func(i int, fa float64) {
 				defer wg.Done()
 				tr := microbench.Generate(microbench.Config{
-					X: c.X, Y: c.Y, FAlt: fa, Jitter: *c.Jitter,
+					X: c.X, Y: c.Y, FAlt: fa, Jitter: microbench.DefaultJitter(),
 					Seed: c.Seed + int64(i)*7907,
-				}, float64(c.CaptureN)/c.Fs+0.01)
+				}, float64(fmCaptureN)/fmFs+0.01)
 				x := r.Scene.Render(emsim.Capture{
-					Band:            emsim.Band{Center: fc, SampleRate: c.Fs},
-					N:               c.CaptureN,
+					Band:            emsim.Band{Center: fc, SampleRate: fmFs},
+					N:               fmCaptureN,
 					Activity:        tr,
 					Seed:            c.Seed + int64(i)*104729,
 					NearField:       r.NearField,
 					NearFieldGainDB: r.NearFieldGainDB,
 				})
-				sg := demod.STFT(x, c.Fs, fc, c.FrameLen, hop, window.Hann)
+				sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop, window.Hann)
 				track := windowedPeakTrack(sg, fc, trackWin)
 				removeMean(track)
 				tracks[i] = track
@@ -204,18 +182,18 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 					others += spectral.Goertzel(tracks[j], trackRate, falts[i])
 				}
 			}
-			others /= float64(c.NumAlts - 1)
+			others /= fmNumAlts - 1
 			if others < scoreFloor {
 				others = scoreFloor
 			}
 			score *= own / others
 			devSum += math.Sqrt(own)
 		}
-		if score >= c.MinScore {
+		if score >= fmMinScore {
 			out = append(out, FMDetection{
 				Freq:        fc,
 				Score:       score,
-				DeviationHz: devSum / float64(c.NumAlts),
+				DeviationHz: devSum / fmNumAlts,
 			})
 		}
 	}

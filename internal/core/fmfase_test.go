@@ -67,15 +67,11 @@ func TestFMFaseControlPair(t *testing.T) {
 }
 
 func TestFMCampaignValidation(t *testing.T) {
-	c := FMCampaign{FAlt1: 400, FDelta: 60}.withDefaults()
-	if c.NumAlts != 5 || c.Fs != 250e3 || c.CaptureN != 1<<17 || c.FrameLen != 64 || c.MinScore != 30 {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-	fa := c.falts()
+	fa := FMCampaign{FAlt1: 400, FDelta: 60}.falts()
 	if len(fa) != 5 || fa[4] != 640 {
 		t.Errorf("ladder wrong: %v", fa)
 	}
-	mustPanic(t, func() { FMCampaign{FAlt1: 0, FDelta: 1}.withDefaults() })
-	mustPanic(t, func() { FMCampaign{FAlt1: 1, FDelta: 1, NumAlts: 1}.withDefaults() })
+	mustPanic(t, func() { FMCampaign{FAlt1: 0, FDelta: 1}.validate() })
+	mustPanic(t, func() { FMCampaign{FAlt1: 1, FDelta: -1}.validate() })
 	mustPanic(t, func() { (&Runner{}).RunFM(FMCampaign{FAlt1: 400, FDelta: 60, F1: 0, F2: 1e5}) })
 }

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
 // FuzzCampaignValidate throws arbitrary — including non-finite — numeric
 // configurations at the campaign validator. The contract under test:
-// Validate never panics, and any campaign it accepts survives default
-// resolution with a finite, positive alternation ladder and a usable
-// threshold — i.e. Validate is the single gate RunE needs before doing
-// real work.
+// Validate never panics, answers the same config with the same error
+// every time, and any campaign it accepts survives default resolution
+// with a finite, positive alternation ladder and a usable threshold —
+// i.e. Validate is the single gate RunE needs before doing real work.
 func FuzzCampaignValidate(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	seeds := [][6]float64{
@@ -35,7 +37,11 @@ func FuzzCampaignValidate(f *testing.F) {
 			FAlt1: falt1, FDelta: fdelta,
 			MinScore: minScore, NumAlts: numAlts, Averages: averages,
 		}
-		if err := c.Validate(); err != nil {
+		err := c.Validate()
+		if again := c.Validate(); fmt.Sprint(again) != fmt.Sprint(err) {
+			t.Fatalf("Validate answered %v, then %v", err, again)
+		}
+		if err != nil {
 			return // rejected is always a fine answer
 		}
 		d := c.withDefaults()
@@ -51,4 +57,18 @@ func FuzzCampaignValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCampaignValidateNamesFirstField pins Validate's "first
+// configuration error" to declaration order: with several non-finite
+// fields, every call names F1.
+func TestCampaignValidateNamesFirstField(t *testing.T) {
+	c := Campaign{F1: math.NaN(), F2: 0.55e6, Fres: math.NaN(),
+		FAlt1: 43.3e3, FDelta: math.Inf(1)}
+	for i := 0; i < 100; i++ {
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "campaign F1 ") {
+			t.Fatalf("call %d: got %v, want the F1 error", i, err)
+		}
+	}
 }

@@ -99,8 +99,8 @@ func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaig
 	// generated alternation runs at fa·(1+ε) while scoring still probes
 	// the nominal ladder.
 	tr := microbench.Generate(microbench.Config{
-		X: c.X, Y: c.Y, FAlt: fa * (1 + c.Faults.DriftFor(seed)), Jitter: *c.Jitter,
-		Seed: seed,
+		X: c.X, Y: c.Y, FAlt: fa * (1 + c.Faults.DriftFor(seed)),
+		Jitter: microbench.DefaultJitter(), Seed: seed,
 	}, an.TotalDuration(f1, f2)+0.05)
 	// Journal track 1+i belongs to this ladder index: events within it
 	// are sequential, so the canonical journal is identical at any

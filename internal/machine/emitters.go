@@ -499,9 +499,17 @@ func (g *ConstantOnTimeRegulator) Carriers(f1, f2 float64) []float64 {
 // the planner never skips it.
 func (g *ConstantOnTimeRegulator) BandExtent() emsim.Extent { return emsim.Everywhere() }
 
+// cotBlock is how many pulses ConstantOnTimeRegulator.Render collects
+// on the stack before depositing them in one AddTrain call.
+const cotBlock = 64
+
 // Render implements emsim.Component: an event-driven pulse train. Each
 // switching cycle deposits one band-limited impulse whose area equals
 // amplitude·TOn; the cycle period follows the load-dependent frequency.
+// Pulses are collected in fixed-size stack blocks and each block is
+// downconverted and deposited by sig.ImpulseKernel.AddTrain, in pulse
+// order, so the output is bit-identical to depositing one kernel per
+// pulse (the reference the equivalence tests hold this path to).
 func (g *ConstantOnTimeRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	r := ctx.Rand
 	fs := ctx.Band.SampleRate
@@ -512,6 +520,9 @@ func (g *ConstantOnTimeRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	wander.Init(r)
 	cur := ctx.Loads()
 	duration := float64(ctx.N) / fs
+	pc := -2 * math.Pi * ctx.Band.Center
+	var poss, tks, qs [cotBlock]float64
+	n := 0
 	// Random phase within the first cycle.
 	t := ctx.Start - r.Float64()/g.F0
 	end := ctx.Start + duration
@@ -523,13 +534,16 @@ func (g *ConstantOnTimeRegulator) Render(dst []complex128, ctx *emsim.Context) {
 		}
 		t += 1 / f
 		pos := (t - ctx.Start) * fs
-		if pos >= 0 {
-			// Complex area includes the baseband downconversion phase.
-			ph := -2 * math.Pi * ctx.Band.Center * t
-			s, c := math.Sincos(ph)
-			impulseKernel8.Add(dst, pos, complex(q*c, q*s), fs)
+		if pos < 0 {
+			continue
+		}
+		poss[n], tks[n], qs[n] = pos, t, q
+		if n++; n == cotBlock {
+			impulseKernel8.AddTrain(dst, poss[:], tks[:], qs[:], pc, fs)
+			n = 0
 		}
 	}
+	impulseKernel8.AddTrain(dst, poss[:n], tks[:n], qs[:n], pc, fs)
 }
 
 // RefreshEmitter models DRAM refresh (§4.2): every tREFI (7.8 µs for

@@ -14,7 +14,8 @@ import (
 // The reference oracles of the render equivalence suite. Production has
 // one render path per emitter; these are the simpler walks it must match
 // bit for bit: the pre-segmentation per-sample regulator and SSC clock
-// renderers and the pre-blocking per-pulse refresh renderer.
+// renderers and the pre-blocking per-pulse refresh and constant-on-time
+// regulator renderers.
 
 // layering forwards a component's static-layer classification and
 // nothing else. The reference wrappers keep it because classification
@@ -41,8 +42,9 @@ func (l layering) Domain() activity.Domain {
 
 // oracle strips a scene component down to Name, Render, and its
 // static-layer classification, so the planner never culls or prepares it.
-// For the three load-following emitters Render runs the per-sample (or
-// per-pulse) oracle instead of the production kernel.
+// For the load-following emitters and the constant-on-time regulator
+// Render runs the per-sample (or per-pulse) oracle instead of the
+// production kernel.
 type oracle struct{ layering }
 
 func (o oracle) Name() string { return o.c.Name() }
@@ -54,6 +56,8 @@ func (o oracle) Render(dst []complex128, ctx *emsim.Context) {
 	case *SSCClock:
 		g.renderPerSample(dst, ctx)
 	case *RefreshEmitter:
+		g.renderPerPulse(dst, ctx)
+	case *ConstantOnTimeRegulator:
 		g.renderPerPulse(dst, ctx)
 	default:
 		o.c.Render(dst, ctx)
@@ -325,9 +329,16 @@ func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	}
 }
 
+// depositPulse deposits one downconverted pulse: a one-pulse AddTrain
+// call, the per-pulse reference the blocked renders must match.
+func depositPulse(dst []complex128, pos, t, q, fs, center float64) {
+	pc := -2 * math.Pi * center
+	impulseKernel8.AddTrain(dst, []float64{pos}, []float64{t}, []float64{q}, pc, fs)
+}
+
 // renderPerPulse is RefreshEmitter's pre-blocking render: the same grid
-// walk and draw sequence as Render, depositing one kernel per surviving
-// pulse with its own Sincos instead of the fused ImpulseKernel.AddTrain.
+// walk and draw sequence as Render, depositing each surviving pulse as
+// soon as it is drawn instead of collecting the train first.
 func (g *RefreshEmitter) renderPerPulse(dst []complex128, ctx *emsim.Context) {
 	if g.Ranks <= 0 {
 		panic(fmt.Sprintf("machine: refresh emitter %q needs at least one rank", g.Label))
@@ -365,10 +376,34 @@ func (g *RefreshEmitter) renderPerPulse(dst []complex128, ctx *emsim.Context) {
 			if pos < -16 || pos > float64(ctx.N)+16 {
 				continue
 			}
-			ph := -2 * math.Pi * ctx.Band.Center * tk
-			s, c := math.Sincos(ph)
-			qw := q * weights[rank]
-			impulseKernel8.Add(dst, pos, complex(qw*c, qw*s), fs)
+			depositPulse(dst, pos, tk, q*weights[rank], fs, ctx.Band.Center)
+		}
+	}
+}
+
+// renderPerPulse is ConstantOnTimeRegulator's pre-blocking render: the
+// same cycle walk and draw sequence as Render, depositing each pulse as
+// soon as it is drawn instead of in stack blocks.
+func (g *ConstantOnTimeRegulator) renderPerPulse(dst []complex128, ctx *emsim.Context) {
+	r := ctx.Rand
+	fs := ctx.Band.SampleRate
+	q := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) / g.F0 * nearGain(ctx)
+	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
+	wander.Init(r)
+	cur := ctx.Loads()
+	duration := float64(ctx.N) / fs
+	t := ctx.Start - r.Float64()/g.F0
+	end := ctx.Start + duration
+	for t < end {
+		load := g.Dom.Of(cur.At(t))
+		f := g.F0*(1+g.FreqSwing*load) + wander.Step(1/g.F0, r)
+		if f < g.F0/4 {
+			f = g.F0 / 4
+		}
+		t += 1 / f
+		pos := (t - ctx.Start) * fs
+		if pos >= 0 {
+			depositPulse(dst, pos, t, q, fs, ctx.Band.Center)
 		}
 	}
 }

@@ -123,3 +123,47 @@ func loadFollowingCarrier(scene *emsim.Scene, r *rand.Rand) (float64, bool) {
 	carriers := combs[r.Intn(len(combs))]
 	return carriers[r.Intn(len(carriers))], true
 }
+
+// TestConstantOnTimeBlockedRenderEquivalence holds the constant-on-time
+// regulator's blocked render (stack blocks of cotBlock pulses, one
+// AddTrain each) to its per-pulse oracle bit for bit, over captures from
+// a few pulses (one partial block) to a few thousand, with random bands,
+// starts, seeds, probe models and activity.
+func TestConstantOnTimeBlockedRenderEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(389))
+	kinds := []activity.Kind{activity.LDM, activity.LDL1, activity.LDL2, activity.Idle}
+	for trial := 0; trial < 60; trial++ {
+		reg := &ConstantOnTimeRegulator{
+			Label:          "cot",
+			F0:             300e3 + r.Float64()*200e3,
+			FreqSwing:      0.15,
+			TOn:            300e-9,
+			FundamentalDBm: -118,
+			WanderSigma:    r.Float64() * 4e3,
+			WanderTau:      5e-3,
+			Dom:            activity.DomainCore,
+		}
+		scene := &emsim.Scene{}
+		scene.Add(reg)
+		n := 256 << r.Intn(5) // 256..4096
+		fs := 1e6 + r.Float64()*19e6
+		trace := microbench.Generate(microbench.Config{
+			X: kinds[r.Intn(len(kinds))], Y: kinds[r.Intn(len(kinds))],
+			FAlt:   200 + r.Float64()*50e3,
+			Jitter: microbench.DefaultJitter(), Seed: r.Int63(),
+		}, 0.5)
+		capt := emsim.Capture{
+			Band:      emsim.Band{Center: 100e3 + r.Float64()*4e6, SampleRate: fs},
+			N:         n,
+			Start:     r.Float64() * 0.2,
+			Seed:      r.Int63(),
+			Activity:  trace,
+			NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
+		}
+		want := make([]complex128, n)
+		oracleScene(scene).RenderInto(want, capt)
+		got := make([]complex128, n)
+		scene.RenderInto(got, capt)
+		bitsEqual(t, "constant-on-time render", trial, got, want)
+	}
+}

@@ -100,15 +100,16 @@ type Config struct {
 	// FAlt is the target alternation frequency in Hz (one full X+Y cycle
 	// per 1/FAlt seconds).
 	FAlt float64
-	// Duty is the fraction of each period spent in X. Zero means 0.5,
-	// matching the paper ("activity X and activity Y are each done for
-	// half of the alternation period").
-	Duty float64
 	// Jitter models per-half-period timing variation.
 	Jitter Jitter
 	// Seed makes the run reproducible.
 	Seed int64
 }
+
+// duty is the fraction of each period spent in X, matching the paper
+// ("activity X and activity Y are each done for half of the alternation
+// period").
+const duty = 0.5
 
 // Generate simulates the alternation loop for the given duration and
 // returns the resulting activity trace. The trace always begins at t=0
@@ -119,13 +120,6 @@ func Generate(cfg Config, duration float64) *activity.Trace {
 	}
 	if duration <= 0 {
 		panic(fmt.Sprintf("microbench: duration must be positive, got %g", duration))
-	}
-	duty := cfg.Duty
-	if duty == 0 {
-		duty = 0.5
-	}
-	if duty <= 0 || duty >= 1 {
-		panic(fmt.Sprintf("microbench: duty %g out of (0, 1)", duty))
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	// Calibration: divide nominal durations by the jitter's mean so the

@@ -75,13 +75,13 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateDuty(t *testing.T) {
-	cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: 1000, Duty: 0.25, Jitter: NoJitter(), Seed: 1}
+	cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: 1000, Jitter: NoJitter(), Seed: 1}
 	tr := Generate(cfg, 0.01)
-	// X half lasts 0.25 ms, Y half 0.75 ms.
+	// X and Y each take half of the 1 ms period.
 	dx := tr.Segments[1].Start - tr.Segments[0].Start
 	dy := tr.Segments[2].Start - tr.Segments[1].Start
-	if math.Abs(dx-0.00025) > 1e-12 || math.Abs(dy-0.00075) > 1e-12 {
-		t.Errorf("duty 0.25: dx=%g dy=%g", dx, dy)
+	if math.Abs(dx-0.0005) > 1e-12 || math.Abs(dy-0.0005) > 1e-12 {
+		t.Errorf("duty 0.5: dx=%g dy=%g", dx, dy)
 	}
 }
 
@@ -105,7 +105,6 @@ func TestJitterMean(t *testing.T) {
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { Generate(Config{FAlt: 0}, 1) })
 	mustPanic(t, func() { Generate(Config{FAlt: 100}, 0) })
-	mustPanic(t, func() { Generate(Config{FAlt: 100, Duty: 1.5}, 1) })
 	mustPanic(t, func() {
 		j := Jitter{Multipliers: []float64{1}, Probs: []float64{1, 2}}
 		Generate(Config{FAlt: 100, Jitter: j}, 1)

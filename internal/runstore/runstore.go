@@ -2,12 +2,13 @@
 // directory and diffs archived runs, so bench and accuracy regressions
 // are diagnosable from artifacts instead of reruns.
 //
-// A run's identity is the SHA-256 of its canonicalized resolved config
-// (JSON with sorted keys — the seed is part of the config, so the key is
-// (config, seed) by construction), truncated to 12 hex digits. Archiving
-// the same configuration twice replaces the entry: bit-identical configs
-// name bit-identical runs. Entries are replaced atomically, so a reader
-// sees either the old manifest or the new one, never a torn file.
+// A run's identity is the SHA-256 of the model version and its
+// canonicalized resolved config (JSON with sorted keys — the seed is part
+// of the config, so the key is (model, config, seed) by construction),
+// truncated to 12 hex digits. Archiving the same configuration twice
+// replaces the entry: bit-identical configs name bit-identical runs.
+// Entries are replaced atomically, so a reader sees either the old
+// manifest or the new one, never a torn file.
 package runstore
 
 import (
@@ -30,6 +31,13 @@ import (
 // IDLen is the truncated hex length of a run id.
 const IDLen = 12
 
+// ModelVersion names the simulation model that produced a run, and is
+// hashed into every run id ahead of the config. Bump it in any commit
+// that changes a run's output for an unchanged config and seed: runs
+// archived under the old model then no longer answer the new ids, so a
+// store never serves a stale result as a cache hit.
+const ModelVersion = 1
+
 // Store is a directory of archived run manifests, one <id>.json each.
 type Store struct{ Dir string }
 
@@ -46,9 +54,10 @@ func Open(dir string) (*Store, error) {
 }
 
 // ConfigID computes the content address of a resolved config: the
-// SHA-256 of its canonical JSON (marshal → unmarshal into interface{} →
-// marshal again, so struct-produced and file-round-tripped configs — whose
-// Go types differ — hash identically; encoding/json sorts map keys).
+// SHA-256 of the model version followed by the config's canonical JSON
+// (marshal → unmarshal into interface{} → marshal again, so
+// struct-produced and file-round-tripped configs — whose Go types differ
+// — hash identically; encoding/json sorts map keys).
 func ConfigID(config any) (string, error) {
 	raw, err := json.Marshal(config)
 	if err != nil {
@@ -62,8 +71,10 @@ func ConfigID(config any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("runstore: canonicalize config: %w", err)
 	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:])[:IDLen], nil
+	h := sha256.New()
+	fmt.Fprintf(h, "fase-model/%d\n", ModelVersion)
+	h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil))[:IDLen], nil
 }
 
 // Entry is one archived run.

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -13,6 +15,7 @@ import (
 
 	"fase/internal/emsim"
 	"fase/internal/obs"
+	"fase/internal/runstore"
 )
 
 // tinyRequest is the shared fast campaign for service tests: a 60 kHz
@@ -327,6 +330,62 @@ func TestResubmitIdenticalServedFromCache(t *testing.T) {
 	waitTerminal(t, base, fresh.ID)
 	if fresh.ResultID == fin.ResultID {
 		t.Fatal("different seeds share a result id")
+	}
+}
+
+// TestStoreEntryFromOlderModelNotServed: a run archived before run ids
+// carried the model version sits at its config's unversioned address,
+// the SHA-256 of the canonical config JSON alone. Submitting that config
+// must render it afresh instead of serving the old manifest as a cache
+// hit.
+func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
+	dir := t.TempDir()
+	req := tinyRequest("acme", 9)
+	c, err := req.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := c.ResolvedConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(resultConfig{System: req.System, Environment: req.Environment, Scan: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canon any
+	if err := json.Unmarshal(raw, &canon); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	oldID := hex.EncodeToString(sum[:])[:runstore.IDLen]
+	stale, err := json.Marshal(&obs.Manifest{Schema: obs.ManifestSchema, Config: canon, Captures: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, oldID+".json"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, Config{Workers: 2, StoreDir: dir})
+	base := listen(t, s)
+	st, code := httpSubmit(t, base, req)
+	if code != http.StatusAccepted || st.Cached {
+		t.Fatalf("submit status %d cached %v, want a fresh job (202)", code, st.Cached)
+	}
+	if st.ResultID == oldID {
+		t.Fatalf("result id %s is the unversioned address", st.ResultID)
+	}
+	fin := waitTerminal(t, base, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+	}
+	if fin.Captures != 20 {
+		t.Fatalf("job reports %d captures, want the 20 it renders", fin.Captures)
 	}
 }
 

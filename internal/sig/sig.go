@@ -356,73 +356,21 @@ func NewImpulseKernel(halfTaps int) *ImpulseKernel {
 	return &ImpulseKernel{halfTaps: halfTaps, dTheta: dTheta, twoCosD: 2 * math.Cos(dTheta)}
 }
 
-// Add deposits an impulse of the given complex area (in units of
-// value·seconds) at continuous sample position pos into dst, where dst is
-// sampled at rate fs. Positions outside dst are clipped sample-by-sample.
+// AddTrain deposits a batch of downconverted impulses: for each pulse p
+// it computes the carrier phasor at the pulse time, area_p =
+// amp[p]·e^{i·omega·t[p]} (in units of value·seconds), and deposits it at
+// continuous sample position pos[p] into dst, sampled at rate fs.
+// Positions outside dst are clipped sample-by-sample. Pulses deposit in
+// order, so splitting a train into consecutive batches changes nothing.
 //
 // The tap values sinc(x)·(0.54 + 0.46·cos(πx/(h+1))) are generated by
 // recurrence rather than per-tap trig: sin(π(x+1)) = −sin(πx) makes the
 // sinc numerator alternate sign, and the window cosine follows the
 // Chebyshev recurrence cos(θ+Δ) = 2cosΔ·cosθ − cos(θ−Δ). Three trig calls
-// per impulse replace two per tap.
-func (k *ImpulseKernel) Add(dst []complex128, pos float64, area complex128, fs float64) {
-	center := int(math.Round(pos))
-	// The impulse in sample units has height area·fs distributed over the
-	// windowed sinc.
-	amp := area * complex(fs, 0)
-	h := k.halfTaps
-	lo := center - h
-	u0 := float64(lo) - pos // distance of the first tap from the impulse
-	s := math.Sin(math.Pi * u0)
-	theta0 := u0 * k.dTheta
-	c := math.Cos(theta0)
-	cPrev := math.Cos(theta0 - k.dTheta)
-	if lo >= 0 && center+h < len(dst) {
-		// Fully interior impulse (the common case): same tap arithmetic
-		// as below, minus the per-tap clip test.
-		for i := lo; i <= center+h; i++ {
-			u := float64(i) - pos
-			var snc float64
-			if u == 0 {
-				snc = 1
-			} else {
-				snc = s / (math.Pi * u)
-			}
-			w := 0.54 + 0.46*c
-			dst[i] += amp * complex(snc*w, 0)
-			s = -s
-			c, cPrev = k.twoCosD*c-cPrev, c
-		}
-		return
-	}
-	for i := lo; i <= center+h; i++ {
-		if i >= 0 && i < len(dst) {
-			u := float64(i) - pos
-			var snc float64
-			if u == 0 {
-				snc = 1
-			} else {
-				snc = s / (math.Pi * u)
-			}
-			w := 0.54 + 0.46*c
-			dst[i] += amp * complex(snc*w, 0)
-		}
-		s = -s
-		c, cPrev = k.twoCosD*c-cPrev, c
-	}
-}
-
-// AddTrain deposits a batch of downconverted impulses: for each pulse p
-// it computes the carrier phasor at the pulse time, area_p =
-// amp[p]·e^{i·omega·t[p]}, and deposits it at sample position pos[p] —
-// bit-identical to calling math.Sincos(omega·t[p]) and Add for each pulse
-// in order, since float addition into dst is applied pulse-major either
-// way. The fused form exists for the blocked impulse-train renderers: the
-// kernel geometry loads once, the interior fast path runs over a
-// bounds-check-free subslice, the per-pulse call overhead disappears, and
-// the carrier phasor never round-trips through a scratch array — the tap
-// arithmetic itself (recurrence seeds, sinc division, windowing,
-// accumulation order) is exactly Add's.
+// per impulse replace two per tap. The kernel geometry loads once per
+// batch, and the interior fast path runs over a bounds-check-free
+// subslice. The package tests hold AddTrain bit for bit to a per-pulse
+// reference deposit.
 func (k *ImpulseKernel) AddTrain(dst []complex128, pos, t, amp []float64, omega, fs float64) {
 	if len(pos) != len(t) || len(pos) != len(amp) {
 		panic(fmt.Sprintf("sig: AddTrain with %d positions, %d times, %d amplitudes",

@@ -7,7 +7,6 @@ import (
 
 	"fase/internal/activity"
 	"fase/internal/dsp/spectral"
-	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/microbench"
@@ -104,45 +103,5 @@ func TestSweepPlanCacheReuse(t *testing.T) {
 	})
 	if count != len(first) {
 		t.Errorf("second sweep grew the plan cache to %d entries (was %d)", count, len(first))
-	}
-}
-
-// TestConfigWindowDefault pins the Window zero-value semantics: the zero
-// value means "analyzer default" (Blackman-Harris), while every concrete
-// window — including Rectangular — is honored as-is.
-func TestConfigWindowDefault(t *testing.T) {
-	if got := (Config{Fres: 100}).withDefaults().Window; got != window.BlackmanHarris {
-		t.Errorf("zero-value Window resolves to %v, want BlackmanHarris", got)
-	}
-	for _, w := range []window.Type{window.Rectangular, window.Hann, window.BlackmanHarris} {
-		if got := (Config{Fres: 100, Window: w}).withDefaults().Window; got != w {
-			t.Errorf("Window %v not preserved: got %v", w, got)
-		}
-	}
-}
-
-// TestSweepRectangularWindowSelectable is the regression test for the
-// zero-value trap this sentinel fixes: asking for a rectangular window
-// must actually change the spectrum (before window.Default existed,
-// Rectangular WAS the zero value and silently became Blackman-Harris).
-func TestSweepRectangularWindowSelectable(t *testing.T) {
-	scene := &emsim.Scene{}
-	// A tone off the bin grid: leakage differs sharply between windows.
-	scene.Add(&tone{freq: 0.51237e6, dbm: -70})
-	run := func(w window.Type) *spectral.Spectrum {
-		an := New(Config{Fres: 100, MaxFFT: 4096, Parallelism: 1, Window: w})
-		return an.Sweep(Request{Scene: scene, F1: 0.45e6, F2: 0.6e6, Seed: 5})
-	}
-	def := run(window.Default)
-	rect := run(window.Rectangular)
-	same := true
-	for i := range def.PmW {
-		if math.Float64bits(def.PmW[i]) != math.Float64bits(rect.PmW[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("rectangular window produced the default window's spectrum")
 	}
 }

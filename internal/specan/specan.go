@@ -38,17 +38,9 @@ type Config struct {
 	// Averages is the number of traces averaged per segment (the paper
 	// averages 4 captures, §3). Zero means 4.
 	Averages int
-	// Window selects the FFT window. The zero value (window.Default)
-	// selects Blackman-Harris, whose -92 dB side lobes keep strong AM
-	// stations from burying the µW-level system signals; every concrete
-	// window — including window.Rectangular — is honored as given.
-	Window window.Type
 	// MaxFFT caps the per-segment transform size (power of two). Zero
 	// means 1<<17.
 	MaxFFT int
-	// UsableFrac is the fraction of each segment's bandwidth kept after
-	// discarding band edges. Zero means 0.75.
-	UsableFrac float64
 	// Parallelism bounds how many captures the analyzer renders and
 	// transforms concurrently, across all Sweep calls sharing this
 	// analyzer. Zero (or negative) means runtime.GOMAXPROCS(0). The
@@ -80,7 +72,7 @@ type Config struct {
 	// campaign's ladder sweeps on separate single-threaded analyzers, one
 	// per shard, all sharing the campaign's cache. Sharing is only
 	// meaningful between analyzers with identical geometry configuration
-	// (Fres, Averages, MaxFFT, UsableFrac, Window); cache keys carry the
+	// (Fres, Averages, MaxFFT); cache keys carry the
 	// full capture identity, so mismatched sharing is wasteful, never
 	// incorrect. Replay is bit-identical to live rendering at any
 	// Parallelism. Nil — the default, kept by one-off analyzers — renders
@@ -98,14 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.Averages == 0 {
 		c.Averages = 4
 	}
-	if c.Window == window.Default {
-		c.Window = window.BlackmanHarris
-	}
 	if c.MaxFFT == 0 {
 		c.MaxFFT = 1 << 17
-	}
-	if c.UsableFrac == 0 {
-		c.UsableFrac = 0.75
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -115,6 +101,15 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// analyzerWindow is the FFT window of every capture: Blackman-Harris,
+// whose -92 dB side lobes keep strong AM stations from burying the
+// µW-level system signals.
+const analyzerWindow = window.BlackmanHarris
+
+// usableFrac is the fraction of each segment's bandwidth kept after
+// discarding the band edges.
+const usableFrac = 0.75
 
 // Analyzer performs swept spectrum measurements of a scene. One analyzer
 // may serve concurrent Sweep calls; its Parallelism budget is shared
@@ -326,14 +321,14 @@ func (a *Analyzer) planSweep(f1, f2 float64) plan {
 	if needBins < 1 {
 		needBins = 1
 	}
-	nfft := fft.NextPow2(int(math.Ceil(float64(needBins) / a.cfg.UsableFrac)))
+	nfft := fft.NextPow2(int(math.Ceil(float64(needBins) / usableFrac)))
 	if nfft > a.cfg.MaxFFT {
 		nfft = a.cfg.MaxFFT
 	}
 	if nfft < 64 {
 		nfft = 64
 	}
-	perSeg := int(float64(nfft) * a.cfg.UsableFrac)
+	perSeg := int(float64(nfft) * usableFrac)
 	segs := (needBins + perSeg - 1) / perSeg
 	return plan{nfft: nfft, fs: float64(nfft) * a.cfg.Fres, needBins: needBins, perSeg: perSeg, segs: segs}
 }
@@ -457,7 +452,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		// parallelism exactly like the render itself.
 		fp.Apply(buf, band, capSeed)
 	}
-	spectral.PeriodogramInPlace(out, buf, p.fs, center, a.cfg.Window)
+	spectral.PeriodogramInPlace(out, buf, p.fs, center, analyzerWindow)
 	a.arena.PutComplex(buf)
 	a.cfg.Meter.record()
 	run.Capture(cs, t0, t1, a.CaptureDuration())

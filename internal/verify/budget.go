@@ -67,8 +67,8 @@ type BudgetReport struct {
 }
 
 // budgetCampaign is the per-scenario campaign of the budget pass.
-func (c Config) budgetCampaign(seed int64, budget int) core.Campaign {
-	camp := c.campaign(seed, nil, false)
+func budgetCampaign(seed int64, budget int) core.Campaign {
+	camp := campaign(seed, nil, false)
 	camp.MaxFFT = budgetMaxFFT
 	if budget > 0 {
 		camp.Budget = budget
@@ -87,11 +87,11 @@ func runBudget(cfg Config, scens []*scenario, spent *cost) (*BudgetReport, error
 	var perScenario int64
 	for _, sc := range scens {
 		runner := &core.Runner{Scene: sc.scene}
-		res, err := runner.RunE(cfg.budgetCampaign(sc.seed^0x5CA1AB1E, 0))
+		res, err := runner.RunE(budgetCampaign(sc.seed^0x5CA1AB1E, 0))
 		if err != nil {
 			return nil, fmt.Errorf("verify: budget reference scenario %d: %w", sc.index, err)
 		}
-		m := matchDetections(sc.truth, res.Detections, cfg.MatchToleranceHz)
+		m := matchDetections(sc.truth, res.Detections, matchToleranceHz)
 		rep.ExhaustiveFound += len(m.found)
 		rep.CarriersTotal += sc.planted
 		rep.ExhaustiveCaptures += res.Captures
@@ -107,11 +107,11 @@ func runBudget(cfg Config, scens []*scenario, spent *cost) (*BudgetReport, error
 		}
 		for _, sc := range scens {
 			runner := &core.Runner{Scene: sc.scene}
-			res, err := runner.RunE(cfg.budgetCampaign(sc.seed^0x5CA1AB1E, p.Budget))
+			res, err := runner.RunE(budgetCampaign(sc.seed^0x5CA1AB1E, p.Budget))
 			if err != nil {
 				return nil, fmt.Errorf("verify: budget %d scenario %d: %w", p.Budget, sc.index, err)
 			}
-			m := matchDetections(sc.truth, res.Detections, cfg.MatchToleranceHz)
+			m := matchDetections(sc.truth, res.Detections, matchToleranceHz)
 			p.CarriersFound += len(m.found)
 			p.FP += m.fp
 			p.CapturesUsed += res.Captures

@@ -31,12 +31,12 @@ type ReportConfig struct {
 
 func reportConfig(cfg Config) ReportConfig {
 	return ReportConfig{
-		F1: cfg.F1, F2: cfg.F2, Fres: cfg.Fres,
-		FAlt1: cfg.FAlt1, FDelta: cfg.FDelta,
-		X: cfg.X.String(), Y: cfg.Y.String(),
-		MinScore:         cfg.resolvedMinScore(),
-		MatchToleranceHz: cfg.MatchToleranceHz,
-		MinDelta:         cfg.MinDelta,
+		F1: corpusF1, F2: corpusF2, Fres: corpusFres,
+		FAlt1: corpusFAlt1, FDelta: corpusFDelta,
+		X: corpusX.String(), Y: corpusY.String(),
+		MinScore:         gateMinScore,
+		MatchToleranceHz: matchToleranceHz,
+		MinDelta:         minDelta,
 		FaultPlan:        cfg.Faults,
 	}
 }

@@ -225,16 +225,16 @@ func (a *rocAccum) add(sc *scenario, m matchResult) {
 }
 
 // points sweeps the threshold over the observed score range and emits up
-// to cfg.ROCPoints operating points (descending threshold: the curve
-// walks from conservative to permissive). The resolved gate threshold is
-// always included so the curve shows the shipped operating point.
-func (a *rocAccum) points(cfg Config) []ROCPoint {
+// to rocPoints operating points (descending threshold: the curve walks
+// from conservative to permissive). The gate threshold is always
+// included so the curve shows the shipped operating point.
+func (a *rocAccum) points() []ROCPoint {
 	sort.Float64s(a.tpScores)
 	sort.Float64s(a.fpScores)
 	sort.Float64s(a.carrierBest)
 
 	// Candidate thresholds: every distinct observed score, plus the gate.
-	seen := map[float64]bool{cfg.resolvedMinScore(): true, 0: true}
+	seen := map[float64]bool{gateMinScore: true, 0: true}
 	for _, s := range a.tpScores {
 		seen[s] = true
 	}
@@ -246,22 +246,21 @@ func (a *rocAccum) points(cfg Config) []ROCPoint {
 		cands = append(cands, t)
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(cands)))
-	if len(cands) > cfg.ROCPoints {
+	if len(cands) > rocPoints {
 		// Subsample evenly, keeping both ends and the gate threshold.
-		kept := make([]float64, 0, cfg.ROCPoints+1)
-		for i := 0; i < cfg.ROCPoints; i++ {
-			kept = append(kept, cands[i*(len(cands)-1)/(cfg.ROCPoints-1)])
+		kept := make([]float64, 0, rocPoints+1)
+		for i := 0; i < rocPoints; i++ {
+			kept = append(kept, cands[i*(len(cands)-1)/(rocPoints-1)])
 		}
-		gate := cfg.resolvedMinScore()
 		hasGate := false
 		for _, t := range kept {
-			if t == gate {
+			if t == gateMinScore {
 				hasGate = true
 				break
 			}
 		}
 		if !hasGate {
-			kept = append(kept, gate)
+			kept = append(kept, gateMinScore)
 			sort.Sort(sort.Reverse(sort.Float64Slice(kept)))
 		}
 		cands = kept

@@ -25,31 +25,14 @@ import (
 
 // Config tunes the accuracy harness. The zero value of every field
 // selects the default noted on it, so verify.Evaluate(verify.Config{})
-// runs the standard 60-scenario corpus.
+// runs the standard 60-scenario corpus. The corpus campaign, its
+// threshold and its ground-truth rules are fixed (see corpusF1 and the
+// constants beside it), so every report scores the same measurement.
 type Config struct {
 	// Scenarios is the corpus size. Zero means 60.
 	Scenarios int
 	// Seed drives corpus generation and every campaign. Zero means 1.
 	Seed int64
-	// F1, F2, Fres, FAlt1, FDelta parameterize the per-scenario campaign.
-	// Zero means the regulator-band corpus campaign: 200–900 kHz at
-	// 100 Hz RBW, f_alt 43.3 kHz, f_Δ 1 kHz.
-	F1, F2, Fres  float64
-	FAlt1, FDelta float64
-	// X, Y is the alternation pair. Both zero means LDM/LDL1 — a
-	// memory-only pair, so core-rail emitters are ground-truth decoys.
-	X, Y activity.Kind
-	// MinScore is the gated detection threshold (the campaign default 30
-	// when zero; core.MinScoreZero for a literal zero).
-	MinScore float64
-	// MatchToleranceHz is the radius within which a detection matches a
-	// ground-truth carrier. Zero means the campaign's merge radius
-	// (24 bins · Fres).
-	MatchToleranceHz float64
-	// MinDelta is the domain-load change below which a carrier does not
-	// count as modulated ground truth (see Scene.GroundTruth). Zero
-	// means 0.25.
-	MinDelta float64
 	// Faults is the measurement-chain degradation for the fault pass;
 	// nil skips that pass. Use DefaultFaultPlan for the standard suite.
 	Faults *emsim.FaultPlan
@@ -58,18 +41,54 @@ type Config struct {
 	// against an exhaustive reference at the pinned budgetMaxFFT (see
 	// budget.go), producing Report.Budget and its gates.
 	Budget bool
-	// Spec bounds the randomized systems; its F1/F2 are filled from the
-	// campaign band.
-	Spec machine.RandomSpec
-	// Parallelism is forwarded to each campaign. Zero means GOMAXPROCS.
-	Parallelism int
-	// ROCPoints caps the ROC sweep's resolution. Zero means 48.
-	ROCPoints int
 	// Obs, when non-nil, attaches run-level observability: the harness
 	// stages (generate / clean corpus / fault corpus) are timed, capture
 	// counts attributed, and the aggregate accuracy statistics folded
 	// into the finished run manifest (Manifest.Accuracy).
 	Obs *obs.Run
+}
+
+// The corpus campaign: the regulator band `make accuracy` gates and
+// fasebench mirrors, 200–900 kHz at 100 Hz RBW, f_alt 43.3 kHz, f_Δ 1 kHz,
+// on the campaign's default 5-entry ladder.
+const (
+	corpusF1, corpusF2 = 200e3, 900e3
+	corpusFres         = 100
+	corpusFAlt1        = 43.3e3
+	corpusFDelta       = 1e3
+	// corpusX, corpusY is a memory-only alternation pair, so core-rail
+	// emitters are ground-truth decoys.
+	corpusX, corpusY = activity.LDM, activity.LDL1
+	// gateMinScore is the gated detection threshold: the campaign
+	// default, which the gated pass leaves MinScore at.
+	gateMinScore = 30
+	// matchToleranceHz is the radius within which a detection matches a
+	// ground-truth carrier: the campaign's merge radius, 24 bins · Fres.
+	matchToleranceHz = 24 * corpusFres
+	// minDelta is the domain-load change below which a carrier does not
+	// count as modulated ground truth (see Scene.GroundTruth).
+	minDelta = 0.25
+	// rocPoints caps the ROC sweep's resolution.
+	rocPoints = 48
+)
+
+// corpusSpec bounds the randomized systems to the campaign band, and
+// keeps every pair of generated lines out of the detector's m·f_alt
+// ghost windows (see filterArtifacts): a weak carrier at such a spacing
+// from a much stronger one is correctly attributed to the strong
+// carrier's flanks and would be an unfindable truth. The windows cover
+// the 5-entry ladder and harmonics up to 5; the slack doubles the
+// detector's merge radius for margin.
+func corpusSpec() machine.RandomSpec {
+	const numAlts, maxHarmonic = 5, 5
+	const faltMin, faltMax = corpusFAlt1, corpusFAlt1 + (numAlts-1)*corpusFDelta
+	const slack = 2 * matchToleranceHz
+	spec := machine.RandomSpec{F1: corpusF1, F2: corpusF2}
+	for m := 1; m <= maxHarmonic; m++ {
+		spec.AvoidSpacings = append(spec.AvoidSpacings,
+			[2]float64{float64(m)*faltMin - slack, float64(m)*faltMax + slack})
+	}
+	return spec
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -82,66 +101,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.F1 == 0 && c.F2 == 0 {
-		c.F1, c.F2 = 200e3, 900e3
-	}
-	if c.Fres == 0 {
-		c.Fres = 100
-	}
-	if c.FAlt1 == 0 {
-		c.FAlt1 = 43.3e3
-	}
-	if c.FDelta == 0 {
-		c.FDelta = 1e3
-	}
-	if c.X == activity.Idle && c.Y == activity.Idle {
-		c.X, c.Y = activity.LDM, activity.LDL1
-	}
-	if c.MatchToleranceHz == 0 {
-		c.MatchToleranceHz = 24 * c.Fres
-	}
-	if c.MinDelta == 0 {
-		c.MinDelta = 0.25
-	}
-	if c.ROCPoints == 0 {
-		c.ROCPoints = 48
-	}
-	c.Spec.F1, c.Spec.F2 = c.F1, c.F2
-	if c.Spec.AvoidSpacings == nil {
-		// Keep every pair of generated lines out of the detector's m·f_alt
-		// ghost windows (see filterArtifacts): a weak carrier at such a
-		// spacing from a much stronger one is correctly attributed to the
-		// strong carrier's flanks and would be an unfindable truth. The
-		// ladder is the campaign default (5 alternation frequencies); the
-		// slack doubles the detector's merge radius for margin.
-		const numAlts, maxHarmonic = 5, 5
-		faltMin, faltMax := c.FAlt1, c.FAlt1+(numAlts-1)*c.FDelta
-		slack := 2 * 24 * c.Fres
-		for m := 1; m <= maxHarmonic; m++ {
-			c.Spec.AvoidSpacings = append(c.Spec.AvoidSpacings,
-				[2]float64{float64(m)*faltMin - slack, float64(m)*faltMax + slack})
-		}
-	}
 	if err := c.Faults.Validate(); err != nil {
 		return c, err
 	}
-	// Validate the rest by building the campaign once up front.
-	if err := c.campaign(0, nil, false).Validate(); err != nil {
-		return c, err
-	}
 	return c, nil
-}
-
-// resolvedMinScore is the gate threshold after sentinel resolution.
-func (c Config) resolvedMinScore() float64 {
-	switch c.MinScore {
-	case 0:
-		return 30
-	case core.MinScoreZero:
-		return 0
-	default:
-		return c.MinScore
-	}
 }
 
 // DefaultFaultPlan is the standard degradation suite the `make accuracy`
@@ -185,9 +148,9 @@ func newScenario(cfg Config, i int) *scenario {
 	seed := cfg.scenarioSeed(i)
 	for attempt := 0; ; attempt++ {
 		r := rand.New(rand.NewSource(seed + int64(attempt)*104729))
-		sys := machine.RandomSystem(r, cfg.Spec)
+		sys := machine.RandomSystem(r, corpusSpec())
 		scene := sys.Scene(seed, false)
-		truth := scene.GroundTruth(cfg.F1, cfg.F2, cfg.X, cfg.Y, cfg.MinDelta)
+		truth := scene.GroundTruth(corpusF1, corpusF2, corpusX, corpusY, minDelta)
 		sc := &scenario{index: i, seed: seed, scene: scene, truth: truth}
 		for _, t := range truth {
 			if t.Modulated {
@@ -202,17 +165,15 @@ func newScenario(cfg Config, i int) *scenario {
 	}
 }
 
-// campaign builds the per-scenario campaign. A nil scenario (cfg
-// validation) gets seed 0.
-func (c Config) campaign(seed int64, faults *emsim.FaultPlan, rocPass bool) core.Campaign {
+// campaign builds the per-scenario corpus campaign: the gated pass at
+// the default threshold, or the unthresholded ROC pass.
+func campaign(seed int64, faults *emsim.FaultPlan, rocPass bool) core.Campaign {
 	camp := core.Campaign{
-		F1: c.F1, F2: c.F2, Fres: c.Fres,
-		FAlt1: c.FAlt1, FDelta: c.FDelta,
-		X: c.X, Y: c.Y,
-		MinScore:    c.MinScore,
-		Seed:        seed,
-		Parallelism: c.Parallelism,
-		Faults:      faults,
+		F1: corpusF1, F2: corpusF2, Fres: corpusFres,
+		FAlt1: corpusFAlt1, FDelta: corpusFDelta,
+		X: corpusX, Y: corpusY,
+		Seed:   seed,
+		Faults: faults,
 	}
 	if rocPass {
 		camp.MinScore = core.MinScoreZero
@@ -257,7 +218,7 @@ func Evaluate(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.ROC = roc.points(cfg)
+	rep.ROC = roc.points()
 
 	if cfg.Faults != nil {
 		fault := run.Begin("fault_corpus")
@@ -308,19 +269,19 @@ func runCorpus(cfg Config, scens []*scenario, faults *emsim.FaultPlan, roc *rocA
 	for _, sc := range scens {
 		runner := &core.Runner{Scene: sc.scene}
 		campSeed := sc.seed ^ 0x5CA1AB1E
-		res, err := runner.RunE(cfg.campaign(campSeed, faults, false))
+		res, err := runner.RunE(campaign(campSeed, faults, false))
 		if err != nil {
 			return nil, fmt.Errorf("verify: scenario %d: %w", sc.index, err)
 		}
-		m := matchDetections(sc.truth, res.Detections, cfg.MatchToleranceHz)
+		m := matchDetections(sc.truth, res.Detections, matchToleranceHz)
 		corpus.add(sc, m)
 		spent.add(res)
 		if roc != nil {
-			resROC, err := runner.RunE(cfg.campaign(campSeed, faults, true))
+			resROC, err := runner.RunE(campaign(campSeed, faults, true))
 			if err != nil {
 				return nil, fmt.Errorf("verify: scenario %d (roc): %w", sc.index, err)
 			}
-			roc.add(sc, matchDetections(sc.truth, resROC.Detections, cfg.MatchToleranceHz))
+			roc.add(sc, matchDetections(sc.truth, resROC.Detections, matchToleranceHz))
 			spent.add(resROC)
 		}
 	}
