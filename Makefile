@@ -50,9 +50,9 @@ shuffle:
 	$(GO) test -shuffle=on ./...
 
 # equivalence runs the render oracle suite under the race detector: every
-# production render (planned, static-cached, run-length segmented, blocked
+# production render (culled, static-cached, run-length segmented, blocked
 # refresh, serial and parallel, faulted) must match its test-only reference
-# bit for bit — the per-sample emitter oracles, the unplanned uncached
+# bit for bit — the per-sample emitter oracles, the unculled uncached
 # wrapped scene — plus the journal and observability equivalences and the
 # manifest attribution gate (concurrent service jobs archive the same
 # manifests as their solo runs).

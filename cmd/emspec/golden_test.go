@@ -18,7 +18,7 @@ import (
 // calibration, and writeCSV's exact float formatting.
 //
 // The pinned bytes depend on the floating-point contract of the render
-// path (the equivalence suites guarantee planned/unplanned and parallel
+// path (the equivalence suites guarantee culled/unculled and parallel
 // renders are bit-identical, and Go's math library is reproducible across
 // platforms for these operations). A deliberate physics or calibration
 // change regenerates them with:

@@ -274,23 +274,6 @@ func probeHarmonics(hs []int) []int {
 	return hs
 }
 
-// reconSmoothBins is the recon-grid analogue of the campaign smoothing
-// default: matched to the f_Δ spacing in recon bins, which at coarse
-// ReconFres usually degenerates to 1 (no smoothing).
-func reconSmoothBins(c Campaign, reconFres float64) int {
-	w := int(0.9 * c.FDelta / reconFres)
-	if w > 15 {
-		w = 15
-	}
-	if w%2 == 0 {
-		w--
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // windowPad is the half-width a refinement window extends around its
 // candidate carrier: the ladder's largest f_alt (so every first-
 // harmonic side-band probe stays in span — out-of-span probes are
@@ -440,7 +423,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	for j, sp := range reconSpectra {
 		res.Measurements[j] = Measurement{FAlt: reconFAlts[j], Spectrum: sp}
 	}
-	reconSmoothed := smoothPooled(reconSpectra, reconSmoothBins(c, ap.ReconFres))
+	reconSmoothed := smoothPooled(reconSpectra, matchedSmoothBins(c.FDelta, ap.ReconFres))
 	// All campaign harmonics are scored on the recon grid — cheap at
 	// coarse resolution, and it gives every final detection full
 	// per-harmonic provenance on the Result's score maps.

@@ -46,13 +46,15 @@ type Campaign struct {
 	MinScore float64
 	// SmoothBins is the moving-average width (bins) applied to spectra
 	// before scoring, matched to the side-band linewidth. Zero means 9.
+	// At most the band's bin count.
 	SmoothBins int
 	// MergeBins is the radius (bins) within which detections from
-	// different harmonics merge into one carrier. Zero means 24.
+	// different harmonics merge into one carrier. Zero means 24. At most
+	// the band's bin count.
 	MergeBins int
 	// MinElevated is the number of sub-scores that must individually
 	// exceed 2× at a detection (see ScoreDetail). Zero means a majority
-	// (NumAlts/2 + 1); negative disables the gate.
+	// (NumAlts/2 + 1); negative disables the gate. At most NumAlts.
 	MinElevated int
 	// X, Y is the activity pair of the alternation micro-benchmark.
 	X, Y activity.Kind
@@ -100,10 +102,11 @@ const MinScoreZero = -1
 
 // Validate reports the first configuration error in the campaign:
 // inverted or empty frequency ranges, non-positive resolution, a
-// malformed alternation ladder, or a negative threshold that is not the
-// MinScoreZero sentinel. Runner.RunE calls it before doing any work, so
-// misconfiguration surfaces as a returned error instead of a panic deep
-// in the sweep or a silently empty result.
+// malformed alternation ladder, a negative threshold that is not the
+// MinScoreZero sentinel, a smoothing or merge width outside the band, or
+// an elevation gate no candidate can pass. Runner.RunE calls it before
+// doing any work, so misconfiguration surfaces as a returned error
+// instead of a panic deep in the sweep or a silently empty result.
 func (c Campaign) Validate() error {
 	// Non-finite inputs pass every ordered comparison below (NaN compares
 	// false against everything), so reject them explicitly before the
@@ -149,6 +152,21 @@ func (c Campaign) Validate() error {
 	if c.MinScore < 0 && c.MinScore != MinScoreZero {
 		return fmt.Errorf("core: campaign MinScore %g is negative (use MinScoreZero for a zero threshold)", c.MinScore)
 	}
+	// No width past the band's bin count means anything, and detection
+	// scans 2·MergeBins+1 bins of every measurement per candidate, so an
+	// unbounded width can hold a worker for hours.
+	bins := math.Round((c.F2 - c.F1) / c.Fres)
+	for _, w := range []struct {
+		name string
+		v    int
+	}{{"SmoothBins", c.SmoothBins}, {"MergeBins", c.MergeBins}} {
+		if w.v < 0 || float64(w.v) > bins {
+			return fmt.Errorf("core: campaign %s %d is outside [0, %g], the band's bin count", w.name, w.v, bins)
+		}
+	}
+	if c.MinElevated > n {
+		return fmt.Errorf("core: campaign MinElevated %d exceeds its %d measurements, so no candidate can pass", c.MinElevated, n)
+	}
 	if c.Averages < 0 {
 		return fmt.Errorf("core: campaign Averages must be non-negative, got %d", c.Averages)
 	}
@@ -191,20 +209,7 @@ func (c Campaign) withDefaults() Campaign {
 		c.MinScore = 30
 	}
 	if c.SmoothBins == 0 {
-		// Matched smoothing must stay below the f_Δ spacing in bins, or
-		// one measurement's side-band bleeds into the others' bins at the
-		// same frequency and suppresses the score.
-		w := int(0.9 * c.FDelta / c.Fres)
-		if w > 15 {
-			w = 15
-		}
-		if w%2 == 0 {
-			w--
-		}
-		if w < 1 {
-			w = 1
-		}
-		c.SmoothBins = w
+		c.SmoothBins = matchedSmoothBins(c.FDelta, c.Fres)
 	}
 	if c.MergeBins == 0 {
 		c.MergeBins = 24
@@ -218,6 +223,25 @@ func (c Campaign) withDefaults() Campaign {
 		c.Adaptive = &ap
 	}
 	return c
+}
+
+// matchedSmoothBins is the default smoothing width on a grid of fres
+// bins: matched smoothing must stay below the f_Δ spacing in bins, or one
+// measurement's side-band bleeds into the others' bins at the same
+// frequency and suppresses the score. At a coarse grid it degenerates to
+// 1 (no smoothing).
+func matchedSmoothBins(fdelta, fres float64) int {
+	w := int(0.9 * fdelta / fres)
+	if w > 15 {
+		w = 15
+	}
+	if w%2 == 0 {
+		w--
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // FAlts returns the campaign's alternation-frequency ladder.

@@ -35,7 +35,7 @@ func normalizedJournal(t *testing.T, j *obs.Journal) []byte {
 // TestEventJournalEquivalence pins the journal's determinism claim: the
 // canonical event stream (timestamps zeroed) must be byte-identical
 // across serial vs parallel rendering and the production vs reference
-// render path (opaqueScene: nothing culled or prepared), for
+// render path (opaqueScene: nothing culled), for
 // both the exhaustive and the adaptive planner. Runs under -race via
 // `make equivalence`, which also hammers the concurrent emission paths.
 func TestEventJournalEquivalence(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fase/internal/activity"
 	"fase/internal/dsp/demod"
@@ -13,6 +12,7 @@ import (
 	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/microbench"
+	"fase/internal/par"
 	"fase/internal/specan"
 )
 
@@ -147,30 +147,24 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 		// One frequency track per alternation frequency, captured
 		// concurrently (independent seeds and traces).
 		tracks := make([][]float64, fmNumAlts)
-		var wg sync.WaitGroup
-		for i, fa := range falts {
-			wg.Add(1)
-			go func(i int, fa float64) {
-				defer wg.Done()
-				tr := microbench.Generate(microbench.Config{
-					X: c.X, Y: c.Y, FAlt: fa, Jitter: microbench.DefaultJitter(),
-					Seed: c.Seed + int64(i)*7907,
-				}, float64(fmCaptureN)/fmFs+0.01)
-				x := r.Scene.Render(emsim.Capture{
-					Band:            emsim.Band{Center: fc, SampleRate: fmFs},
-					N:               fmCaptureN,
-					Activity:        tr,
-					Seed:            c.Seed + int64(i)*104729,
-					NearField:       r.NearField,
-					NearFieldGainDB: r.NearFieldGainDB,
-				})
-				sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop, window.Hann)
-				track := windowedPeakTrack(sg, fc, trackWin)
-				removeMean(track)
-				tracks[i] = track
-			}(i, fa)
-		}
-		wg.Wait()
+		par.Do(len(falts), func(i int) {
+			tr := microbench.Generate(microbench.Config{
+				X: c.X, Y: c.Y, FAlt: falts[i], Jitter: microbench.DefaultJitter(),
+				Seed: c.Seed + int64(i)*7907,
+			}, float64(fmCaptureN)/fmFs+0.01)
+			x := r.Scene.Render(emsim.Capture{
+				Band:            emsim.Band{Center: fc, SampleRate: fmFs},
+				N:               fmCaptureN,
+				Activity:        tr,
+				Seed:            c.Seed + int64(i)*104729,
+				NearField:       r.NearField,
+				NearFieldGainDB: r.NearFieldGainDB,
+			})
+			sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop, window.Hann)
+			track := windowedPeakTrack(sg, fc, trackWin)
+			removeMean(track)
+			tracks[i] = track
+		})
 		// Leave-one-out sub-scores at each measurement's own f_alt.
 		score := 1.0
 		var devSum float64

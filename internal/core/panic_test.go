@@ -51,3 +51,34 @@ func TestRunEPanicReachesCaller(t *testing.T) {
 		}
 	}
 }
+
+// activeBomb panics in every capture rendered under program activity:
+// RunFM's idle candidate sweep renders it harmlessly, and its per-f_alt
+// captures do not.
+type activeBomb struct{}
+
+func (activeBomb) Name() string { return "active bomb" }
+func (activeBomb) Render(_ []complex128, ctx *emsim.Context) {
+	if ctx.Activity != nil {
+		panic("bomb: active render failed")
+	}
+}
+
+// TestRunFMPanicReachesCaller: RunFM fans each candidate's per-f_alt
+// captures out to goroutines, and a render panic on one must surface on
+// its caller as a *par.Panic instead of taking the process down.
+func TestRunFMPanicReachesCaller(t *testing.T) {
+	scene := machine.IntelCoreI7Desktop().Scene(3, false)
+	scene.Add(activeBomb{})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		(&Runner{Scene: scene}).RunFM(FMCampaign{
+			F1: 0.28e6, F2: 0.36e6, FAlt1: 400, FDelta: 60,
+			X: activity.LDM, Y: activity.LDL1, Seed: 3,
+		})
+		return nil
+	}()
+	if p, ok := got.(*par.Panic); !ok || p.Value != "bomb: active render failed" {
+		t.Errorf("recovered %v, want the capture's panic as a *par.Panic", got)
+	}
+}

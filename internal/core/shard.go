@@ -101,7 +101,7 @@ func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaig
 	tr := microbench.Generate(microbench.Config{
 		X: c.X, Y: c.Y, FAlt: fa * (1 + c.Faults.DriftFor(seed)),
 		Jitter: microbench.DefaultJitter(), Seed: seed,
-	}, an.TotalDuration(f1, f2)+0.05)
+	}, traceSeconds(an, f1, f2))
 	// Journal track 1+i belongs to this ladder index: events within it
 	// are sequential, so the canonical journal is identical at any
 	// parallelism and any shard placement.
@@ -115,6 +115,31 @@ func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaig
 		Events: jt,
 		Ctx:    ctx,
 	})
+}
+
+// traceSeconds is the length of the alternation trace a sweep of
+// [f1, f2] on an generates: the analyzer's sweep time plus 50 ms of
+// slack.
+func traceSeconds(an *specan.Analyzer, f1, f2 float64) float64 {
+	return an.TotalDuration(f1, f2) + 0.05
+}
+
+// TraceSegments bounds the activity segments in the campaign's longest
+// alternation trace: two per period of the ladder's top f_alt, over the
+// trace of a full-band sweep at the campaign's resolution (traceSeconds).
+// Sweep time only falls with a coarser resolution, a narrower window or
+// fewer averages, so that sweep, priced with the recon pass's averages
+// when they are more, outlasts every adaptive recon and refinement sweep.
+// The campaign must be valid.
+func (c Campaign) TraceSegments() float64 {
+	c = c.withDefaults()
+	avg := c.Averages
+	if c.Adaptive != nil {
+		avg = max(avg, reconAverages)
+	}
+	an := specan.New(specan.Config{Fres: c.Fres, Averages: avg, MaxFFT: c.MaxFFT})
+	falts := c.FAlts()
+	return 2 * falts[len(falts)-1] * traceSeconds(an, c.F1, c.F2)
 }
 
 // ReduceShards merges the campaign's shard measurements — which must be

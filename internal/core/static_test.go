@@ -15,7 +15,7 @@ import (
 // TestCampaignEquivalenceStaticCache runs the same campaign through the
 // production path (static render cache attached) and through the
 // reference path — the scene wrapped in opaqueScene, which the planner
-// cannot cull or prepare, its shards rendered on an analyzer with no
+// cannot cull, its shards rendered on an analyzer with no
 // static cache and reduced by the same ReduceShards — and requires
 // bit-identical measurements and detections. Because every sweep of a
 // campaign shares the campaign seed, the cached run builds each capture's
@@ -82,9 +82,17 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 }
 
 // opaque hides every capability of a scene component but Name, Render,
-// and its static-layer classification, which stays because it fixes
-// render order (static layer first, see emsim.StaticRenderer).
+// its static-layer classification, which stays because it fixes render
+// order (static layer first, see emsim.StaticRenderer), and its Prepare,
+// which stays because the production kernels read their prep.
 type opaque struct{ emsim.Component }
+
+func (o opaque) Prepare(band emsim.Band, n int) any {
+	if p, ok := o.Component.(emsim.Prepper); ok {
+		return p.Prepare(band, n)
+	}
+	return nil
+}
 
 func (o opaque) Static(band emsim.Band, n int) bool {
 	s, ok := o.Component.(emsim.StaticRenderer)
@@ -104,7 +112,7 @@ func (o opaque) Domain() activity.Domain {
 }
 
 // opaqueScene wraps every component of s in opaque. A campaign over the
-// wrapped scene renders with nothing culled or prepared, which makes it
+// wrapped scene renders with nothing culled, which makes it
 // the reference path the campaign-level equivalence tests compare the
 // production path against.
 func opaqueScene(s *emsim.Scene) *emsim.Scene {

@@ -63,9 +63,9 @@ type Context struct {
 	// NearFieldGainDB is the probe gain applied to system emitters when
 	// NearField is set.
 	NearFieldGainDB float64
-	// Prep is the component's prepared per-segment state when the capture
-	// was rendered under a RenderPlan (see Prepper), nil otherwise.
-	// Renderers must produce bit-identical output with or without it.
+	// Prep is the component's prepared per-segment state: what its Prepare
+	// (see Prepper) returned for the capture's render plan. Every capture
+	// renders under a plan, so a Prepper's Render may rely on it.
 	Prep any
 }
 
@@ -154,10 +154,11 @@ type Capture struct {
 	Seed            int64
 	NearField       bool
 	NearFieldGainDB float64
-	// Plan, when non-nil, is a render plan computed by Scene.Plan for this
-	// capture's Band and N: components the plan marks inactive are skipped
-	// (their child-seed draw is still consumed, so output is bit-identical)
-	// and active components receive their prepared state via Context.Prep.
+	// Plan is a render plan computed by Scene.Plan for this capture's Band
+	// and N; RenderInto builds one when it is nil. Components the plan marks
+	// inactive are skipped (their child-seed draw is still consumed, so
+	// culling never shifts another component's stream) and active
+	// components receive their prepared state via Context.Prep.
 	Plan *RenderPlan
 	// Static, when non-nil, is the cached static layer built by
 	// Scene.BuildStaticSet for this exact capture identity (band, n, start,
@@ -238,9 +239,7 @@ func (s *Scene) renderOne(dst []complex128, sc *renderScratch, i int, plan *Rend
 	c := s.Components[i]
 	sc.child.Seed(sc.seeds[i])
 	sc.ctx.Rand = sc.child
-	if plan != nil {
-		sc.ctx.Prep = plan.prep[i]
-	}
+	sc.ctx.Prep = plan.prep[i]
 	if run != nil {
 		t0 := time.Now()
 		c.Render(dst, &sc.ctx)
@@ -269,10 +268,10 @@ func (s *Scene) Render(cap Capture) []complex128 {
 // calls on one Scene are safe as long as every component's Render is
 // (all components in this repository are).
 //
-// Every path — planned or not, cached or live — renders in one order: the
-// static layer first (see StaticRenderer), then the remaining active
-// components, each pass in component-index order. With cap.Static set the
-// first pass is a copy of the cached layer.
+// Every capture renders under a plan (built here when cap.Plan is nil)
+// and in one order: the static layer first (see StaticRenderer), then the
+// remaining active components, each pass in component-index order. With
+// cap.Static set the first pass is a copy of the cached layer.
 func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	if cap.N <= 0 {
 		panic(fmt.Sprintf("emsim: capture length %d must be positive", cap.N))
@@ -284,11 +283,9 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 		panic(fmt.Sprintf("emsim: destination has %d samples for a %d-sample capture", len(dst), cap.N))
 	}
 	sc := scratchPool.Get().(*renderScratch)
-	plan := cap.Plan
-	if plan != nil {
-		plan.check(cap, len(s.Components))
-		cap.Obs.Count(obs.StatRenderSkips, int64(plan.ncomp-plan.nactive))
-	}
+	plan := s.planFor(cap)
+	cap.Plan = plan
+	cap.Obs.Count(obs.StatRenderSkips, int64(plan.ncomp-plan.nactive))
 	static := cap.Static
 	if static != nil {
 		static.check(cap, len(s.Components))
@@ -333,7 +330,7 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 		})
 	}
 	for i := range s.Components {
-		if layered[i] || (plan != nil && !plan.active[i]) {
+		if layered[i] || !plan.active[i] {
 			continue
 		}
 		s.renderOne(dst, sc, i, plan, run)

@@ -102,13 +102,8 @@ func (a *AMStation) Render(dst []complex128, ctx *Context) {
 	}
 	// Program audio: three tones between 300 Hz and 4 kHz. Frequencies
 	// and relative amplitudes are fixed per station (stationary program
-	// spectrum); phases are drawn per capture.
-	var tones stationTones
-	if pre, ok := ctx.Prep.(*stationTones); ok {
-		tones = *pre
-	} else {
-		tones = deriveTones(a.AudioSeed^int64(a.Freq), 3700)
-	}
+	// spectrum, from Prepare); phases are drawn per capture.
+	tones := *ctx.Prep.(*stationTones)
 	var phases [3]float64
 	for i := range phases {
 		phases[i] = 2 * math.Pi * ctx.Rand.Float64()
@@ -206,12 +201,7 @@ func (s *FMStation) Render(dst []complex128, ctx *Context) {
 	if dev == 0 {
 		dev = 75e3
 	}
-	var tones stationTones
-	if pre, ok := ctx.Prep.(*stationTones); ok {
-		tones = *pre
-	} else {
-		tones = deriveTones(s.AudioSeed^int64(s.Freq), 7000)
-	}
+	tones := *ctx.Prep.(*stationTones)
 	var phases [3]float64
 	for i := range phases {
 		phases[i] = 2 * math.Pi * ctx.Rand.Float64()
@@ -278,15 +268,6 @@ type bgPrep struct {
 	sd []float64
 }
 
-// binSD computes the frequency-domain standard deviation of bin k for an
-// n-bin capture starting at f0 — the exact expression Render evaluates.
-func (b *Background) binSD(f0, fres, fs float64, n, k int) float64 {
-	f := f0 + float64(k)*fres
-	// Bin variance n·N0(f)·fs gives time-domain density N0 after the
-	// 1/n of the inverse transform.
-	return math.Sqrt(float64(n) * b.densityMwPerHz(f) * fs / 2)
-}
-
 // Prepare implements Prepper: the per-bin standard deviations — the
 // expensive part of the density shaping (a Gaussian per hill plus a
 // dB→mW conversion per bin) — are computed once per segment instead of
@@ -297,7 +278,9 @@ func (b *Background) Prepare(band Band, n int) any {
 	fres := fs / float64(n)
 	sd := make([]float64, n)
 	for k := range sd {
-		sd[k] = b.binSD(f0, fres, fs, n, k)
+		// Bin variance n·N0(f)·fs gives time-domain density N0 after the
+		// 1/n of the inverse transform.
+		sd[k] = math.Sqrt(float64(n) * b.densityMwPerHz(f0+float64(k)*fres) * fs / 2)
 	}
 	return &bgPrep{sd: sd}
 }
@@ -306,13 +289,11 @@ func (b *Background) Prepare(band Band, n int) any {
 // environmental — activity never shapes them.
 func (b *Background) Static(Band, int) bool { return true }
 
-// Render implements Component.
+// Render implements Component: Gaussian bins shaped by the prepared
+// per-bin deviations, inverse-transformed.
 func (b *Background) Render(dst []complex128, ctx *Context) {
 	n := ctx.N
 	plan := fft.PlanFor(n)
-	fs := ctx.Band.SampleRate
-	f0 := ctx.Band.Center - fs/2
-	fres := fs / float64(n)
 	r := ctx.Rand
 	spec := bufpool.Complex(n)
 	// Fill bins directly in post-ifftshift (FFT) order: ascending-frequency
@@ -320,21 +301,10 @@ func (b *Background) Render(dst []complex128, ctx *Context) {
 	// exact index permutation fft.InverseShift would apply — same values,
 	// same noise-draw order, no rotate pass over the buffer.
 	j := n - n/2
-	if pre, ok := ctx.Prep.(*bgPrep); ok && len(pre.sd) == n {
-		for k := range spec {
-			sd := pre.sd[k]
-			spec[j] = complex(sd*r.NormFloat64(), sd*r.NormFloat64())
-			if j++; j == n {
-				j = 0
-			}
-		}
-	} else {
-		for k := 0; k < n; k++ {
-			sd := b.binSD(f0, fres, fs, n, k)
-			spec[j] = complex(sd*r.NormFloat64(), sd*r.NormFloat64())
-			if j++; j == n {
-				j = 0
-			}
+	for _, sd := range ctx.Prep.(*bgPrep).sd {
+		spec[j] = complex(sd*r.NormFloat64(), sd*r.NormFloat64())
+		if j++; j == n {
+			j = 0
 		}
 	}
 	plan.Inverse(spec)

@@ -67,15 +67,14 @@ type Extenter interface {
 // precompute per-segment state — in-band harmonic lists, base rotator
 // phasors, per-bin noise densities — that depends only on the capture
 // geometry (band and sample count), not on seed, start time, or activity.
-// The prepared value is handed back through Context.Prep on every capture
-// rendered under the plan. Prepared values must be read-only during Render
-// (one plan serves concurrent captures) and must be computed by the same
-// expressions Render would evaluate inline, so planned rendering stays
-// bit-identical to unplanned rendering.
+// Prepare is the one derivation of that state: the plan hands its value
+// back through Context.Prep on every capture, and every capture renders
+// under a plan, so Render may rely on it. Prepared values must be
+// read-only during Render (one plan serves concurrent captures).
 type Prepper interface {
 	Component
 	// Prepare returns the per-segment state for captures of n samples in
-	// the given band, or nil if there is nothing useful to precompute.
+	// the given band.
 	Prepare(band Band, n int) any
 }
 
@@ -101,10 +100,9 @@ type RenderPlan struct {
 
 // Plan computes the render plan for captures of n samples in the given
 // band: every component's extent is tested against the band once, and
-// active Preppers precompute their per-segment state. Rendering with the
-// returned plan is bit-identical to rendering without it — skipped
-// components still consume their child-seed draw (see RenderInto), and
-// prepared state reproduces exactly what Render would compute inline.
+// active Preppers precompute their per-segment state. Culling is exact:
+// a skipped component would have left the capture unchanged (see
+// Extenter), and it still consumes its child-seed draw (see RenderInto).
 func (s *Scene) Plan(band Band, n int) *RenderPlan {
 	p := &RenderPlan{
 		band:   band,
@@ -151,6 +149,16 @@ func (p *RenderPlan) StaticCount() int { return p.nstatic }
 // as conditionally static (cacheable when their window load is constant)
 // for this geometry.
 func (p *RenderPlan) CondStaticCount() int { return p.ncond }
+
+// planFor returns the capture's render plan, checked against the capture
+// and the scene, or plans the capture's geometry when it brings no plan.
+func (s *Scene) planFor(cap Capture) *RenderPlan {
+	if cap.Plan == nil {
+		return s.Plan(cap.Band, cap.N)
+	}
+	cap.Plan.check(cap, len(s.Components))
+	return cap.Plan
+}
 
 // check panics if the plan was computed for a different capture geometry
 // or component list than the one being rendered.

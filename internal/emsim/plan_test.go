@@ -63,34 +63,71 @@ func TestEnvironmentBandExtents(t *testing.T) {
 	}
 }
 
-// TestEnvironmentExtentExactness checks the Extenter contract's empty
-// side for the environment sources: a band the extent does not overlap
-// gets no energy from Render.
-func TestEnvironmentExtentExactness(t *testing.T) {
-	comps := []Component{
-		&AMStation{Call: "X", Freq: 750e3, PowerMw: 1e-9, AudioSeed: 3},
-		&FMStation{Call: "Y", Freq: 98.5e6, PowerMw: 1e-9, AudioSeed: 4},
+// renderDirect renders c alone into an n-sample capture of band by
+// calling its Render directly, with its own prep: no plan culls it.
+func renderDirect(c Component, band Band, n int, seed int64) []complex128 {
+	ctx := &Context{Band: band, N: n, Rand: rand.New(rand.NewSource(seed))}
+	if p, ok := c.(Prepper); ok {
+		ctx.Prep = p.Prepare(band, n)
 	}
-	band := Band{Center: 5e6, SampleRate: 1e5} // overlaps neither carrier
-	for _, c := range comps {
-		e := c.(Extenter).BandExtent()
-		if e.Overlaps(band) {
-			t.Fatalf("%s: extent unexpectedly overlaps %+v", c.Name(), band)
-		}
-		scene := &Scene{}
-		scene.Add(c)
-		dst := scene.Render(Capture{Band: band, N: 512, Seed: 11})
-		for i, v := range dst {
-			if v != 0 {
-				t.Fatalf("%s: rendered energy %v at sample %d outside its extent", c.Name(), v, i)
+	dst := make([]complex128, n)
+	c.Render(dst, ctx)
+	return dst
+}
+
+// TestEnvironmentExtentExactness checks the Extenter contract for the
+// environment sources, on their carriers and far from them: a band the
+// extent does not overlap gets no energy from Render. Rendering directly
+// keeps the planner's culling out of the check.
+func TestEnvironmentExtentExactness(t *testing.T) {
+	far := Band{Center: 5e6, SampleRate: 1e5} // overlaps neither carrier
+	for _, tc := range []struct {
+		c       Component
+		carrier float64
+	}{
+		{&AMStation{Call: "X", Freq: 750e3, PowerMw: 1e-9, AudioSeed: 3}, 750e3},
+		{&FMStation{Call: "Y", Freq: 98.5e6, PowerMw: 1e-9, AudioSeed: 4}, 98.5e6},
+	} {
+		e := tc.c.(Extenter).BandExtent()
+		rendered := false
+		for _, band := range []Band{{Center: tc.carrier, SampleRate: 1e5}, far} {
+			for i, v := range renderDirect(tc.c, band, 512, 11) {
+				if v == 0 {
+					continue
+				}
+				if !e.Overlaps(band) {
+					t.Fatalf("%s: rendered energy %v at sample %d in %+v, outside its extent", tc.c.Name(), v, i, band)
+				}
+				rendered = true
 			}
+		}
+		if !rendered {
+			t.Fatalf("%s rendered no energy on its own carrier; the check is vacuous", tc.c.Name())
 		}
 	}
 }
 
-// TestPlanEquivalenceEnvironment renders an environment scene with and
-// without a plan and requires bit-identical output while the plan culls
-// the out-of-band stations.
+// unculled hides a component's extent from the planner while forwarding
+// its static classification and its prep, so every plan renders it: the
+// reference a plan's culling must reproduce.
+type unculled struct{ Component }
+
+func (u unculled) Static(band Band, n int) bool {
+	s, ok := u.Component.(StaticRenderer)
+	return ok && s.Static(band, n)
+}
+
+func (u unculled) Prepare(band Band, n int) any {
+	if p, ok := u.Component.(Prepper); ok {
+		return p.Prepare(band, n)
+	}
+	return nil
+}
+
+// TestPlanEquivalenceEnvironment renders an environment scene under a
+// plan that culls the out-of-band stations and requires output
+// bit-identical to the same scene wrapped in unculled, which renders
+// every component.
 func TestPlanEquivalenceEnvironment(t *testing.T) {
 	scene := &Scene{}
 	scene.Add(
@@ -100,6 +137,10 @@ func TestPlanEquivalenceEnvironment(t *testing.T) {
 		&Background{FloorDBmPerHz: -170, Hills: []Hill{{Center: 1.1e6, Width: 200e3, GainDB: 6}}},
 		&testTone{freq: 1.02e6, amp: 1e-6}, // non-Extenter: always active
 	)
+	ref := &Scene{}
+	for _, c := range scene.Components {
+		ref.Add(unculled{c})
+	}
 	band := Band{Center: 1.05e6, SampleRate: 409600}
 	const n = 4096
 	plan := scene.Plan(band, n)
@@ -108,16 +149,13 @@ func TestPlanEquivalenceEnvironment(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		capt := Capture{Band: band, N: n, Seed: seed, Start: float64(seed) * 0.01}
-		planned := make([]complex128, n)
-		unplanned := make([]complex128, n)
+		want := ref.Render(capt)
 		capt.Plan = plan
-		scene.RenderInto(planned, capt)
-		capt.Plan = nil
-		scene.RenderInto(unplanned, capt)
-		for i := range planned {
-			if planned[i] != unplanned[i] {
-				t.Fatalf("seed %d: planned[%d]=%v != unplanned[%d]=%v",
-					seed, i, planned[i], i, unplanned[i])
+		got := scene.Render(capt)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: planned[%d]=%v != unculled[%d]=%v",
+					seed, i, got[i], i, want[i])
 			}
 		}
 	}

@@ -117,31 +117,24 @@ func (st *StaticSet) Components() int { return st.cached }
 // the capture's static layer: the components classified static for its
 // geometry, and the conditionally static ones whose domain load is
 // constant across the capture window (cond is then true and load is that
-// constant). A plan supplies the classification precomputed per segment
-// and excludes the components it culls. The cache key
-// (AppendCondStaticKey), the set build (BuildStaticSet), and the live
-// render order (RenderInto) all walk the layer through here, so they agree
-// on its membership by construction.
+// constant). The capture's plan, which callers resolve first, supplies the
+// classification precomputed per segment and excludes the components it
+// culls. The cache key (AppendCondStaticKey), the set build
+// (BuildStaticSet), and the live render order (RenderInto) all walk the
+// layer through here, so they agree on its membership by construction.
 func (s *Scene) forEachLayered(cap Capture, fn func(i int, cond bool, load float64)) {
-	plan := cap.Plan
 	tr := cap.Activity
 	if tr == nil {
 		tr = idleTrace
 	}
 	dt := 1 / cap.Band.SampleRate
 	t1 := cap.Start + float64(cap.N-1)*dt
-	for i, c := range s.Components {
-		var cl layerClass
-		if plan != nil {
-			cl = plan.class[i]
-		} else {
-			cl = classify(c, cap.Band, cap.N)
-		}
+	for i, cl := range cap.Plan.class {
 		switch cl {
 		case staticLayer:
 			fn(i, false, 0)
 		case condLayer:
-			if load, ok := tr.DomainConstant(c.(CondStaticRenderer).Domain(), cap.Start, t1); ok {
+			if load, ok := tr.DomainConstant(s.Components[i].(CondStaticRenderer).Domain(), cap.Start, t1); ok {
 				fn(i, true, load)
 			}
 		}
@@ -164,9 +157,11 @@ func appendCondKey(dst []byte, i int, load float64) []byte {
 // conditionally static component whose domain load is constant across the
 // capture window. Two captures with equal static identity and equal keys
 // render the same static layer bit for bit; the empty key means no
-// component qualifies under this activity trace. Allocation-free when dst
-// has capacity.
+// component qualifies under this activity trace. A capture with no plan is
+// planned the way RenderInto plans it. Allocation-free when dst has
+// capacity and the capture brings its plan.
 func (s *Scene) AppendCondStaticKey(dst []byte, cap Capture) []byte {
+	cap.Plan = s.planFor(cap)
 	s.forEachLayered(cap, func(i int, cond bool, load float64) {
 		if cond {
 			dst = appendCondKey(dst, i, load)
@@ -182,16 +177,14 @@ func (s *Scene) AppendCondStaticKey(dst []byte, cap Capture) []byte {
 // trace, so a misclassified component diverges from the live render
 // immediately rather than matching one scan's activity by accident.
 // Conditionally static members get the capture's trace, whose projection
-// onto their domain is the window-constant load the set's key records.
-// Returns nil when no component qualifies.
+// onto their domain is the window-constant load the set's key records. A
+// capture with no plan is planned the way RenderInto plans it. Returns nil
+// when no component qualifies.
 func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	if cap.N <= 0 || cap.Band.SampleRate <= 0 {
 		panic(fmt.Sprintf("emsim: invalid static-set capture geometry %+v", cap.Band))
 	}
-	plan := cap.Plan
-	if plan != nil {
-		plan.check(cap, len(s.Components))
-	}
+	cap.Plan = s.planFor(cap)
 	st := &StaticSet{
 		band:            cap.Band,
 		start:           cap.Start,
@@ -216,7 +209,7 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 			cond = appendCondKey(cond, i, load)
 			sc.ctx.Activity = cap.Activity
 		}
-		s.renderOne(st.layer, sc, i, plan, nil)
+		s.renderOne(st.layer, sc, i, cap.Plan, nil)
 	})
 	sc.end()
 	if st.cached == 0 {

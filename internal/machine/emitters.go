@@ -21,13 +21,12 @@ import (
 )
 
 // combScratch holds the per-render working set of a harmonic-comb
-// synthesis (harmonic numbers, phasors, step factors). A scene renders
-// dozens of comb emitters per capture, so this state is pooled to keep
-// steady-state rendering allocation-free.
+// synthesis (phasors, power chains, amplitudes). A scene renders dozens of
+// comb emitters per capture, so this state is pooled to keep steady-state
+// rendering allocation-free.
 type combScratch struct {
-	ns                        []int
-	z, stepStatic, wpow, dpow []complex128
-	amp                       []float64
+	z, wpow, dpow []complex128
+	amp           []float64
 }
 
 var combPool = sync.Pool{New: func() any { return new(combScratch) }}
@@ -36,13 +35,11 @@ var combPool = sync.Pool{New: func() any { return new(combScratch) }}
 func (cs *combScratch) grow(k int) {
 	if cap(cs.z) < k {
 		cs.z = make([]complex128, k)
-		cs.stepStatic = make([]complex128, k)
 		cs.wpow = make([]complex128, k)
 		cs.dpow = make([]complex128, k)
 		cs.amp = make([]float64, k)
 	}
 	cs.z = cs.z[:k]
-	cs.stepStatic = cs.stepStatic[:k]
 	cs.wpow = cs.wpow[:k]
 	cs.dpow = cs.dpow[:k]
 	cs.amp = cs.amp[:k]
@@ -51,10 +48,8 @@ func (cs *combScratch) grow(k int) {
 // combPrep is the per-segment state of a harmonic-comb emitter under a
 // render plan: the in-band harmonic numbers and each harmonic's static
 // per-sample rotation (the nominal comb-line offset from the band center).
-// Both depend only on the capture geometry, and both are computed by the
-// exact expressions Render evaluates inline, so planned and unplanned
-// output agree bit for bit. Read-only once built — one prep serves
-// concurrent captures.
+// Both depend only on the capture geometry. Read-only once built — one
+// prep serves concurrent captures.
 type combPrep struct {
 	ns         []int
 	stepStatic []complex128
@@ -317,25 +312,13 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
 		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
 	}
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n++ {
-			if ctx.Band.Contains(float64(n) * g.FSw) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
+	pre := ctx.Prep.(*combPrep)
+	ns := pre.ns
 	if len(ns) == 0 {
 		return
 	}
+	cs := combPool.Get().(*combScratch)
+	defer combPool.Put(cs)
 	r := ctx.Rand
 	dt := ctx.Dt()
 	fs := ctx.Band.SampleRate
@@ -353,22 +336,13 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	base := 2 * math.Pi * r.Float64()
 	cs.grow(len(ns))
 	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
 	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
+		s, c := math.Sincos(wrapPhase(float64(n) * base))
 		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
 		wpow[k] = 1
 	}
 	z = z[:len(ns)]
-	stepStatic = stepStatic[:len(z)]
+	stepStatic := pre.stepStatic[:len(z)]
 	dpow = dpow[:len(z)]
 	amp = amp[:len(z)]
 	runs := ctx.DomainRuns(g.Dom)
@@ -744,7 +718,7 @@ func (g *SSCClock) Carriers(f1, f2 float64) []float64 {
 }
 
 // sscInBand reports whether harmonic n's swept range [n·(F0−Spread), n·F0]
-// intersects the band — the shared gate of Render, Prepare, and BandExtent
+// intersects the band — Prepare's gate, which BandExtent's spans reproduce
 // (via Band.Overlaps, which is equivalent for lo <= hi).
 func (g *SSCClock) sscInBand(band emsim.Band, n int) bool {
 	fn := float64(n)
@@ -810,26 +784,14 @@ func (g *SSCClock) CondStatic(emsim.Band, int) bool { return true }
 // construction, so the output is bit-identical to that walk (the
 // reference the equivalence tests hold this path to).
 func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
-	// Collect odd harmonics whose swept range intersects the band.
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if g.sscInBand(ctx.Band, n) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
+	// The odd harmonics whose swept range intersects the band.
+	pre := ctx.Prep.(*combPrep)
+	ns := pre.ns
 	if len(ns) == 0 {
 		return
 	}
+	cs := combPool.Get().(*combScratch)
+	defer combPool.Put(cs)
 	r := ctx.Rand
 	dt := ctx.Dt()
 	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) * nearGain(ctx)
@@ -837,18 +799,10 @@ func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
 	ssc.Start(r)
 	cs.grow(len(ns))
 	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
+	stepStatic := pre.stepStatic
 	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * ssc.Phase()))
+		s, c := math.Sincos(wrapPhase(float64(n) * ssc.Phase()))
 		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
 		fpow[k] = 1
 	}
 	spread := g.SpreadHz != 0
@@ -949,25 +903,13 @@ func (g *UnmodulatedClock) Static(emsim.Band, int) bool { return true }
 
 // Render implements emsim.Component.
 func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if ctx.Band.Contains(float64(n) * g.F0) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
+	pre := ctx.Prep.(*combPrep)
+	ns := pre.ns
 	if len(ns) == 0 {
 		return
 	}
+	cs := combPool.Get().(*combScratch)
+	defer combPool.Put(cs)
 	r := ctx.Rand
 	dt := ctx.Dt()
 	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10))
@@ -979,25 +921,17 @@ func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
 	base := 2 * math.Pi * r.Float64()
 	cs.grow(len(ns))
 	z, wpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
 	for k, n := range ns {
 		fn := float64(n)
 		s, c := math.Sincos(wrapPhase(fn * base))
 		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
 		wpow[k] = 1
-		amp[k] = a0 / float64(n)
+		amp[k] = a0 / fn
 	}
 	// Re-slice the working arrays to a common length so the hot loops
 	// index them without bounds checks.
 	z = z[:len(ns)]
-	stepStatic = stepStatic[:len(z)]
+	stepStatic := pre.stepStatic[:len(z)]
 	amp = amp[:len(z)]
 	renorm := 0
 	if g.WanderSigma == 0 {

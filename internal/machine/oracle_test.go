@@ -44,7 +44,9 @@ func (l layering) Domain() activity.Domain {
 // static-layer classification, so the planner never culls or prepares it.
 // For the load-following emitters and the constant-on-time regulator
 // Render runs the per-sample (or per-pulse) oracle instead of the
-// production kernel.
+// production kernel; the regulator and SSC oracles derive their in-band
+// harmonics inline, checking Prepare independently. Every other component
+// renders through its production kernel, prepared by its own Prepare.
 type oracle struct{ layering }
 
 func (o oracle) Name() string { return o.c.Name() }
@@ -60,12 +62,25 @@ func (o oracle) Render(dst []complex128, ctx *emsim.Context) {
 	case *ConstantOnTimeRegulator:
 		g.renderPerPulse(dst, ctx)
 	default:
-		o.c.Render(dst, ctx)
+		o.c.Render(dst, prepared(o.c, ctx))
 	}
 }
 
+// prepared returns ctx with c's own prepared state for the capture's
+// geometry: the Prep a plan would have handed c, had its wrapper not
+// hidden Prepper.
+func prepared(c emsim.Component, ctx *emsim.Context) *emsim.Context {
+	p, ok := c.(emsim.Prepper)
+	if !ok {
+		return ctx
+	}
+	out := *ctx
+	out.Prep = p.Prepare(ctx.Band, ctx.N)
+	return &out
+}
+
 // oracleScene wraps every component of s in an oracle. Swept serially
-// with no static cache, the wrapped scene is the unplanned, uncached,
+// with no static cache, the wrapped scene is the unculled, uncached,
 // per-sample render path by construction.
 func oracleScene(s *emsim.Scene) *emsim.Scene {
 	out := &emsim.Scene{}
@@ -75,16 +90,23 @@ func oracleScene(s *emsim.Scene) *emsim.Scene {
 	return out
 }
 
-// opaque hides every capability of a component but Name, Render, and its
-// static-layer classification, like oracle, while rendering through the
-// production kernel.
+// opaque hides every capability of a component but Name, Render, its
+// static-layer classification, and its Prepare, rendering through the
+// production kernel. Its plan never culls it: opaque hides BandExtent.
 type opaque struct {
 	emsim.Component
 	layering
 }
 
+func (o opaque) Prepare(band emsim.Band, n int) any {
+	if p, ok := o.Component.(emsim.Prepper); ok {
+		return p.Prepare(band, n)
+	}
+	return nil
+}
+
 // opaqueScene wraps every component of s in opaque: the scene renders
-// the production kernels with no plan culling or preparation.
+// the production kernels with nothing culled.
 func opaqueScene(s *emsim.Scene) *emsim.Scene {
 	out := &emsim.Scene{}
 	for _, c := range s.Components {
@@ -102,22 +124,13 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	}
 	cs := combPool.Get().(*combScratch)
 	defer combPool.Put(cs)
-	// In-band harmonics and static rotations come from the segment prep
-	// when rendering under a plan, and are derived inline (by the same
-	// expressions) otherwise.
-	pre, _ := ctx.Prep.(*combPrep)
+	// In-band harmonics and static rotations are derived inline, not read
+	// from ctx.Prep, so the oracle checks Prepare independently.
 	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n++ {
-			if ctx.Band.Contains(float64(n) * g.FSw) {
-				scan = append(scan, n)
-			}
+	for n := 1; n <= g.MaxHarmonics; n++ {
+		if ctx.Band.Contains(float64(n) * g.FSw) {
+			ns = append(ns, n)
 		}
-		cs.ns = scan
-		ns = scan
 	}
 	if len(ns) == 0 {
 		return
@@ -150,18 +163,13 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	base := 2 * math.Pi * r.Float64()
 	cs.grow(len(ns))
 	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
+	stepStatic := make([]complex128, len(ns))
 	for k, n := range ns {
 		fn := float64(n)
 		s, c := math.Sincos(wrapPhase(fn * base))
 		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
+		s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
+		stepStatic[k] = complex(c, s)
 		wpow[k] = 1
 	}
 	// Re-slice the working arrays to a common length so the hot loops
@@ -248,19 +256,12 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	cs := combPool.Get().(*combScratch)
 	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
+	// Derived inline, like the regulator oracle's, not read from ctx.Prep.
 	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if g.sscInBand(ctx.Band, n) {
-				scan = append(scan, n)
-			}
+	for n := 1; n <= g.MaxHarmonics; n += 2 {
+		if g.sscInBand(ctx.Band, n) {
+			ns = append(ns, n)
 		}
-		cs.ns = scan
-		ns = scan
 	}
 	if len(ns) == 0 {
 		return
@@ -277,18 +278,13 @@ func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	// sample instead of one per harmonic per sample.
 	cs.grow(len(ns))
 	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
+	stepStatic := make([]complex128, len(ns))
 	for k, n := range ns {
 		fn := float64(n)
 		s, c := math.Sincos(wrapPhase(fn * ssc.Phase()))
 		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
+		s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
+		stepStatic[k] = complex(c, s)
 		fpow[k] = 1
 	}
 	spread := g.SpreadHz != 0

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -97,9 +96,9 @@ func randomScene(r *rand.Rand) *emsim.Scene {
 
 // TestPlannedRenderEquivalence is the planner's core property test:
 // rendering any capture through Scene.Plan must be bit-identical to
-// rendering it unplanned, across randomized scenes, bands, activity
-// traces, and seeds — while actually culling components (otherwise the
-// test exercises nothing).
+// rendering it unculled (opaqueScene), across randomized scenes, bands,
+// activity traces, and seeds — while actually culling components
+// (otherwise the test exercises nothing).
 func TestPlannedRenderEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	culled := 0
@@ -128,18 +127,12 @@ func TestPlannedRenderEquivalence(t *testing.T) {
 			Seed:      r.Int63(),
 			NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
 		}
-		unplanned := make([]complex128, n)
-		scene.RenderInto(unplanned, capt)
+		unculled := make([]complex128, n)
+		opaqueScene(scene).RenderInto(unculled, capt)
 		planned := make([]complex128, n)
 		capt.Plan = plan
 		scene.RenderInto(planned, capt)
-		for i := range planned {
-			if math.Float64bits(real(planned[i])) != math.Float64bits(real(unplanned[i])) ||
-				math.Float64bits(imag(planned[i])) != math.Float64bits(imag(unplanned[i])) {
-				t.Fatalf("trial %d: sample %d differs: planned %v, unplanned %v",
-					trial, i, planned[i], unplanned[i])
-			}
-		}
+		bitsEqual(t, "planned render", trial, planned, unculled)
 	}
 	if culled == 0 {
 		t.Fatal("no component was ever culled; the equivalence test is vacuous")
@@ -181,32 +174,53 @@ func TestMachineBandExtents(t *testing.T) {
 	}
 }
 
-// TestMachineExtentExactness checks the empty side of the Extenter
-// contract for the line/span emitters: when a band does not overlap the
-// extent, Render must leave the buffer untouched.
-func TestMachineExtentExactness(t *testing.T) {
-	comps := []emsim.Component{
-		&SwitchingRegulator{Label: "reg", FSw: 315e3, BaseDuty: 0.083,
-			FundamentalDBm: -104, MaxHarmonics: 4, WanderSigma: 350,
-			WanderTau: 1.2e-3, LoopBw: 65e3, Dom: activity.DomainDRAM},
-		&UnmodulatedClock{Label: "clk", F0: 400e3, FundamentalDBm: -110,
-			MaxHarmonics: 5, WanderSigma: 10, WanderTau: 1e-3},
-		&SSCClock{Label: "ssc", F0: 333e6, SpreadHz: 1e6, RateHz: 10e3,
-			Profile: sig.SineSweep{}, FundamentalDBm: -98, IdleFrac: 0.4,
-			MaxHarmonics: 1, Dom: activity.DomainDRAM},
+// renderDirect renders c alone into an n-sample capture of band by
+// calling its Render directly, with its own prep: no plan culls it.
+func renderDirect(c emsim.Component, band emsim.Band, n int, seed int64) []complex128 {
+	ctx := &emsim.Context{Band: band, N: n, Rand: rand.New(rand.NewSource(seed))}
+	if p, ok := c.(emsim.Prepper); ok {
+		ctx.Prep = p.Prepare(band, n)
 	}
-	band := emsim.Band{Center: 10e6, SampleRate: 1e5} // far from every line above
-	for _, c := range comps {
-		if c.(emsim.Extenter).BandExtent().Overlaps(band) {
-			t.Fatalf("%s: extent unexpectedly overlaps %+v", c.Name(), band)
-		}
-		scene := &emsim.Scene{}
-		scene.Add(c)
-		dst := scene.Render(emsim.Capture{Band: band, N: 512, Seed: 13})
-		for i, v := range dst {
-			if v != 0 {
-				t.Fatalf("%s: rendered %v at sample %d outside its extent", c.Name(), v, i)
+	dst := make([]complex128, n)
+	c.Render(dst, ctx)
+	return dst
+}
+
+// TestMachineExtentExactness checks the Extenter contract for the
+// line/span emitters, on one of their lines and far from all of them:
+// when a band does not overlap the extent, Render must leave the buffer
+// untouched. Rendering directly keeps the planner's culling out of the
+// check.
+func TestMachineExtentExactness(t *testing.T) {
+	far := emsim.Band{Center: 10e6, SampleRate: 1e5} // far from every line below
+	for _, tc := range []struct {
+		c    emsim.Component
+		line float64
+	}{
+		{&SwitchingRegulator{Label: "reg", FSw: 315e3, BaseDuty: 0.083,
+			FundamentalDBm: -104, MaxHarmonics: 4, WanderSigma: 350,
+			WanderTau: 1.2e-3, LoopBw: 65e3, Dom: activity.DomainDRAM}, 630e3},
+		{&UnmodulatedClock{Label: "clk", F0: 400e3, FundamentalDBm: -110,
+			MaxHarmonics: 5, WanderSigma: 10, WanderTau: 1e-3}, 1.2e6},
+		{&SSCClock{Label: "ssc", F0: 333e6, SpreadHz: 1e6, RateHz: 10e3,
+			Profile: sig.SineSweep{}, FundamentalDBm: -98, IdleFrac: 0.4,
+			MaxHarmonics: 1, Dom: activity.DomainDRAM}, 332.5e6},
+	} {
+		e := tc.c.(emsim.Extenter).BandExtent()
+		rendered := false
+		for _, band := range []emsim.Band{{Center: tc.line, SampleRate: 1e5}, far} {
+			for i, v := range renderDirect(tc.c, band, 512, 13) {
+				if v == 0 {
+					continue
+				}
+				if !e.Overlaps(band) {
+					t.Fatalf("%s: rendered %v at sample %d in %+v, outside its extent", tc.c.Name(), v, i, band)
+				}
+				rendered = true
 			}
+		}
+		if !rendered {
+			t.Fatalf("%s rendered nothing on its own line; the check is vacuous", tc.c.Name())
 		}
 	}
 }

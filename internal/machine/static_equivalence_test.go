@@ -25,8 +25,8 @@ func bitsEqual(t *testing.T, tag string, trial int, got, want []complex128) {
 // TestStaticLayerRenderEquivalence is the static cache's core property
 // test: replaying a capture's cached activity-independent layer must be
 // bit-identical to rendering every component live — across randomized
-// scenes, with and without a render plan, and (the point of the cache)
-// across different activity traces sharing one static set.
+// scenes and (the point of the cache) across different activity traces
+// sharing one static set.
 func TestStaticLayerRenderEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(1851))
 	cached := 0
@@ -50,41 +50,35 @@ func TestStaticLayerRenderEquivalence(t *testing.T) {
 			Jitter: microbench.DefaultJitter(), Seed: r.Int63(),
 		}, 0.5+float64(n)/band.SampleRate)}
 
-		plan := scene.Plan(band, n)
-		for _, withPlan := range []bool{false, true} {
-			base := capt
-			if withPlan {
-				base.Plan = plan
-			}
-			// One static set serves every capture whose conditional-static
-			// key matches — the unconditional layer always does, and the
-			// conditional layer only when the window-constant loads agree.
-			// Captures keying differently rebuild, mirroring the analyzer's
-			// two-level cache.
-			sets := map[string]*emsim.StaticSet{}
-			for ti, trace := range traces {
-				build := base
-				build.Activity = trace
-				key := string(scene.AppendCondStaticKey(nil, build))
-				static, ok := sets[key]
-				if !ok {
-					static = scene.BuildStaticSet(build)
-					sets[key] = static
-					if static != nil {
-						cached += static.Components()
-					}
+		capt.Plan = scene.Plan(band, n)
+		// One static set serves every capture whose conditional-static key
+		// matches — the unconditional layer always does, and the
+		// conditional layer only when the window-constant loads agree.
+		// Captures keying differently rebuild, mirroring the analyzer's
+		// two-level cache.
+		sets := map[string]*emsim.StaticSet{}
+		for ti, trace := range traces {
+			build := capt
+			build.Activity = trace
+			key := string(scene.AppendCondStaticKey(nil, build))
+			static, ok := sets[key]
+			if !ok {
+				static = scene.BuildStaticSet(build)
+				sets[key] = static
+				if static != nil {
+					cached += static.Components()
 				}
-				if static == nil {
-					continue
-				}
-				live, replayed := build, build
-				replayed.Static = static
-				want := make([]complex128, n)
-				scene.RenderInto(want, live)
-				got := make([]complex128, n)
-				scene.RenderInto(got, replayed)
-				bitsEqual(t, "static replay", trial*100+ti, got, want)
 			}
+			if static == nil {
+				continue
+			}
+			live, replayed := build, build
+			replayed.Static = static
+			want := make([]complex128, n)
+			scene.RenderInto(want, live)
+			got := make([]complex128, n)
+			scene.RenderInto(got, replayed)
+			bitsEqual(t, "static replay", trial*100+ti, got, want)
 		}
 	}
 	if cached == 0 {

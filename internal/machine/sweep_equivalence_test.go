@@ -15,11 +15,11 @@ import (
 // sweep-level contract: a sweep through it (run-length segmented
 // regulators/clocks, blocked refresh, planner culling and preparation,
 // conditional static splits) must match the oracle scene — per-sample
-// kernels, no plan, no cache, serial — bit for bit: planned and unplanned,
-// serial and parallel, with and without the static cache, and with a
-// fault plan mangling the capture chain. Runs under the race detector via
-// `make equivalence` (the parallel cases exercise the shared cond-key
-// scratch pool and two-level cache).
+// kernels, nothing culled, no cache, serial — bit for bit: culled and
+// unculled, serial and parallel, with and without the static cache, and
+// with a fault plan mangling the capture chain. Runs under the race
+// detector via `make equivalence` (the parallel cases exercise the shared
+// cond-key scratch pool and two-level cache).
 func TestSweepEquivalenceSegmented(t *testing.T) {
 	sys, err := Lookup("i7-desktop")
 	if err != nil {
@@ -48,17 +48,17 @@ func TestSweepEquivalenceSegmented(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name      string
-		act       *activity.Trace
-		par       int
-		unplanned bool
-		cached    bool
-		faulted   bool
+		name     string
+		act      *activity.Trace
+		par      int
+		unculled bool
+		cached   bool
+		faulted  bool
 	}{
 		{"idle planned serial", nil, 1, false, false, false},
 		{"planned serial", alt, 1, false, false, false},
 		{"planned parallel", alt, 4, false, false, false},
-		{"unplanned serial", alt, 1, true, false, false},
+		{"unculled serial", alt, 1, true, false, false},
 		{"cached serial", alt, 1, false, true, false},
 		{"cached parallel", alt, 4, false, true, false},
 		{"faulted serial", alt, 1, false, false, true},
@@ -72,7 +72,7 @@ func TestSweepEquivalenceSegmented(t *testing.T) {
 			cfg.Faults = faults
 		}
 		scene := sys.Scene(23, true)
-		if tc.unplanned {
+		if tc.unculled {
 			scene = opaqueScene(scene)
 		}
 		got := specan.New(cfg).Sweep(reqFor(scene, tc.act))

@@ -39,19 +39,7 @@ func Serve(addr string, reg *Registry, run *Run) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var err error
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			err = reg.WriteProm(w)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			err = reg.WriteJSON(w)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.HandleFunc("/metrics", MetricsHandler(reg))
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		if run == nil {
 			http.Error(w, "no instrumented run", http.StatusNotFound)
@@ -85,6 +73,24 @@ func Serve(addr string, reg *Registry, run *Run) (*DebugServer, error) {
 	ds.lis = lis
 	go func() { _ = ds.srv.Serve(lis) }()
 	return ds, nil
+}
+
+// MetricsHandler serves reg's snapshot: JSON by default, Prometheus text
+// exposition with ?format=prom.
+func MetricsHandler(reg *Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var err error
+		if r.URL.Query().Get("format") == "prom" {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			err = reg.WriteProm(w)
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+			err = reg.WriteJSON(w)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
 }
 
 // ServeSSE streams the journal to one subscriber: the backlog first, then

@@ -35,19 +35,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		var err error
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			err = obs.Default.WriteProm(w)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			err = obs.Default.WriteJSON(w)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.HandleFunc("GET /metrics", obs.MetricsHandler(obs.Default))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})

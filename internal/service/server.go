@@ -272,10 +272,26 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 	return j, nil
 }
 
+// maxTraceSegments caps the activity segments of one sweep's alternation
+// trace (core.Campaign.TraceSegments), which microbench.Generate
+// preallocates at 32 bytes a segment before the sweep renders: 2^24 admits
+// the paper's ladders at the simulated-time guard (a 45.3 kHz ladder over
+// 600 s needs about 11 M) and keeps one trace near half a gigabyte. Go
+// cannot recover from running out of memory, so a larger trace is refused
+// at admission instead.
+const maxTraceSegments = 1 << 24
+
 // price rejects submissions whose measurement cost exceeds the per-job
 // admission guards, using the same O(1) sweep pricing the adaptive
 // planner budgets with — no rendering happens.
 func (s *Server) price(c core.Campaign) *httpError {
+	if err := c.Validate(); err != nil {
+		return errBadRequest("%v", err)
+	}
+	if n := c.TraceSegments(); n > maxTraceSegments {
+		return errBadRequest("service: campaign's alternation trace holds %.3g segments per sweep, above the limit %d",
+			n, maxTraceSegments)
+	}
 	if c.Adaptive != nil {
 		if int64(c.Budget) > s.cfg.MaxCapturesPerJob {
 			return errBadRequest("service: budget %d exceeds the per-job capture limit %d",

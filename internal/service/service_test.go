@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"fase/internal/activity"
+	"fase/internal/core"
 	"fase/internal/emsim"
 	"fase/internal/obs"
 	"fase/internal/runstore"
@@ -227,6 +230,88 @@ func TestSubmitValidation(t *testing.T) {
 				t.Fatalf("error body missing: %v %v", e, err)
 			}
 		})
+	}
+}
+
+// TestParseRejectsScoringWidths: a submission's scoring widths are
+// bounded — smoothing and merge widths by the band's bin count (120 on
+// the tiny request's band), the elevation gate by its measurements —
+// while the widest legal values, and a disabled gate, still parse.
+func TestParseRejectsScoringWidths(t *testing.T) {
+	body := func(extra string) string {
+		return `{"tenant":"a","system":"i7-desktop","scan":{"f1_hz":300e3,"f2_hz":360e3,` +
+			`"fres_hz":500,"falt1_hz":43300,"fdelta_hz":500` + extra + `}}`
+	}
+	for _, tc := range []struct {
+		extra string
+		ok    bool
+	}{
+		{`,"smooth_bins":-1`, false},
+		{`,"merge_bins":-1`, false},
+		{`,"smooth_bins":121`, false},
+		{`,"merge_bins":67108864`, false},
+		{`,"min_elevated":6`, false},
+		{`,"num_alts":3,"min_elevated":4`, false},
+		{`,"smooth_bins":120,"merge_bins":120,"min_elevated":5`, true},
+		{`,"min_elevated":-1`, true},
+	} {
+		_, _, err := parseScanRequest(strings.NewReader(body(tc.extra)))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: parse error %v, want accepted %v", tc.extra, err, tc.ok)
+		}
+	}
+}
+
+// TestPriceBoundsAlternationTrace: admission prices the alternation trace
+// each sweep preallocates, for exhaustive and adaptive submissions alike,
+// and still admits Figure 10's campaigns and the longest sweep the
+// simulated-time guard lets through at the paper's ladder.
+func TestPriceBoundsAlternationTrace(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	for _, adaptive := range []bool{false, true} {
+		req := tinyRequest("a", 1)
+		req.Scan.FAlt1 = 1e9
+		if adaptive {
+			req.Scan.Adaptive, req.Scan.Budget = true, 60
+		}
+		c, err := req.Campaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if herr := s.price(c); herr == nil || herr.status != http.StatusBadRequest {
+			t.Errorf("adaptive %v: a 1 GHz alternation priced as %v, want a 400", adaptive, herr)
+		}
+	}
+	admit := core.PaperCampaigns(activity.LDM, activity.LDL1)
+	// 6 segments × 4 averages × 5 s captures × 5 sweeps: exactly the
+	// 600 s guard, with a 47.3 kHz ladder top.
+	admit = append(admit, core.Campaign{F1: 100e3, F2: 210e3, Fres: 0.2,
+		FAlt1: 43.3e3, FDelta: 1e3, X: activity.LDM, Y: activity.LDL1})
+	for i, c := range admit {
+		if herr := s.price(c); herr != nil {
+			t.Errorf("campaign %d rejected: %v", i, herr)
+		}
+	}
+}
+
+// TestMetricsPrometheus: the service's /metrics serves the process
+// registry as Prometheus text with ?format=prom.
+func TestMetricsPrometheus(t *testing.T) {
+	base := listen(t, newServer(t, Config{Workers: 1}))
+	resp, err := http.Get(base + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+		t.Fatalf("status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if !strings.Contains(string(body), "# TYPE fase_service_submitted_total counter\n") {
+		t.Errorf("Prometheus body lacks the submission counter:\n%s", body)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 )
 
 // TestSweepEquivalencePlannedUnplanned is the end-to-end counterpart of
-// the machine-level render equivalence test: one Request swept with and
-// without render planning, serial and parallel, must produce the same
-// spectrum bit for bit. The unplanned cases sweep opaqueScene, whose
-// components the planner can neither cull nor prepare.
+// the machine-level render equivalence test: one Request swept with plan
+// culling and without it, serial and parallel, must produce the same
+// spectrum bit for bit. The unculled cases sweep opaqueScene, whose
+// components the planner cannot cull.
 func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	sys, err := machine.Lookup("i7-desktop")
 	if err != nil {
@@ -34,22 +34,22 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	}
 	var ref *spectral.Spectrum
 	for _, tc := range []struct {
-		name      string
-		cfg       Config
-		unplanned bool
+		name     string
+		cfg      Config
+		unculled bool
 	}{
 		{"planned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, false},
-		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, true},
+		{"unculled serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, true},
 		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, false},
-		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, true},
+		{"unculled parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, true},
 		// Observability on must not change a single bit: timings and spans
 		// observe the pipeline, never steer it.
 		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: tracedRun()}, false},
 		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, false},
-		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, true},
+		{"instrumented unculled", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, true},
 	} {
 		scene := sys.Scene(17, true)
-		if tc.unplanned {
+		if tc.unculled {
 			scene = opaqueScene(scene)
 		}
 		s := New(tc.cfg).Sweep(req(scene))

@@ -13,7 +13,7 @@ import (
 // requests that share every outer key (same band plan, seeds, geometry)
 // but whose window-constant loads differ must build separate conditional
 // entries — and each must replay bit-identically against its own
-// unplanned, uncached reference (opaqueScene). A constant activity trace makes every
+// unculled, uncached reference (opaqueScene). A constant activity trace makes every
 // load-following emitter window-constant, so the conditional layer, not
 // the unconditional one, carries the difference.
 func TestSweepCondStaticKeying(t *testing.T) {

@@ -21,16 +21,16 @@ var (
 
 // TestSweepEquivalenceCachedStatic extends the equivalence suite to the
 // static render cache: a sweep that replays cached activity-independent
-// layers must match the uncached, unplanned sweep (opaqueScene, no cache)
+// layers must match the uncached, unculled sweep (opaqueScene, no cache)
 // bit for bit — with a cold cache (build + replay in one sweep), a warm
 // cache (second sweep of the same request on the same analyzer), serial
 // and parallel, and with a fault plan mangling the capture chain after the
 // render. The counter checks keep the test honest: the cold sweep must
 // actually build cache entries and the warm sweep must serve every capture
 // from them, so a regression that quietly disables caching fails here
-// instead of becoming a silent perf loss. The unplanned case sweeps
+// instead of becoming a silent perf loss. The unculled case sweeps
 // opaqueScene with the cache attached: its static layers are built from
-// unprepared renders of every component, and must match as well.
+// renders of every component, in band or not, and must match as well.
 func TestSweepEquivalenceCachedStatic(t *testing.T) {
 	sys, err := machine.Lookup("i7-desktop")
 	if err != nil {
@@ -50,7 +50,7 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 		ExtraNoiseDBmPerHz: -165, BurstProb: 0.3,
 	}
 	// One reference per fault setting, rendered the dumbest way available:
-	// no plan, no cache, serial.
+	// nothing culled, no cache, serial.
 	refFor := func(fp *emsim.FaultPlan) *spectral.Spectrum {
 		cfg := Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Faults: fp}
 		return New(cfg).Sweep(req(opaqueScene(sys.Scene(17, true))))
@@ -58,14 +58,14 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 	refs := map[bool]*spectral.Spectrum{false: refFor(nil), true: refFor(faults)}
 
 	for _, tc := range []struct {
-		name      string
-		par       int
-		unplanned bool
-		faulted   bool
+		name     string
+		par      int
+		unculled bool
+		faulted  bool
 	}{
 		{"planned serial", 1, false, false},
 		{"planned parallel", 4, false, false},
-		{"unplanned serial", 1, true, false},
+		{"unculled serial", 1, true, false},
 		{"faulted serial", 1, false, true},
 		{"faulted parallel", 4, false, true},
 	} {
@@ -78,7 +78,7 @@ func TestSweepEquivalenceCachedStatic(t *testing.T) {
 			Statics: NewStaticCache(), Faults: fp,
 		})
 		scene := sys.Scene(17, true)
-		if tc.unplanned {
+		if tc.unculled {
 			scene = opaqueScene(scene)
 		}
 		r := req(scene)
@@ -122,10 +122,18 @@ func compareSpectraBits(t *testing.T, name string, s, ref *spectral.Spectrum) {
 }
 
 // opaque hides every capability of a scene component but Name, Render,
-// and its static-layer classification, so the planner can neither cull
-// nor prepare it. Classification stays because it fixes render order
-// (static layer first, see emsim.StaticRenderer).
+// its static-layer classification, and its Prepare, so the planner never
+// culls it. Classification stays because it fixes render order (static
+// layer first, see emsim.StaticRenderer); Prepare stays because the
+// production kernels read their prep.
 type opaque struct{ emsim.Component }
+
+func (o opaque) Prepare(band emsim.Band, n int) any {
+	if p, ok := o.Component.(emsim.Prepper); ok {
+		return p.Prepare(band, n)
+	}
+	return nil
+}
 
 func (o opaque) Static(band emsim.Band, n int) bool {
 	s, ok := o.Component.(emsim.StaticRenderer)
@@ -145,7 +153,7 @@ func (o opaque) Domain() activity.Domain {
 }
 
 // opaqueScene wraps every component of s in opaque: swept with no static
-// cache, the wrapped scene is the unplanned, uncached render path by
+// cache, the wrapped scene is the unculled, uncached render path by
 // construction — the reference the planner and cache equivalence tests
 // compare against.
 func opaqueScene(s *emsim.Scene) *emsim.Scene {
