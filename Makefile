@@ -64,9 +64,11 @@ equivalence:
 # the manifest table renderer (NaN/Inf/negative-frequency inputs), the
 # real-input FFT against the complex reference transform, the small-angle
 # Sincos the regulator loops use (within 1 ulp of math.Sincos for
-# |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), and the campaign
-# service's submit endpoint (arbitrary request bodies must answer 400 and
-# never panic the server).
+# |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), the polyphase
+# impulse kernel (a pulse at any finite position deposits without
+# panicking, every tap within 1e-7 of the exact windowed sinc), and the
+# campaign service's submit endpoint (arbitrary request bodies must
+# answer 400 and never panic the server).
 fuzz-smoke:
 	$(GO) test -run FuzzExtent -fuzz FuzzExtent -fuzztime 5s ./internal/emsim
 	$(GO) test -run xxx -fuzz FuzzCampaignValidate -fuzztime 5s ./internal/core
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzManifestTables -fuzztime 5s ./internal/report
 	$(GO) test -run xxx -fuzz FuzzRFFT -fuzztime 5s ./internal/dsp/fft
 	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzImpulseKernel -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to
@@ -82,28 +85,38 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|Refresh|SSC)$$' -benchtime 1x .
 
-# ab is the speed gate: cmd/benchgate exports REF with git archive, builds
-# both trees' benchmarks, times each gated row (the wide sweep, both
-# campaigns, the six render kernels, the service load) in 10 interleaved
-# pairs on this host, and fails when a row's median per-pair change/base
-# ratio goes past its bound. The bounds are constants in cmd/benchgate. To
-# gate a change, point REF at its parent: make ab REF=<rev>.
+# ab is the speed and output gate: cmd/benchgate exports REF with git
+# archive, builds both trees' benchmarks, times each gated row (the wide
+# sweep, both campaigns, the six render kernels, the service load) in 10
+# interleaved pairs on this host, and fails when a row's median per-pair
+# change/base ratio goes past its bound. Then it builds both trees'
+# cmd/fase, runs the five built-in systems' campaigns (seeds 1-8, the
+# fasebench campaign geometry) and the accuracy corpus once per side, and
+# fails when a detection appears on one side only, a matched score moves
+# by more than 1e-6 relative or its magnitude by more than 1e-4 dB, or a
+# verify-report integer changes or float moves by more than 1e-6
+# relative. The bounds are constants in cmd/benchgate. To gate a change,
+# point REF at its parent: make ab REF=<rev>.
 REF ?= HEAD
 ab:
 	$(GO) run ./cmd/benchgate $(REF)
 
 # profile captures CPU and allocation profiles of the narrowband campaign
-# benchmark as artifacts under profiles/ (raw pprof files plus `go tool
-# pprof -top` summaries), for before/after comparison when working on the
-# render kernels.
+# benchmark and of the adaptive campaign benchmark (short captures, where
+# the impulse-train kernel dominated) as artifacts under profiles/ (raw
+# pprof files plus `go tool pprof -top` summaries), for before/after
+# comparison when working on the render kernels.
 profile:
 	@mkdir -p profiles; \
-	$(GO) test -run xxx -bench 'BenchmarkCampaignNarrowband$$' -benchtime 10x \
-		-cpuprofile profiles/campaign_cpu.pprof -memprofile profiles/campaign_mem.pprof \
-		-o profiles/fase.test . >/dev/null || exit 1; \
-	$(GO) tool pprof -top -nodecount 25 profiles/fase.test profiles/campaign_cpu.pprof > profiles/campaign_cpu.txt || exit 1; \
-	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 25 profiles/fase.test profiles/campaign_mem.pprof > profiles/campaign_mem.txt || exit 1; \
-	echo "profile: wrote profiles/campaign_{cpu,mem}.pprof and -top summaries"
+	for p in campaign:BenchmarkCampaignNarrowband adaptive:BenchmarkCampaignAdaptive; do \
+		name=$${p%%:*}; bench=$${p#*:}; \
+		$(GO) test -run xxx -bench "$$bench\$$" -benchtime 10x \
+			-cpuprofile profiles/$${name}_cpu.pprof -memprofile profiles/$${name}_mem.pprof \
+			-o profiles/fase.test . >/dev/null || exit 1; \
+		$(GO) tool pprof -top -nodecount 25 profiles/fase.test profiles/$${name}_cpu.pprof > profiles/$${name}_cpu.txt || exit 1; \
+		$(GO) tool pprof -top -sample_index=alloc_space -nodecount 25 profiles/fase.test profiles/$${name}_mem.pprof > profiles/$${name}_mem.txt || exit 1; \
+	done; \
+	echo "profile: wrote profiles/{campaign,adaptive}_{cpu,mem}.pprof and -top summaries"
 
 # accuracy runs the ground-truth harness (fase -verify): a 60-scenario
 # seeded-random machine corpus scanned by the unchanged pipeline, clean,

@@ -1,7 +1,9 @@
-// Command benchgate is the speed gate behind `make ab REF=<rev>`: it times
-// the pipeline benchmarks of the working tree against those of a base
-// revision on the same host, in interleaved pairs, and fails when a row's
-// median per-pair ratio goes past its bound.
+// Command benchgate is the speed and output gate behind `make ab
+// REF=<rev>`: it times the pipeline benchmarks of the working tree against
+// those of a base revision on the same host, in interleaved pairs, and
+// fails when a row's median per-pair ratio goes past its bound; then it
+// runs both trees' fase CLI on the same configs and seeds and fails when
+// their outputs drift apart.
 //
 // Usage, from the module root:
 //
@@ -18,6 +20,15 @@
 // pair runs back to back, so host drift over the run cancels within it. A
 // row the base lacks is not gated (REF predates it); a row the change
 // lacks fails, so a gate cannot disappear silently.
+//
+// The output-drift rows follow the speed rows. benchgate builds each
+// tree's cmd/fase and runs, once per side, every built-in system's
+// campaign at the fasebench campaign geometry for seeds 1 to driftSeeds,
+// each writing its run manifest, and the accuracy corpus with the
+// adaptive budget pass, writing its report. A system's row matches the
+// two sides' detections with runstore.Compare; the corpus row compares
+// the two reports field by field. Each row prints the largest drift it
+// saw.
 package main
 
 import (
@@ -72,6 +83,24 @@ var rows = []row{
 	{"./internal/service/loadtest", "BenchmarkServiceLoad", "1x", []gate{{"p99-ms", 4}, {"jobs/s", 0.25}}},
 }
 
+// The output-drift bounds. A system's row fails when a detection is
+// found on one side only or at another frequency, or when a matched
+// detection's score moves by more than maxScoreDrift (relative) or its
+// magnitude by more than maxMagnitudeDrift dB. The corpus row fails when
+// an integer, string or boolean field of the verify report differs or a
+// float field moves by more than maxReportDrift (relative).
+const (
+	driftSeeds        = 8
+	maxScoreDrift     = 1e-6
+	maxMagnitudeDrift = 1e-4
+	maxReportDrift    = 1e-6
+)
+
+// driftCampaign is the fasebench campaign geometry: 200–900 kHz at
+// 100 Hz RBW, f_Δ 1 kHz, LDM/LDL1, with the RF environment.
+var driftCampaign = []string{"-f1", "200e3", "-f2", "900e3", "-fres", "100", "-fdelta", "1e3",
+	"-pair", "LDM/LDL1", "-environment=true"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
@@ -88,8 +117,8 @@ func main() {
 	}
 }
 
-// abTest builds and times both sides and reports every row; it returns
-// false when any row fails its gate.
+// abTest builds and times both sides, compares their outputs and reports
+// every row; it returns false when any row fails its gate.
 func abTest(ref string) (bool, error) {
 	tmp, err := os.MkdirTemp("", "benchgate-")
 	if err != nil {
@@ -165,7 +194,8 @@ func abTest(ref string) (bool, error) {
 			fmt.Println(line)
 		}
 	}
-	return ok, nil
+	driftOK, err := outputDrift(ref, trees, tmp)
+	return ok && driftOK, err
 }
 
 // verdict formats one gated metric's comparison and reports whether the

@@ -482,8 +482,9 @@ const cotBlock = 64
 // amplitude·TOn; the cycle period follows the load-dependent frequency.
 // Pulses are collected in fixed-size stack blocks and each block is
 // downconverted and deposited by sig.ImpulseKernel.AddTrain, in pulse
-// order, so the output is bit-identical to depositing one kernel per
-// pulse (the reference the equivalence tests hold this path to).
+// order. AddTrain's arithmetic per pulse does not depend on the batch, so
+// the output is bit-identical to a one-pulse AddTrain call per pulse (the
+// per-pulse oracle the equivalence tests hold this path to).
 func (g *ConstantOnTimeRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	r := ctx.Rand
 	fs := ctx.Band.SampleRate
@@ -594,10 +595,11 @@ func (g *RefreshEmitter) BandExtent() emsim.Extent { return emsim.Everywhere() }
 // and deposit its kernel taps in one fused pass through
 // sig.ImpulseKernel.AddTrain, whose interior fast path runs
 // bounds-check-free (fusing keeps the phasors out of a scratch array the
-// deposit loop would immediately re-read). Pulses deposit in grid order
-// with phase and tap arithmetic identical to per-pulse Sincos + Add, so
-// output is bit-identical to depositing one kernel per pulse (the
-// reference the equivalence tests hold this path to).
+// deposit loop would immediately re-read). Pulses deposit in grid order,
+// and AddTrain's arithmetic per pulse does not depend on the batch, so
+// the output is bit-identical to a one-pulse AddTrain call per pulse as
+// it is drawn (the per-pulse oracle the equivalence tests hold this path
+// to).
 func (g *RefreshEmitter) Render(dst []complex128, ctx *emsim.Context) {
 	if g.Ranks <= 0 {
 		panic(fmt.Sprintf("machine: refresh emitter %q needs at least one rank", g.Label))

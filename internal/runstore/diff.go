@@ -71,8 +71,9 @@ type DetectionDiff struct {
 
 // MatchedDetection is one carrier found by both runs.
 type MatchedDetection struct {
-	FreqA, FreqB   float64
-	ScoreA, ScoreB float64
+	FreqA, FreqB           float64
+	ScoreA, ScoreB         float64
+	MagnitudeA, MagnitudeB float64 // dBm
 }
 
 // Compare diffs two manifests. aID/bID label the runs in the report
@@ -181,9 +182,11 @@ func diffDetections(a, b *obs.Manifest) DetectionDiff {
 			continue
 		}
 		usedB[best] = true
+		db := b.Detections[best]
 		dd.Matched = append(dd.Matched, MatchedDetection{
-			FreqA: da.FreqHz, FreqB: b.Detections[best].FreqHz,
-			ScoreA: da.Score, ScoreB: b.Detections[best].Score,
+			FreqA: da.FreqHz, FreqB: db.FreqHz,
+			ScoreA: da.Score, ScoreB: db.Score,
+			MagnitudeA: da.MagnitudeDBm, MagnitudeB: db.MagnitudeDBm,
 		})
 	}
 	for j, db := range b.Detections {

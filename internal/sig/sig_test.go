@@ -180,11 +180,17 @@ func TestSSCWithoutProfileIsFixed(t *testing.T) {
 	}
 }
 
+// deposit is a one-pulse AddTrain of the real area at time 0, where the
+// downconversion phasor is 1.
+func deposit(k *ImpulseKernel, dst []complex128, pos, area, fs float64) {
+	k.AddTrain(dst, []float64{pos}, []float64{0}, []float64{area}, 0, fs)
+}
+
 func TestImpulseKernelAreaAndPosition(t *testing.T) {
 	fs := 1e6
 	k := NewImpulseKernel(8)
 	dst := make([]complex128, 64)
-	k.Add(dst, 32.0, complex(2e-6, 0), fs) // area 2 µV·s
+	deposit(k, dst, 32.0, 2e-6, fs) // area 2 µV·s
 	// Sum of samples × dt must equal the area (kernel integrates to 1).
 	var sum complex128
 	for _, v := range dst {
@@ -212,7 +218,7 @@ func TestImpulseKernelSubSample(t *testing.T) {
 	fs := 1.0
 	k := NewImpulseKernel(8)
 	dst := make([]complex128, 64)
-	k.Add(dst, 31.5, 1, fs)
+	deposit(k, dst, 31.5, 1, fs)
 	var sum complex128
 	for _, v := range dst {
 		sum += v
@@ -225,12 +231,27 @@ func TestImpulseKernelSubSample(t *testing.T) {
 	}
 }
 
+// TestImpulseKernelEdgeClip: a pulse overlapping either edge deposits
+// exactly the in-window taps of the same pulse deposited whole into a
+// wider buffer, and a pulse past either edge deposits nothing. The
+// positions are dyadic, so shifting them by the padding keeps their
+// fractional offsets exact. Negative half-integers are left out: they
+// round away from zero, to the other centre than their shifted twins
+// (TestImpulseKernelAddTrainMatchesAdd covers them).
 func TestImpulseKernelEdgeClip(t *testing.T) {
 	k := NewImpulseKernel(4)
-	dst := make([]complex128, 8)
-	// Should not panic at the edges.
-	k.Add(dst, -2, 1, 1)
-	k.Add(dst, 9.5, 1, 1)
+	const n, pad = 8, 16
+	for _, pos := range []float64{-2, -0.25, 0.25, -2.375, 6.625, 9.5, 11.125, 12.5, -40, 1e300, -1e300} {
+		dst := make([]complex128, n)
+		deposit(k, dst, pos, 1, 1)
+		wide := make([]complex128, n+2*pad)
+		deposit(k, wide, pos+pad, 1, 1)
+		for i := range dst {
+			if dst[i] != wide[i+pad] {
+				t.Fatalf("pos %g sample %d: clipped %v, unclipped %v", pos, i, dst[i], wide[i+pad])
+			}
+		}
+	}
 }
 
 func TestPanics(t *testing.T) {
@@ -321,39 +342,90 @@ func TestImpulseKernelMatchesDirectForm(t *testing.T) {
 	}
 }
 
-// TestImpulseKernelAddTrainMatchesAdd pins the fused batch renderer to
-// its reference: AddTrain must be bit-identical to computing each pulse's
-// downconversion phasor with math.Sincos and depositing it with Add, in
-// pulse order — including pulses clipped at the window edges.
+// tapTol is AddTrain's accuracy contract: every tap within 1e-7 of the
+// exact kernel, whose peak is 1.
+const tapTol = 1e-7
+
+// randomTrain draws a pulse train over an n-sample window, its positions
+// spread past both edges so the clipped tap path runs.
+func randomTrain(r *rand.Rand) (n int, pos, tk, amp []float64, omega float64) {
+	n = 64 + r.Intn(512)
+	pulses := 1 + r.Intn(200)
+	omega = -2 * math.Pi * (100e3 + 1e6*r.Float64())
+	pos = make([]float64, pulses)
+	tk = make([]float64, pulses)
+	amp = make([]float64, pulses)
+	for p := range pos {
+		pos[p] = -12 + r.Float64()*(float64(n)+24)
+		tk[p] = r.Float64() * 1e-2
+		amp[p] = r.NormFloat64() * 1e-9
+	}
+	return n, pos, tk, amp, omega
+}
+
+// TestImpulseKernelAddTrainMatchesAdd holds the polyphase table to the
+// exact kernel: AddTrain must match computing each pulse's downconversion
+// phasor with math.Sincos and depositing it with the trig-recurrence Add,
+// in pulse order, within tapTol·|amp·fs| per tap. It checks random
+// trains, pulses clipped at both edges included, then single pulses tap
+// by tap at 10⁵ random offsets, at every table node and at offsets of
+// exactly ±½.
 func TestImpulseKernelAddTrainMatchesAdd(t *testing.T) {
 	k := NewImpulseKernel(8)
 	r := rand.New(rand.NewSource(99))
 	fs := 1.6384e6
 	for trial := 0; trial < 50; trial++ {
-		n := 64 + r.Intn(512)
-		pulses := 1 + r.Intn(200)
-		omega := -2 * math.Pi * (100e3 + 1e6*r.Float64())
-		pos := make([]float64, pulses)
-		tk := make([]float64, pulses)
-		amp := make([]float64, pulses)
-		for p := range pos {
-			// Spread positions past both edges so the clipped tap path runs.
-			pos[p] = -12 + r.Float64()*(float64(n)+24)
-			tk[p] = r.Float64() * 1e-2
-			amp[p] = r.NormFloat64() * 1e-9
-		}
+		n, pos, tk, amp, omega := randomTrain(r)
 		got := make([]complex128, n)
 		k.AddTrain(got, pos, tk, amp, omega, fs)
 		want := make([]complex128, n)
+		// bound[i] sums the tolerance of every pulse reaching sample i.
+		bound := make([]float64, n)
 		for p := range pos {
 			s, c := math.Sincos(omega * tk[p])
 			k.Add(want, pos[p], complex(amp[p]*c, amp[p]*s), fs)
+			center := int(math.Round(pos[p]))
+			for i := max(center-8, 0); i <= min(center+8, n-1); i++ {
+				bound[i] += tapTol * math.Abs(amp[p]) * fs
+			}
 		}
 		for i := range got {
-			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-				t.Fatalf("trial %d sample %d: got %v want %v", trial, i, got[i], want[i])
+			if e := cmplx.Abs(got[i] - want[i]); e > bound[i] {
+				t.Fatalf("trial %d sample %d: got %v want %v, error %g > %g", trial, i, got[i], want[i], e, bound[i])
 			}
 		}
 	}
+
+	var offsets []float64
+	for i := 0; i < 100000; i++ {
+		offsets = append(offsets, r.Float64()-0.5)
+	}
+	for i := 0; i <= kernelPhases; i++ {
+		offsets = append(offsets, float64(i)/kernelPhases-0.5)
+	}
+	got := make([]complex128, 48)
+	want := make([]complex128, 48)
+	worst := 0.0
+	tapError := func(pos float64) {
+		clear(got)
+		clear(want)
+		deposit(k, got, pos, 1, 1)
+		k.Add(want, pos, 1, 1)
+		for i := range got {
+			if e := cmplx.Abs(got[i] - want[i]); e > tapTol {
+				t.Fatalf("pos %v sample %d: got %v want %v, error %g", pos, i, got[i], want[i], e)
+			} else {
+				worst = math.Max(worst, e)
+			}
+		}
+	}
+	for _, d := range offsets {
+		tapError(20 + d)
+	}
+	// math.Round rounds half away from zero, so an offset of +½ occurs
+	// only at negative half-integers, whose pulses clip at the left edge.
+	for _, pos := range []float64{19.5, 0.5, -0.5, -3.5, 47.5} {
+		tapError(pos)
+	}
+	t.Logf("worst tap error %.3g over %d offsets", worst, len(offsets)+5)
 }
