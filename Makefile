@@ -168,7 +168,10 @@ cover:
 # observability output enabled, then validates the run manifest and event
 # journal against their schemas, checks the manifest counts only its own
 # run (one plan for its one segment, no process-wide dsp caches),
-# sanity-checks the trace and metrics files, archives two runs into a run-history store, plants a torn
+# checks the trace holds the campaign, sweep and capture spans laid out
+# from the journal (also on the second run, whose -trace-out alone
+# creates the journal), sanity-checks the metrics file, archives two
+# runs into a run-history store, plants a torn
 # manifest beside them (fase runs must still list both runs and name the
 # torn file; fase diff must still resolve @N), and diffs them,
 # exercises the live debug server end-to-end (/progress, Prometheus
@@ -188,7 +191,6 @@ obs-smoke:
 	for f in run.json trace.json metrics.json events.jsonl; do \
 		[ -s $$tmp/$$f ] || { echo "obs-smoke: $$f missing or empty"; rm -rf $$tmp; exit 1; }; \
 	done; \
-	grep -q '"traceEvents"' $$tmp/trace.json || { echo "obs-smoke: trace output malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"fase_core_campaigns_total": 1' $$tmp/metrics.json || { echo "obs-smoke: metrics snapshot malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"components_skipped": 0' $$tmp/run.json && { echo "obs-smoke: planner recorded no skips"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"plans_built": 1,' $$tmp/run.json || { echo "obs-smoke: one-segment campaign did not build exactly one plan"; rm -rf $$tmp; exit 1; }; \
@@ -197,7 +199,12 @@ obs-smoke:
 	grep -q '"kind":"sweep_end"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing sweep events"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"build"' $$tmp/run.json || { echo "obs-smoke: manifest missing build info"; rm -rf $$tmp; exit 1; }; \
 	$$tmp/fase -f1 250e3 -f2 550e3 -fres 200 -fdelta 1e3 -seed 2 \
-		-runs-dir $$tmp/runs >/dev/null || { rm -rf $$tmp; exit 1; }; \
+		-trace-out $$tmp/trace2.json -runs-dir $$tmp/runs >/dev/null || { rm -rf $$tmp; exit 1; }; \
+	for f in trace.json trace2.json; do \
+		for want in '"traceEvents"' '"name":"campaign"' '"name":"sweep"' '"name":"capture"'; do \
+			grep -q "$$want" $$tmp/$$f || { echo "obs-smoke: $$f has no $$want"; rm -rf $$tmp; exit 1; }; \
+		done; \
+	done; \
 	printf '{"schema": "fase-run' > $$tmp/runs/0badc0ffee00.json; \
 	$$tmp/fase runs -dir $$tmp/runs > $$tmp/runs.txt 2>&1 || { echo "obs-smoke: fase runs failed beside a torn manifest"; rm -rf $$tmp; exit 1; }; \
 	grep -q '^@1' $$tmp/runs.txt || { echo "obs-smoke: run store did not list two runs"; rm -rf $$tmp; exit 1; }; \

@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -33,7 +32,7 @@ func outputDrift(ref string, trees [2]string, tmp string) (bool, error) {
 	}
 	fmt.Printf("\noutput drift: base %s, change: the working tree, campaign seeds 1-%d\n", ref, driftSeeds)
 	ok := true
-	for _, sys := range systems() {
+	for _, sys := range machine.Names() {
 		var d detectionDrift
 		for seed := 1; seed <= driftSeeds; seed++ {
 			var m [2]*obs.Manifest
@@ -73,16 +72,6 @@ func outputDrift(ref string, trees [2]string, tmp string) (bool, error) {
 	line, pass := rd.verdict()
 	fmt.Printf("%-32s %s\n", "fase -verify -verify-budget", line)
 	return ok && pass, nil
-}
-
-// systems lists the built-in system models by name.
-func systems() []string {
-	var names []string
-	for name := range machine.Registry() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // runFase runs one fase CLI invocation, discarding its report on

@@ -48,7 +48,7 @@ func main() {
 	req := specan.Request{
 		Scene: sys.Scene(*seed, *env),
 		F1:    *f1, F2: *f2, Seed: *seed,
-		NearField: *near, NearFieldGainDB: 30,
+		NearField: *near,
 	}
 	if *pair != "" {
 		x, y, err := activity.ParsePair(*pair)

@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -71,7 +70,7 @@ func run() int {
 	reconFres := flag.Float64("recon-fres", 0, "recon-pass resolution bandwidth for -adaptive, Hz (0 = 8×fres)")
 	classify := flag.Bool("classify", false, "also run the on-chip pair (LDL2/LDL1) and classify carriers")
 	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of process metrics to FILE on exit")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of campaign stages to FILE (load in chrome://tracing or Perfetto)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the campaign's stages, sweeps and captures, laid out from its event journal, to FILE (load in chrome://tracing or Perfetto)")
 	manifestOut := flag.String("manifest-out", "", "write the primary campaign's run manifest (JSON) to FILE")
 	pprofAddr := flag.String("pprof", "", "serve live pprof + /metrics + /progress + /events on ADDR (e.g. localhost:6060) while running")
 	eventsOut := flag.String("events-out", "", "write the campaign's event journal (JSONL) to FILE")
@@ -113,12 +112,7 @@ func run() int {
 		return 0
 	}
 	if *list {
-		names := make([]string, 0)
-		for n := range machine.Registry() {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range machine.Names() {
 			sys, _ := machine.Lookup(n)
 			fmt.Printf("%-15s %s (%d emitters)\n", n, sys.Name, len(sys.Emitters))
 		}
@@ -141,10 +135,9 @@ func run() int {
 		*eventsOut != "" || *runsDir != "" || *pprofAddr != ""
 	if instrumented {
 		runner.Obs = obs.NewRun()
-		if *traceOut != "" {
-			runner.Obs.Tracer = obs.NewTracer()
-		}
-		if *eventsOut != "" || *pprofAddr != "" {
+		// The trace is laid out from the journal.
+		runner.Obs.Trace = *traceOut != ""
+		if *eventsOut != "" || *traceOut != "" || *pprofAddr != "" {
 			runner.Obs.Journal = obs.NewJournal()
 		}
 	}
@@ -212,7 +205,7 @@ func run() int {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, runner.Obs.Tracer); err != nil {
+		if err := writeTrace(*traceOut, runner.Obs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			ok = false
 		}
@@ -326,12 +319,12 @@ func runDiff(args []string) int {
 	return 0
 }
 
-func writeTrace(path string, tr *obs.Tracer) error {
+func writeTrace(path string, run *obs.Run) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := run.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -64,7 +64,7 @@ func main() {
 	// (tREFI = 7.8125 µs), identifying refresh as the source.
 	near := an.Sweep(fase.SweepRequest{
 		Scene: scene, F1: 100e3, F2: 600e3, Seed: 6,
-		NearField: true, NearFieldGainDB: 30,
+		NearField: true,
 	})
 	fmt.Println("\nnear-field probe at the DIMMs (128 kHz grid):")
 	for _, f := range []float64{128e3, 256e3, 384e3, 512e3} {

@@ -99,20 +99,15 @@ const MinScoreZero = core.MinScoreZero
 // ObsRun collects one campaign's observability — stage timings, planner
 // and cache statistics, detection provenance — into a run manifest.
 // Attach one to Runner.Obs before RunE; read the result with Manifest().
+// The Chrome trace is laid out from a run's event journal (fase
+// -trace-out writes one).
 type ObsRun = obs.Run
-
-// Tracer records campaign → sweep → capture spans and writes them as
-// Chrome trace_event JSON (set it on an ObsRun).
-type Tracer = obs.Tracer
 
 // RunManifest is the per-run record an instrumented campaign produces.
 type RunManifest = obs.Manifest
 
 // NewObsRun starts an observability run (its clock and empty records).
 func NewObsRun() *ObsRun { return obs.NewRun() }
-
-// NewTracer creates a span tracer whose epoch is now.
-func NewTracer() *Tracer { return obs.NewTracer() }
 
 // HarmonicSet groups detections at multiples of a common fundamental.
 type HarmonicSet = core.HarmonicSet
@@ -156,15 +151,8 @@ type Spectrogram = demod.Spectrogram
 // FMStats summarizes an instantaneous-frequency trace.
 type FMStats = demod.FMStats
 
-// SystemNames lists the built-in system models.
-func SystemNames() []string {
-	reg := machine.Registry()
-	out := make([]string, 0, len(reg))
-	for name := range reg {
-		out = append(out, name)
-	}
-	return out
-}
+// SystemNames lists the built-in system models, sorted.
+func SystemNames() []string { return machine.Names() }
 
 // LookupSystem returns a built-in system model by name
 // ("i7-desktop", "i3-laptop", "turion-laptop", "p3m-laptop").

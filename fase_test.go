@@ -2,7 +2,6 @@ package fase_test
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"fase"
@@ -10,7 +9,6 @@ import (
 
 func TestSystemRegistry(t *testing.T) {
 	names := fase.SystemNames()
-	sort.Strings(names)
 	want := []string{"fivr-desktop", "i3-laptop", "i7-desktop", "p3m-laptop", "turion-laptop"}
 	if len(names) != len(want) {
 		t.Fatalf("systems: %v", names)

@@ -30,9 +30,6 @@ type Receiver struct {
 	// must cover the modulation side-bands of interest (≥ 2× the highest
 	// activity frequency to recover). Zero means 100 kHz.
 	Bandwidth float64
-	// NearField selects the localization probe front-end.
-	NearField       bool
-	NearFieldGainDB float64
 }
 
 func (r *Receiver) bandwidth() float64 {
@@ -56,12 +53,10 @@ func (r *Receiver) Recover(scene *emsim.Scene, duration float64, act *activity.T
 	fs := r.SampleRate()
 	n := int(math.Ceil(duration * fs))
 	x := scene.Render(emsim.Capture{
-		Band:            emsim.Band{Center: r.Carrier, SampleRate: fs},
-		N:               n,
-		Activity:        act,
-		Seed:            seed,
-		NearField:       r.NearField,
-		NearFieldGainDB: r.NearFieldGainDB,
+		Band:     emsim.Band{Center: r.Carrier, SampleRate: fs},
+		N:        n,
+		Activity: act,
+		Seed:     seed,
 	})
 	// Band-limit to the demodulation bandwidth: the capture spans
 	// 2.56×BW, so the FIR cutoff is BW/2 normalized by fs.

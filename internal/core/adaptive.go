@@ -216,11 +216,11 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 // The planner processes windows sequentially, so each journal track sees
 // its sweeps in a deterministic order even though the sweeps of one band
 // run concurrently.
-func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int, span obs.Span) []*spectral.Spectrum {
+func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int) []*spectral.Spectrum {
 	out := make([]*spectral.Spectrum, len(idx))
 	par.Do(len(idx), func(j int) {
 		i := idx[j]
-		out[j] = r.sweepLadder(nil, an, c, f1, f2, falts[i], i, r.Obs, span)
+		out[j] = r.sweepLadder(nil, an, c, f1, f2, falts[i], i, r.Obs)
 	})
 	return out
 }
@@ -418,7 +418,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		recon.End()
 		return nil, fmt.Errorf("core: adaptive Budget %d cannot fund the %d-capture recon pass", c.Budget, reconCost)
 	}
-	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx, recon)
+	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx)
 	res.Measurements = make([]Measurement, len(reconSpectra))
 	for j, sp := range reconSpectra {
 		res.Measurements[j] = Measurement{FAlt: reconFAlts[j], Spectrum: sp}
@@ -450,7 +450,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))
 	probe := func(w refineWindow) float64 {
-		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx, refineStage)
+		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx)
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
 		best := 0.0
@@ -468,7 +468,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		return best
 	}
 	refine := func(w refineWindow, _ float64) int {
-		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx, refineStage)
+		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx)
 		spectra := make([]*spectral.Spectrum, c.NumAlts)
 		for j, i := range reconIdx {
 			spectra[i] = probeStash[w.idx][j]

@@ -331,15 +331,13 @@ func (r *Result) Grid(k int) float64 {
 // Runner executes campaigns against a scene.
 type Runner struct {
 	Scene *emsim.Scene
-	// NearField/NearFieldGainDB select the localization probe model.
-	NearField       bool
-	NearFieldGainDB float64
 	// Obs, when non-nil, instruments the campaign: stage wall/CPU
 	// timings, per-capture render/FFT time, planner and cache
 	// statistics, and detection provenance, all folded into a run
-	// manifest by RunE (via obs.Run.Finish). Attach an obs.Tracer to
-	// also record campaign → sweep → capture spans. Instrumentation
-	// never changes results (enforced by the equivalence tests).
+	// manifest by RunE (via obs.Run.Finish). Give it a journal and set
+	// Trace to lay out campaign → stage → sweep → capture spans with
+	// obs.Run.WriteChromeTrace. Instrumentation never changes results
+	// (enforced by the equivalence tests).
 	Obs *obs.Run
 }
 
@@ -358,7 +356,7 @@ func (r *Runner) Run(c Campaign) *Result {
 // RunE is Run with configuration errors returned instead of panicking:
 // the campaign is checked with Validate (and the Runner for a Scene)
 // before any work starts. When Runner.Obs is set, the four pipeline
-// stages — sweeps, smooth, score, detect — are timed and traced, and the
+// stages — sweeps, smooth, score, detect — are timed and journaled, and the
 // run's manifest is finalized with the resolved configuration and per-
 // detection provenance before returning.
 func (r *Runner) RunE(c Campaign) (*Result, error) {
@@ -391,7 +389,7 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	ms := make([]Measurement, len(p.FAlts))
 	sweeps := run.Begin("sweeps")
 	par.Do(len(p.FAlts), func(i int) {
-		ms[i] = r.RenderShard(nil, an, p, i, run, sweeps)
+		ms[i] = r.RenderShard(nil, an, p, i, run, obs.Span{})
 	})
 	sweeps.End()
 	return r.ReduceShards(p, ms, run, obs.Span{})

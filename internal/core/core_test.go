@@ -397,7 +397,7 @@ func TestCampaignEndToEndMemoryPair(t *testing.T) {
 }
 
 // TestCampaignObservabilityEquivalence runs the same campaign bare and
-// fully instrumented (run + tracer) and requires bit-identical spectra
+// fully instrumented (traced run + journal) and requires bit-identical spectra
 // and detections — observability must watch the pipeline, never steer
 // it. It then checks the manifest the instrumented run produced: valid
 // against the schema, stage walls summing to the total, planner skips
@@ -414,7 +414,7 @@ func TestCampaignObservabilityEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := obs.NewRun()
-	run.Tracer = obs.NewTracer()
+	run.Trace, run.Journal = true, obs.NewJournal()
 	inst, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c)
 	if err != nil {
 		t.Fatal(err)
@@ -482,14 +482,8 @@ func TestCampaignObservabilityEquivalence(t *testing.T) {
 			t.Errorf("detection %d: best-harmonic sub-score %g != score %g", i, best, d.Score)
 		}
 	}
-	// The tracer saw the campaign, its stages, and every sweep/capture.
-	kinds := map[string]int{}
-	for _, e := range run.Tracer.Events() {
-		kinds[e.Name]++
-	}
-	if kinds["campaign"] != 1 || kinds["sweeps"] != 1 || kinds["sweep"] != inst.Campaign.NumAlts || kinds["capture"] != int(m.Captures) {
-		t.Errorf("trace events: %v (captures=%d)", kinds, m.Captures)
-	}
+	// The trace holds the campaign, its stages, and every sweep/capture.
+	checkTrace(t, run)
 }
 
 func TestCampaignEndToEndOnChipPair(t *testing.T) {

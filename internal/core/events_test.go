@@ -34,9 +34,10 @@ func normalizedJournal(t *testing.T, j *obs.Journal) []byte {
 
 // TestEventJournalEquivalence pins the journal's determinism claim: the
 // canonical event stream (timestamps zeroed) must be byte-identical
-// across serial vs parallel rendering and the production vs reference
-// render path (opaqueScene: nothing culled), for
-// both the exhaustive and the adaptive planner. Runs under -race via
+// across serial vs parallel rendering, the production vs reference render
+// path (opaqueScene: nothing culled), and traced vs untraced runs (the
+// parallel variants trace, and their traces must check out), for both
+// the exhaustive and the adaptive planner. Runs under -race via
 // `make equivalence`, which also hammers the concurrent emission paths.
 func TestEventJournalEquivalence(t *testing.T) {
 	sys := machine.IntelCoreI7Desktop()
@@ -76,8 +77,12 @@ func TestEventJournalEquivalence(t *testing.T) {
 				}
 				run := obs.NewRun()
 				run.Journal = obs.NewJournal()
+				run.Trace = v.parallelism == 0
 				if _, err := (&Runner{Scene: scene, Obs: run}).RunE(c); err != nil {
 					t.Fatalf("%s: %v", v.name, err)
+				}
+				if run.Trace {
+					checkTrace(t, run)
 				}
 				got := normalizedJournal(t, run.Journal)
 				if err := obs.ValidateJournal(got); err != nil {
@@ -96,6 +101,81 @@ func TestEventJournalEquivalence(t *testing.T) {
 				t.Fatal("no journal produced")
 			}
 		})
+	}
+}
+
+// checkTrace lays a finished traced run's trace out and checks it against
+// the run's own records: one root "campaign" span, a span per manifest
+// stage, a "sweep" per journaled sweep_end, a "capture" per manifest
+// capture, and a "render" and an "fft" per capture. Each span's parent
+// must be the root (stages), a stage (sweeps), a sweep (captures) or a
+// capture (render, fft), and lie around it.
+func checkTrace(t *testing.T, run *obs.Run) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := run.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name    string
+			Ts, Dur float64
+			Args    struct{ ID, Parent int }
+		}
+	}
+	if err := json.Unmarshal(b.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	m := run.Manifest()
+	isStage := map[string]bool{}
+	want := map[string]int{"campaign": 1, "sweep": 0, "capture": int(m.Captures),
+		"render": int(m.Captures), "fft": int(m.Captures)}
+	for _, st := range m.Stages {
+		isStage[st.Name] = true
+		want[st.Name]++
+	}
+	for _, e := range run.Journal.CanonicalEvents() {
+		if e.Kind == obs.EventSweepEnd {
+			want["sweep"]++
+		}
+	}
+	got := map[string]int{}
+	byID := map[int]int{}
+	for i, e := range trace.TraceEvents {
+		got[e.Name]++
+		byID[e.Args.ID] = i
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("trace spans %v, want %v", got, want)
+	}
+	const eps = 1e-3 // µs: the layout's float sums round
+	for _, e := range trace.TraceEvents {
+		if e.Name == "campaign" {
+			continue
+		}
+		i, ok := byID[e.Args.Parent]
+		if !ok {
+			t.Errorf("%s has no parent span", e.Name)
+			continue
+		}
+		p := trace.TraceEvents[i]
+		var parentOK bool
+		switch {
+		case isStage[e.Name]:
+			parentOK = p.Name == "campaign"
+		case e.Name == "sweep":
+			parentOK = isStage[p.Name]
+		case e.Name == "capture":
+			parentOK = p.Name == "sweep"
+		default:
+			parentOK = p.Name == "capture"
+		}
+		if !parentOK {
+			t.Errorf("%s's parent is %s", e.Name, p.Name)
+		}
+		if e.Ts < p.Ts-eps || e.Ts+e.Dur > p.Ts+p.Dur+eps {
+			t.Errorf("%s [%g, +%g] lies outside its parent %s [%g, +%g]", e.Name, e.Ts, e.Dur, p.Name, p.Ts, p.Dur)
+		}
 	}
 }
 

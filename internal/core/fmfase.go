@@ -113,7 +113,6 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 	an := specan.New(specan.Config{Fres: 1e3})
 	idle := an.Sweep(specan.Request{
 		Scene: r.Scene, F1: c.F1, F2: c.F2, Seed: c.Seed,
-		NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
 	})
 	// Smooth the idle spectrum so noise ripple neither splits smeared
 	// humps into several candidates nor truncates linewidth measurement.
@@ -153,12 +152,10 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 				Seed: c.Seed + int64(i)*7907,
 			}, float64(fmCaptureN)/fmFs+0.01)
 			x := r.Scene.Render(emsim.Capture{
-				Band:            emsim.Band{Center: fc, SampleRate: fmFs},
-				N:               fmCaptureN,
-				Activity:        tr,
-				Seed:            c.Seed + int64(i)*104729,
-				NearField:       r.NearField,
-				NearFieldGainDB: r.NearFieldGainDB,
+				Band:     emsim.Band{Center: fc, SampleRate: fmFs},
+				N:        fmCaptureN,
+				Activity: tr,
+				Seed:     c.Seed + int64(i)*104729,
 			})
 			sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop, window.Hann)
 			track := windowedPeakTrack(sg, fc, trackWin)

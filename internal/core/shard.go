@@ -81,11 +81,14 @@ func (p *ShardPlan) Begin(an *specan.Analyzer, run *obs.Run) {
 // uses, which make the canonical journal identical however shards are
 // scheduled). ctx, when non-nil, cooperatively cancels the shard
 // mid-render (see specan.Request.Ctx); a cancelled shard's measurement is
-// partial garbage and must be discarded, never reduced.
-func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, parent obs.Span) Measurement {
+// partial garbage and must be discarded, never reduced. The run's trace
+// is laid out from its journal; the obs.Span parameter is unused, and
+// stays only because the benchmark (fasebench) calls RenderShard with
+// obs.Span{}.
+func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, _ obs.Span) Measurement {
 	c := p.Campaign
 	fa := p.FAlts[i]
-	return Measurement{FAlt: fa, Spectrum: r.sweepLadder(ctx, an, c, c.F1, c.F2, fa, i, run, parent)}
+	return Measurement{FAlt: fa, Spectrum: r.sweepLadder(ctx, an, c, c.F1, c.F2, fa, i, run)}
 }
 
 // sweepLadder sweeps [f1, f2] while the micro-benchmark alternates at fa,
@@ -93,7 +96,7 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 // drift derive from c.Seed + i·104729, so a refinement sweep over part of
 // the band sees the same realization the exhaustive sweep i would, and
 // the sweep's journal events land on track 1+i.
-func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, run *obs.Run, span obs.Span) *spectral.Spectrum {
+func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, run *obs.Run) *spectral.Spectrum {
 	seed := c.Seed + int64(i)*104729
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
@@ -109,9 +112,7 @@ func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaig
 	jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
 	return an.Sweep(specan.Request{
 		Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
-		Seed:      c.Seed,
-		NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-		Span:   span,
+		Seed:   c.Seed,
 		Events: jt,
 		Ctx:    ctx,
 	})
@@ -146,9 +147,9 @@ func (c Campaign) TraceSegments() float64 {
 // ordered by ladder index, ms[i] from RenderShard(i) — through the
 // smooth/score/detect stages and finalizes the run manifest. The reduce
 // is pure fixed-order computation over the spectra, so where the shards
-// rendered is invisible to it. The stages trace under run's own root
-// span; the obs.Span parameter is unused, and stays only because the
-// benchmark (fasebench) calls ReduceShards with obs.Span{}.
+// rendered is invisible to it. The stages are the run's own (Run.Begin);
+// the obs.Span parameter is unused, and stays only because the benchmark
+// (fasebench) calls ReduceShards with obs.Span{}.
 func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ obs.Span) (*Result, error) {
 	c := p.Campaign
 	if len(ms) != len(p.FAlts) {

@@ -1,8 +1,9 @@
 // Package peaks provides peak detection for spectra and score traces.
 //
-// Two detectors are provided: a prominence-based local-maximum finder used
-// on FASE heuristic outputs, and the Palshikar S1 spike score referenced by
-// the paper (§3, [29]) for comparison and for locating spectral spikes.
+// Two detectors are provided: a thresholded local-maximum finder used on
+// FASE heuristic outputs and spectra, and the Palshikar S1 spike score
+// referenced by the paper (§3, [29]) for comparison and for locating
+// spectral spikes.
 package peaks
 
 import (
@@ -13,26 +14,17 @@ import (
 
 // Peak describes one detected local maximum.
 type Peak struct {
-	Index      int     // bin index of the maximum
-	Value      float64 // value at the maximum
-	Prominence float64 // height above the higher of the two flanking saddles
-	LeftBase   int     // index of the left saddle bounding the peak
-	RightBase  int     // index of the right saddle bounding the peak
+	Index int     // bin index of the maximum
+	Value float64 // value at the maximum
 }
 
 // Options tunes Find.
 type Options struct {
 	// MinValue discards peaks whose value is below this threshold.
 	MinValue float64
-	// MinProminence discards peaks that do not rise at least this much
-	// above their surrounding saddles.
-	MinProminence float64
 	// MinDistance enforces at least this many bins between reported
 	// peaks; when two conflict, the taller wins. Zero disables.
 	MinDistance int
-	// MaxPeaks caps the number of returned peaks (tallest first) when
-	// positive.
-	MaxPeaks int
 }
 
 // Find locates local maxima in x and returns them sorted by descending
@@ -53,16 +45,9 @@ func Find(x []float64, opt Options) []Peak {
 			i = j
 			continue
 		}
-		// The threshold goes first, so the O(n) prominence walk runs only
-		// for maxima that can be kept; the negated test also drops NaN.
-		if !(x[i] >= opt.MinValue) {
-			i = j
-			continue
-		}
-		p := Peak{Index: i, Value: x[i]}
-		p.Prominence, p.LeftBase, p.RightBase = prominence(x, i)
-		if p.Prominence >= opt.MinProminence {
-			out = append(out, p)
+		// A NaN fails the threshold and is dropped.
+		if x[i] >= opt.MinValue {
+			out = append(out, Peak{Index: i, Value: x[i]})
 		}
 		i = j
 	}
@@ -75,37 +60,7 @@ func Find(x []float64, opt Options) []Peak {
 	if opt.MinDistance > 0 {
 		out = enforceDistance(out, opt.MinDistance)
 	}
-	if opt.MaxPeaks > 0 && len(out) > opt.MaxPeaks {
-		out = out[:opt.MaxPeaks]
-	}
 	return out
-}
-
-// prominence computes the classical topographic prominence of the peak at
-// index i: descend left and right until a sample higher than x[i] is found
-// (or the edge); the prominence is x[i] minus the higher of the two minima
-// along those walks.
-func prominence(x []float64, i int) (prom float64, leftBase, rightBase int) {
-	leftMin, leftBase := x[i], i
-	for j := i - 1; j >= 0; j-- {
-		if x[j] > x[i] {
-			break
-		}
-		if x[j] < leftMin {
-			leftMin, leftBase = x[j], j
-		}
-	}
-	rightMin, rightBase := x[i], i
-	for j := i + 1; j < len(x); j++ {
-		if x[j] > x[i] {
-			break
-		}
-		if x[j] < rightMin {
-			rightMin, rightBase = x[j], j
-		}
-	}
-	base := math.Max(leftMin, rightMin)
-	return x[i] - base, leftBase, rightBase
 }
 
 func enforceDistance(peaks []Peak, minDist int) []Peak {

@@ -27,6 +27,12 @@ func TestFindPlateau(t *testing.T) {
 	if len(got) != 1 || got[0].Index != 1 {
 		t.Fatalf("plateau should report leftmost sample: %+v", got)
 	}
+	// A +Inf plateau is a peak whether or not it starts at bin 0.
+	for _, x := range [][]float64{{math.Inf(1), math.Inf(1), 1, 0}, {0, math.Inf(1), math.Inf(1), 1, 0}} {
+		if got := Find(x, Options{MinValue: 30}); len(got) != 1 || got[0].Index != 1 || !math.IsInf(got[0].Value, 1) {
+			t.Errorf("Find(%v) = %+v, want the +Inf plateau at index 1", x, got)
+		}
+	}
 }
 
 func TestFindEdgesIgnored(t *testing.T) {
@@ -40,37 +46,17 @@ func TestFindEdgesIgnored(t *testing.T) {
 	}
 }
 
-func TestProminence(t *testing.T) {
-	// Small peak (value 2) sitting next to a tall one (value 5): its
-	// prominence is limited by the saddle at 1.
-	x := []float64{0, 5, 1, 2, 0}
-	got := Find(x, Options{})
-	var small *Peak
-	for i := range got {
-		if got[i].Index == 3 {
-			small = &got[i]
-		}
-	}
-	if small == nil {
-		t.Fatal("small peak not found")
-	}
-	if math.Abs(small.Prominence-1) > 1e-12 {
-		t.Errorf("prominence = %g, want 1", small.Prominence)
-	}
-	if small.LeftBase != 2 {
-		t.Errorf("left base = %d, want 2", small.LeftBase)
-	}
-}
-
+// TestMinValueAndProminenceFilters checks MinValue is the only value
+// filter: a peak below it goes, and a low-prominence peak above it stays.
 func TestMinValueAndProminenceFilters(t *testing.T) {
 	x := []float64{0, 1, 0.9, 1.05, 0, 10, 0}
 	got := Find(x, Options{MinValue: 5})
 	if len(got) != 1 || got[0].Index != 5 {
 		t.Errorf("MinValue filter failed: %+v", got)
 	}
-	got = Find(x, Options{MinProminence: 2})
-	if len(got) != 1 || got[0].Index != 5 {
-		t.Errorf("MinProminence filter failed: %+v", got)
+	got = Find(x, Options{MinValue: 1.02})
+	if len(got) != 2 || got[0].Index != 5 || got[1].Index != 3 {
+		t.Errorf("the peak 0.15 above its saddle was filtered: %+v", got)
 	}
 }
 
@@ -83,17 +69,8 @@ func TestMinDistance(t *testing.T) {
 	}
 }
 
-func TestMaxPeaks(t *testing.T) {
-	x := []float64{0, 1, 0, 2, 0, 3, 0}
-	got := Find(x, Options{MaxPeaks: 2})
-	if len(got) != 2 || got[0].Value != 3 || got[1].Value != 2 {
-		t.Errorf("MaxPeaks wrong: %+v", got)
-	}
-}
-
-// Property: every reported peak is a strict local maximum w.r.t. its
-// immediate non-equal neighbours, and prominence is non-negative and at
-// most the peak value minus the global minimum.
+// Property: every reported peak is an interior sample no lower than its
+// left neighbour.
 func TestFindProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -102,18 +79,11 @@ func TestFindProperties(t *testing.T) {
 		for i := range x {
 			x[i] = math.Round(r.Float64()*20) / 2 // coarse values force plateaus
 		}
-		globalMin := x[0]
-		for _, v := range x {
-			globalMin = math.Min(globalMin, v)
-		}
 		for _, p := range Find(x, Options{}) {
 			if p.Index <= 0 || p.Index >= n-1 {
 				return false
 			}
 			if x[p.Index] < x[p.Index-1] {
-				return false
-			}
-			if p.Prominence < 0 || p.Prominence > p.Value-globalMin+1e-9 {
 				return false
 			}
 		}

@@ -60,9 +60,6 @@ type Context struct {
 	// per-element coupling (e.g. individual DRAM ranks), while
 	// environment signals do not.
 	NearField bool
-	// NearFieldGainDB is the probe gain applied to system emitters when
-	// NearField is set.
-	NearFieldGainDB float64
 	// Prep is the component's prepared per-segment state: what its Prepare
 	// (see Prepper) returned for the capture's render plan. Every capture
 	// renders under a plan, so a Prepper's Render may rely on it.
@@ -147,13 +144,12 @@ func (s *Scene) Emitters() []Emitter {
 
 // Capture describes one rendering request.
 type Capture struct {
-	Band            Band
-	Start           float64
-	N               int
-	Activity        *activity.Trace
-	Seed            int64
-	NearField       bool
-	NearFieldGainDB float64
+	Band      Band
+	Start     float64
+	N         int
+	Activity  *activity.Trace
+	Seed      int64
+	NearField bool
 	// Plan is a render plan computed by Scene.Plan for this capture's Band
 	// and N; RenderInto builds one when it is nil. Components the plan marks
 	// inactive are skipped (their child-seed draw is still consumed, so
@@ -210,11 +206,10 @@ var scratchPool = sync.Pool{New: func() any {
 // therefore the rendered output — is independent of all three.
 func (sc *renderScratch) begin(cap Capture, ncomp int) {
 	sc.ctx = Context{
-		Band:            cap.Band,
-		Start:           cap.Start,
-		N:               cap.N,
-		NearField:       cap.NearField,
-		NearFieldGainDB: cap.NearFieldGainDB,
+		Band:      cap.Band,
+		Start:     cap.Start,
+		N:         cap.N,
+		NearField: cap.NearField,
 	}
 	sc.root.Seed(cap.Seed)
 	if len(sc.seeds) < ncomp {

@@ -85,13 +85,12 @@ func classify(c Component, band Band, n int) layerClass {
 // BuildStaticSet returns and safe to share between concurrent RenderInto
 // calls.
 type StaticSet struct {
-	band            Band
-	start           float64
-	n               int
-	seed            int64
-	nearField       bool
-	nearFieldGainDB float64
-	ncomp           int
+	band      Band
+	start     float64
+	n         int
+	seed      int64
+	nearField bool
+	ncomp     int
 	// layer is the members' renders, summed in index order into a zeroed
 	// buffer; in[i] marks component i as a member.
 	layer  []complex128
@@ -186,14 +185,13 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	}
 	cap.Plan = s.planFor(cap)
 	st := &StaticSet{
-		band:            cap.Band,
-		start:           cap.Start,
-		n:               cap.N,
-		seed:            cap.Seed,
-		nearField:       cap.NearField,
-		nearFieldGainDB: cap.NearFieldGainDB,
-		ncomp:           len(s.Components),
-		in:              make([]bool, len(s.Components)),
+		band:      cap.Band,
+		start:     cap.Start,
+		n:         cap.N,
+		seed:      cap.Seed,
+		nearField: cap.NearField,
+		ncomp:     len(s.Components),
+		in:        make([]bool, len(s.Components)),
 	}
 	sc := scratchPool.Get().(*renderScratch)
 	sc.begin(cap, len(s.Components))
@@ -225,7 +223,7 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 // programming errors.
 func (st *StaticSet) check(cap Capture, ncomp int) {
 	if st.band != cap.Band || st.n != cap.N || st.start != cap.Start || st.seed != cap.Seed ||
-		st.nearField != cap.NearField || st.nearFieldGainDB != cap.NearFieldGainDB || st.ncomp != ncomp {
+		st.nearField != cap.NearField || st.ncomp != ncomp {
 		panic(fmt.Sprintf(
 			"emsim: static set for band %+v n=%d start=%g seed=%d used with band %+v n=%d start=%g seed=%d",
 			st.band, st.n, st.start, st.seed, cap.Band, cap.N, cap.Start, cap.Seed))

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fase/internal/activity"
+	"fase/internal/core"
+	"fase/internal/emsim"
 	"fase/internal/machine"
 )
 
@@ -117,6 +119,20 @@ func TestHeadlineCarriers(t *testing.T) {
 	}
 	if _, ok := heads[sys.CoreRegulator.Label]; ok {
 		t.Error("core regulator must not be a headline emitter for LDM/LDL1")
+	}
+}
+
+// TestAttributionTieBreaksByName checks a detection equally far from two
+// emitters' lines goes to the name that sorts first, on every call.
+func TestAttributionTieBreaksByName(t *testing.T) {
+	scene := &emsim.Scene{}
+	scene.Add(&machine.UnmodulatedClock{Label: "z clock", F0: 100e3, MaxHarmonics: 1},
+		&machine.UnmodulatedClock{Label: "a clock", F0: 100e3, MaxHarmonics: 1})
+	r := &core.Runner{Scene: scene}
+	for i := 0; i < 50; i++ {
+		if got := attribution(&machine.System{}, r, core.Detection{Freq: 101e3}); got != "a clock" {
+			t.Fatalf("call %d attributed the tie to %q, want \"a clock\"", i, got)
+		}
 	}
 }
 

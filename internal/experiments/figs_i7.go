@@ -179,8 +179,9 @@ func fig10(cfg Config) *report.Output {
 	}
 }
 
-// attribution matches a detection to the closest emitter line.
-func attribution(sys *machine.System, r *core.Runner, d core.Detection, x, y activity.Kind) string {
+// attribution matches a detection to the closest emitter line; an exact
+// tie goes to the name that sorts first.
+func attribution(sys *machine.System, r *core.Runner, d core.Detection) string {
 	lines := map[string][]float64{}
 	for _, e := range r.Scene.Emitters() {
 		lines[e.Name()] = e.Carriers(d.Freq-5e3, d.Freq+5e3)
@@ -196,7 +197,7 @@ func attribution(sys *machine.System, r *core.Runner, d core.Detection, x, y act
 	best, bestDist := "unattributed", math.Inf(1)
 	for name, fs := range lines {
 		for _, f := range fs {
-			if dd := math.Abs(f - d.Freq); dd < bestDist {
+			if dd := math.Abs(f - d.Freq); dd < bestDist || dd == bestDist && name < best {
 				best, bestDist = name, dd
 			}
 		}
@@ -214,7 +215,7 @@ func campaignTable(sys *machine.System, r *core.Runner, res *core.Result) report
 		tbl.Rows = append(tbl.Rows, []string{
 			khz(d.Freq), sc1(d.Score), hstr(d.Harmonics),
 			db1(d.MagnitudeDBm), db1(d.DepthDB),
-			attribution(sys, r, d, res.Campaign.X, res.Campaign.Y),
+			attribution(sys, r, d),
 		})
 	}
 	return tbl

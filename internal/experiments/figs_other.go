@@ -181,7 +181,7 @@ func nearfieldGCD(cfg Config) *report.Output {
 	nearAn := specan.New(specan.Config{Fres: 100})
 	near := nearAn.Sweep(specan.Request{
 		Scene: scene, F1: 0.1e6, F2: 1.1e6, Seed: cfg.Seed + 201,
-		NearField: true, NearFieldGainDB: 30,
+		NearField: true,
 	})
 	fine := 1 / sys.Refresh.TRefi
 	tbl := report.Table{

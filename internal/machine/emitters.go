@@ -175,13 +175,18 @@ func (sc *refreshScratch) growWeights(ranks int) []float64 {
 	return sc.weights
 }
 
+// nearFieldGainDB is the near-field probe's gain on system emitters. It
+// is a float constant: an untyped 30 would make nearFieldGainDB/20
+// integer division.
+const nearFieldGainDB = 30.0
+
 // nearGain converts the context's near-field probe setting into a linear
 // amplitude factor for system emitters.
 func nearGain(ctx *emsim.Context) float64 {
 	if !ctx.NearField {
 		return 1
 	}
-	return math.Pow(10, ctx.NearFieldGainDB/20)
+	return math.Pow(10, nearFieldGainDB/20)
 }
 
 // wrapPhase keeps a phase accumulator in [-π, π] to preserve precision

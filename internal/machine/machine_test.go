@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"fase/internal/activity"
@@ -24,7 +25,7 @@ func sweep(t *testing.T, c emsim.Component, f1, f2, fres float64, tr interface {
 		act = tr.(*activity.Trace)
 	}
 	return an.Sweep(specan.Request{Scene: scene, F1: f1, F2: f2, Activity: act,
-		Seed: seed, NearField: near, NearFieldGainDB: 30})
+		Seed: seed, NearField: near})
 }
 
 func dbmAt(s *spectral.Spectrum, f, half float64) float64 {
@@ -143,6 +144,36 @@ func TestRefreshNearFieldRevealsGCD(t *testing.T) {
 		if dbmAt(near, f, 1e3) < -120 {
 			t.Errorf("near-field line at %.0f kHz missing: %.1f dBm", f/1e3, dbmAt(near, f, 1e3))
 		}
+	}
+}
+
+// TestNearFieldGain pins the near-field probe's gain: the i7 core
+// regulator rendered with NearField is its far-field render scaled by
+// 10^(30/20), sample for sample. Written as an untyped 30, the gain
+// constant would make nearFieldGainDB/20 integer division, a 20 dB gain.
+func TestNearFieldGain(t *testing.T) {
+	reg := IntelCoreI7Desktop().CoreRegulator
+	scene := &emsim.Scene{}
+	scene.Add(reg)
+	capture := emsim.Capture{Band: emsim.Band{Center: reg.FSw, SampleRate: 102.4e3}, N: 4096, Seed: 5}
+	far := scene.Render(capture)
+	capture.NearField = true
+	near := scene.Render(capture)
+	gain := math.Pow(10, 30.0/20)
+	peak := 0.0
+	for _, v := range far {
+		peak = math.Max(peak, cmplx.Abs(v))
+	}
+	if peak == 0 {
+		t.Fatal("the far-field render is empty")
+	}
+	worst := 0.0
+	for i := range far {
+		worst = math.Max(worst, cmplx.Abs(near[i]-complex(gain, 0)*far[i]))
+	}
+	if worst > 1e-12*gain*peak {
+		t.Errorf("near-field render departs from %.2f × far field by %.3g of the scaled peak",
+			gain, worst/(gain*peak))
 	}
 }
 
@@ -267,6 +298,14 @@ func TestRegistryAndLookup(t *testing.T) {
 	}
 	if _, err := Lookup("nonexistent"); err == nil {
 		t.Error("Lookup of unknown system should fail")
+	}
+	// The error lists the registry sorted, so its text (also the body of a
+	// fase serve 400) is the same on every call.
+	const want = `machine: unknown system "bogus" (have [fivr-desktop i3-laptop i7-desktop p3m-laptop turion-laptop])`
+	for i := 0; i < 20; i++ {
+		if _, err := Lookup("bogus"); err == nil || err.Error() != want {
+			t.Fatalf("Lookup error %v, want %s", err, want)
+		}
 	}
 }
 

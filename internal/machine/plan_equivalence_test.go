@@ -125,7 +125,7 @@ func TestPlannedRenderEquivalence(t *testing.T) {
 			Start:     r.Float64() * 0.2,
 			Activity:  trace,
 			Seed:      r.Int63(),
-			NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
+			NearField: r.Intn(4) == 0,
 		}
 		unculled := make([]complex128, n)
 		opaqueScene(scene).RenderInto(unculled, capt)

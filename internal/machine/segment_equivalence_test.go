@@ -87,7 +87,7 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 				Start:     r.Float64() * 0.2,
 				Seed:      r.Int63(),
 				Activity:  trace,
-				NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
+				NearField: r.Intn(4) == 0,
 			}
 			want := make([]complex128, n)
 			oracleScene(scene).RenderInto(want, capt)
@@ -158,7 +158,7 @@ func TestConstantOnTimeBlockedRenderEquivalence(t *testing.T) {
 			Start:     r.Float64() * 0.2,
 			Seed:      r.Int63(),
 			Activity:  trace,
-			NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
+			NearField: r.Intn(4) == 0,
 		}
 		want := make([]complex128, n)
 		oracleScene(scene).RenderInto(want, capt)

@@ -41,7 +41,7 @@ func TestStaticLayerRenderEquivalence(t *testing.T) {
 			Band: band, N: n,
 			Start:     r.Float64() * 0.2,
 			Seed:      r.Int63(),
-			NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
+			NearField: r.Intn(4) == 0,
 		}
 		kinds := []activity.Kind{activity.LDM, activity.LDL1, activity.LDL2}
 		traces := []*activity.Trace{nil, microbench.Generate(microbench.Config{

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"fase/internal/activity"
 	"fase/internal/emsim"
@@ -53,16 +54,21 @@ func Registry() map[string]func() *System {
 	}
 }
 
+// Names returns the registry's system names, sorted.
+func Names() []string {
+	var names []string
+	for name := range Registry() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Lookup returns the named system or an error listing valid names.
 func Lookup(name string) (*System, error) {
-	reg := Registry()
-	mk, ok := reg[name]
+	mk, ok := Registry()[name]
 	if !ok {
-		names := make([]string, 0, len(reg))
-		for k := range reg {
-			names = append(names, k)
-		}
-		return nil, fmt.Errorf("machine: unknown system %q (have %v)", name, names)
+		return nil, fmt.Errorf("machine: unknown system %q (have %v)", name, Names())
 	}
 	return mk(), nil
 }

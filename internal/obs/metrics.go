@@ -5,12 +5,13 @@
 // what its planner and caches did, and why each detection fired — and a
 // debug HTTP server exposing net/http/pprof, the registry's snapshot,
 // and the run's live progress and event stream. One call instruments a
-// pipeline stage: Run.Begin times it, traces it (Chrome trace_event
-// JSON), journals it and reports it at /progress.
+// pipeline stage: Run.Begin times it, journals it and reports it at
+// /progress. The run's Chrome trace_event JSON is laid out from its
+// journal (Run.WriteChromeTrace), so there is one recorder.
 //
 // Everything is stdlib-only and safe under the rendering worker pools.
-// Every hook is nil-safe: a nil *Run, nil *Tracer, or zero Span records
-// nothing and allocates nothing (a nil run's counts still move their
+// Every hook is nil-safe: a nil *Run or zero Span records nothing and
+// allocates nothing (a nil run's counts still move their
 // process-wide twins), so the instrumented hot path stays
 // allocation-free and bit-identical when observability is off (enforced
 // by the planner equivalence tests, which run with it on).

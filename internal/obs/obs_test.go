@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -41,30 +40,35 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestNilRunAndTracerAreNoOps checks a nil run records nothing and has
+// no trace, and that only a traced run keeps capture timings: an untraced
+// run, or a capture with no journal track, keeps none.
 func TestNilRunAndTracerAreNoOps(t *testing.T) {
 	var run *Run
 	if sp := run.Begin("x"); sp != (Span{}) {
 		t.Error("nil run opened a stage")
 	}
 	run.Begin("x").End()
+	Span{}.End()
 	run.RecordPlan(1, 2, 3, 4, 5)
 	run.Count(StatCaptures, 1)
-	run.Capture(Span{}, time.Time{}, time.Time{}, 1)
+	run.Capture(nil, time.Time{}, time.Time{}, 1)
 	run.Emit(nil, Event{Kind: EventSweepEnd})
 	if run.Stat(StatCaptures) != 0 || run.Manifest() != nil || run.Finish(nil, 0, nil) != nil {
 		t.Error("nil run returned data")
 	}
-	var tr *Tracer
-	sp := tr.Begin("root")
-	if sp.Active() {
-		t.Error("nil tracer produced an active span")
+	if err := run.WriteChromeTrace(io.Discard); err == nil {
+		t.Error("nil run wrote a trace")
 	}
-	sp.Child("c").End()
-	sp.Fork("f").End()
-	sp.Mark("m", time.Now(), time.Second)
-	sp.End()
-	if tr.Events() != nil {
-		t.Error("nil tracer recorded events")
+	if err := NewRun().WriteChromeTrace(io.Discard); err == nil {
+		t.Error("a run without a journal wrote a trace")
+	}
+	untraced := &Run{Journal: NewJournal()}
+	untraced.Capture(untraced.Track(1), time.Now(), time.Now(), 1)
+	traced := &Run{Trace: true}
+	traced.Capture(nil, time.Now(), time.Now(), 1)
+	if len(untraced.captures) != 0 || len(traced.captures) != 0 {
+		t.Error("a capture timing was kept without a trace or a track")
 	}
 }
 
@@ -152,22 +156,21 @@ func TestConcurrentExactTotals(t *testing.T) {
 	g := r.Gauge("level")
 	h := r.Histogram("lat", ExpBuckets(1, 2, 8))
 	run := NewRun()
-	run.Tracer = NewTracer()
+	run.Trace, run.Journal = true, NewJournal()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			root := run.Tracer.Begin(fmt.Sprintf("worker-%d", w))
+			track := run.Track(int64(1 + w))
 			t0 := time.Now().Add(-time.Millisecond)
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				g.Set(float64(w))
 				h.Observe(float64(i % 300))
-				run.Capture(Span{}, t0, t0.Add(time.Millisecond), 0)
+				run.Capture(track, t0, t0.Add(time.Millisecond), 0)
 			}
 			run.RecordPlan(float64(w), 1e6, 1024, 3, 2)
-			root.End()
 		}(w)
 	}
 	wg.Wait()
@@ -188,106 +191,108 @@ func TestConcurrentExactTotals(t *testing.T) {
 	if got := run.hists[histRender].sum.Value(); got < want*(1-1e-9) || got > want*(1+1e-9) {
 		t.Errorf("render seconds %g, want %g", got, want)
 	}
-	if got := len(run.Tracer.Events()); got != workers {
-		t.Errorf("%d trace events, want %d", got, workers)
+	if got := len(run.captures); got != int(total) {
+		t.Errorf("%d capture timings kept, want %d", got, total)
 	}
 }
 
-// TestChromeTraceStructure asserts the trace output is structurally valid
-// trace_event JSON: complete events with non-negative timings, lanes as
-// tids, and parent links resolving to recorded span ids.
-func TestChromeTraceStructure(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Begin("campaign")
-	stage := root.Child("sweeps")
-	fork := stage.Fork("sweep")
-	fork.Mark("render", time.Now(), time.Millisecond)
-	fork.End()
-	stage.End()
-	root.End()
-
-	if root.Active() != true {
-		t.Error("live span should be active")
-	}
+// chromeEvents lays run's trace out and parses it back.
+func chromeEvents(t *testing.T, run *Run) []chromeEvent {
+	t.Helper()
 	var b bytes.Buffer
-	if err := tr.WriteChromeTrace(&b); err != nil {
+	if err := run.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Pid  int            `json:"pid"`
-			Tid  int64          `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
+	var out chromeTrace
 	if err := json.Unmarshal(b.Bytes(), &out); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(out.TraceEvents) != 4 {
-		t.Fatalf("%d events, want 4", len(out.TraceEvents))
+	return out.TraceEvents
+}
+
+// TestChromeTraceStructure lays a small traced run out and checks the
+// trace is structurally valid trace_event JSON — complete events with
+// non-negative timings, the root and its stages on lane 0, the sweep and
+// its capture on lanes from 1 up, render and fft on their capture's lane
+// — and that each span's parent is the span containing it.
+func TestChromeTraceStructure(t *testing.T) {
+	run := NewRun()
+	run.Trace, run.Journal = true, NewJournal()
+	run.Track(0).Emit(Event{Kind: EventCampaignStart})
+	stage := run.Begin("sweeps")
+	sweep := run.Track(1)
+	sweep.Emit(Event{Kind: EventSweepStart})
+	t0 := time.Now()
+	time.Sleep(time.Millisecond)
+	run.Capture(sweep, t0, time.Now(), 0)
+	run.Emit(sweep, Event{Kind: EventSweepEnd})
+	stage.End()
+	run.Begin("detect").End()
+	run.Track(0).Emit(Event{Kind: EventCampaignEnd})
+
+	events := chromeEvents(t, run)
+	if len(events) != 7 {
+		t.Fatalf("%d events, want 7: %+v", len(events), events)
 	}
-	ids := map[float64]string{}
-	for _, e := range out.TraceEvents {
-		if e.Ph != "X" {
-			t.Errorf("event %q has ph %q, want X", e.Name, e.Ph)
+	byID := map[float64]chromeEvent{}
+	for _, e := range events {
+		if e.Ph != "X" || e.Cat != "fase" || e.Ts < 0 || e.Dur < 0 {
+			t.Errorf("malformed event %+v", e)
 		}
-		if e.Ts < 0 || e.Dur < 0 {
-			t.Errorf("event %q has negative timing ts=%g dur=%g", e.Name, e.Ts, e.Dur)
-		}
-		if e.Cat != "fase" {
-			t.Errorf("event %q has cat %q", e.Name, e.Cat)
-		}
-		id, ok := e.Args["id"].(float64)
-		if !ok || id <= 0 {
-			t.Fatalf("event %q has no id: %+v", e.Name, e.Args)
-		}
-		ids[id] = e.Name
+		byID[e.Args["id"].(float64)] = e
 	}
-	byName := map[string]map[string]any{}
-	for _, e := range out.TraceEvents {
-		byName[e.Name] = e.Args
+	want := map[string]struct {
+		parent string
+		lane   int64
+	}{
+		"campaign": {"", 0}, "sweeps": {"campaign", 0}, "detect": {"campaign", 0},
+		"sweep": {"sweeps", 1}, "capture": {"sweep", 2}, "render": {"capture", 2}, "fft": {"capture", 2},
 	}
-	// campaign is a root; sweeps is its child; sweep forks from sweeps;
-	// render marks inside sweep.
-	if p := byName["campaign"]["parent"].(float64); p != 0 {
-		t.Errorf("campaign parent %g, want 0", p)
-	}
-	for child, parent := range map[string]string{
-		"sweeps": "campaign", "sweep": "sweeps", "render": "sweep",
-	} {
-		pid := byName[child]["parent"].(float64)
-		if ids[pid] != parent {
-			t.Errorf("%s's parent id %g resolves to %q, want %q", child, pid, ids[pid], parent)
+	const eps = 1e-3 // µs: the layout's float sums round
+	for _, e := range events {
+		w, ok := want[e.Name]
+		p, hasParent := byID[e.Args["parent"].(float64)]
+		switch {
+		case !ok || e.Tid != w.lane:
+			t.Errorf("%s on lane %d, want %d", e.Name, e.Tid, w.lane)
+		case w.parent == "" && hasParent, w.parent != "" && p.Name != w.parent:
+			t.Errorf("%s's parent is %q, want %q", e.Name, p.Name, w.parent)
+		case hasParent && (e.Ts < p.Ts-eps || e.Ts+e.Dur > p.Ts+p.Dur+eps):
+			t.Errorf("%s [%g, +%g] lies outside its parent %s [%g, +%g]", e.Name, e.Ts, e.Dur, p.Name, p.Ts, p.Dur)
 		}
 	}
 }
 
-// TestTracerLanePooling checks sequential root spans reuse lanes, so a
-// long campaign's trace keeps a bounded lane (thread) count.
+// TestTracerLanePooling checks the trace packs sweeps onto lanes by start
+// time: sequential sweeps reuse lane 1, so a long campaign's trace keeps
+// a bounded lane (thread) count, and overlapping ones take the lowest
+// free lanes.
 func TestTracerLanePooling(t *testing.T) {
-	tr := NewTracer()
-	for i := 0; i < 10; i++ {
-		s := tr.Begin("s")
-		s.End()
+	run := NewRun()
+	run.Journal = NewJournal()
+	for i := int64(1); i <= 10; i++ {
+		run.Track(i).Emit(Event{Kind: EventSweepStart})
+		run.Track(i).Emit(Event{Kind: EventSweepEnd})
 	}
-	lanes := map[int64]bool{}
-	for _, e := range tr.Events() {
-		lanes[e.Lane] = true
+	a, b := run.Track(11), run.Track(12)
+	a.Emit(Event{Kind: EventSweepStart})
+	b.Emit(Event{Kind: EventSweepStart})
+	a.Emit(Event{Kind: EventSweepEnd})
+	b.Emit(Event{Kind: EventSweepEnd})
+	lanes := map[int64]int{}
+	for _, e := range chromeEvents(t, run) {
+		if e.Name == "sweep" {
+			lanes[e.Tid]++
+		}
 	}
-	if len(lanes) != 1 {
-		t.Errorf("sequential spans used %d lanes, want 1", len(lanes))
+	if len(lanes) != 2 || lanes[1] != 11 || lanes[2] != 1 {
+		t.Errorf("sweeps per lane %v, want 11 on lane 1 and 1 on lane 2", lanes)
 	}
 }
 
 func TestRunStagesAndManifest(t *testing.T) {
 	run := NewRun()
-	run.Tracer = NewTracer()
+	run.Journal = NewJournal()
 	sweeps := run.Begin("sweeps")
 	time.Sleep(2 * time.Millisecond)
 	sweeps.End()
@@ -313,14 +318,14 @@ func TestRunStagesAndManifest(t *testing.T) {
 	if p := m.Planner; p.PlansBuilt != 1 || p.ComponentsActive != 9 || p.ComponentsSkipped != 20 {
 		t.Errorf("planner block not built from the recorded plan: %+v", p)
 	}
-	// Each stage is a child of the run's root span, which Finish closed.
-	spans := map[string]SpanEvent{}
-	for _, e := range run.Tracer.Events() {
+	// Each stage is a child of the trace's root span.
+	spans := map[string]chromeEvent{}
+	for _, e := range chromeEvents(t, run) {
 		spans[e.Name] = e
 	}
 	root, ok := spans["campaign"]
-	if len(spans) != 3 || !ok || root.Parent != 0 ||
-		spans["sweeps"].Parent != root.ID || spans["detect"].Parent != root.ID {
+	if len(spans) != 3 || !ok || root.Args["parent"] != 0.0 ||
+		spans["sweeps"].Args["parent"] != root.Args["id"] || spans["detect"].Args["parent"] != root.Args["id"] {
 		t.Errorf("stage spans: %+v", spans)
 	}
 	data, err := json.Marshal(m)

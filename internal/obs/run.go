@@ -22,14 +22,16 @@ import (
 // unconditionally and pays only a nil check when observability is off;
 // a nil run's Count, RecordPlan and Capture still move the twins.
 type Run struct {
-	// Tracer, when non-nil, records spans alongside the timings: each
-	// stage is a child of the run's root "campaign" span, which the
-	// first Begin opens and Finish closes.
-	Tracer *Tracer
+	// Trace, when set, keeps each capture's timing (Capture) so that
+	// WriteChromeTrace can lay out capture spans beside the stage and
+	// sweep spans it reads from the journal. Off, a run keeps nothing per
+	// capture.
+	Trace bool
 	// Journal, when non-nil, receives the run's structured event stream
 	// (see events.go): Begin emits stage_start/stage_end on track 0, and
 	// the campaign/planner/analyzer emit their own events through tracks
 	// obtained from Track (or through Emit, for events /progress reads).
+	// WriteChromeTrace lays the run's trace out from it.
 	Journal *Journal
 
 	start    time.Time
@@ -41,8 +43,8 @@ type Run struct {
 	progress progress
 
 	mu         sync.Mutex
-	root       Span // opened by the first Begin, closed by Finish
 	stages     []StageTiming
+	captures   []captureTiming // Trace only
 	segments   []SegmentPlan
 	components map[string]*componentStat
 	manifest   *Manifest
@@ -142,37 +144,36 @@ func (r *Run) Emit(t *JournalTrack, e Event) {
 	t.Emit(e)
 }
 
-// Begin opens the named pipeline stage: a trace span under the run's
-// root span, stage_start on track 0, and the /progress stage. The
-// returned span's End records the stage's StageTiming and emits
-// stage_end. Stages are sequential at the campaign level, so their wall
-// times sum to ≈ the run's total. A nil run returns the zero Span.
+// Span is one open pipeline stage, returned by Run.Begin; its End
+// records the stage. The zero Span (a nil run's) does nothing.
+type Span struct {
+	run   *Run
+	name  string
+	start time.Time
+	cpu   float64 // process CPU seconds at Begin
+}
+
+// Begin opens the named pipeline stage: stage_start on track 0 and the
+// /progress stage. The returned span's End records the stage's
+// StageTiming and emits stage_end. Stages are sequential at the campaign
+// level, so their wall times sum to ≈ the run's total. A nil run returns
+// the zero Span.
 func (r *Run) Begin(name string) Span {
 	if r == nil {
 		return Span{}
 	}
 	r.progress.stage.Store(name)
 	r.Track(0).Emit(Event{Kind: EventStageStart, Name: name})
-	r.mu.Lock()
-	if !r.root.Active() {
-		r.root = r.Tracer.Begin("campaign")
-	}
-	s := r.root.Child(name)
-	r.mu.Unlock()
-	if s.tr == nil {
-		s.name, s.start = name, time.Since(r.start)
-	}
-	s.run, s.cpu = r, processCPUSeconds()
-	return s
+	return Span{run: r, name: name, start: time.Now(), cpu: processCPUSeconds()}
 }
 
-// endStage records stage span s (see Span.End).
-func (r *Run) endStage(s Span) {
-	epoch := r.start
-	if s.tr != nil {
-		epoch = s.tr.start
+// End records the stage on its run. Ending the zero Span does nothing.
+func (s Span) End() {
+	r := s.run
+	if r == nil {
+		return
 	}
-	st := StageTiming{Name: s.name, WallSeconds: (time.Since(epoch) - s.start).Seconds(),
+	st := StageTiming{Name: s.name, WallSeconds: time.Since(s.start).Seconds(),
 		CPUSeconds: processCPUSeconds() - s.cpu}
 	r.mu.Lock()
 	r.stages = append(r.stages, st)
@@ -213,13 +214,13 @@ func (r *Run) RecordPlan(centerHz, sampleRate float64, samples, active, skipped 
 	r.mu.Unlock()
 }
 
-// Capture counts one rendered analyzer capture, called as it completes.
-// On an instrumented run it also adds the capture's simulated seconds to
-// /progress and splits its wall time into render [t0, t1) and
-// window+FFT [t1, now): both feed the run's totals and histograms, and
-// become "render" and "fft" marks on the capture span cs, which Capture
-// ends. A nil run only counts, and never reads the clock.
-func (r *Run) Capture(cs Span, t0, t1 time.Time, simSeconds float64) {
+// Capture counts one rendered analyzer capture of the sweep journaled
+// on t, called as it completes. On an instrumented run it also adds the
+// capture's simulated seconds to /progress and splits its wall time into
+// render [t0, t1) and window+FFT [t1, now), which feed the run's totals
+// and histograms; a traced run keeps the split for WriteChromeTrace. A
+// nil run only counts, and never reads the clock.
+func (r *Run) Capture(t *JournalTrack, t0, t1 time.Time, simSeconds float64) {
 	r.Count(StatCaptures, 1)
 	if r == nil {
 		return
@@ -228,9 +229,11 @@ func (r *Run) Capture(cs Span, t0, t1 time.Time, simSeconds float64) {
 	r.progress.simDone.Add(simSeconds)
 	r.observe(histRender, render.Seconds())
 	r.observe(histFFT, fft.Seconds())
-	cs.Mark("render", t0, render)
-	cs.Mark("fft", t1, fft)
-	cs.End()
+	if r.Trace && t != nil {
+		r.mu.Lock()
+		r.captures = append(r.captures, captureTiming{track: t.id, start: t0.Sub(t.j.epoch), render: render, fft: fft})
+		r.mu.Unlock()
+	}
 }
 
 func (r *Run) observe(h int, v float64) {
@@ -279,10 +282,10 @@ func (r *Run) component(name string) *componentStat {
 	return cs
 }
 
-// Finish closes the run's root span and assembles its manifest: resolved
-// config (any JSON-marshalable value), the simulated spectrum-analyzer
-// observation time, and the detection provenance records. The first call
-// wins; subsequent calls return the existing manifest unchanged.
+// Finish assembles the run's manifest: resolved config (any
+// JSON-marshalable value), the simulated spectrum-analyzer observation
+// time, and the detection provenance records. The first call wins;
+// subsequent calls return the existing manifest unchanged.
 func (r *Run) Finish(config any, simulatedSeconds float64, detections []DetectionRecord) *Manifest {
 	if r == nil {
 		return nil
@@ -292,7 +295,6 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 	if r.manifest != nil {
 		return r.manifest
 	}
-	r.root.End()
 	// Segments are recorded in first-render order, which parallel
 	// captures make nondeterministic; sorting keeps the block a function
 	// of the run's configuration.

@@ -1,159 +1,31 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"io"
-	"sync"
-	"sync/atomic"
+	"math"
+	"slices"
 	"time"
 )
 
-// Tracer records spans — named, timed intervals with explicit
-// parent/child links — and writes them as Chrome trace_event JSON
-// (chrome://tracing, Perfetto, or speedscope all load it).
-//
-// Spans live on lanes (rendered as Chrome "threads"): sequential child
-// stages share their parent's lane, while concurrent work forks onto its
-// own lane so overlapping spans never collide visually. Lanes are pooled
-// and reused, so a campaign's trace has roughly Parallelism lanes, not
-// one per capture.
-//
-// A nil *Tracer is a valid no-op: Begin returns the zero Span, whose
-// methods all do nothing, so call sites need no guards.
-type Tracer struct {
-	start  time.Time
-	nextID atomic.Int64
-
-	mu        sync.Mutex
-	events    []SpanEvent
-	freeLanes []int64
-	nextLane  int64
+// captureTiming is one capture of a traced run: its journal track, its
+// start since the journal's epoch, and its render and window+FFT times.
+type captureTiming struct {
+	track              int64
+	start, render, fft time.Duration
 }
 
-// SpanEvent is one completed span.
-type SpanEvent struct {
-	Name   string
-	ID     int64
-	Parent int64 // 0 = root
-	Lane   int64
-	Start  time.Duration // offset from the tracer's epoch
-	Dur    time.Duration
-}
-
-// NewTracer returns a tracer whose epoch is now.
-func NewTracer() *Tracer {
-	return &Tracer{start: time.Now()}
-}
-
-// Span is one in-flight interval. The zero Span is a no-op; spans are
-// values, so disabled tracing allocates nothing. A span opened by
-// Run.Begin is also a pipeline stage: its End records the stage on the
-// run, traced or not.
-type Span struct {
-	tr     *Tracer
-	run    *Run // stage spans only
-	name   string
-	start  time.Duration // offset from the tracer's epoch, or the run's for an untraced stage
-	cpu    float64       // stage spans: process CPU seconds at Begin
-	lane   int64
-	id     int64
-	parent int64
-	owns   bool // this span acquired its lane and releases it on End
-}
-
-// Active reports whether the span records anything.
-func (s Span) Active() bool { return s.tr != nil }
-
-// Begin opens a root span on its own lane.
-func (t *Tracer) Begin(name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{tr: t, name: name, start: time.Since(t.start), lane: t.acquireLane(),
-		id: t.nextID.Add(1), owns: true}
-}
-
-// Child opens a sub-span on the same lane — for stages that run
-// sequentially within the parent.
-func (s Span) Child(name string) Span {
-	if s.tr == nil {
-		return Span{}
-	}
-	return Span{tr: s.tr, name: name, start: time.Since(s.tr.start), lane: s.lane,
-		id: s.tr.nextID.Add(1), parent: s.id}
-}
-
-// Fork opens a sub-span on a fresh lane — for work that runs
-// concurrently with its siblings (sweeps, captures).
-func (s Span) Fork(name string) Span {
-	if s.tr == nil {
-		return Span{}
-	}
-	return Span{tr: s.tr, name: name, start: time.Since(s.tr.start), lane: s.tr.acquireLane(),
-		id: s.tr.nextID.Add(1), parent: s.id, owns: true}
-}
-
-// Mark records an already-measured child interval on the span's lane,
-// for call sites that timed a region themselves.
-func (s Span) Mark(name string, start time.Time, d time.Duration) {
-	if s.tr == nil {
-		return
-	}
-	s.tr.record(SpanEvent{Name: name, ID: s.tr.nextID.Add(1), Parent: s.id,
-		Lane: s.lane, Start: start.Sub(s.tr.start), Dur: d})
-}
-
-// End records the span and releases its lane if it owned one; ending a
-// stage span also records the stage on its run (see Run.Begin). Ending
-// the zero Span does nothing.
-func (s Span) End() {
-	if s.run != nil {
-		s.run.endStage(s)
-	}
-	if s.tr == nil {
-		return
-	}
-	s.tr.record(SpanEvent{Name: s.name, ID: s.id, Parent: s.parent, Lane: s.lane,
-		Start: s.start, Dur: time.Since(s.tr.start) - s.start})
-	if s.owns {
-		s.tr.releaseLane(s.lane)
-	}
-}
-
-func (t *Tracer) acquireLane() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := len(t.freeLanes); n > 0 {
-		l := t.freeLanes[n-1]
-		t.freeLanes = t.freeLanes[:n-1]
-		return l
-	}
-	t.nextLane++
-	return t.nextLane - 1
-}
-
-func (t *Tracer) releaseLane(l int64) {
-	t.mu.Lock()
-	t.freeLanes = append(t.freeLanes, l)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) record(e SpanEvent) {
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events.
-func (t *Tracer) Events() []SpanEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanEvent, len(t.events))
-	copy(out, t.events)
-	return out
+// traceSpan is one span of a laid-out trace. Times are seconds since the
+// journal's epoch; split ends a capture's render; parent indexes the
+// span list (-1 for the root).
+type traceSpan struct {
+	name              string
+	track             int64
+	start, split, end float64
+	parent            int
+	lane              int64
 }
 
 // chromeEvent is one trace_event entry ("X" = complete event; ts and dur
@@ -175,21 +47,84 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace writes the recorded spans in Chrome's trace_event
-// JSON format. Span identity and parentage ride in args ("id",
-// "parent"), which trace viewers ignore but tests assert on.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for _, e := range t.Events() {
-		ce := chromeEvent{
-			Name: e.Name, Cat: "fase", Ph: "X",
-			Ts:  float64(e.Start.Nanoseconds()) / 1e3,
-			Dur: float64(e.Dur.Nanoseconds()) / 1e3,
-			Pid: 1, Tid: e.Lane,
-			Args: map[string]any{"id": e.ID, "parent": e.Parent},
-		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+// WriteChromeTrace writes the run as Chrome trace_event JSON
+// (chrome://tracing, Perfetto and speedscope load it), laid out from what
+// the run recorded: a root "campaign" span over the journal's first to
+// last event, a span per stage_start/stage_end pair on track 0, a "sweep"
+// span per sweep_start/sweep_end pair on each sweep track, and, when the
+// run traces, a "capture" span per capture with its "render" and "fft"
+// children. A span's parent is the span that contains its start: a
+// capture's is the sweep on its own track, a sweep's the stage, a stage's
+// the root. The root and the stages share lane (Chrome "thread") 0;
+// sweeps and captures are packed, by start time, onto the lowest free
+// lane from 1 up, and render and fft sit on their capture's lane. Span
+// identity and parentage ride in args ("id", "parent"). It fails when the
+// run has no journal.
+func (r *Run) WriteChromeTrace(w io.Writer) error {
+	if r == nil || r.Journal == nil {
+		return errors.New("obs: a trace is laid out from the run's journal, and the run has none")
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	events := r.Journal.CanonicalEvents()
+	if len(events) == 0 {
+		return errors.New("obs: the run's journal is empty")
+	}
+	all := []traceSpan{{name: "campaign", start: math.Inf(1), end: math.Inf(-1), parent: -1}}
+	var packed []traceSpan      // sweeps and captures
+	open := map[int64]float64{} // track → start of its open stage or sweep
+	for _, e := range events {
+		all[0].start, all[0].end = min(all[0].start, e.T), max(all[0].end, e.T)
+		switch e.Kind {
+		case EventStageStart, EventSweepStart:
+			open[e.Track] = e.T
+		case EventStageEnd:
+			all = append(all, traceSpan{name: e.Name, start: open[e.Track], end: e.T})
+		case EventSweepEnd:
+			packed = append(packed, traceSpan{name: "sweep", track: e.Track, start: open[e.Track], end: e.T})
+		}
+	}
+	stages := all[1:]
+	r.mu.Lock()
+	for _, c := range r.captures {
+		start := c.start.Seconds()
+		packed = append(packed, traceSpan{name: "capture", track: c.track, start: start,
+			split: start + c.render.Seconds(), end: start + (c.render + c.fft).Seconds()})
+	}
+	r.mu.Unlock()
+	// A stable sort keeps each sweep ahead of any capture starting with it.
+	slices.SortStableFunc(packed, func(a, b traceSpan) int { return cmp.Compare(a.start, b.start) })
+
+	within := func(s traceSpan, t float64) bool { return s.start <= t && t <= s.end }
+	sweepOf := map[int64]int{} // track → index in all of its latest sweep
+	var laneEnd []float64      // laneEnd[k] is when lane k+1 frees
+	for _, s := range packed {
+		if s.name == "sweep" {
+			s.parent = 1 + slices.IndexFunc(stages, func(st traceSpan) bool { return within(st, s.start) })
+			sweepOf[s.track] = len(all)
+		} else if i, ok := sweepOf[s.track]; ok && within(all[i], s.start) {
+			s.parent = i
+		}
+		k := slices.IndexFunc(laneEnd, func(end float64) bool { return end <= s.start })
+		if k < 0 {
+			k, laneEnd = len(laneEnd), append(laneEnd, 0)
+		}
+		laneEnd[k], s.lane = s.end, int64(k+1)
+		all = append(all, s)
+	}
+
+	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	emit := func(name string, start, end float64, lane int64, parent int) {
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: name, Cat: "fase", Ph: "X", Ts: start * 1e6, Dur: (end - start) * 1e6, Pid: 1, Tid: lane,
+			Args: map[string]any{"id": len(out.TraceEvents) + 1, "parent": parent}})
+	}
+	for _, s := range all { // a span's id is 1 + its index in all
+		emit(s.name, s.start, s.end, s.lane, s.parent+1)
+	}
+	for i, s := range all {
+		if s.name == "capture" {
+			emit("render", s.start, s.split, s.lane, i+1)
+			emit("fft", s.split, s.end, s.lane, i+1)
+		}
+	}
+	return json.NewEncoder(w).Encode(out)
 }

@@ -473,7 +473,7 @@ func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
 		}
 		s.shardsRun.Add(1)
 		svcShardsTotal.Inc()
-		ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweeps)
+		ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, obs.Span{})
 	})
 	sweeps.End()
 	if j.ctx.Err() != nil {

@@ -23,9 +23,9 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := func(scene *emsim.Scene) Request {
+	req := func(scene *emsim.Scene, run *obs.Run) Request {
 		return Request{
-			Scene: scene, F1: 250e3, F2: 750e3, Seed: 17,
+			Scene: scene, F1: 250e3, F2: 750e3, Seed: 17, Events: run.Track(1),
 			Activity: microbench.Generate(microbench.Config{
 				X: activity.LDM, Y: activity.LDL1, FAlt: 43.3e3,
 				Jitter: microbench.DefaultJitter(), Seed: 17,
@@ -42,8 +42,9 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 		{"unculled serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, true},
 		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, false},
 		{"unculled parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, true},
-		// Observability on must not change a single bit: timings and spans
-		// observe the pipeline, never steer it.
+		// Observability on must not change a single bit: timings, the
+		// journal and the trace's capture timings observe the pipeline,
+		// never steer it.
 		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: tracedRun()}, false},
 		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, false},
 		{"instrumented unculled", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}, true},
@@ -52,7 +53,7 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 		if tc.unculled {
 			scene = opaqueScene(scene)
 		}
-		s := New(tc.cfg).Sweep(req(scene))
+		s := New(tc.cfg).Sweep(req(scene, tc.cfg.Obs))
 		if ref == nil {
 			ref = s
 			continue
@@ -71,11 +72,11 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	}
 }
 
-// tracedRun builds an obs.Run with a tracer attached, the fully
+// tracedRun builds a traced obs.Run with a journal, the fully
 // instrumented configuration the equivalence cases exercise.
 func tracedRun() *obs.Run {
 	run := obs.NewRun()
-	run.Tracer = obs.NewTracer()
+	run.Trace, run.Journal = true, obs.NewJournal()
 	return run
 }
 

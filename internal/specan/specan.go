@@ -79,10 +79,11 @@ type Config struct {
 	// every capture live.
 	Statics *StaticCache
 	// Obs, when non-nil, attaches run-level observability: per-capture
-	// render/FFT timing, plan-cache statistics, and — when Obs.Tracer is
-	// set — sweep/capture spans. A nil Obs (the default) keeps the hot
-	// path allocation-free, and instrumentation never changes rendered
-	// output (enforced by the equivalence tests).
+	// render/FFT timing, plan-cache statistics, and — when Obs.Trace is
+	// set — each capture's timing on its sweep's journal track, for the
+	// run's trace. A nil Obs (the default) keeps the hot path
+	// allocation-free, and instrumentation never changes rendered output
+	// (enforced by the equivalence tests).
 	Obs *obs.Run
 }
 
@@ -144,7 +145,6 @@ type staticKey struct {
 	seed       int64
 	start      float64
 	nearField  bool
-	nearGainDB float64
 }
 
 // StaticCache is a static-layer render cache (see Config.Statics),
@@ -237,7 +237,7 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 	key := staticKey{
 		scene: req.Scene, center: band.Center, fs: band.SampleRate, n: n,
 		seed: seed, start: start,
-		nearField: req.NearField, nearGainDB: req.NearFieldGainDB,
+		nearField: req.NearField,
 	}
 	// The conditional-static key distinguishes sets within one identity:
 	// the same (band, seed, start) capture under different window-constant
@@ -281,8 +281,8 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 		e.set = req.Scene.BuildStaticSet(emsim.Capture{
 			Band: band, Start: start, N: n, Seed: seed,
 			Activity:  req.Activity,
-			NearField: req.NearField, NearFieldGainDB: req.NearFieldGainDB,
-			Plan: plan,
+			NearField: req.NearField,
+			Plan:      plan,
 		})
 		if e.set != nil {
 			a.cfg.Obs.Count(obs.StatStaticComponents, int64(e.set.Components()))
@@ -357,10 +357,6 @@ type Request struct {
 	// never-cancelled context leaves the sweep byte-identical to one
 	// without a context.
 	Ctx context.Context
-	// Span, when active, is the trace span the sweep nests under (e.g.
-	// a campaign stage). The zero value is fine: with Config.Obs tracing
-	// enabled the sweep then opens a root span of its own.
-	Span obs.Span
 	// Activity is the program-activity envelope during the sweep (nil =
 	// idle machine).
 	Activity *activity.Trace
@@ -369,15 +365,14 @@ type Request struct {
 	Seed int64
 	// NearField enables the localization probe model.
 	NearField bool
-	// NearFieldGainDB is the probe gain (e.g. 30 dB); only meaningful
-	// with NearField.
-	NearFieldGainDB float64
 	// Events, when non-nil, receives the sweep's journal events
 	// (sweep_start, strided sweep_progress, sweep_end) on the caller's
 	// track. They are emitted from the sweep's coordinating goroutine —
 	// progress follows the deterministic reduce order, not render
 	// completion — so per-track event order is reproducible at any
-	// Parallelism. Nil (the default) keeps the sweep journal-free.
+	// Parallelism. A traced run (obs.Run.Trace) also keeps each
+	// capture's timing against this track. Nil (the default) keeps the
+	// sweep journal-free.
 	Events *obs.JournalTrack
 }
 
@@ -397,9 +392,9 @@ func (a *Analyzer) segGeom(p plan, f1 float64, s int) (fStart, center float64, b
 // periodogram into out (whose PmW the caller supplies). All scratch comes
 // from pools, so steady state allocates nothing. With Config.Obs attached
 // the two halves — scene render and window+FFT+calibrate — are timed
-// separately (and traced under parent when a tracer is set); timing never
-// touches the sample math, so output is identical either way.
-func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.Spectrum, parent obs.Span) {
+// separately; timing never touches the sample math, so output is
+// identical either way.
+func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.Spectrum) {
 	// Cancelled sweeps stop paying for captures immediately: the spectrum
 	// slot stays zeroed, nothing is charged to the meter or the capture
 	// counters, and the (garbage) sweep result is discarded by the caller.
@@ -417,11 +412,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	band := emsim.Band{Center: center, SampleRate: p.fs}
 	buf := a.arena.Complex(p.nfft)
 	var t0, t1 time.Time
-	var cs obs.Span
 	if run != nil {
-		if parent.Active() {
-			cs = parent.Fork("capture")
-		}
 		t0 = time.Now()
 	}
 	capSeed := req.Seed + int64(capIdx)*7919
@@ -432,16 +423,15 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		static = a.staticFor(req, band, p.nfft, capSeed, start, rp)
 	}
 	req.Scene.RenderInto(buf, emsim.Capture{
-		Band:            band,
-		Start:           start,
-		N:               p.nfft,
-		Activity:        req.Activity,
-		Seed:            capSeed,
-		NearField:       req.NearField,
-		NearFieldGainDB: req.NearFieldGainDB,
-		Plan:            rp,
-		Static:          static,
-		Obs:             run,
+		Band:      band,
+		Start:     start,
+		N:         p.nfft,
+		Activity:  req.Activity,
+		Seed:      capSeed,
+		NearField: req.NearField,
+		Plan:      rp,
+		Static:    static,
+		Obs:       run,
 	})
 	if run != nil {
 		t1 = time.Now()
@@ -455,16 +445,16 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	spectral.PeriodogramInPlace(out, buf, p.fs, center, analyzerWindow)
 	a.arena.PutComplex(buf)
 	a.cfg.Meter.record()
-	run.Capture(cs, t0, t1, a.CaptureDuration())
+	run.Capture(req.Events, t0, t1, a.CaptureDuration())
 }
 
 // capture renders one capture inside the analyzer's concurrency budget.
 // The slot is released even if the render panics, so a panicking capture
 // cannot wedge the other sweeps sharing this analyzer.
-func (a *Analyzer) capture(req Request, p plan, capIdx int, out *spectral.Spectrum, sw obs.Span) {
+func (a *Analyzer) capture(req Request, p plan, capIdx int, out *spectral.Spectrum) {
 	a.sem <- struct{}{}
 	defer func() { <-a.sem }()
-	a.renderCapture(req, p, capIdx, out, sw)
+	a.renderCapture(req, p, capIdx, out)
 }
 
 // Sweep measures the spectrum of the scene over [F1, F2].
@@ -481,27 +471,6 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 		panic("specan: sweep without a scene")
 	}
 	sweepsTotal.Inc()
-	// The span setup stays out of sweep so that, uninstrumented, req and
-	// the zero Span are captured by the worker closures by value: a defer
-	// or reassignment in the closure-owning frame would force both to the
-	// heap and cost two allocations per sweep even with tracing off.
-	if run := a.cfg.Obs; run != nil {
-		var sw obs.Span
-		if req.Span.Active() {
-			sw = req.Span.Fork("sweep")
-		} else {
-			sw = run.Tracer.Begin("sweep")
-		}
-		sp := a.sweep(req, sw)
-		sw.End()
-		return sp
-	}
-	return a.sweep(req, obs.Span{})
-}
-
-// sweep is the body of Sweep; sw is the already-open sweep span (zero
-// when tracing is off) and is ended by the caller.
-func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	p := a.planSweep(req.F1, req.F2)
 	nCaps := p.segs * a.cfg.Averages
 	req.Events.Emit(obs.Event{Kind: obs.EventSweepStart,
@@ -512,12 +481,12 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	}
 	if a.cfg.Parallelism == 1 {
 		for i := 0; i < nCaps; i++ {
-			a.capture(req, p, i, &specs[i], sw)
+			a.capture(req, p, i, &specs[i])
 		}
 	} else {
 		// A capture that panics re-raises on this goroutine, after the
 		// sweep's other captures finish (see par.Do).
-		par.Do(nCaps, func(i int) { a.capture(req, p, i, &specs[i], sw) })
+		par.Do(nCaps, func(i int) { a.capture(req, p, i, &specs[i]) })
 	}
 	// Deterministic reduction: segment by segment, traces in capture
 	// order, exactly as the serial sweep accumulated them. Progress

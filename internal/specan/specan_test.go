@@ -104,21 +104,19 @@ func TestNearFieldPassesThrough(t *testing.T) {
 	scene.Add(probe)
 	// Parallelism 1: the probe component records unsynchronized.
 	an := New(Config{Fres: 1000, MaxFFT: 1024, Parallelism: 1})
-	an.Sweep(Request{Scene: scene, F1: 0, F2: 100e3, NearField: true, NearFieldGainDB: 25})
-	if !probe.sawNearField || probe.gain != 25 {
+	an.Sweep(Request{Scene: scene, F1: 0, F2: 100e3, NearField: true})
+	if !probe.sawNearField {
 		t.Errorf("near-field context not propagated: %+v", probe)
 	}
 }
 
 type recorder struct {
 	sawNearField bool
-	gain         float64
 }
 
 func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) Render(dst []complex128, ctx *emsim.Context) {
 	r.sawNearField = ctx.NearField
-	r.gain = ctx.NearFieldGainDB
 }
 
 func TestSweepParallelBitIdentical(t *testing.T) {
