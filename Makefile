@@ -61,20 +61,16 @@ equivalence:
 
 # fuzz-smoke briefly fuzzes the Band/extent overlap invariants the render
 # planner's culling correctness rests on, the campaign config validator,
-# the manifest table renderer (NaN/Inf/negative-frequency inputs), the
-# real-input FFT against the complex reference transform, the small-angle
-# Sincos the regulator loops use (within 1 ulp of math.Sincos for
-# |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), the polyphase
-# impulse kernel (a pulse at any finite position deposits without
-# panicking, every tap within 1e-7 of the exact windowed sinc), and the
-# campaign service's submit endpoint (arbitrary request bodies must
-# answer 400 and never panic the server).
+# the small-angle Sincos the regulator loops use (within 1 ulp of
+# math.Sincos for |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), the
+# polyphase impulse kernel (a pulse at any finite position deposits
+# without panicking, every tap within 1e-7 of the exact windowed sinc),
+# and the campaign service's submit endpoint (arbitrary request bodies
+# must answer 400 and never panic the server).
 fuzz-smoke:
 	$(GO) test -run FuzzExtent -fuzz FuzzExtent -fuzztime 5s ./internal/emsim
 	$(GO) test -run xxx -fuzz FuzzCampaignValidate -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAdaptivePlan -fuzztime 5s ./internal/core
-	$(GO) test -run xxx -fuzz FuzzManifestTables -fuzztime 5s ./internal/report
-	$(GO) test -run xxx -fuzz FuzzRFFT -fuzztime 5s ./internal/dsp/fft
 	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzImpulseKernel -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service

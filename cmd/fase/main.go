@@ -187,7 +187,7 @@ func run() int {
 		}
 		printResult(res2)
 		fmt.Println("\nCarrier classification:")
-		for _, cc := range core.Classify(res, res2, 1e3) {
+		for _, cc := range core.Classify(res, res2) {
 			fmt.Printf("  %10.2f kHz  %-16s (pairs: %s)\n",
 				cc.Freq/1e3, cc.Class, strings.Join(cc.Pairs, ", "))
 		}
@@ -354,7 +354,7 @@ func printResult(res *core.Result) {
 			d.Freq/1e3, d.Score, d.MagnitudeDBm, d.DepthDB, d.Harmonics)
 	}
 	fmt.Println("  harmonic sets:")
-	for _, set := range core.GroupHarmonics(res.Detections, 0.004) {
+	for _, set := range core.GroupHarmonics(res.Detections) {
 		fmt.Printf("    fundamental %10.2f kHz, %d member(s), orders %v\n",
 			set.Fundamental/1e3, len(set.Members), set.Orders)
 	}

@@ -37,7 +37,7 @@ func main() {
 
 	// Group into harmonic sets: each set is one physical source.
 	fmt.Println("\nharmonic sets (one per physical source):")
-	for _, set := range fase.GroupHarmonics(res.Detections, 0) {
+	for _, set := range fase.GroupHarmonics(res.Detections) {
 		fmt.Printf("  fundamental %8.1f kHz with %d harmonic(s)\n",
 			set.Fundamental/1e3, len(set.Members))
 	}

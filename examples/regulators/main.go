@@ -43,7 +43,7 @@ func main() {
 	chipRes := runner.Run(onchip)
 
 	fmt.Println("\ncarrier classification (§2.2):")
-	for _, cc := range fase.Classify(memRes, chipRes, 0) {
+	for _, cc := range fase.Classify(memRes, chipRes) {
 		fmt.Printf("  %9.2f kHz  %-16s  %6.1f dBm  pairs: %s\n",
 			cc.Freq/1e3, cc.Class, cc.MagnitudeDBm, strings.Join(cc.Pairs, ", "))
 	}

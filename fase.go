@@ -38,7 +38,6 @@ import (
 	"fase/internal/core"
 	"fase/internal/dsp/demod"
 	"fase/internal/dsp/spectral"
-	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/microbench"
@@ -78,8 +77,8 @@ type Trace = activity.Trace
 type Campaign = core.Campaign
 
 // AdaptivePlan tunes the budgeted coarse-to-fine scan planner; set it
-// (with Campaign.Budget) to replace the exhaustive raster. The zero
-// value resolves every knob to its documented default.
+// (with Campaign.Budget) to replace the exhaustive raster. Its one knob,
+// the recon resolution ReconFres, defaults to 8×Fres when zero.
 type AdaptivePlan = core.AdaptivePlan
 
 // Detection is one activity-modulated carrier FASE found.
@@ -138,7 +137,8 @@ type Spectrum = spectral.Spectrum
 // Analyzer is the swept spectrum analyzer.
 type Analyzer = specan.Analyzer
 
-// AnalyzerConfig tunes the analyzer (RBW, averaging, window).
+// AnalyzerConfig tunes the analyzer (RBW, averaging, transform size,
+// parallelism); the window is a fixed Blackman-Harris.
 type AnalyzerConfig = specan.Config
 
 // SweepRequest is one spectrum measurement request.
@@ -168,17 +168,17 @@ func NewAnalyzer(cfg AnalyzerConfig) *Analyzer { return specan.New(cfg) }
 // (Figure 10) for an activity pair.
 func PaperCampaigns(x, y Kind) []Campaign { return core.PaperCampaigns(x, y) }
 
-// GroupHarmonics clusters detections into harmonic sets (§4). tol is the
-// relative frequency tolerance; 0 selects the default (0.004).
-func GroupHarmonics(dets []Detection, tol float64) []HarmonicSet {
-	return core.GroupHarmonics(dets, tol)
+// GroupHarmonics clusters detections into harmonic sets (§4), matching
+// frequencies within a relative tolerance of 0.004.
+func GroupHarmonics(dets []Detection) []HarmonicSet {
+	return core.GroupHarmonics(dets)
 }
 
 // Classify cross-references a memory-alternation campaign and an on-chip
-// alternation campaign to attribute each carrier (§2.2). tolHz 0 selects
-// the default (1 kHz).
-func Classify(memory, onchip *Result, tolHz float64) []ClassifiedCarrier {
-	return core.Classify(memory, onchip, tolHz)
+// alternation campaign to attribute each carrier (§2.2); carriers within
+// 1 kHz of each other are one carrier.
+func Classify(memory, onchip *Result) []ClassifiedCarrier {
+	return core.Classify(memory, onchip)
 }
 
 // Alternation generates the Figure 6 X/Y alternation activity trace at
@@ -198,7 +198,7 @@ func ConstantActivity(k Kind) *Trace { return microbench.Constant(k) }
 // the paper uses to confirm frequency modulation (§4.4) and to track
 // spread-spectrum carriers (§4.3).
 func STFT(x []complex128, fs, fc float64, frameLen, hop int) *Spectrogram {
-	return demod.STFT(x, fs, fc, frameLen, hop, window.Hann)
+	return demod.STFT(x, fs, fc, frameLen, hop)
 }
 
 // MeasureFM computes FM statistics of a complex-baseband capture.

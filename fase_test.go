@@ -74,7 +74,7 @@ func TestEndToEndClassification(t *testing.T) {
 	chip.X, chip.Y = fase.LDL2, fase.LDL1
 	chipRes := runner.Run(chip)
 	classes := map[float64]fase.ModulationClass{}
-	for _, cc := range fase.Classify(memRes, chipRes, 0) {
+	for _, cc := range fase.Classify(memRes, chipRes) {
 		classes[math.Round(cc.Freq/1e3)] = cc.Class
 	}
 	if classes[315] != fase.MemoryRelated {
@@ -87,7 +87,7 @@ func TestEndToEndClassification(t *testing.T) {
 
 func TestGroupHarmonicsFacade(t *testing.T) {
 	dets := []fase.Detection{{Freq: 100e3}, {Freq: 200e3}, {Freq: 300e3}}
-	sets := fase.GroupHarmonics(dets, 0)
+	sets := fase.GroupHarmonics(dets)
 	if len(sets) != 1 || math.Abs(sets[0].Fundamental-100e3) > 100 {
 		t.Errorf("sets: %+v", sets)
 	}

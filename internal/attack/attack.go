@@ -18,7 +18,6 @@ import (
 	"fase/internal/activity"
 	"fase/internal/dsp/demod"
 	"fase/internal/dsp/filter"
-	"fase/internal/dsp/spectral"
 	"fase/internal/emsim"
 )
 
@@ -277,11 +276,4 @@ func binaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}
-
-// Goertzel evaluates the power of a single frequency in a real sequence
-// sampled at fs — the attacker's cheap tone detector. It delegates to the
-// calibrated implementation in the spectral package.
-func Goertzel(x []float64, fs, f float64) float64 {
-	return spectral.Goertzel(x, fs, f)
 }

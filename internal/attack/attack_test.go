@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fase/internal/activity"
+	"fase/internal/dsp/spectral"
 	"fase/internal/machine"
 )
 
@@ -105,6 +106,8 @@ func TestBitErrorRate(t *testing.T) {
 	mustPanic(t, func() { BitErrorRate([]byte{1}, []byte{1, 0}) })
 }
 
+// TestGoertzelMatchesTone pins the calibration of the tone detector
+// RunFM scores its candidates with.
 func TestGoertzelMatchesTone(t *testing.T) {
 	fs := 100e3
 	f := 1250.0
@@ -115,14 +118,14 @@ func TestGoertzelMatchesTone(t *testing.T) {
 	}
 	// Amplitude-calibrated: a real tone of amplitude A reads A² (power of
 	// the analytic pair at the bin).
-	p := Goertzel(x, fs, f)
+	p := spectral.Goertzel(x, fs, f)
 	if math.Abs(p-4) > 0.05 {
 		t.Errorf("Goertzel power %g, want 4", p)
 	}
-	if off := Goertzel(x, fs, 3*f); off > 0.01 {
+	if off := spectral.Goertzel(x, fs, 3*f); off > 0.01 {
 		t.Errorf("off-frequency leakage %g", off)
 	}
-	if Goertzel(nil, fs, f) != 0 {
+	if spectral.Goertzel(nil, fs, f) != 0 {
 		t.Error("empty input should read 0")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
 	"fase/internal/obs"
@@ -225,24 +224,6 @@ func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falt
 	return out
 }
 
-// smoothPooled smooths each spectrum into a pool-backed copy; release
-// with releaseSmoothed.
-func smoothPooled(spectra []*spectral.Spectrum, w int) []*spectral.Spectrum {
-	out := make([]*spectral.Spectrum, len(spectra))
-	for i, s := range spectra {
-		out[i] = &spectral.Spectrum{PmW: bufpool.Float(s.Bins())}
-		SmoothSpectrumInto(out[i], s, w)
-	}
-	return out
-}
-
-func releaseSmoothed(sm []*spectral.Spectrum) {
-	for _, s := range sm {
-		bufpool.PutFloat(s.PmW)
-		s.PmW = nil
-	}
-}
-
 // priorityHarmonics is the low-order subset (|h| ≤ 2) used to rank
 // recon peaks: low harmonics carry most side-band power and their probe
 // shifts disperse least, so they dominate genuine recon evidence.
@@ -427,11 +408,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	// All campaign harmonics are scored on the recon grid — cheap at
 	// coarse resolution, and it gives every final detection full
 	// per-harmonic provenance on the Result's score maps.
-	res.Scores = make(map[int][]float64, len(c.Harmonics))
-	res.Elevated = make(map[int][]int, len(c.Harmonics))
-	for _, h := range c.Harmonics {
-		res.Scores[h], res.Elevated[h] = ScoreDetail(reconSmoothed, reconFAlts, h, 2)
-	}
+	scoreHarmonics(res, reconSmoothed, reconFAlts)
 	releaseSmoothed(reconSmoothed)
 	cands := reconCandidates(res.Scores, res.Elevated, c.Harmonics, reconSpectra[0], c, ap)
 	recon.End()
@@ -455,7 +432,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		sm := smoothPooled(sp, c.SmoothBins)
 		best := 0.0
 		for _, h := range probeHarmonics(c.Harmonics) {
-			trace, _ := ScoreDetail(sm, reconFAlts, h, 2)
+			trace, _ := ScoreDetail(sm, reconFAlts, h)
 			for _, v := range trace {
 				if v > best {
 					best = v
@@ -482,11 +459,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 			wres.Measurements[i] = Measurement{FAlt: falts[i], Spectrum: sp}
 		}
 		smoothed := smoothPooled(spectra, c.SmoothBins)
-		wres.Scores = make(map[int][]float64, len(c.Harmonics))
-		wres.Elevated = make(map[int][]int, len(c.Harmonics))
-		for _, h := range c.Harmonics {
-			wres.Scores[h], wres.Elevated[h] = ScoreDetail(smoothed, falts, h, 2)
-		}
+		scoreHarmonics(wres, smoothed, falts)
 		dets := detect(wres, spectra, smoothed, falts)
 		releaseSmoothed(smoothed)
 		windowDets[w.idx] = dets

@@ -93,6 +93,10 @@ type Campaign struct {
 	Adaptive *AdaptivePlan
 }
 
+// defaultNumAlts is the ladder length a zero Campaign.NumAlts selects:
+// the paper's five measurements (§3).
+const defaultNumAlts = 5
+
 // MinScoreZero is the sentinel for Campaign.MinScore that requests a
 // literal 0 detection threshold. The zero value of MinScore means "use
 // the default" (30), so — as with window.Default — an explicit sentinel
@@ -144,7 +148,7 @@ func (c Campaign) Validate() error {
 	// frequencies into the sweeps.
 	n := c.NumAlts
 	if n == 0 {
-		n = 5
+		n = defaultNumAlts
 	}
 	if top := c.FAlt1 + float64(n-1)*c.FDelta; math.IsInf(top, 0) {
 		return fmt.Errorf("core: alternation ladder overflows (FAlt1 %g + %d×FDelta %g)", c.FAlt1, n-1, c.FDelta)
@@ -195,7 +199,7 @@ func (c Campaign) Validate() error {
 
 func (c Campaign) withDefaults() Campaign {
 	if c.NumAlts == 0 {
-		c.NumAlts = 5
+		c.NumAlts = defaultNumAlts
 	}
 	if c.Harmonics == nil {
 		c.Harmonics = DefaultHarmonics()
@@ -248,7 +252,7 @@ func matchedSmoothBins(fdelta, fres float64) int {
 func (c Campaign) FAlts() []float64 {
 	n := c.NumAlts
 	if n == 0 {
-		n = 5
+		n = defaultNumAlts
 	}
 	out := make([]float64, n)
 	for i := range out {
@@ -668,7 +672,7 @@ func filterArtifacts(merged []Detection, c Campaign, falts []float64) []Detectio
 			// a genuine comb member (e.g. the 132 kHz refresh fundamental
 			// below its 264 kHz harmonic), even if their spacing happens
 			// to coincide with a multiple of f_alt.
-			if harmonicallyRelated(d.Freq, strong.Freq, 0.004) {
+			if harmonicallyRelated(d.Freq, strong.Freq) {
 				continue
 			}
 			df := math.Abs(d.Freq - strong.Freq)
@@ -740,8 +744,8 @@ func abs(a int) int {
 }
 
 // harmonicallyRelated reports whether one frequency is an integer
-// multiple of the other within a relative tolerance.
-func harmonicallyRelated(a, b float64, tol float64) bool {
+// multiple of the other within harmonicTol.
+func harmonicallyRelated(a, b float64) bool {
 	if a > b {
 		a, b = b, a
 	}
@@ -749,7 +753,7 @@ func harmonicallyRelated(a, b float64, tol float64) bool {
 		return false
 	}
 	ord := math.Round(b / a)
-	return ord >= 1 && math.Abs(b-ord*a) <= tol*b
+	return ord >= 1 && math.Abs(b-ord*a) <= harmonicTol*b
 }
 
 // maxIntAround returns the maximum of s within radius r of index i.

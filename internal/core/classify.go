@@ -47,14 +47,15 @@ type ClassifiedCarrier struct {
 	Pairs []string
 }
 
+// classifyTolHz is the distance within which carriers of the two
+// campaigns Classify compares are one carrier.
+const classifyTolHz = 1e3
+
 // Classify cross-references detections from a memory-alternation campaign
 // (e.g. LDM/LDL1) and an on-chip-alternation campaign (e.g. LDL2/LDL1).
-// Carriers within tolHz of each other across campaigns are considered the
-// same carrier.
-func Classify(memory, onchip *Result, tolHz float64) []ClassifiedCarrier {
-	if tolHz <= 0 {
-		tolHz = 1e3
-	}
+// Carriers within classifyTolHz (1 kHz) of each other across campaigns
+// are considered the same carrier.
+func Classify(memory, onchip *Result) []ClassifiedCarrier {
 	memPair := pairName(memory.Campaign.X, memory.Campaign.Y)
 	chipPair := pairName(onchip.Campaign.X, onchip.Campaign.Y)
 	var out []ClassifiedCarrier
@@ -62,7 +63,7 @@ func Classify(memory, onchip *Result, tolHz float64) []ClassifiedCarrier {
 	for _, d := range memory.Detections {
 		cc := ClassifiedCarrier{Detection: d, Class: MemoryRelated, Pairs: []string{memPair}}
 		for i, o := range onchip.Detections {
-			if !usedChip[i] && math.Abs(o.Freq-d.Freq) <= tolHz {
+			if !usedChip[i] && math.Abs(o.Freq-d.Freq) <= classifyTolHz {
 				usedChip[i] = true
 				cc.Class = BothRelated
 				cc.Pairs = append(cc.Pairs, chipPair)

@@ -204,7 +204,7 @@ func TestGroupHarmonicsPartition(t *testing.T) {
 		for i := 0; i < n; i++ {
 			dets = append(dets, Detection{Freq: 50e3 + r.Float64()*2e6})
 		}
-		sets := GroupHarmonics(dets, 0.004)
+		sets := GroupHarmonics(dets)
 		total := 0
 		for _, s := range sets {
 			if len(s.Members) != len(s.Orders) {
@@ -575,7 +575,7 @@ func TestGroupHarmonics(t *testing.T) {
 		{Freq: 512e3}, {Freq: 1024.05e3},
 		{Freq: 777e3},
 	}
-	sets := GroupHarmonics(dets, 0.004)
+	sets := GroupHarmonics(dets)
 	if len(sets) != 3 {
 		t.Fatalf("sets = %d: %+v", len(sets), sets)
 	}
@@ -608,7 +608,7 @@ func TestGroupHarmonics(t *testing.T) {
 }
 
 func TestGroupHarmonicsEmpty(t *testing.T) {
-	if sets := GroupHarmonics(nil, 0); sets != nil {
+	if sets := GroupHarmonics(nil); sets != nil {
 		t.Errorf("empty input should give no sets, got %+v", sets)
 	}
 }
@@ -622,7 +622,7 @@ func TestClassify(t *testing.T) {
 		Campaign:   Campaign{X: activity.LDL2, Y: activity.LDL1},
 		Detections: []Detection{{Freq: 332.5e3, Score: 80}, {Freq: 315.2e3, Score: 60}},
 	}
-	cc := Classify(mem, chip, 1e3)
+	cc := Classify(mem, chip)
 	if len(cc) != 3 {
 		t.Fatalf("classified = %+v", cc)
 	}

@@ -94,7 +94,7 @@ func TestScoreBandEdges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := edgeSpectra(tc.bins, tc.carrier, tc.h, fres, testFalts, tc.planted)
-			prod, elev := ScoreDetail(sp, testFalts, tc.h, 2)
+			prod, elev := ScoreDetail(sp, testFalts, tc.h)
 			got := prod[tc.carrier]
 			if tc.wantNeutral {
 				if got != 1 {
@@ -199,10 +199,10 @@ func TestScoreCarrierOnFAltHarmonic(t *testing.T) {
 // singleton fallback, zero/negative/NaN frequencies made the greedy cover
 // loop spin forever, so a regression should fail fast instead of hanging
 // the suite.
-func groupWithTimeout(t *testing.T, dets []Detection, tol float64) []HarmonicSet {
+func groupWithTimeout(t *testing.T, dets []Detection) []HarmonicSet {
 	t.Helper()
 	done := make(chan []HarmonicSet, 1)
-	go func() { done <- GroupHarmonics(dets, tol) }()
+	go func() { done <- GroupHarmonics(dets) }()
 	select {
 	case sets := <-done:
 		return sets
@@ -236,7 +236,7 @@ func TestGroupHarmonicsEdgeCases(t *testing.T) {
 			for i, f := range tc.freqs {
 				dets[i] = Detection{Freq: f}
 			}
-			sets := groupWithTimeout(t, dets, 0.004)
+			sets := groupWithTimeout(t, dets)
 			if len(sets) != tc.wantSets {
 				t.Fatalf("%d sets, want %d: %+v", len(sets), tc.wantSets, sets)
 			}
@@ -255,7 +255,7 @@ func TestGroupHarmonicsEdgeCases(t *testing.T) {
 
 	// The coincident pair forms one set with both members at order 1 and
 	// the shared fundamental.
-	sets := groupWithTimeout(t, []Detection{{Freq: 315e3}, {Freq: 315e3}}, 0.004)
+	sets := groupWithTimeout(t, []Detection{{Freq: 315e3}, {Freq: 315e3}})
 	if len(sets) != 1 || len(sets[0].Members) != 2 {
 		t.Fatalf("coincident pair: %+v", sets)
 	}

@@ -9,7 +9,6 @@ import (
 	"fase/internal/dsp/demod"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
-	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/microbench"
 	"fase/internal/par"
@@ -157,7 +156,7 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 				Activity: tr,
 				Seed:     c.Seed + int64(i)*104729,
 			})
-			sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop, window.Hann)
+			sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop)
 			track := windowedPeakTrack(sg, fc, trackWin)
 			removeMean(track)
 			tracks[i] = track

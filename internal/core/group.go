@@ -18,15 +18,18 @@ type HarmonicSet struct {
 	Orders []int
 }
 
-// GroupHarmonics clusters detections into harmonic sets. tol is the
-// relative frequency tolerance for matching a detection to a multiple of
-// a candidate fundamental (e.g. 0.004). Detections that match no set are
-// returned as singleton sets. Greedy: candidates that explain the most
-// detections win first; each detection joins one set.
-func GroupHarmonics(dets []Detection, tol float64) []HarmonicSet {
-	if tol <= 0 {
-		tol = 0.004
-	}
+// harmonicTol is the relative frequency tolerance within which a
+// frequency counts as an integer multiple of another: GroupHarmonics
+// matches detections to a candidate fundamental's multiples with it, and
+// filterArtifacts keeps a weak comb member of a strong carrier with it.
+const harmonicTol = 0.004
+
+// GroupHarmonics clusters detections into harmonic sets, matching a
+// detection to a multiple of a candidate fundamental within harmonicTol.
+// Detections that match no set are returned as singleton sets. Greedy:
+// candidates that explain the most detections win first; each detection
+// joins one set.
+func GroupHarmonics(dets []Detection) []HarmonicSet {
 	const maxOrder = 16
 	remaining := append([]Detection(nil), dets...)
 	sort.Slice(remaining, func(a, b int) bool { return remaining[a].Freq < remaining[b].Freq })
@@ -52,7 +55,7 @@ func GroupHarmonics(dets []Detection, tol float64) []HarmonicSet {
 					if ord < 1 || ord > maxOrder {
 						continue
 					}
-					if math.Abs(o.Freq-ord*fund) <= tol*o.Freq {
+					if math.Abs(o.Freq-ord*fund) <= harmonicTol*o.Freq {
 						cover = append(cover, i)
 						if ord == 1 {
 							hasFundamental = true

@@ -17,11 +17,16 @@ import (
 	"fmt"
 	"math"
 
+	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/spectral"
 )
 
 // scoreFloor keeps ratios finite on empty bins.
 const scoreFloor = 1e-30
+
+// elevatedRatio is the sub-score ratio at which ScoreDetail counts a
+// measurement as elevated.
+const elevatedRatio = 2
 
 // Score evaluates the heuristic F_h(f) of Equation 1 for one harmonic h
 // over the common frequency grid of the measurements. spectra[i] must all
@@ -42,18 +47,18 @@ const scoreFloor = 1e-30
 // neutral (1), implementing the paper's robustness to obscured or
 // out-of-range side-bands: remaining sub-scores still raise the product.
 func Score(spectra []*spectral.Spectrum, falts []float64, h int) []float64 {
-	prod, _ := ScoreDetail(spectra, falts, h, 2)
+	prod, _ := ScoreDetail(spectra, falts, h)
 	return prod
 }
 
 // ScoreDetail computes the heuristic product trace (as Score) plus, per
-// bin, the number of sub-scores exceeding minRatio. A genuine moving
-// side-band elevates *every* measurement's sub-score at the carrier
+// bin, the number of sub-scores of at least elevatedRatio (2×). A genuine
+// moving side-band elevates *every* measurement's sub-score at the carrier
 // frequency, while artifacts (probes sampling the fluctuating flank of a
 // static line) elevate only a few — so requiring a majority of elevated
 // sub-scores discriminates carriers from ghosts without sacrificing the
 // paper's robustness to a minority of obscured side-bands.
-func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int, minRatio float64) ([]float64, []int) {
+func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float64, []int) {
 	n := len(spectra)
 	if n < 2 {
 		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", n))
@@ -106,7 +111,7 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int, minRatio 
 			}
 			r := v / denom
 			score *= r
-			if r >= minRatio {
+			if r >= elevatedRatio {
 				count++
 			}
 		}
@@ -164,6 +169,35 @@ func SmoothSpectrumInto(dst, src *spectral.Spectrum, w int) {
 			acc -= src.PmW[lo]
 			count--
 		}
+	}
+}
+
+// smoothPooled smooths each spectrum into a pool-backed copy; release
+// with releaseSmoothed.
+func smoothPooled(spectra []*spectral.Spectrum, w int) []*spectral.Spectrum {
+	out := make([]*spectral.Spectrum, len(spectra))
+	for i, s := range spectra {
+		out[i] = &spectral.Spectrum{PmW: bufpool.Float(s.Bins())}
+		SmoothSpectrumInto(out[i], s, w)
+	}
+	return out
+}
+
+func releaseSmoothed(sm []*spectral.Spectrum) {
+	for _, s := range sm {
+		bufpool.PutFloat(s.PmW)
+		s.PmW = nil
+	}
+}
+
+// scoreHarmonics scores every harmonic of res's campaign over the
+// smoothed spectra into res.Scores and res.Elevated.
+func scoreHarmonics(res *Result, smoothed []*spectral.Spectrum, falts []float64) {
+	hs := res.Campaign.Harmonics
+	res.Scores = make(map[int][]float64, len(hs))
+	res.Elevated = make(map[int][]int, len(hs))
+	for _, h := range hs {
+		res.Scores[h], res.Elevated[h] = ScoreDetail(smoothed, falts, h)
 	}
 }
 
@@ -227,14 +261,4 @@ func SubScores(spectra []*spectral.Spectrum, falts []float64, h int) [][]float64
 // and negative 1st through 5th harmonics of f_alt (§3).
 func DefaultHarmonics() []int {
 	return []int{1, -1, 2, -2, 3, -3, 4, -4, 5, -5}
-}
-
-// ScoreAll evaluates the heuristic for every harmonic in hs and returns a
-// map harmonic → score trace.
-func ScoreAll(spectra []*spectral.Spectrum, falts []float64, hs []int) map[int][]float64 {
-	out := make(map[int][]float64, len(hs))
-	for _, h := range hs {
-		out[h] = Score(spectra, falts, h)
-	}
-	return out
 }

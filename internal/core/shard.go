@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/spectral"
 	"fase/internal/microbench"
 	"fase/internal/obs"
@@ -160,29 +159,19 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ ob
 	falts := p.FAlts
 	smooth := run.Begin("smooth")
 	spectra := make([]*spectral.Spectrum, len(res.Measurements))
-	smoothed := make([]*spectral.Spectrum, len(res.Measurements))
 	for i, m := range res.Measurements {
 		spectra[i] = m.Spectrum
-		// Smoothed spectra are scoring scratch, released after detection;
-		// their bin buffers come from the shared pool.
-		smoothed[i] = &spectral.Spectrum{PmW: bufpool.Float(m.Spectrum.Bins())}
-		SmoothSpectrumInto(smoothed[i], m.Spectrum, c.SmoothBins)
 	}
+	// Smoothed spectra are scoring scratch, released after detection.
+	smoothed := smoothPooled(spectra, c.SmoothBins)
 	smooth.End()
 	score := run.Begin("score")
-	res.Scores = make(map[int][]float64, len(c.Harmonics))
-	res.Elevated = make(map[int][]int, len(c.Harmonics))
-	for _, h := range c.Harmonics {
-		res.Scores[h], res.Elevated[h] = ScoreDetail(smoothed, falts, h, 2)
-	}
+	scoreHarmonics(res, smoothed, falts)
 	score.End()
 	detectStage := run.Begin("detect")
 	res.Detections = detect(res, spectra, smoothed, falts)
 	detectStage.End()
-	for _, sp := range smoothed {
-		bufpool.PutFloat(sp.PmW)
-		sp.PmW = nil
-	}
+	releaseSmoothed(smoothed)
 	detectionsTotal.Add(int64(len(res.Detections)))
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,

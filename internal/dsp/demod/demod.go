@@ -17,47 +17,6 @@ import (
 	"fase/internal/dsp/window"
 )
 
-// AnalyticSignal returns the analytic signal of a real sequence via the
-// FFT method: the negative-frequency half of the spectrum is zeroed and
-// the positive half doubled. The result's magnitude is the envelope and
-// its phase derivative the instantaneous frequency.
-func AnalyticSignal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		panic("demod: empty input")
-	}
-	// The forward transform runs on the real input directly (about half
-	// the complex transform's work); the inverse is necessarily complex —
-	// the analytic signal is not Hermitian.
-	buf := make([]complex128, n)
-	fft.PlanForReal(n).Forward(x, buf)
-	// Keep DC, double positive frequencies, zero negative frequencies.
-	// For even n the Nyquist bin (n/2) is kept unscaled.
-	half := n / 2
-	for k := 1; k < half; k++ {
-		buf[k] *= 2
-	}
-	for k := half + 1; k < n; k++ {
-		buf[k] = 0
-	}
-	if n%2 == 1 && half >= 1 {
-		buf[half] *= 2
-	}
-	fft.PlanFor(n).Inverse(buf)
-	return buf
-}
-
-// EnvelopeAM demodulates the AM envelope of a real signal: the magnitude
-// of its analytic signal.
-func EnvelopeAM(x []float64) []float64 {
-	a := AnalyticSignal(x)
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // EnvelopeComplex returns the magnitude of a complex-baseband capture —
 // AM demodulation when the capture is centered on the carrier.
 func EnvelopeComplex(x []complex128) []float64 {
@@ -125,17 +84,20 @@ func (sg *Spectrogram) PeakTrack() []float64 {
 	return out
 }
 
-// STFT computes a spectrogram of a complex-baseband capture with the given
-// frame length, hop, and window. frameLen must be positive, hop positive,
-// and the capture at least one frame long.
-func STFT(x []complex128, fs, fc float64, frameLen, hop int, wt window.Type) *Spectrogram {
+// stftWindow tapers every STFT frame.
+const stftWindow = window.Hann
+
+// STFT computes a Hann-windowed spectrogram of a complex-baseband capture
+// with the given frame length and hop. frameLen must be positive, hop
+// positive, and the capture at least one frame long.
+func STFT(x []complex128, fs, fc float64, frameLen, hop int) *Spectrogram {
 	if frameLen <= 0 || hop <= 0 {
 		panic(fmt.Sprintf("demod: invalid STFT frame %d hop %d", frameLen, hop))
 	}
 	if len(x) < frameLen {
 		panic(fmt.Sprintf("demod: capture of %d samples shorter than frame %d", len(x), frameLen))
 	}
-	pc := window.For(wt, frameLen)
+	pc := window.For(stftWindow, frameLen)
 	w := pc.W
 	norm := 1 / (float64(frameLen) * pc.CoherentGain)
 	plan := fft.PlanFor(frameLen)

@@ -4,43 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-
-	"fase/internal/dsp/window"
 )
-
-func TestEnvelopeAMRecoversModulation(t *testing.T) {
-	// Carrier at 0.2 cycles/sample, modulated 1 + 0.5·sin at 0.005.
-	n := 4096
-	x := make([]float64, n)
-	for i := range x {
-		m := 1 + 0.5*math.Sin(2*math.Pi*0.005*float64(i))
-		x[i] = m * math.Cos(2*math.Pi*0.2*float64(i))
-	}
-	env := EnvelopeAM(x)
-	// Away from edges, the envelope must track 1 + 0.5 sin.
-	for i := 200; i < n-200; i++ {
-		want := 1 + 0.5*math.Sin(2*math.Pi*0.005*float64(i))
-		if math.Abs(env[i]-want) > 0.02 {
-			t.Fatalf("envelope at %d: got %g want %g", i, env[i], want)
-		}
-	}
-}
-
-func TestAnalyticSignalOfCosIsExp(t *testing.T) {
-	n := 256
-	x := make([]float64, n)
-	k := 10.0 // integer number of cycles for an exact result
-	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * k * float64(i) / float64(n))
-	}
-	a := AnalyticSignal(x)
-	for i := range a {
-		want := cmplx.Exp(complex(0, 2*math.Pi*k*float64(i)/float64(n)))
-		if cmplx.Abs(a[i]-want) > 1e-9 {
-			t.Fatalf("analytic signal at %d: got %v want %v", i, a[i], want)
-		}
-	}
-}
 
 func TestEnvelopeComplex(t *testing.T) {
 	x := []complex128{3 + 4i, 1, -2i}
@@ -132,7 +96,7 @@ func TestSTFTGeometryAndTone(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*offset*float64(i)/fs))
 	}
-	sg := STFT(x, fs, fc, 512, 256, window.Hann)
+	sg := STFT(x, fs, fc, 512, 256)
 	wantFrames := (n-512)/256 + 1
 	if len(sg.PmW) != wantFrames {
 		t.Fatalf("frames = %d, want %d", len(sg.PmW), wantFrames)
@@ -166,7 +130,7 @@ func TestSTFTTracksFSK(t *testing.T) {
 		phase += 2 * math.Pi * f / fs
 		x[i] = cmplx.Exp(complex(0, phase))
 	}
-	sg := STFT(x, fs, 0, 1024, 1024, window.Hann)
+	sg := STFT(x, fs, 0, 1024, 1024)
 	track := sg.PeakTrack()
 	sawLow, sawHigh := false, false
 	for _, f := range track {
@@ -183,11 +147,10 @@ func TestSTFTTracksFSK(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	mustPanic(t, func() { AnalyticSignal(nil) })
 	mustPanic(t, func() { InstFreq([]complex128{1}, 1) })
-	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 0, 1, window.Hann) })
-	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 16, 1, window.Hann) })
-	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 4, 0, window.Hann) })
+	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 0, 1) })
+	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 16, 1) })
+	mustPanic(t, func() { STFT(make([]complex128, 10), 1, 0, 4, 0) })
 }
 
 func mustPanic(t *testing.T, f func()) {

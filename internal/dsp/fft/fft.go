@@ -291,13 +291,6 @@ func Shift(x []complex128) {
 	rotate(x, h)
 }
 
-// InverseShift undoes Shift for any length (ifftshift).
-func InverseShift(x []complex128) {
-	n := len(x)
-	h := n / 2
-	rotate(x, h)
-}
-
 // rotate left-rotates x by k positions using three reversals.
 func rotate(x []complex128, k int) {
 	n := len(x)

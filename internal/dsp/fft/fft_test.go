@@ -69,6 +69,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInversePow2BitIdentical pins the conjugate-twiddle inverse kernel to
+// the conjugate → forward → conjugate formulation it replaced: the two
+// must agree bit for bit, because Plan.Inverse sits on the golden-pinned
+// Background render path.
+func TestInversePow2BitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for _, n := range []int{2, 8, 64, 1024, 4096} {
+		p := PlanFor(n)
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+		ref := make([]complex128, n)
+		copy(ref, x)
+		// Reference: the elided-conjugate formulation.
+		conjugate(ref)
+		p.forwardPow2(ref)
+		conjugate(ref)
+		scale(ref, 1/float64(n))
+
+		p.Inverse(x)
+		for i := range x {
+			if rb, ib := math.Float64bits(real(x[i])), math.Float64bits(imag(x[i])); rb != math.Float64bits(real(ref[i])) || ib != math.Float64bits(imag(ref[i])) {
+				t.Fatalf("n=%d sample %d: inversePow2 %v != reference %v", n, i, x[i], ref[i])
+			}
+		}
+	}
+}
+
 func TestParseval(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{16, 50, 128, 777} {
@@ -178,9 +207,11 @@ func TestShiftRoundTrip(t *testing.T) {
 		orig := make([]complex128, n)
 		copy(orig, x)
 		Shift(x)
-		InverseShift(x)
+		// Rotating left by the rest of the length undoes Shift's
+		// rotation by (n+1)/2.
+		rotate(x, n-(n+1)/2)
 		if e := maxErr(x, orig); e != 0 {
-			t.Errorf("n=%d: Shift/InverseShift not inverse, err %g", n, e)
+			t.Errorf("n=%d: Shift not undone by its complementary rotation, err %g", n, e)
 		}
 	}
 }

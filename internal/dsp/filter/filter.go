@@ -1,5 +1,6 @@
-// Package filter provides FIR design, one-pole smoothing, and biquad IIR
-// sections used by the regulator control-loop model and the demodulators.
+// Package filter provides FIR design and convolution for the attack
+// receiver's band-limiting, and the one-pole smoother of the regulator
+// control-loop model.
 package filter
 
 import (
@@ -39,25 +40,9 @@ func LowpassFIR(cutoff float64, taps int) []float64 {
 	return h
 }
 
-// Convolve returns the "same"-length convolution of x with kernel h,
-// aligning the kernel center with each sample (zero padding at the edges).
-func Convolve(x, h []float64) []float64 {
-	out := make([]float64, len(x))
-	mid := len(h) / 2
-	for i := range x {
-		var acc float64
-		for k, hv := range h {
-			j := i + mid - k
-			if j >= 0 && j < len(x) {
-				acc += hv * x[j]
-			}
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// ConvolveComplex is Convolve for complex signals with a real kernel.
+// ConvolveComplex returns the "same"-length convolution of the complex
+// signal x with the real kernel h, aligning the kernel center with each
+// sample (zero padding at the edges).
 func ConvolveComplex(x []complex128, h []float64) []complex128 {
 	out := make([]complex128, len(x))
 	mid := len(h) / 2
@@ -104,56 +89,4 @@ func (p *OnePole) Step(x float64) float64 {
 	}
 	p.y += p.a * (x - p.y)
 	return p.y
-}
-
-// Reset clears the smoother state.
-func (p *OnePole) Reset() { p.y, p.primed = 0, false }
-
-// Biquad is a direct-form-II-transposed second-order IIR section.
-type Biquad struct {
-	B0, B1, B2 float64
-	A1, A2     float64 // denominator with a0 normalized to 1
-	z1, z2     float64
-}
-
-// NewLowpassBiquad designs a Butterworth-Q low-pass biquad at fc Hz for
-// sample rate fs via the bilinear transform (RBJ cookbook).
-func NewLowpassBiquad(fc, fs float64) *Biquad {
-	if fc <= 0 || fc >= fs/2 {
-		panic(fmt.Sprintf("filter: biquad fc %g out of (0, fs/2=%g)", fc, fs/2))
-	}
-	const q = math.Sqrt2 / 2
-	w0 := 2 * math.Pi * fc / fs
-	alpha := math.Sin(w0) / (2 * q)
-	cw := math.Cos(w0)
-	a0 := 1 + alpha
-	return &Biquad{
-		B0: (1 - cw) / 2 / a0,
-		B1: (1 - cw) / a0,
-		B2: (1 - cw) / 2 / a0,
-		A1: -2 * cw / a0,
-		A2: (1 - alpha) / a0,
-	}
-}
-
-// Step advances the biquad by one sample.
-func (b *Biquad) Step(x float64) float64 {
-	y := b.B0*x + b.z1
-	b.z1 = b.B1*x - b.A1*y + b.z2
-	b.z2 = b.B2*x - b.A2*y
-	return y
-}
-
-// Reset clears the delay line.
-func (b *Biquad) Reset() { b.z1, b.z2 = 0, 0 }
-
-// Filter applies the biquad to a whole slice, returning a new slice. The
-// internal state is reset first.
-func (b *Biquad) Filter(x []float64) []float64 {
-	b.Reset()
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = b.Step(v)
-	}
-	return out
 }

@@ -39,14 +39,18 @@ func TestLowpassFIRResponse(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2*math.Pi*0.02*float64(i)) + math.Sin(2*math.Pi*0.3*float64(i))
 	}
-	y := Convolve(x, h)
+	xc := make([]complex128, len(x))
+	for i, v := range x {
+		xc[i] = complex(v, 0)
+	}
+	y := ConvolveComplex(xc, h)
 	// Measure residual stopband energy vs passband energy mid-signal.
 	var pass, total float64
 	for i := 500; i < 1500; i++ {
 		ref := math.Sin(2 * math.Pi * 0.02 * float64(i))
 		pass += ref * ref
-		d := y[i] - ref
-		total += d * d
+		d := y[i] - complex(ref, 0)
+		total += real(d)*real(d) + imag(d)*imag(d)
 	}
 	if total/pass > 0.01 {
 		t.Errorf("stopband leakage ratio %g, want < 0.01", total/pass)
@@ -73,13 +77,6 @@ func TestLowpassFIRSymmetry(t *testing.T) {
 }
 
 func TestConvolveIdentity(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := Convolve(x, []float64{1})
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatalf("identity convolution failed at %d", i)
-		}
-	}
 	xc := []complex128{1i, 2, 3i}
 	yc := ConvolveComplex(xc, []float64{1})
 	for i := range xc {
@@ -91,9 +88,9 @@ func TestConvolveIdentity(t *testing.T) {
 
 func TestConvolveShift(t *testing.T) {
 	// Kernel [0,0,1] (center-aligned) delays by one sample.
-	x := []float64{1, 2, 3, 4}
-	y := Convolve(x, []float64{0, 0, 1})
-	want := []float64{0, 1, 2, 3}
+	x := []complex128{1, 2i, 3, 4i}
+	y := ConvolveComplex(x, []float64{0, 0, 1})
+	want := []complex128{0, 1, 2i, 3}
 	for i := range want {
 		if y[i] != want[i] {
 			t.Fatalf("shift convolution: got %v want %v", y, want)
@@ -117,10 +114,6 @@ func TestOnePolePrimesOnFirstSample(t *testing.T) {
 	if got := p.Step(7); got != 7 {
 		t.Errorf("first sample should prime state: %g", got)
 	}
-	p.Reset()
-	if got := p.Step(-2); got != -2 {
-		t.Errorf("reset should re-prime: %g", got)
-	}
 }
 
 func TestOnePoleBandwidth(t *testing.T) {
@@ -133,37 +126,6 @@ func TestOnePoleBandwidth(t *testing.T) {
 	}
 }
 
-func TestBiquadLowpass(t *testing.T) {
-	fs := 48000.0
-	b := NewLowpassBiquad(1000, fs)
-	gPass := gainAt(b.Step, 100/fs)
-	b.Reset()
-	gCut := gainAt(b.Step, 1000/fs)
-	b.Reset()
-	gStop := gainAt(b.Step, 10000/fs)
-	if math.Abs(gPass-1) > 0.02 {
-		t.Errorf("passband gain %g", gPass)
-	}
-	if math.Abs(gCut-1/math.Sqrt2) > 0.05 {
-		t.Errorf("cutoff gain %g, want ~0.707", gCut)
-	}
-	if gStop > 0.05 {
-		t.Errorf("stopband gain %g", gStop)
-	}
-}
-
-func TestBiquadFilterResets(t *testing.T) {
-	b := NewLowpassBiquad(100, 1000)
-	x := []float64{1, 0, 0, 0}
-	y1 := b.Filter(x)
-	y2 := b.Filter(x)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatal("Filter is not deterministic after reset")
-		}
-	}
-}
-
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { LowpassFIR(0, 11) })
 	mustPanic(t, func() { LowpassFIR(0.5, 11) })
@@ -171,8 +133,6 @@ func TestPanics(t *testing.T) {
 	mustPanic(t, func() { LowpassFIR(0.1, 1) })
 	mustPanic(t, func() { NewOnePole(0, 100) })
 	mustPanic(t, func() { NewOnePole(60, 100) })
-	mustPanic(t, func() { NewLowpassBiquad(0, 100) })
-	mustPanic(t, func() { NewLowpassBiquad(50, 100) })
 }
 
 func mustPanic(t *testing.T, f func()) {

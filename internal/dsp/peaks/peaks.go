@@ -1,16 +1,8 @@
-// Package peaks provides peak detection for spectra and score traces.
-//
-// Two detectors are provided: a thresholded local-maximum finder used on
-// FASE heuristic outputs and spectra, and the Palshikar S1 spike score
-// referenced by the paper (§3, [29]) for comparison and for locating
-// spectral spikes.
+// Package peaks provides the thresholded local-maximum finder used on
+// FASE heuristic outputs and spectra.
 package peaks
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
 // Peak describes one detected local maximum.
 type Peak struct {
@@ -85,79 +77,4 @@ func abs(a int) int {
 		return -a
 	}
 	return a
-}
-
-// S1 computes Palshikar's S1 spike score for every sample: the average of
-// the maximum rise over the k left neighbours and the maximum rise over the
-// k right neighbours. Large positive values mark spikes.
-func S1(x []float64, k int) []float64 {
-	if k <= 0 {
-		panic(fmt.Sprintf("peaks: S1 window must be positive, got %d", k))
-	}
-	n := len(x)
-	out := make([]float64, n)
-	for i := range x {
-		left := math.Inf(-1)
-		for j := i - k; j < i; j++ {
-			if j >= 0 {
-				if d := x[i] - x[j]; d > left {
-					left = d
-				}
-			}
-		}
-		right := math.Inf(-1)
-		for j := i + 1; j <= i+k; j++ {
-			if j < n {
-				if d := x[i] - x[j]; d > right {
-					right = d
-				}
-			}
-		}
-		switch {
-		case math.IsInf(left, -1) && math.IsInf(right, -1):
-			out[i] = 0
-		case math.IsInf(left, -1):
-			out[i] = right
-		case math.IsInf(right, -1):
-			out[i] = left
-		default:
-			out[i] = (left + right) / 2
-		}
-	}
-	return out
-}
-
-// SpikesS1 returns indices whose S1 score exceeds mean + h·stddev of the
-// positive scores, Palshikar's recommended thresholding.
-func SpikesS1(x []float64, k int, h float64) []int {
-	s := S1(x, k)
-	var pos []float64
-	for _, v := range s {
-		if v > 0 {
-			pos = append(pos, v)
-		}
-	}
-	if len(pos) == 0 {
-		return nil
-	}
-	mean, std := meanStd(pos)
-	var out []int
-	for i, v := range s {
-		if v > 0 && v-mean >= h*std {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func meanStd(x []float64) (mean, std float64) {
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	for _, v := range x {
-		std += (v - mean) * (v - mean)
-	}
-	std = math.Sqrt(std / float64(len(x)))
-	return mean, std
 }

@@ -134,48 +134,3 @@ func TestFindMinValueFilters(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestS1KnownSpike(t *testing.T) {
-	x := make([]float64, 21)
-	x[10] = 7
-	s := S1(x, 3)
-	if s[10] != 7 {
-		t.Errorf("S1 at spike = %g, want 7", s[10])
-	}
-	if s[5] != 0 {
-		t.Errorf("S1 on flat = %g, want 0", s[5])
-	}
-	spikes := SpikesS1(x, 3, 1)
-	found := false
-	for _, i := range spikes {
-		if i == 10 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("SpikesS1 missed the spike: %v", spikes)
-	}
-}
-
-func TestS1Edges(t *testing.T) {
-	x := []float64{3, 1, 2}
-	s := S1(x, 2)
-	// Index 0 has no left neighbours: score is right-only max rise = 2.
-	if s[0] != 2 {
-		t.Errorf("edge S1 = %g, want 2", s[0])
-	}
-	if SpikesS1([]float64{0, 0, 0}, 1, 1) != nil {
-		t.Error("flat signal should have no spikes")
-	}
-	mustPanic(t, func() { S1(x, 0) })
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
-}

@@ -232,55 +232,6 @@ func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window
 	}
 }
 
-// RealPeriodogram computes an amplitude-calibrated power spectrum of a
-// *real* sequence sampled at fs, using the real-input FFT — about half
-// the transform cost of promoting to complex and calling Periodogram.
-// The result has len(x) bins spanning [fc-fs/2, fc+fs/2) like
-// Periodogram's (the upper half mirrors the lower, as it must for real
-// input). x is not modified.
-func RealPeriodogram(x []float64, fs, fc float64, wt window.Type) *Spectrum {
-	n := len(x)
-	if n == 0 {
-		panic("spectral: empty capture")
-	}
-	buf := bufpool.Float(n)
-	copy(buf, x)
-	s := &Spectrum{PmW: make([]float64, n)}
-	RealPeriodogramInPlace(s, buf, fs, fc, wt)
-	bufpool.PutFloat(buf)
-	return s
-}
-
-// RealPeriodogramInPlace is the allocation-free core of RealPeriodogram:
-// x is windowed in place (destroying its contents) and the result written
-// into out, whose PmW must already have len(x) elements. Transform
-// scratch comes from the shared pool.
-func RealPeriodogramInPlace(out *Spectrum, x []float64, fs, fc float64, wt window.Type) {
-	n := len(x)
-	if n == 0 {
-		panic("spectral: empty capture")
-	}
-	if len(out.PmW) != n {
-		panic(fmt.Sprintf("spectral: output has %d bins for a %d-sample capture", len(out.PmW), n))
-	}
-	pc := window.For(wt, n)
-	for i, w := range pc.W {
-		x[i] *= w
-	}
-	spec := bufpool.Complex(n)
-	fft.PlanForReal(n).Forward(x, spec)
-	fft.Shift(spec)
-	norm := 1 / (float64(n) * pc.CoherentGain)
-	fres := fs / float64(n)
-	out.F0 = fc - fres*float64(n/2)
-	out.Fres = fres
-	for i, v := range spec {
-		a := real(v)*real(v) + imag(v)*imag(v)
-		out.PmW[i] = a * norm * norm
-	}
-	bufpool.PutComplex(spec)
-}
-
 // Averager accumulates power spectra with identical geometry and yields
 // their mean, the standard spectrum-analyzer trace-averaging operation.
 type Averager struct {
@@ -303,9 +254,6 @@ func (a *Averager) Add(s *Spectrum) {
 	}
 	a.count++
 }
-
-// Count returns the number of accumulated spectra.
-func (a *Averager) Count() int { return a.count }
 
 // Mean returns the averaged spectrum; nil if nothing was added.
 func (a *Averager) Mean() *Spectrum {

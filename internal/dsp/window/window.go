@@ -189,13 +189,3 @@ func Apply(x []complex128, w []float64) {
 		x[i] *= complex(w[i], 0)
 	}
 }
-
-// ApplyReal multiplies a real signal by the window in place.
-func ApplyReal(x, w []float64) {
-	if len(x) != len(w) {
-		panic(fmt.Sprintf("window: length mismatch %d vs %d", len(x), len(w)))
-	}
-	for i := range x {
-		x[i] *= w[i]
-	}
-}

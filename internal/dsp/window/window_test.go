@@ -108,20 +108,12 @@ func TestApply(t *testing.T) {
 			t.Errorf("Apply mismatch at %d", i)
 		}
 	}
-	xr := []float64{2, 2, 2, 2}
-	ApplyReal(xr, w)
-	for i := range xr {
-		if xr[i] != 2*w[i] {
-			t.Errorf("ApplyReal mismatch at %d", i)
-		}
-	}
 }
 
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { New(Hann, 0) })
 	mustPanic(t, func() { New(Type(99), 8) })
 	mustPanic(t, func() { Apply(make([]complex128, 3), make([]float64, 4)) })
-	mustPanic(t, func() { ApplyReal(make([]float64, 5), make([]float64, 4)) })
 }
 
 func TestString(t *testing.T) {

@@ -298,8 +298,8 @@ func (b *Background) Render(dst []complex128, ctx *Context) {
 	spec := bufpool.Complex(n)
 	// Fill bins directly in post-ifftshift (FFT) order: ascending-frequency
 	// bin k lands at (k + n − n/2) mod n, so writing there up front is the
-	// exact index permutation fft.InverseShift would apply — same values,
-	// same noise-draw order, no rotate pass over the buffer.
+	// exact index permutation that undoes fft.Shift — same values, same
+	// noise-draw order, no rotate pass over the buffer.
 	j := n - n/2
 	for _, sd := range ctx.Prep.(*bgPrep).sd {
 		spec[j] = complex(sd*r.NormFloat64(), sd*r.NormFloat64())

@@ -135,9 +135,6 @@ func (s *Scene) Plan(band Band, n int) *RenderPlan {
 	return p
 }
 
-// Active reports whether component i is rendered under the plan.
-func (p *RenderPlan) Active(i int) bool { return p.active[i] }
-
 // ActiveCount returns how many of the scene's components the plan renders.
 func (p *RenderPlan) ActiveCount() int { return p.nactive }
 

@@ -64,15 +64,6 @@ func Run(id string, cfg Config) (*report.Output, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 }
 
-// MustRun executes one experiment, panicking on unknown ids.
-func MustRun(id string, cfg Config) *report.Output {
-	out, err := Run(id, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ---- shared helpers ----
 
 // dbmSeries converts a spectrum into a plot series in dBm.

@@ -8,6 +8,7 @@ import (
 	"fase/internal/core"
 	"fase/internal/emsim"
 	"fase/internal/machine"
+	"fase/internal/report"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -39,12 +40,16 @@ func TestRunUnknownID(t *testing.T) {
 	if _, err := Run("nope", Config{}); err == nil {
 		t.Error("unknown id should error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun should panic on unknown id")
-		}
-	}()
-	MustRun("nope", Config{})
+}
+
+// mustRun runs one registered experiment, failing the test on an unknown id.
+func mustRun(t *testing.T, id string, cfg Config) *report.Output {
+	t.Helper()
+	out, err := Run(id, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestConceptFiguresRun(t *testing.T) {
@@ -52,7 +57,7 @@ func TestConceptFiguresRun(t *testing.T) {
 	for _, id := range []string{"fig01", "fig02", "fig03", "fig04", "fig05",
 		"fig06", "fig10", "carrier-tracking", "attack-leakage",
 		"ablation-combine", "campaign2-sweep"} {
-		out := MustRun(id, Config{Seed: 2})
+		out := mustRun(t, id, Config{Seed: 2})
 		if out.ID != id {
 			t.Errorf("%s: wrong ID %q", id, out.ID)
 		}
@@ -63,7 +68,7 @@ func TestConceptFiguresRun(t *testing.T) {
 }
 
 func TestFig01SidebandOffsets(t *testing.T) {
-	out := MustRun("fig01", Config{Seed: 3})
+	out := mustRun(t, "fig01", Config{Seed: 3})
 	if len(out.Notes) == 0 || !strings.Contains(out.Notes[0], "side-bands") {
 		t.Fatalf("fig01 notes: %v", out.Notes)
 	}
@@ -75,8 +80,8 @@ func TestFig01SidebandOffsets(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := MustRun("fig01", Config{Seed: 9})
-	b := MustRun("fig01", Config{Seed: 9})
+	a := mustRun(t, "fig01", Config{Seed: 9})
+	b := mustRun(t, "fig01", Config{Seed: 9})
 	if len(a.Series[0].Y) != len(b.Series[0].Y) {
 		t.Fatal("series length differs")
 	}

@@ -36,8 +36,6 @@ import (
 const (
 	MetricFFTPlanHits          = "fase_fft_plan_cache_hits_total"
 	MetricFFTPlanMisses        = "fase_fft_plan_cache_misses_total"
-	MetricRFFTPlanHits         = "fase_rfft_plan_cache_hits_total"
-	MetricRFFTPlanMisses       = "fase_rfft_plan_cache_misses_total"
 	MetricWindowHits           = "fase_window_cache_hits_total"
 	MetricWindowMisses         = "fase_window_cache_misses_total"
 	MetricBufpoolComplexHits   = "fase_bufpool_complex_hits_total"
@@ -179,8 +177,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram. P50/P90/P99
-// are derived latency-quantile estimates (see Quantile) so /metrics and
-// manifest tables show quantiles without re-deriving them from buckets.
+// are derived latency-quantile estimates (see Quantile) so readers of
+// /metrics and of run manifests need not re-derive them from buckets.
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`

@@ -26,8 +26,8 @@ func storeManifest(created int64, config map[string]any) *obs.Manifest {
 		TotalWallSeconds: 0.5, TotalCPUSeconds: 0.5,
 		Captures: 10,
 		Caches: map[string]obs.CacheStats{
-			"fft_plan": {Hits: 9, Misses: 1, HitRate: 0.9}, "rfft_plan": {},
-			"window": {}, "bufpool_complex": {}, "bufpool_float": {},
+			"fft_plan": {Hits: 9, Misses: 1, HitRate: 0.9},
+			"window":   {}, "bufpool_complex": {}, "bufpool_float": {},
 			"specan_plan": {}, "render_static": {},
 		},
 		Detections: []obs.DetectionRecord{{

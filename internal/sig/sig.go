@@ -54,9 +54,6 @@ func (p *OU) Step(dt float64, r *rand.Rand) float64 {
 	return p.x
 }
 
-// Value returns the current state without advancing.
-func (p *OU) Value() float64 { return p.x }
-
 // Oscillator is a phase accumulator with optional OU frequency wander.
 // It produces the *offset* phase relative to a chosen reference frequency,
 // which is how complex-baseband renderers consume it.
@@ -247,20 +244,6 @@ func sinc(x float64) float64 {
 		return 1
 	}
 	return math.Sin(math.Pi*x) / (math.Pi * x)
-}
-
-// SquareHarmonic returns the Fourier coefficient c_n of the unit 50%-duty
-// square wave in [-1, 1] (a clock): 2/(iπn) for odd n, and 0 for even n
-// and for n = 0 (DC removed). Odd harmonics therefore fall off as 1/n
-// relative to the fundamental.
-func SquareHarmonic(n int) complex128 {
-	if n < 0 {
-		n = -n
-	}
-	if n == 0 || n%2 == 0 {
-		return 0
-	}
-	return complex(0, -2/(math.Pi*float64(n)))
 }
 
 // SweepProfile is the instantaneous frequency offset profile of a

@@ -120,20 +120,6 @@ func TestPulseHarmonicMonotoneInDuty(t *testing.T) {
 	}
 }
 
-func TestSquareHarmonic(t *testing.T) {
-	if SquareHarmonic(0) != 0 || SquareHarmonic(2) != 0 || SquareHarmonic(4) != 0 {
-		t.Error("even square harmonics should vanish")
-	}
-	m1 := cmplx.Abs(SquareHarmonic(1))
-	m3 := cmplx.Abs(SquareHarmonic(3))
-	if math.Abs(m1-2/math.Pi) > 1e-12 || math.Abs(m1/m3-3) > 1e-9 {
-		t.Errorf("square harmonics wrong: %g %g", m1, m3)
-	}
-	if cmplx.Abs(SquareHarmonic(-3)) != m3 {
-		t.Error("negative square harmonic mismatch")
-	}
-}
-
 func TestSweepProfiles(t *testing.T) {
 	tri := TriangleSweep{}
 	if tri.Offset(0) != -1 || tri.Offset(0.25) != 0 || tri.Offset(0.5) != 1 || tri.Offset(0.75) != 0 {

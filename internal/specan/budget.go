@@ -85,15 +85,6 @@ func (m *Meter) Reserved() int64 {
 	return m.reserved.Load()
 }
 
-// Remaining returns the unclaimed budget (0 for a nil meter — callers
-// that want "unlimited" should check for nil, as the planner does).
-func (m *Meter) Remaining() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cap - m.reserved.Load()
-}
-
 // Used returns the captures actually rendered against the meter.
 func (m *Meter) Used() int64 {
 	if m == nil {
