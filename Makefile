@@ -65,25 +65,28 @@ equivalence:
 # math.Sincos for |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), the
 # polyphase impulse kernel (a pulse at any finite position deposits
 # without panicking, every tap within 1e-7 of the exact windowed sinc),
-# and the campaign service's submit endpoint (arbitrary request bodies
-# must answer 400 and never panic the server).
+# the switching regulator's line coefficients (any duty in (0, 1), lines
+# up to 64 and amplitude scales within 1e-12·d·|scale| of
+# sig.PulseHarmonic), and the campaign service's submit endpoint
+# (arbitrary request bodies must answer 400 and never panic the server).
 fuzz-smoke:
 	$(GO) test -run FuzzExtent -fuzz FuzzExtent -fuzztime 5s ./internal/emsim
 	$(GO) test -run xxx -fuzz FuzzCampaignValidate -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAdaptivePlan -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzImpulseKernel -fuzztime 5s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzRegulatorLines -fuzztime 5s ./internal/machine
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to
 # catch a benchmark that no longer compiles or panics, without the cost of
 # a full timing run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|Refresh|SSC)$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|SSC)$$' -benchtime 1x .
 
 # ab is the speed and output gate: cmd/benchgate exports REF with git
 # archive, builds both trees' benchmarks, times each gated row (the wide
-# sweep, both campaigns, the six render kernels, the service load) in 10
+# sweep, both campaigns, the eight render-kernel rows, the service load) in 10
 # interleaved pairs on this host, and fails when a row's median per-pair
 # change/base ratio goes past its bound. Then it builds both trees'
 # cmd/fase, runs the five built-in systems' campaigns (seeds 1-8, the

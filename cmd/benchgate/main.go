@@ -69,11 +69,14 @@ var rows = []row{
 	// The campaigns add scoring and detection to their sweeps.
 	{".", "BenchmarkCampaignNarrowband", "5x", nsPerOp(1.25)},
 	{".", "BenchmarkCampaignAdaptive", "5x", nsPerOp(1.25)},
-	// One render is sub-millisecond, so each kernel row runs for about a
-	// second. The bound is +15% so that a 25% slowdown of one kernel
-	// fails; at +35% it passed.
+	// One render takes from 0.2 to 2 ms, so each kernel row runs for
+	// about a second. The bound is +15% so that a 25% slowdown of one
+	// kernel fails; at +35% it passed. The regulator is gated at both the
+	// single-line shape and the campaign's four-line 16384-sample shape.
 	{".", "BenchmarkRenderRegulator/idle", "5000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulator/loaded", "5000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderRegulatorWide/idle", "1000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderRegulatorWide/loaded", "600x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRefresh/idle", "1000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRefresh/loaded", "1000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/idle", "2000x", nsPerOp(1.15)},

@@ -369,6 +369,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 				Reserved: meter.Reserved(), Cap: meter.Cap()})
 		}
 	}
+	// Recon: coarse full-band pass, scored like the exhaustive campaign
+	// but over the recon ladder subset. The stage also builds the
+	// analyzers.
+	recon := run.Begin("recon")
 
 	// Recon and refine analyzers each get their own static render cache:
 	// every sweep of a pass shares the campaign seed, so a pass's captures
@@ -390,10 +394,6 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		reconFAlts[j] = falts[i]
 	}
 	res := &Result{Campaign: c}
-
-	// Recon: coarse full-band pass, scored like the exhaustive campaign
-	// but over the recon ladder subset.
-	recon := run.Begin("recon")
 	reconCost := int64(len(reconIdx)) * reconAn.SweepCaptures(c.F1, c.F2)
 	if !meter.Reserve(reconCost) {
 		recon.End()
@@ -484,7 +484,6 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		// Measurements), preserving Grid/provenance round-trips.
 		res.Detections[i].Bin = recon0.Index(res.Detections[i].Freq)
 	}
-	detectStage.End()
 
 	stats := &obs.AdaptiveStats{
 		Budget:             int64(c.Budget),
@@ -510,10 +509,6 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 			Outcome: o.outcome, Captures: o.captures,
 			ProbeScore: o.probeScore, Detections: n,
 		}
-		run.Track(0).Emit(obs.Event{Kind: obs.EventWindowOutcome,
-			F1Hz: o.window.f1, F2Hz: o.window.f2, Priority: o.window.priority,
-			Outcome: o.outcome, Captures: o.captures,
-			Score: o.probeScore, Detections: n})
 		switch o.outcome {
 		case obs.WindowRefined:
 			adaptiveRefinedTotal.Inc()
@@ -528,11 +523,26 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		float64(refineUsed)*refineAn.CaptureDuration()
 	res.Adaptive = stats
 	detectionsTotal.Add(int64(len(res.Detections)))
+	var prov []obs.DetectionRecord
+	if run != nil {
+		prov = provenance(res, c)
+	}
+	detectStage.End()
+
+	// The window outcomes, detections and campaign_end follow detect's
+	// stage_end in the journal; everything else the run records happens
+	// inside a stage.
+	for _, w := range stats.Windows {
+		run.Track(0).Emit(obs.Event{Kind: obs.EventWindowOutcome,
+			F1Hz: w.F1Hz, F2Hz: w.F2Hz, Priority: w.Priority,
+			Outcome: w.Outcome, Captures: w.Captures,
+			Score: w.ProbeScore, Detections: w.Detections})
+	}
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: meter.Used(), Detections: len(res.Detections)})
 	if run != nil {
-		if m := run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c)); m != nil {
+		if m := run.Finish(manifestConfig(c), res.SimulatedSeconds, prov); m != nil {
 			m.Adaptive = stats
 		}
 	}

@@ -154,10 +154,10 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ ob
 	if len(ms) != len(p.FAlts) {
 		return nil, fmt.Errorf("core: ReduceShards got %d measurements for %d shards", len(ms), len(p.FAlts))
 	}
+	smooth := run.Begin("smooth")
 	res := &Result{Campaign: c, Measurements: ms,
 		SimulatedSeconds: p.SimulatedSeconds, Captures: p.Captures}
 	falts := p.FAlts
-	smooth := run.Begin("smooth")
 	spectra := make([]*spectral.Spectrum, len(res.Measurements))
 	for i, m := range res.Measurements {
 		spectra[i] = m.Spectrum
@@ -170,14 +170,20 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ ob
 	score.End()
 	detectStage := run.Begin("detect")
 	res.Detections = detect(res, spectra, smoothed, falts)
-	detectStage.End()
 	releaseSmoothed(smoothed)
 	detectionsTotal.Add(int64(len(res.Detections)))
+	var prov []obs.DetectionRecord
+	if run != nil {
+		prov = provenance(res, c)
+	}
+	detectStage.End()
+	// The detection and campaign_end events follow detect's stage_end in
+	// the journal; everything else the run records happens inside a stage.
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: res.Captures, Detections: len(res.Detections)})
 	if run != nil {
-		run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c))
+		run.Finish(manifestConfig(c), res.SimulatedSeconds, prov)
 	}
 	return res, nil
 }

@@ -60,20 +60,37 @@ func TestBluesteinPlanConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanForCachesAndShares checks that PlanFor returns one shared plan
-// per length and that concurrent first-use construction is safe.
+// TestPlanForCachesAndShares checks that goroutines that first ask
+// PlanFor for one length together share one build: exactly one miss, the
+// other 15 calls hits, and one plan for all.
 func TestPlanForCachesAndShares(t *testing.T) {
-	const n = 384 // non-power-of-two, distinct from other tests' sizes
+	n := 30011 // a Bluestein length no other test asks for, fresh on every -count
+	for {
+		if _, ok := planCache.Load(n); !ok {
+			break
+		}
+		n += 2
+	}
+	hits0, misses0 := planHits.Value(), planMisses.Value()
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	plans := make([]*Plan, 16)
 	for i := range plans {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
+			<-start
 			plans[i] = PlanFor(n)
-		}(i)
+		}()
 	}
+	close(start)
 	wg.Wait()
+	if misses := planMisses.Value() - misses0; misses != 1 {
+		t.Errorf("%d misses, want 1", misses)
+	}
+	if hits := planHits.Value() - hits0; hits != 15 {
+		t.Errorf("%d hits, want 15", hits)
+	}
 	for i := 1; i < len(plans); i++ {
 		if plans[i] != plans[0] {
 			t.Fatalf("PlanFor(%d) returned distinct plans", n)

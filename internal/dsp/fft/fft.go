@@ -42,12 +42,17 @@ type Plan struct {
 	scratch sync.Pool    // *[]complex128 length-m work buffers
 }
 
-// planCache backs PlanFor: transform length -> *Plan.
+// planCache backs PlanFor: transform length -> *planEntry.
 var planCache sync.Map
 
+// planEntry builds its plan once: goroutines that first ask for one length
+// together share one build and one miss.
+type planEntry struct {
+	once sync.Once
+	plan *Plan
+}
+
 // Plan-cache hit/miss counters feed the run manifest's cache statistics.
-// Concurrent first uses of one length may each count a miss; the cache
-// keeps a single plan regardless.
 var (
 	planHits   = obs.Default.Counter(obs.MetricFFTPlanHits)
 	planMisses = obs.Default.Counter(obs.MetricFFTPlanMisses)
@@ -58,13 +63,23 @@ var (
 // (Bluestein scratch is pooled per call), the returned plan is safe for
 // concurrent use from any number of goroutines.
 func PlanFor(n int) *Plan {
-	if v, ok := planCache.Load(n); ok {
-		planHits.Inc()
-		return v.(*Plan)
+	v, ok := planCache.Load(n)
+	if !ok {
+		v, _ = planCache.LoadOrStore(n, &planEntry{})
 	}
-	planMisses.Inc()
-	v, _ := planCache.LoadOrStore(n, NewPlan(n))
-	return v.(*Plan)
+	e := v.(*planEntry)
+	counter := planHits
+	e.once.Do(func() {
+		counter = planMisses
+		e.plan = NewPlan(n)
+	})
+	counter.Inc()
+	if e.plan == nil {
+		// Only a build that panicked (a bad length) leaves no plan;
+		// building again panics the same way.
+		return NewPlan(n)
+	}
+	return e.plan
 }
 
 // NewPlan creates a transform plan for length n. n must be positive.

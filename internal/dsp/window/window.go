@@ -129,8 +129,15 @@ type tableKey struct {
 	n int
 }
 
-// tableCache backs For: (type, length) -> *Precomputed.
+// tableCache backs For: (type, length) -> *tableEntry.
 var tableCache sync.Map
+
+// tableEntry builds its table once: goroutines that first ask for one key
+// together share one build and one miss.
+type tableEntry struct {
+	once sync.Once
+	pc   *Precomputed
+}
 
 // Table-cache hit/miss counters feed the run manifest's cache
 // statistics.
@@ -146,15 +153,29 @@ var (
 // synthesis and no allocation.
 func For(t Type, n int) *Precomputed {
 	key := tableKey{t: t, n: n}
-	if v, ok := tableCache.Load(key); ok {
-		tableHits.Inc()
-		return v.(*Precomputed)
+	v, ok := tableCache.Load(key)
+	if !ok {
+		v, _ = tableCache.LoadOrStore(key, &tableEntry{})
 	}
-	tableMisses.Inc()
+	e := v.(*tableEntry)
+	counter := tableHits
+	e.once.Do(func() {
+		counter = tableMisses
+		e.pc = newPrecomputed(t, n)
+	})
+	counter.Inc()
+	if e.pc == nil {
+		// Only a build that panicked (an unknown type or a bad length)
+		// leaves no table; building again panics the same way.
+		return newPrecomputed(t, n)
+	}
+	return e.pc
+}
+
+// newPrecomputed synthesizes the table For caches.
+func newPrecomputed(t Type, n int) *Precomputed {
 	w := New(t, n)
-	pc := &Precomputed{Type: t, N: n, W: w, CoherentGain: CoherentGain(w), NENBW: NENBW(w)}
-	v, _ := tableCache.LoadOrStore(key, pc)
-	return v.(*Precomputed)
+	return &Precomputed{Type: t, N: n, W: w, CoherentGain: CoherentGain(w), NENBW: NENBW(w)}
 }
 
 // CoherentGain returns the mean of the window samples. Dividing a windowed

@@ -2,6 +2,7 @@ package window
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -161,5 +162,46 @@ func TestDefaultSentinel(t *testing.T) {
 		if rect[i] != 1 {
 			t.Fatal("Rectangular window must be all ones")
 		}
+	}
+}
+
+// TestForBuildsOnce checks that goroutines that first ask For for one key
+// together share one build: exactly one miss, the other 15 calls hits,
+// and one table for all.
+func TestForBuildsOnce(t *testing.T) {
+	n := 200003 // a length no other test asks for, fresh on every -count
+	for {
+		if _, ok := tableCache.Load(tableKey{t: Hann, n: n}); !ok {
+			break
+		}
+		n++
+	}
+	hits0, misses0 := tableHits.Value(), tableMisses.Value()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]*Precomputed, 16)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = For(Hann, n)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if misses := tableMisses.Value() - misses0; misses != 1 {
+		t.Errorf("%d misses, want 1", misses)
+	}
+	if hits := tableHits.Value() - hits0; hits != 15 {
+		t.Errorf("%d hits, want 15", hits)
+	}
+	for i, pc := range got {
+		if pc != got[0] {
+			t.Fatalf("call %d returned another table", i)
+		}
+	}
+	if got[0].N != n || len(got[0].W) != n {
+		t.Fatalf("cached table has length %d, want %d", len(got[0].W), n)
 	}
 }

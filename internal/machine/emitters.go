@@ -21,12 +21,13 @@ import (
 )
 
 // combScratch holds the per-render working set of a harmonic-comb
-// synthesis (phasors, power chains, amplitudes). A scene renders dozens of
-// comb emitters per capture, so this state is pooled to keep steady-state
+// synthesis (phasors, power chains, amplitudes; the switching regulator
+// keeps its line coefficients in z). A scene renders dozens of comb
+// emitters per capture, so this state is pooled to keep steady-state
 // rendering allocation-free.
 type combScratch struct {
-	z, wpow, dpow []complex128
-	amp           []float64
+	z, wpow []complex128
+	amp     []float64
 }
 
 var combPool = sync.Pool{New: func() any { return new(combScratch) }}
@@ -36,12 +37,10 @@ func (cs *combScratch) grow(k int) {
 	if cap(cs.z) < k {
 		cs.z = make([]complex128, k)
 		cs.wpow = make([]complex128, k)
-		cs.dpow = make([]complex128, k)
 		cs.amp = make([]float64, k)
 	}
 	cs.z = cs.z[:k]
 	cs.wpow = cs.wpow[:k]
-	cs.dpow = cs.dpow[:k]
 	cs.amp = cs.amp[:k]
 }
 
@@ -256,10 +255,34 @@ func (g *SwitchingRegulator) BandExtent() emsim.Extent {
 	return lineExtent(g.FSw, g.MaxHarmonics, 1, 1)
 }
 
-// Prepare implements emsim.Prepper: the in-band harmonic list and static
-// rotation phasors, shared by all captures of a segment.
+// regulatorPrep is a switching regulator's per-segment state: the comb
+// prep (its in-band harmonics and their static rotations), 1/(2π·n) for
+// each in-band line, and the fundamental's static step e^{i2π·FSw·dt}.
+// The in-band harmonics are one run n₀…n₀+K−1, since a band is one
+// interval and the regulator's lines are every multiple of FSw: Render
+// evaluates the comb as a polynomial in the fundamental phasor, which
+// needs consecutive powers.
+type regulatorPrep struct {
+	*combPrep
+	inv2pn []float64
+	fstep  complex128
+}
+
+// Prepare implements emsim.Prepper: the regulator's prep, shared by all
+// captures of a segment.
 func (g *SwitchingRegulator) Prepare(band emsim.Band, _ int) any {
-	return prepComb(band, g.FSw, g.MaxHarmonics, 1, 1)
+	p := &regulatorPrep{combPrep: prepComb(band, g.FSw, g.MaxHarmonics, 1, 1)}
+	p.inv2pn = make([]float64, len(p.ns))
+	for k, n := range p.ns {
+		if n != p.ns[0]+k {
+			panic(fmt.Sprintf("machine: regulator %q in-band harmonics %v are not consecutive", g.Label, p.ns))
+		}
+		p.inv2pn[k] = 1 / (2 * math.Pi * float64(n))
+	}
+	dt := 1 / band.SampleRate
+	s, c := math.Sincos(2 * math.Pi * g.FSw * dt)
+	p.fstep = complex(c, s)
+	return p
 }
 
 func harmonicsIn(f0 float64, maxN int, f1, f2 float64) []float64 {
@@ -301,13 +324,45 @@ func (p *dutyPhasor) set(d float64) complex128 {
 	return p.z
 }
 
-// Render implements emsim.Component. The activity trace is piecewise
-// constant, so the render iterates its constant-load runs
-// (emsim.Context.DomainRuns) instead of walking a cursor sample by sample:
-// within a run the one-pole control loop is stepped per sample only until
-// its output repeats bitwise (its fixpoint for the run's load — further
-// steps are idempotent, so skipping them is exact), after which the duty
-// phasor and line amplitudes stay frozen for the rest of the run.
+// lineCoeffs sets c[k] to scale times the Fourier coefficient of line
+// n = n0+k of a duty-d pulse train, d·sinc(n·d)·e^{−iπnd} =
+// (1 − qⁿ)/(2πi·n) with q = e^{−2πid}, from the duty phasor h = e^{−iπd}
+// and inv2pn[k] = 1/(2π·n). With p = hⁿ, so qⁿ = p², 1 − qⁿ = p·(p̄ − p) =
+// −2i·imag(p)·p, which evaluates without the cancellation 1 − qⁿ suffers
+// when n·d is small: a line costs one complex multiply of the power chain
+// and a real scale, and no division.
+func lineCoeffs(c []complex128, h complex128, n0 int, scale float64, inv2pn []float64) {
+	p := h
+	if n0 > 1 {
+		p = sig.Ipow(h, n0)
+	}
+	m := -2 * scale
+	inv2pn = inv2pn[:len(c)]
+	for k := range c {
+		if k > 0 {
+			p *= h
+		}
+		s := m * inv2pn[k] * imag(p)
+		c[k] = complex(s*real(p), s*imag(p))
+	}
+}
+
+// Render implements emsim.Component. The regulator's in-band lines
+// n₀…n₀+K−1 share one oscillator, so with U the fundamental's phasor
+// (wander included) and C the band-centre rotation, line n's phasor is
+// C·Uⁿ and the comb is Y·Σₖ cₖ·Uᵏ, Y = C·U^{n₀}: one Horner polynomial in
+// U per sample, with the duty and amplitude folded into the K line
+// coefficients cₖ (lineCoeffs). U steps by e^{i2π·FSw·dt}·w and Y by its
+// line's static rotation times w^{n₀}, w being the sample's wander
+// rotation, and both are renormalized every sig.RotatorRenorm samples.
+//
+// The activity trace is piecewise constant, so the render iterates its
+// constant-load runs (emsim.Context.DomainRuns) instead of walking a
+// cursor sample by sample: within a run the one-pole control loop is
+// stepped per sample only until its output repeats bitwise (its fixpoint
+// for the run's load — further steps are idempotent, so skipping them is
+// exact), after which the coefficients stay frozen for the rest of the
+// run. They are recomputed only when the duty or amplitude moves.
 // Bit-identical to a per-sample walk of the trace (the reference the
 // equivalence tests hold this path to): run loads are exactly the
 // per-sample cursor loads, the loop filter, duty phasor, and wander state
@@ -317,7 +372,7 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
 		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
 	}
-	pre := ctx.Prep.(*combPrep)
+	pre := ctx.Prep.(*regulatorPrep)
 	ns := pre.ns
 	if len(ns) == 0 {
 		return
@@ -332,6 +387,11 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 
 	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
 	wander.Init(r)
+	wanders := g.WanderSigma != 0
+	var x, wa, wnoise float64
+	if wanders {
+		x, wa, wnoise = wander.Discretize(dt)
+	}
 	bw := g.LoopBw
 	if bw > 0.4*fs {
 		bw = 0.4 * fs
@@ -339,19 +399,18 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	loop := filter.NewOnePole(bw, fs)
 
 	base := 2 * math.Pi * r.Float64()
+	n0 := ns[0]
+	s, c := math.Sincos(wrapPhase(base))
+	u := complex(c, s)
+	s, c = math.Sincos(wrapPhase(float64(n0) * base))
+	y := complex(c, s)
 	cs.grow(len(ns))
-	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	for k, n := range ns {
-		s, c := math.Sincos(wrapPhase(float64(n) * base))
-		z[k] = complex(c, s)
-		wpow[k] = 1
-	}
-	z = z[:len(ns)]
-	stepStatic := pre.stepStatic[:len(z)]
-	dpow = dpow[:len(z)]
-	amp = amp[:len(z)]
+	coef := cs.z
+	last := len(coef) - 1
+	fstep, ystatic := pre.fstep, pre.stepStatic[0]
 	runs := ctx.DomainRuns(g.Dom)
 	var duty dutyPhasor
+	var h complex128
 	lastD, lastAmpl := math.NaN(), math.NaN()
 	// prevSm tracks the loop filter's previous output across runs: a Step
 	// that returns the same bits again has reached its fixpoint for the
@@ -373,57 +432,38 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 				ampl := 1 + g.AmpSwing*sm
 				if d != lastD || ampl != lastAmpl {
 					if d != lastD {
-						sig.PowChain(dpow, ns, duty.set(d))
+						h = duty.set(d)
 					}
-					for k, n := range ns {
-						fn := float64(n)
-						x := fn * d
-						mag := d
-						if x != 0 {
-							mag = d * -imag(dpow[k]) / (math.Pi * x)
-						}
-						amp[k] = a0 * mag * ampl
-					}
+					lineCoeffs(coef, h, n0, a0*ampl, pre.inv2pn)
 					lastD, lastAmpl = d, ampl
 				}
 			}
-			// OU.Step with Sigma == 0 draws nothing and returns 0, so a
-			// wander-free regulator takes the fixed-step branch throughout.
-			if df := wander.Step(dt, r); df != 0 {
-				ws, wc := sig.SmallSincos(2 * math.Pi * df * dt)
-				w := complex(wc, ws)
-				curw := complex(1, 0)
-				m := 0
-				acc := dst[i]
-				for k := range z {
-					dd := ns[k] - m
-					if dd < 8 {
-						for ; dd > 0; dd-- {
-							curw *= w
-						}
-					} else {
-						curw *= sig.Ipow(w, dd)
-					}
-					m = ns[k]
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * curw
-				}
-				dst[i] = acc
-			} else {
-				acc := dst[i]
-				for k := range z {
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * wpow[k]
-				}
-				dst[i] = acc
+			// A wander-free regulator draws nothing per sample (OU.Step
+			// draws nothing for Sigma == 0), and its rotators step by
+			// their static rotations alone.
+			w := complex(1, 0)
+			if wanders {
+				x = wa*x + wnoise*r.NormFloat64()
+				ws, wc := sig.SmallSincos(2 * math.Pi * x * dt)
+				w = complex(wc, ws)
 			}
+			v := coef[last]
+			for k := last - 1; k >= 0; k-- {
+				v = v*u + coef[k]
+			}
+			dst[i] += y * v
+			// Only the lines past the first read U.
+			if last > 0 {
+				u *= fstep * w
+			}
+			if n0 > 1 {
+				w = sig.Ipow(w, n0)
+			}
+			y *= ystatic * w
 			if renorm++; renorm >= sig.RotatorRenorm {
 				renorm = 0
-				for k := range z {
-					z[k] = sig.Renormalize(z[k])
-				}
+				u = sig.Renormalize(u)
+				y = sig.Renormalize(y)
 			}
 		}
 	}
@@ -431,8 +471,8 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 
 // CondStatic implements emsim.CondStaticRenderer: the regulator reads the
 // activity trace only through its domain's constant-load runs, so under a
-// window-constant load the control loop, duty phasor, and line amplitudes
-// follow the same steps whatever the rest of the trace does.
+// window-constant load the control loop, duty phasor, and line
+// coefficients follow the same steps whatever the rest of the trace does.
 func (g *SwitchingRegulator) CondStatic(emsim.Band, int) bool { return true }
 
 // ConstantOnTimeRegulator models the AMD laptop's core regulator (§4.4):
@@ -956,7 +996,7 @@ func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
 			// cur advances through the same sequence of multiplies PowChain
 			// would store into wpow, so z evolves bit-identically while the
 			// wpow array round trip disappears.
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
+			ws, wc := sig.SmallSincos(2 * math.Pi * df * dt)
 			w := complex(wc, ws)
 			cur := complex(1, 0)
 			m := 0

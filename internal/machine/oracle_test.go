@@ -115,17 +115,19 @@ func opaqueScene(s *emsim.Scene) *emsim.Scene {
 	return out
 }
 
-// renderPerSample is SwitchingRegulator's pre-segmentation render: it
-// steps the one-pole control loop and re-derives the duty phasor on every
-// sample instead of iterating the trace's constant-load runs.
+// renderPerSample is SwitchingRegulator's pre-segmentation render: the
+// same Horner kernel, but it steps the one-pole control loop and
+// re-derives the duty on every sample instead of iterating the trace's
+// constant-load runs.
 func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
 		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
 	}
 	cs := combPool.Get().(*combScratch)
 	defer combPool.Put(cs)
-	// In-band harmonics and static rotations are derived inline, not read
-	// from ctx.Prep, so the oracle checks Prepare independently.
+	// The in-band harmonics, the first line's static rotation, the
+	// fundamental's step and 1/(2π·n) are derived inline, not read from
+	// ctx.Prep, so the oracle checks Prepare independently.
 	var ns []int
 	for n := 1; n <= g.MaxHarmonics; n++ {
 		if ctx.Band.Contains(float64(n) * g.FSw) {
@@ -153,35 +155,24 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	loop := filter.NewOnePole(bw, fs)
 	cur := ctx.Loads()
 
-	// Phasor-rotation synthesis: each harmonic carries a unit phasor
-	// z[k] = e^{i·phase_k}, advanced per sample by a precomputed static
-	// step (the nominal comb-line offset from the band center) times the
-	// shared wander rotation raised to the n-th power. The wander rotation
-	// and the duty phasor e^{-iπd} (stepped by dutyPhasor) replace a Sincos
-	// plus a Sin per harmonic per sample; the duty phasor's powers also
-	// provide sin(πnd) for the d·sinc(n·d) line magnitudes.
-	base := 2 * math.Pi * r.Float64()
-	cs.grow(len(ns))
-	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	stepStatic := make([]complex128, len(ns))
+	n0 := ns[0]
+	inv2pn := make([]float64, len(ns))
 	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
-		z[k] = complex(c, s)
-		s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
-		stepStatic[k] = complex(c, s)
-		wpow[k] = 1
+		inv2pn[k] = 1 / (2 * math.Pi * float64(n))
 	}
-	// Re-slice the working arrays to a common length so the hot loops
-	// index them without bounds checks.
-	z = z[:len(ns)]
-	stepStatic = stepStatic[:len(z)]
-	dpow = dpow[:len(z)]
-	amp = amp[:len(z)]
-	// The duty phasor and line amplitudes depend only on (d, ampl), which
-	// the one-pole loop holds constant once the load settles — so they are
-	// refreshed only when the smoothed load moves, not every sample.
+	s, c := math.Sincos(2 * math.Pi * (float64(n0)*g.FSw - ctx.Band.Center) * dt)
+	ystatic := complex(c, s)
+	s, c = math.Sincos(2 * math.Pi * g.FSw * dt)
+	fstep := complex(c, s)
+	base := 2 * math.Pi * r.Float64()
+	s, c = math.Sincos(wrapPhase(base))
+	u := complex(c, s)
+	s, c = math.Sincos(wrapPhase(float64(n0) * base))
+	y := complex(c, s)
+	cs.grow(len(ns))
+	coef := cs.z
 	var duty dutyPhasor
+	var h complex128
 	lastD, lastAmpl := math.NaN(), math.NaN()
 	renorm := 0
 	for i := range dst {
@@ -190,63 +181,34 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 		smoothedLoad := loop.Step(load)
 		d := g.BaseDuty + g.DutySwing*smoothedLoad
 		ampl := 1 + g.AmpSwing*smoothedLoad
-		df := wander.Step(dt, r)
 		if d != lastD || ampl != lastAmpl {
 			if d != lastD {
-				sig.PowChain(dpow, ns, duty.set(d))
+				h = duty.set(d)
 			}
-			for k, n := range ns {
-				fn := float64(n)
-				// Fourier magnitude of harmonic n at duty d: d·sinc(n·d),
-				// with sin(πnd) = −imag(e^{-iπnd}) read off the duty phasor.
-				x := fn * d
-				mag := d
-				if x != 0 {
-					mag = d * -imag(dpow[k]) / (math.Pi * x)
-				}
-				amp[k] = a0 * mag * ampl
-			}
+			lineCoeffs(coef, h, n0, a0*ampl, inv2pn)
 			lastD, lastAmpl = d, ampl
 		}
-		if df != 0 {
-			// Fused wander power chain (see UnmodulatedClock.Render): cur
-			// runs through PowChain's exact multiply sequence, so z evolves
-			// bit-identically without the wpow array round trip.
+		w := complex(1, 0)
+		if df := wander.Step(dt, r); g.WanderSigma != 0 {
 			ws, wc := sig.SmallSincos(2 * math.Pi * df * dt)
-			w := complex(wc, ws)
-			curw := complex(1, 0)
-			m := 0
-			acc := dst[i]
-			for k := range z {
-				dd := ns[k] - m
-				if dd < 8 {
-					for ; dd > 0; dd-- {
-						curw *= w
-					}
-				} else {
-					curw *= sig.Ipow(w, dd)
-				}
-				m = ns[k]
-				// Pulse-train harmonic phase is -π·n·d (pulse centering).
-				v := z[k] * dpow[k]
-				acc += complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * curw
-			}
-			dst[i] = acc
-		} else {
-			acc := dst[i]
-			for k := range z {
-				v := z[k] * dpow[k]
-				acc += complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * wpow[k]
-			}
-			dst[i] = acc
+			w = complex(wc, ws)
 		}
+		v := coef[len(coef)-1]
+		for k := len(coef) - 2; k >= 0; k-- {
+			v = v*u + coef[k]
+		}
+		dst[i] += y * v
+		if len(coef) > 1 {
+			u *= fstep * w
+		}
+		if n0 > 1 {
+			w = sig.Ipow(w, n0)
+		}
+		y *= ystatic * w
 		if renorm++; renorm >= sig.RotatorRenorm {
 			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
+			u = sig.Renormalize(u)
+			y = sig.Renormalize(y)
 		}
 	}
 }

@@ -108,12 +108,15 @@ type componentStat struct {
 	wall    float64
 }
 
-// NewRun starts a run clock.
+// NewRun starts a run clock. The run's own setup, its histograms and the
+// CPU read, comes first, so the clock starts at the run's first step.
 func NewRun() *Run {
-	r := &Run{start: time.Now(), startCPU: processCPUSeconds()}
+	r := &Run{}
 	for i, twin := range histTwins {
 		r.hists[i] = newHistogram(twin.bounds)
 	}
+	r.startCPU = processCPUSeconds()
+	r.start = time.Now()
 	return r
 }
 
@@ -156,15 +159,18 @@ type Span struct {
 // Begin opens the named pipeline stage: stage_start on track 0 and the
 // /progress stage. The returned span's End records the stage's
 // StageTiming and emits stage_end. Stages are sequential at the campaign
-// level, so their wall times sum to ≈ the run's total. A nil run returns
-// the zero Span.
+// level, so their wall times sum to ≈ the run's total. The stage's clocks
+// start before its bookkeeping and stop after End's CPU read, so the
+// stretches between stages hold only the few stores of a stage change. A
+// nil run returns the zero Span.
 func (r *Run) Begin(name string) Span {
 	if r == nil {
 		return Span{}
 	}
+	s := Span{run: r, name: name, start: time.Now(), cpu: processCPUSeconds()}
 	r.progress.stage.Store(name)
 	r.Track(0).Emit(Event{Kind: EventStageStart, Name: name})
-	return Span{run: r, name: name, start: time.Now(), cpu: processCPUSeconds()}
+	return s
 }
 
 // End records the stage on its run. Ending the zero Span does nothing.
@@ -173,8 +179,8 @@ func (s Span) End() {
 	if r == nil {
 		return
 	}
-	st := StageTiming{Name: s.name, WallSeconds: time.Since(s.start).Seconds(),
-		CPUSeconds: processCPUSeconds() - s.cpu}
+	cpu := processCPUSeconds() - s.cpu
+	st := StageTiming{Name: s.name, WallSeconds: time.Since(s.start).Seconds(), CPUSeconds: cpu}
 	r.mu.Lock()
 	r.stages = append(r.stages, st)
 	r.mu.Unlock()
@@ -290,6 +296,7 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 	if r == nil {
 		return nil
 	}
+	wall, cpu := time.Since(r.start).Seconds(), processCPUSeconds()-r.startCPU
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.manifest != nil {
@@ -322,8 +329,8 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 		CreatedUnix:              time.Now().Unix(),
 		Config:                   config,
 		Stages:                   append([]StageTiming(nil), r.stages...),
-		TotalWallSeconds:         time.Since(r.start).Seconds(),
-		TotalCPUSeconds:          processCPUSeconds() - r.startCPU,
+		TotalWallSeconds:         wall,
+		TotalCPUSeconds:          cpu,
 		SimulatedAnalyzerSeconds: simulatedSeconds,
 		Captures:                 r.Stat(StatCaptures),
 		RenderSeconds:            r.hists[histRender].sum.Value(),

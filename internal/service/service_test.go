@@ -421,10 +421,10 @@ func TestResubmitIdenticalServedFromCache(t *testing.T) {
 // TestStoreEntryFromOlderModelNotServed: a run archived before run ids
 // carried the model version sits at its config's unversioned address,
 // the SHA-256 of the canonical config JSON alone, and a run archived
-// under model 1 (before the polyphase impulse kernel moved every score)
-// at the SHA-256 of "fase-model/1\n" and that JSON. Submitting that
-// config must render it afresh instead of serving either old manifest as
-// a cache hit.
+// under model m at the SHA-256 of "fase-model/m\n" and that JSON: model 1
+// before the polyphase impulse kernel moved every score, model 2 before
+// the Horner regulator kernel did. Submitting that config must render it
+// afresh instead of serving any old manifest as a cache hit.
 func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
 	dir := t.TempDir()
 	req := tinyRequest("acme", 9)
@@ -450,13 +450,16 @@ func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
 	}
 	sum := sha256.Sum256(raw)
 	oldID := hex.EncodeToString(sum[:])[:runstore.IDLen]
-	sum = sha256.Sum256(append([]byte("fase-model/1\n"), raw...))
-	model1ID := hex.EncodeToString(sum[:])[:runstore.IDLen]
+	staleIDs := []string{oldID}
+	for _, model := range []string{"fase-model/1\n", "fase-model/2\n"} {
+		sum = sha256.Sum256(append([]byte(model), raw...))
+		staleIDs = append(staleIDs, hex.EncodeToString(sum[:])[:runstore.IDLen])
+	}
 	stale, err := json.Marshal(&obs.Manifest{Schema: obs.ManifestSchema, Config: canon, Captures: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{oldID, model1ID} {
+	for _, id := range staleIDs {
 		if err := os.WriteFile(filepath.Join(dir, id+".json"), stale, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -468,8 +471,10 @@ func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
 	if code != http.StatusAccepted || st.Cached {
 		t.Fatalf("submit status %d cached %v, want a fresh job (202)", code, st.Cached)
 	}
-	if st.ResultID == oldID || st.ResultID == model1ID {
-		t.Fatalf("result id %s is an older model's address", st.ResultID)
+	for _, id := range staleIDs {
+		if st.ResultID == id {
+			t.Fatalf("result id %s is an older model's address", st.ResultID)
+		}
 	}
 	fin := waitTerminal(t, base, st.ID)
 	if fin.State != StateDone {

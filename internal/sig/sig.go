@@ -46,12 +46,27 @@ func (p *OU) Step(dt float64, r *rand.Rand) float64 {
 		panic(fmt.Sprintf("sig: OU tau must be positive, got %g", p.Tau))
 	}
 	if dt != p.cdt {
-		a := math.Exp(-dt / p.Tau)
-		p.cdt, p.ca, p.cnoise = dt, a, p.Sigma*math.Sqrt(1-a*a)
+		_, p.ca, p.cnoise = p.Discretize(dt)
+		p.cdt = dt
 	}
-	// Exact discretization of the OU SDE.
 	p.x = p.ca*p.x + p.cnoise*r.NormFloat64()
 	return p.x
+}
+
+// Discretize returns the process's current value x and the coefficients
+// of the exact discretization of the OU SDE for steps of dt,
+// x ← a·x + noise·N(0, 1), which Step applies. A renderer that steps the
+// process once per sample at one dt keeps x itself and inlines that
+// update (Step, with its checks and cache, is too large to inline) for
+// the same trajectory bit for bit, drawing the same NormFloat64 per step.
+// A process with Sigma == 0 never moves and Step draws nothing for it, so
+// callers skip the update.
+func (p *OU) Discretize(dt float64) (x, a, noise float64) {
+	if p.Tau <= 0 {
+		panic(fmt.Sprintf("sig: OU tau must be positive, got %g", p.Tau))
+	}
+	a = math.Exp(-dt / p.Tau)
+	return p.x, a, p.Sigma * math.Sqrt(1-a*a)
 }
 
 // Oscillator is a phase accumulator with optional OU frequency wander.
@@ -200,7 +215,9 @@ func PowChain(dst []complex128, ns []int, w complex128) {
 // PowChain, exported so renderers that fuse the power chain into their
 // accumulation loop (avoiding the wpow round trip through memory) produce
 // the exact same sequence of multiplies, and therefore the exact same
-// bits, as a PowChain pass followed by a separate loop.
+// bits, as a PowChain pass followed by a separate loop. The switching
+// regulator also raises its duty and wander rotations to its first
+// in-band harmonic with it.
 func Ipow(w complex128, e int) complex128 {
 	r := complex(1, 0)
 	for e > 0 {

@@ -40,6 +40,24 @@ func TestOUZeroSigmaIsIdeal(t *testing.T) {
 	}
 }
 
+// TestOUDiscretizeMatchesStep checks that the update Discretize returns,
+// applied inline to the value it returns, follows Step's trajectory bit
+// for bit from the same draws.
+func TestOUDiscretizeMatchesStep(t *testing.T) {
+	const dt = 1 / 409600.0
+	p, q := OU{Sigma: 350, Tau: 1.2e-3}, OU{Sigma: 350, Tau: 1.2e-3}
+	rp, rq := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+	p.Init(rp)
+	q.Init(rq)
+	x, a, noise := q.Discretize(dt)
+	for i := 0; i < 4096; i++ {
+		x = a*x + noise*rq.NormFloat64()
+		if got := p.Step(dt, rp); math.Float64bits(got) != math.Float64bits(x) {
+			t.Fatalf("step %d: inline update %v, Step %v", i, x, got)
+		}
+	}
+}
+
 func TestOUCorrelationTime(t *testing.T) {
 	// Successive samples dt << tau apart must be strongly correlated.
 	r := rand.New(rand.NewSource(3))

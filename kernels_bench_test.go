@@ -1,6 +1,8 @@
 // Kernel microbenchmarks: single-emitter render times for the three
 // dynamic kernels the campaign spends its cycles in (switching regulator,
-// memory refresh, spread-spectrum clock), each idle and under load.
+// memory refresh, spread-spectrum clock), each idle and under load. The
+// regulator is timed at two shapes: the narrowband segment, where one of
+// its lines is in band, and the campaign's wide segment, where four are.
 //
 // The idle case renders against the constant idle trace — one run for the
 // segmented paths — while the loaded case renders against a generated
@@ -16,11 +18,18 @@ import (
 	"fase/internal/microbench"
 )
 
-// kernelBenchCapture is the campaign narrowband segment shape: 4096
-// samples at 409.6 kHz (100 Hz resolution), a 10 ms window.
+// kernelBenchN and kernelBenchFs are the campaign narrowband segment
+// shape: 4096 samples at 409.6 kHz (100 Hz resolution), a 10 ms window.
 const (
 	kernelBenchN  = 4096
 	kernelBenchFs = 409600.0
+)
+
+// kernelWideN and kernelWideFs are the campaign's 16384-sample segment
+// shape: 1.6384 MHz (100 Hz resolution), also a 10 ms window.
+const (
+	kernelWideN  = 16384
+	kernelWideFs = 1638400.0
 )
 
 // kernelBenchTrace generates the alternation load trace the loaded
@@ -36,9 +45,9 @@ func kernelBenchTrace(b *testing.B) *fase.Trace {
 	}, 0.1)
 }
 
-// benchRenderComponent times a single component's render, idle and
-// loaded.
-func benchRenderComponent(b *testing.B, c emsim.Component, center float64) {
+// benchRenderComponent times a single component's render of n samples
+// at rate fs, idle and loaded.
+func benchRenderComponent(b *testing.B, c emsim.Component, center float64, n int, fs float64) {
 	scene := &emsim.Scene{}
 	scene.Add(c)
 	trace := kernelBenchTrace(b)
@@ -48,13 +57,13 @@ func benchRenderComponent(b *testing.B, c emsim.Component, center float64) {
 			name, activity = "loaded", trace
 		}
 		b.Run(name, func(b *testing.B) {
-			dst := make([]complex128, kernelBenchN)
+			dst := make([]complex128, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				scene.RenderInto(dst, emsim.Capture{
-					Band:     emsim.Band{Center: center, SampleRate: kernelBenchFs},
-					N:        kernelBenchN,
+					Band:     emsim.Band{Center: center, SampleRate: fs},
+					N:        n,
 					Seed:     int64(i),
 					Activity: activity,
 				})
@@ -70,7 +79,19 @@ func BenchmarkRenderRegulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, sys.CoreRegulator, 400e3)
+	benchRenderComponent(b, sys.CoreRegulator, 400e3, kernelBenchN, kernelBenchFs)
+}
+
+// BenchmarkRenderRegulatorWide times the i7 memory regulator (315 kHz,
+// memory domain) at the campaign's wide shape centred at 550 kHz, where
+// its lines 1–4 are in band. Under the alternation trace its duty moves
+// on every sample.
+func BenchmarkRenderRegulatorWide(b *testing.B) {
+	sys, err := fase.LookupSystem("i7-desktop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRenderComponent(b, sys.MemRegulator, 550e3, kernelWideN, kernelWideFs)
 }
 
 // BenchmarkRenderRefresh times the DDR3 refresh impulse train — ~5120
@@ -80,7 +101,7 @@ func BenchmarkRenderRefresh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, sys.Refresh, 400e3)
+	benchRenderComponent(b, sys.Refresh, 400e3, kernelBenchN, kernelBenchFs)
 }
 
 // BenchmarkRenderSSC times the spread-spectrum DDR3 clock in its own
@@ -90,5 +111,5 @@ func BenchmarkRenderSSC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRenderComponent(b, sys.DRAMClock, 333e6)
+	benchRenderComponent(b, sys.DRAMClock, 333e6, kernelBenchN, kernelBenchFs)
 }
