@@ -53,7 +53,9 @@ shuffle:
 # production render (culled, static-cached, run-length segmented, blocked
 # refresh, serial and parallel, faulted) must match its test-only reference
 # bit for bit — the per-sample emitter oracles, the unculled uncached
-# wrapped scene — plus the journal and observability equivalences and the
+# wrapped scene — plus the activity look-ahead contract (a capture renders
+# the same whatever its trace holds from emsim.ActivityLookahead past its
+# last sample), the journal and observability equivalences and the
 # manifest attribution gate (concurrent service jobs archive the same
 # manifests as their solo runs).
 equivalence:
@@ -101,21 +103,25 @@ ab:
 	$(GO) run ./cmd/benchgate $(REF)
 
 # profile captures CPU and allocation profiles of the narrowband campaign
-# benchmark and of the adaptive campaign benchmark (short captures, where
-# the impulse-train kernel dominated) as artifacts under profiles/ (raw
-# pprof files plus `go tool pprof -top` summaries), for before/after
-# comparison when working on the render kernels.
+# benchmark, of the adaptive campaign benchmark (short captures, where the
+# impulse-train kernel dominated) and of the campaign service's load test
+# (many small sharded jobs, where the set-up around each sweep, such as
+# generating its alternation trace, weighs most) as artifacts under
+# profiles/ (raw pprof files plus `go tool pprof -top` summaries), for
+# before/after comparison when working on the render kernels or the sweep
+# path.
 profile:
 	@mkdir -p profiles; \
-	for p in campaign:BenchmarkCampaignNarrowband adaptive:BenchmarkCampaignAdaptive; do \
-		name=$${p%%:*}; bench=$${p#*:}; \
+	for p in campaign:.:BenchmarkCampaignNarrowband adaptive:.:BenchmarkCampaignAdaptive \
+		service:./internal/service/loadtest:BenchmarkServiceLoad; do \
+		name=$${p%%:*}; rest=$${p#*:}; pkg=$${rest%%:*}; bench=$${rest#*:}; \
 		$(GO) test -run xxx -bench "$$bench\$$" -benchtime 10x \
 			-cpuprofile profiles/$${name}_cpu.pprof -memprofile profiles/$${name}_mem.pprof \
-			-o profiles/fase.test . >/dev/null || exit 1; \
-		$(GO) tool pprof -top -nodecount 25 profiles/fase.test profiles/$${name}_cpu.pprof > profiles/$${name}_cpu.txt || exit 1; \
-		$(GO) tool pprof -top -sample_index=alloc_space -nodecount 25 profiles/fase.test profiles/$${name}_mem.pprof > profiles/$${name}_mem.txt || exit 1; \
+			-o profiles/$${name}.test $$pkg >/dev/null || exit 1; \
+		$(GO) tool pprof -top -nodecount 25 profiles/$${name}.test profiles/$${name}_cpu.pprof > profiles/$${name}_cpu.txt || exit 1; \
+		$(GO) tool pprof -top -sample_index=alloc_space -nodecount 25 profiles/$${name}.test profiles/$${name}_mem.pprof > profiles/$${name}_mem.txt || exit 1; \
 	done; \
-	echo "profile: wrote profiles/{campaign,adaptive}_{cpu,mem}.pprof and -top summaries"
+	echo "profile: wrote profiles/{campaign,adaptive,service}_{cpu,mem}.pprof and -top summaries"
 
 # accuracy runs the ground-truth harness (fase -verify): a 60-scenario
 # seeded-random machine corpus scanned by the unchanged pipeline, clean,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"fase/internal/activity"
 	"fase/internal/machine"
 	"fase/internal/specan"
 )
@@ -15,7 +16,10 @@ import (
 // committed golden CSV — until now the five scans were only byte-identical
 // across refactors by convention. The goldens cover the whole chain the
 // CLI exercises: scene construction, the planned sweep, amplitude
-// calibration, and writeCSV's exact float formatting.
+// calibration, and writeCSV's exact float formatting. The idle scans never
+// read an activity trace, so one more golden scans the i7 desktop under
+// the LDM/LDL1 alternation that -pair runs (the -falt default), through
+// the trace main builds (alternation).
 //
 // The pinned bytes depend on the floating-point contract of the render
 // path (the equivalence suites guarantee culled/unculled and parallel
@@ -33,9 +37,15 @@ func TestScanCSVGolden(t *testing.T) {
 	if len(names) != 5 {
 		t.Fatalf("registry has %d systems, want 5: %v", len(names), names)
 	}
+	type scan struct{ name, system, pair string }
+	scans := make([]scan, 0, len(names)+1)
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			sys, err := machine.Lookup(name)
+		scans = append(scans, scan{name: name, system: name})
+	}
+	scans = append(scans, scan{name: "i7-desktop-LDM-LDL1", system: "i7-desktop", pair: "LDM/LDL1"})
+	for _, sc := range scans {
+		t.Run(sc.name, func(t *testing.T) {
+			sys, err := machine.Lookup(sc.system)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,15 +54,23 @@ func TestScanCSVGolden(t *testing.T) {
 			// logic; seed 1 and the full environment match the CLI
 			// defaults.
 			an := specan.New(specan.Config{Fres: 500})
-			s := an.Sweep(specan.Request{
+			req := specan.Request{
 				Scene: sys.Scene(1, true),
 				F1:    250e3, F2: 550e3, Seed: 1,
-			})
+			}
+			if sc.pair != "" {
+				x, y, err := activity.ParsePair(sc.pair)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Activity = alternation(an, req.F1, req.F2, x, y, 43.3e3, req.Seed)
+			}
+			s := an.Sweep(req)
 			var buf bytes.Buffer
 			if err := writeCSV(&buf, s); err != nil {
 				t.Fatal(err)
 			}
-			golden := filepath.Join("testdata", name+".csv")
+			golden := filepath.Join("testdata", sc.name+".csv")
 			if os.Getenv("UPDATE_GOLDEN") != "" {
 				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 
 	"fase/internal/activity"
 	"fase/internal/dsp/spectral"
+	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/microbench"
 	"fase/internal/specan"
@@ -56,10 +57,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		req.Activity = microbench.Generate(microbench.Config{
-			X: x, Y: y, FAlt: *falt,
-			Jitter: microbench.DefaultJitter(), Seed: *seed,
-		}, an.TotalDuration(*f1, *f2)+0.05)
+		req.Activity = alternation(an, *f1, *f2, x, y, *falt, *seed)
 	}
 	s := an.Sweep(req)
 
@@ -80,6 +78,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// alternation is the X/Y micro-benchmark trace that runs during a sweep
+// of [f1, f2] on an: it alternates at falt across the sweep's captures
+// and the look-ahead a component may read past the last one
+// (emsim.ActivityLookahead).
+func alternation(an *specan.Analyzer, f1, f2 float64, x, y activity.Kind, falt float64, seed int64) *activity.Trace {
+	return microbench.Generate(microbench.Config{
+		X: x, Y: y, FAlt: falt,
+		Jitter: microbench.DefaultJitter(), Seed: seed,
+	}, an.TotalDuration(f1, f2)+emsim.ActivityLookahead)
 }
 
 // writeCSV streams the spectrum as freq_hz,dbm rows. The byte format is

@@ -149,7 +149,7 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 			tr := microbench.Generate(microbench.Config{
 				X: c.X, Y: c.Y, FAlt: falts[i], Jitter: microbench.DefaultJitter(),
 				Seed: c.Seed + int64(i)*7907,
-			}, float64(fmCaptureN)/fmFs+0.01)
+			}, float64(fmCaptureN)/fmFs+emsim.ActivityLookahead)
 			x := r.Scene.Render(emsim.Capture{
 				Band:     emsim.Band{Center: fc, SampleRate: fmFs},
 				N:        fmCaptureN,

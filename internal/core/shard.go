@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fase/internal/dsp/spectral"
+	"fase/internal/emsim"
 	"fase/internal/microbench"
 	"fase/internal/obs"
 	"fase/internal/specan"
@@ -92,9 +93,11 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 
 // sweepLadder sweeps [f1, f2] while the micro-benchmark alternates at fa,
 // the frequency of ladder index i. The alternation trace and its fault
-// drift derive from c.Seed + i·104729, so a refinement sweep over part of
-// the band sees the same realization the exhaustive sweep i would, and
-// the sweep's journal events land on track 1+i.
+// drift derive from c.Seed + i·104729, and a trace is a prefix of every
+// longer trace of its configuration (microbench.Generate), so a
+// refinement sweep over part of the band sees the same realization the
+// exhaustive sweep i would, for as long as its shorter trace runs. The
+// sweep's journal events land on track 1+i.
 func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, run *obs.Run) *spectral.Spectrum {
 	seed := c.Seed + int64(i)*104729
 	// Under fault injection the micro-benchmark's clock may drift: the
@@ -118,10 +121,13 @@ func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaig
 }
 
 // traceSeconds is the length of the alternation trace a sweep of
-// [f1, f2] on an generates: the analyzer's sweep time plus 50 ms of
-// slack.
+// [f1, f2] on an generates: the span of its captures plus the look-ahead
+// a component may read past a capture's end (emsim.ActivityLookahead).
+// The sweep renders exactly as it would under any longer trace of the
+// same configuration, since that trace agrees with this one everywhere
+// before its end.
 func traceSeconds(an *specan.Analyzer, f1, f2 float64) float64 {
-	return an.TotalDuration(f1, f2) + 0.05
+	return an.TotalDuration(f1, f2) + emsim.ActivityLookahead
 }
 
 // TraceSegments bounds the activity segments in the campaign's longest

@@ -53,7 +53,9 @@ type Context struct {
 	// Rand is the capture's noise source. The scene hands each component
 	// its own child generator so components draw independent streams.
 	Rand *rand.Rand
-	// Activity is the program-activity envelope; nil means idle.
+	// Activity is the program-activity envelope; nil means idle. It is
+	// read only before ActivityLookahead past the capture's last sample
+	// (see Component).
 	Activity *activity.Trace
 	// NearField enables the short-range probe model used for source
 	// localization (§4): system emitters appear stronger and with
@@ -96,7 +98,20 @@ func (c *Context) DomainRuns(d activity.Domain) activity.DomainRuns {
 	return tr.DomainRuns(d, c.Start, c.Dt(), c.N)
 }
 
+// ActivityLookahead is how far past a capture's last sample a component
+// may read the capture's activity trace, in seconds. Renderers that
+// follow the load sample by sample stay inside the capture window; an
+// event-driven one reaches past it to draw the events whose taps overlap
+// the window's end (the DRAM refresh walk reaches 2·tREFI, 15.6 µs for
+// DDR3). A sweep's alternation trace therefore needs to cover its
+// captures plus this look-ahead, and no more.
+const ActivityLookahead = 1e-3
+
 // Component is anything that adds signal (or noise) to a capture.
+//
+// Render reads ctx.Activity at no time ActivityLookahead or more past the
+// capture's last sample: two traces whose loads agree at every earlier
+// time render the same capture bit for bit.
 type Component interface {
 	// Name identifies the component in reports and ground-truth tables.
 	Name() string

@@ -102,6 +102,65 @@ func TestJitterMean(t *testing.T) {
 	}
 }
 
+// TestGeneratePrefix: a trace is a prefix of every longer trace of its
+// configuration. Generate draws two multipliers per period in a fixed
+// order whatever the duration, so the segments of Generate(cfg, d1) that
+// start before d1 lead Generate(cfg, d2) for d2 > d1, and the two traces
+// read the same load at every t < d1. A sweep sizes its alternation trace
+// to the time its captures read (emsim.ActivityLookahead) on this
+// property.
+func TestGeneratePrefix(t *testing.T) {
+	jitters := []struct {
+		name string
+		j    Jitter
+	}{{"default", DefaultJitter()}, {"none", NoJitter()}}
+	for _, jt := range jitters {
+		for _, seed := range []int64{1, 7, 104730} {
+			for _, falt := range []float64{500, 43.3e3, 312.5e3} {
+				cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: falt, Jitter: jt.j, Seed: seed}
+				for _, d := range [][2]float64{{0.0035, 0.0525}, {0.009, 0.058}, {0.041, 0.09}} {
+					d1, d2 := d[0], d[1]
+					short, long := Generate(cfg, d1), Generate(cfg, d2)
+					n := 0
+					for n < len(short.Segments) && short.Segments[n].Start < d1 {
+						n++
+					}
+					if n == 0 || n >= len(long.Segments) {
+						t.Fatalf("%s seed %d f_alt %g: %d segments before %g s, %d in the %g s trace",
+							jt.name, seed, falt, n, d1, len(long.Segments), d2)
+					}
+					for i, s := range short.Segments[:n] {
+						if s != long.Segments[i] {
+							t.Fatalf("%s seed %d f_alt %g: segment %d is %+v in the %g s trace, %+v in the %g s one",
+								jt.name, seed, falt, i, s, d1, long.Segments[i], d2)
+						}
+					}
+					// Each segment boundary below d1 of either trace, the
+					// instant before it, and a fine grid up to d1.
+					var ts []float64
+					for _, tr := range []*activity.Trace{short, long} {
+						for _, s := range tr.Segments {
+							if s.Start < d1 {
+								ts = append(ts, s.Start, math.Nextafter(s.Start, math.Inf(-1)))
+							}
+						}
+					}
+					for k := 0; k < 4096; k++ {
+						ts = append(ts, d1*float64(k)/4096)
+					}
+					ts = append(ts, math.Nextafter(d1, 0))
+					for _, at := range ts {
+						if a, b := short.At(at), long.At(at); a != b {
+							t.Fatalf("%s seed %d f_alt %g: load at %g s is %+v in the %g s trace, %+v in the %g s one",
+								jt.name, seed, falt, at, a, d1, b, d2)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { Generate(Config{FAlt: 0}, 1) })
 	mustPanic(t, func() { Generate(Config{FAlt: 100}, 0) })
