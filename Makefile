@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke ab obs-smoke accuracy cover profile fasebench
+.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke ab obs-smoke accuracy paper cover profile fasebench
 
 # ci is the full gate: formatting, vet + lint, build, tests (with the race
 # detector, then again in shuffled order — the race pass includes the
@@ -9,8 +9,9 @@ GO ?= go
 # equivalence suite, a short fuzz of the band/extent overlap logic and the
 # service submit endpoint, a benchmark smoke run, the speed gate against
 # REF, the observability smoke test, the ground-truth accuracy gate, the
-# detection-core coverage floor, and the benchmark module's vet and tests.
-ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke ab obs-smoke accuracy cover fasebench
+# paper-claims table, the detection-core coverage floor, and the benchmark
+# module's vet and tests.
+ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke ab obs-smoke accuracy paper cover fasebench
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -18,8 +19,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also checks the paper-tagged claims test, which ./... leaves out.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags paper ./internal/experiments
 
 # lint runs staticcheck and govulncheck when installed; neither is vendored,
 # so on a bare toolchain this degrades gracefully to the vet gate above.
@@ -147,6 +150,14 @@ accuracy:
 	grep -q '"budget"' $$tmp/report.json || { echo "accuracy: report missing recall-vs-budget sweep"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "accuracy: ok"
+
+# paper runs every experiment at seeds 1-8 and fails unless EXPERIMENTS.md's
+# claims table (each paper claim and the seeds it holds on) equals the
+# fresh counts: a claim lost or gained on any seed is a reviewed diff of
+# EXPERIMENTS.md. After review, regenerate the table with
+# UPDATE_GOLDEN=1 go test -tags paper -run TestPaperClaims ./internal/experiments
+paper:
+	$(GO) test -tags paper -count=1 -run TestPaperClaims ./internal/experiments
 
 # fasebench vets and tests the benchmark module. It is its own Go module
 # (replace fase => ../), so `go build ./...` at the root never builds it:

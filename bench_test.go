@@ -1,20 +1,20 @@
-// Benchmarks regenerating every figure and table of the paper.
+// Benchmarks regenerating every figure and table of the paper, and the
+// pipeline benchmarks.
 //
-// Each benchmark runs the corresponding experiment from
-// internal/experiments and prints the reproduced rows/series (first
-// iteration only), so
+// BenchmarkExperiments runs each experiment of internal/experiments as a
+// sub-benchmark, BenchmarkExperiments/<id>, and prints its markdown record
+// (first iteration only), so
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench=Experiments -benchmem
 //
 // both times the full reproduction and emits the paper-vs-measured data;
-// it writes no files. See EXPERIMENTS.md for the recorded results. The
+// it writes no files. EXPERIMENTS.md holds the record at seed 1. The
 // pipeline benchmarks below are the rows of `make ab` (cmd/benchgate),
 // which times them against a base revision on the same host.
 package fase_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"fase"
@@ -26,75 +26,25 @@ import (
 	"fase/internal/specan"
 )
 
-var printOnce sync.Map
-
-// runExperiment executes one registered experiment per iteration and
-// prints its summary the first time.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		out, err := experiments.Run(id, experiments.Config{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, done := printOnce.LoadOrStore(id, true); !done {
-			fmt.Println()
-			fmt.Print(report.Summarize(out))
-			for _, t := range out.Tables {
-				fmt.Print(report.FormatTable(t))
+// BenchmarkExperiments times every registered experiment at seed 1, in
+// paper order.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		printed := false
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := experiments.Run(id, experiments.Config{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !printed {
+					fmt.Print(report.Markdown(out))
+					printed = true
+				}
 			}
-		}
+		})
 	}
 }
-
-// Conceptual spectra (Figures 1-5) and the micro-benchmark (Figure 6).
-func BenchmarkFig01_SineCarrierSineAM(b *testing.B)      { runExperiment(b, "fig01") }
-func BenchmarkFig02_SineCarrierActivityAM(b *testing.B)  { runExperiment(b, "fig02") }
-func BenchmarkFig03_NoisyCarrierSineAM(b *testing.B)     { runExperiment(b, "fig03") }
-func BenchmarkFig04_NoisyCarrierActivityAM(b *testing.B) { runExperiment(b, "fig04") }
-func BenchmarkFig05_RealisticSpectrum(b *testing.B)      { runExperiment(b, "fig05") }
-func BenchmarkFig06_Microbenchmark(b *testing.B)         { runExperiment(b, "fig06") }
-
-// Side-band details and the heuristic (Figures 7-9).
-func BenchmarkFig07_RefreshSidebandDetail(b *testing.B) { runExperiment(b, "fig07") }
-func BenchmarkFig08_HarmonicMap(b *testing.B)           { runExperiment(b, "fig08") }
-func BenchmarkFig09_HeuristicOutput(b *testing.B)       { runExperiment(b, "fig09") }
-
-// Campaign parameters (Figure 10) and the headline campaigns (11-13).
-func BenchmarkFig10_CampaignTable(b *testing.B)    { runExperiment(b, "fig10") }
-func BenchmarkFig11_I7MemoryCampaign(b *testing.B) { runExperiment(b, "fig11") }
-func BenchmarkFig12_CoreRegDetail(b *testing.B)    { runExperiment(b, "fig12") }
-func BenchmarkFig13_I7OnChipCampaign(b *testing.B) { runExperiment(b, "fig13") }
-
-// Spread-spectrum DRAM clock (Figures 14-16).
-func BenchmarkFig14_SSCClockActivity(b *testing.B) { runExperiment(b, "fig14") }
-func BenchmarkFig15_SSCClockSidebands(b *testing.B) {
-	runExperiment(b, "fig15")
-}
-func BenchmarkFig16_SSCClockDetection(b *testing.B) { runExperiment(b, "fig16") }
-
-// The AMD Turion laptop (Figure 17) and the §4 source-analysis claims.
-func BenchmarkFig17_TurionCampaign(b *testing.B)       { runExperiment(b, "fig17") }
-func BenchmarkRefreshInverseActivity(b *testing.B)     { runExperiment(b, "refresh-inverse") }
-func BenchmarkFMRegulatorRejection(b *testing.B)       { runExperiment(b, "fm-rejection") }
-func BenchmarkNearFieldRefreshGCD(b *testing.B)        { runExperiment(b, "nearfield-gcd") }
-func BenchmarkValidationAllSystems(b *testing.B)       { runExperiment(b, "validation") }
-func BenchmarkBaselineComparison(b *testing.B)         { runExperiment(b, "baseline-comparison") }
-func BenchmarkAblationNumAlternations(b *testing.B)    { runExperiment(b, "ablation-nalts") }
-func BenchmarkAblationCombinationRule(b *testing.B)    { runExperiment(b, "ablation-combine") }
-func BenchmarkAblationHarmonicRedundancy(b *testing.B) { runExperiment(b, "ablation-harmonics") }
-func BenchmarkAblationFDelta(b *testing.B)             { runExperiment(b, "ablation-fdelta") }
-func BenchmarkAblationAverages(b *testing.B)           { runExperiment(b, "ablation-averages") }
-
-// Extensions: the attack the carriers enable, the paper's proposed
-// mitigation, and the §4.4 FM-FASE future-work detector.
-func BenchmarkAttackLeakage(b *testing.B)     { runExperiment(b, "attack-leakage") }
-func BenchmarkMitigationRefresh(b *testing.B) { runExperiment(b, "mitigation-refresh") }
-func BenchmarkFMFase(b *testing.B)            { runExperiment(b, "fm-fase") }
-func BenchmarkFIVRBandwidth(b *testing.B)     { runExperiment(b, "fivr-bandwidth") }
-func BenchmarkPairRobustness(b *testing.B)    { runExperiment(b, "pair-robustness") }
-func BenchmarkCarrierTracking(b *testing.B)   { runExperiment(b, "carrier-tracking") }
-func BenchmarkCampaign2Sweep(b *testing.B)    { runExperiment(b, "campaign2-sweep") }
 
 // benchScene builds the i7 desktop scene the pipeline benchmarks share.
 func benchScene(b *testing.B) *emsim.Scene {

@@ -1,13 +1,16 @@
 // Command experiments regenerates the paper's figures and tables from the
-// simulator and prints each experiment's data summary, tables, and notes.
+// simulator and prints each experiment's markdown record: its tables,
+// series summaries, notes and the paper's claims with their verdicts.
 //
 // Usage:
 //
-//	experiments [-seed N] [-csv DIR] [-md FILE] [id ...]
+//	experiments [-seed N] [-csv DIR] [id ...]
 //
-// With no ids, every registered experiment runs in paper order. With
-// -csv, each experiment's series are written as CSV files into DIR. With
-// -md, a markdown report (the EXPERIMENTS.md body) is written to FILE.
+// With no ids, every registered experiment runs in paper order, and the
+// output at -seed 1 is EXPERIMENTS.md's per-experiment record byte for
+// byte. Only the record goes to stdout; per-experiment timings and the
+// files written go to stderr. With -csv, each experiment's series are
+// written as CSV files into DIR.
 package main
 
 import (
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"fase/internal/experiments"
@@ -25,7 +27,6 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "random seed (campaigns are deterministic per seed)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment series CSVs")
-	mdFile := flag.String("md", "", "file to write a markdown report to")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -39,59 +40,41 @@ func main() {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	var md strings.Builder
 	for _, id := range ids {
 		start := time.Now()
 		out, err := experiments.Run(id, experiments.Config{Seed: *seed})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		fmt.Print(report.Summarize(out))
-		for _, t := range out.Tables {
-			fmt.Println(report.FormatTable(t))
-		}
-		fmt.Printf("  (%s)\n\n", elapsed)
+		fmt.Print(report.Markdown(out))
+		fmt.Fprintf(os.Stderr, "%s: %s\n", id, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" && len(out.Series) > 0 {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			path := filepath.Join(*csvDir, out.ID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := writeCSV(path, out.Series); err != nil {
+				fail(err)
 			}
-			if err := report.WriteCSV(f, out.Series); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("  wrote %s\n", path)
-		}
-		if *mdFile != "" {
-			fmt.Fprintf(&md, "## %s — %s\n\n", out.ID, out.Title)
-			for _, t := range out.Tables {
-				fmt.Fprintf(&md, "**%s**\n\n%s\n", t.Title, report.FormatMarkdownTable(t))
-			}
-			for _, s := range out.Series {
-				x, y := s.Peak()
-				fmt.Fprintf(&md, "- series `%s`: %d points, peak %.6g at %.6g\n", s.Name, len(s.X), y, x)
-			}
-			for _, n := range out.Notes {
-				fmt.Fprintf(&md, "- %s\n", n)
-			}
-			fmt.Fprintf(&md, "\n")
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
-	if *mdFile != "" {
-		if err := os.WriteFile(*mdFile, []byte(md.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *mdFile)
+}
+
+// writeCSV writes series to path, creating its directory.
+func writeCSV(path string, series []report.Series) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := report.WriteCSV(f, series); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -12,14 +12,6 @@ import (
 	"fase/internal/report"
 )
 
-func init() {
-	register("ablation-nalts", ablationNAlts)
-	register("ablation-combine", ablationCombine)
-	register("ablation-harmonics", ablationHarmonics)
-	register("ablation-fdelta", ablationFDelta)
-	register("ablation-averages", ablationAverages)
-}
-
 // ablationAverages sweeps the per-spectrum trace averaging (the paper
 // averages 4 captures, §3; §6 contrasts FASE's "few spectrum
 // measurements" with DPA's thousands): how little observation time does

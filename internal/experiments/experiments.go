@@ -1,9 +1,11 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation, plus the validation and ablation studies DESIGN.md calls
 // out. Each experiment is a pure function of a seed, returning a
-// report.Output with data series (figure reproductions), tables, and
-// paper-vs-measured notes. The benchmark harness (bench_test.go) and
-// cmd/experiments both drive this registry.
+// report.Output with data series (figure reproductions), tables,
+// paper-vs-measured notes, and the paper's claims as computed verdicts.
+// cmd/experiments, the benchmark harness (bench_test.go) and the tests
+// that pin EXPERIMENTS.md's record and claims table all drive this
+// registry.
 package experiments
 
 import (
@@ -12,6 +14,7 @@ import (
 	"sort"
 
 	"fase/internal/activity"
+	"fase/internal/core"
 	"fase/internal/dsp/spectral"
 	"fase/internal/emsim"
 	"fase/internal/machine"
@@ -25,24 +28,35 @@ type Config struct {
 	Seed int64
 }
 
-// Func is one experiment.
-type Func func(cfg Config) *report.Output
-
-// entry pairs an experiment with its registry order.
-type entry struct {
+// registry lists every experiment in paper order: the figures, the §3–§4
+// claims, the ablations (DESIGN §5), then the extensions beyond the
+// paper's evaluation (DESIGN §4b).
+var registry = []struct {
 	id string
-	fn Func
-}
-
-var registry []entry
-
-func register(id string, fn Func) {
-	for _, e := range registry {
-		if e.id == id {
-			panic("experiments: duplicate id " + id)
-		}
-	}
-	registry = append(registry, entry{id: id, fn: fn})
+	fn func(Config) *report.Output
+}{
+	{"fig01", fig01}, {"fig02", fig02}, {"fig03", fig03}, {"fig04", fig04},
+	{"fig05", fig05}, {"fig06", fig06}, {"fig07", fig07}, {"fig08", fig08},
+	{"fig09", fig09}, {"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12},
+	{"fig13", fig13}, {"fig14", fig14}, {"fig15", fig15}, {"fig16", fig16},
+	{"fig17", fig17},
+	{"refresh-inverse", refreshInverse},
+	{"fm-rejection", fmRejection},
+	{"nearfield-gcd", nearfieldGCD},
+	{"validation", validation},
+	{"baseline-comparison", baselineComparison},
+	{"pair-robustness", pairRobustness},
+	{"carrier-tracking", carrierTracking},
+	{"campaign2-sweep", campaign2Sweep},
+	{"ablation-nalts", ablationNAlts},
+	{"ablation-combine", ablationCombine},
+	{"ablation-harmonics", ablationHarmonics},
+	{"ablation-fdelta", ablationFDelta},
+	{"ablation-averages", ablationAverages},
+	{"attack-leakage", attackLeakage},
+	{"mitigation-refresh", mitigationRefresh},
+	{"fm-fase", fmFase},
+	{"fivr-bandwidth", fivrBandwidth},
 }
 
 // IDs lists experiment identifiers in registry (paper) order.
@@ -118,6 +132,16 @@ func explainableLines(scene *emsim.Scene, f1, f2 float64, x, y activity.Kind) []
 	}
 	sort.Float64s(out)
 	return out
+}
+
+// detected reports whether any detection lies strictly within tol of f.
+func detected(ds []core.Detection, f, tol float64) bool {
+	for _, d := range ds {
+		if math.Abs(d.Freq-f) < tol {
+			return true
+		}
+	}
+	return false
 }
 
 // matchesAny reports whether f is within tol of any element.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -11,28 +12,30 @@ import (
 	"fase/internal/report"
 )
 
+// TestRegistryComplete checks the registry holds exactly the paper's
+// figures, the §3–§4 claims, the ablations and the extensions, once each,
+// in paper order.
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
-	// Every paper figure plus the §4 claims and the ablations.
 	want := []string{
 		"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
 		"fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig16", "fig17",
 		"refresh-inverse", "fm-rejection", "nearfield-gcd",
 		"validation", "baseline-comparison",
-		"ablation-nalts", "ablation-combine", "ablation-harmonics", "ablation-fdelta",
+		"pair-robustness", "carrier-tracking", "campaign2-sweep",
+		"ablation-nalts", "ablation-combine", "ablation-harmonics", "ablation-fdelta", "ablation-averages",
+		"attack-leakage", "mitigation-refresh", "fm-fase", "fivr-bandwidth",
 	}
-	have := map[string]bool{}
+	ids := IDs()
+	if strings.Join(ids, " ") != strings.Join(want, " ") {
+		t.Errorf("registry order:\n have %v\n want %v", ids, want)
+	}
+	seen := map[string]bool{}
 	for _, id := range ids {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %q not registered", id)
+		if seen[id] {
+			t.Errorf("experiment %q registered twice", id)
 		}
-	}
-	if len(ids) < len(want) {
-		t.Errorf("registry has %d experiments, want at least %d", len(ids), len(want))
+		seen[id] = true
 	}
 }
 
@@ -163,5 +166,55 @@ func TestPercentile(t *testing.T) {
 	}
 	if percentile(nil, 0.5) != 0 {
 		t.Error("empty percentile should be 0")
+	}
+}
+
+// experimentsMD is the repository's EXPERIMENTS.md, seen from this package.
+const experimentsMD = "../../EXPERIMENTS.md"
+
+// checkRegion compares the generated region name of EXPERIMENTS.md — the
+// lines between the marker lines "<!-- begin name: …" and "<!-- end name -->"
+// — with want, and fails naming the first line that differs. With
+// UPDATE_GOLDEN set it rewrites the region to want instead.
+func checkRegion(t *testing.T, name, want string) {
+	t.Helper()
+	doc, err := os.ReadFile(experimentsMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(doc), "\n")
+	begin, end := -1, -1
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "<!-- begin "+name+":"):
+			begin = i
+		case l == "<!-- end "+name+" -->\n":
+			end = i
+		}
+	}
+	if begin < 0 || end < begin {
+		t.Fatalf("%s has no %q region between marker lines", experimentsMD, name)
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		doc := strings.Join(lines[:begin+1], "") + want + strings.Join(lines[end:], "")
+		if err := os.WriteFile(experimentsMD, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	have := strings.SplitAfter(strings.Join(lines[begin+1:end], ""), "\n")
+	gen := strings.SplitAfter(want, "\n")
+	for i := 0; i < len(have) || i < len(gen); i++ {
+		var h, g string
+		if i < len(have) {
+			h = have[i]
+		}
+		if i < len(gen) {
+			g = gen[i]
+		}
+		if h != g {
+			t.Fatalf("EXPERIMENTS.md line %d differs from the generated %s region:\n have %q\n want %q\n"+
+				"review the change, then regenerate with UPDATE_GOLDEN=1", begin+2+i, name, h, g)
+		}
 	}
 }

@@ -80,15 +80,6 @@ func loadAsSignal(t float64, cur *activity.Cursor) float64 {
 	return 2*cur.At(t).DRAM - 1
 }
 
-func init() {
-	register("fig01", fig01)
-	register("fig02", fig02)
-	register("fig03", fig03)
-	register("fig04", fig04)
-	register("fig05", fig05)
-	register("fig06", fig06)
-}
-
 // fig01: sinusoidal carrier modulated by a sinusoidal signal — carrier
 // plus two clean side-bands at fc ± falt.
 func fig01(cfg Config) *report.Output {

@@ -11,16 +11,6 @@ import (
 	"fase/internal/report"
 )
 
-func init() {
-	register("fig07", fig07)
-	register("fig08", fig08)
-	register("fig09", fig09)
-	register("fig10", fig10)
-	register("fig11", fig11)
-	register("fig12", fig12)
-	register("fig13", fig13)
-}
-
 // i7Scene builds the paper's primary platform with the metropolitan RF
 // environment.
 func i7Scene(seed int64) (*machine.System, *core.Runner) {
@@ -249,28 +239,27 @@ func fig11(cfg Config) *report.Output {
 		F1: 0.1e6, F2: 4e6, Fres: 50, FAlt1: 43.3e3, FDelta: 0.5e3,
 		X: activity.LDM, Y: activity.LDL1, Seed: cfg.Seed + 110,
 	})
-	out := &report.Output{
+	// The paper's findings: memory regulator set, memory controller
+	// regulator, memory refresh set; core regulator absent.
+	found := func(f float64) bool { return detected(res.Detections, f, 1e3) }
+	_, unexplained, _ := detectionStats(r, res, activity.LDM, activity.LDL1)
+	return &report.Output{
 		ID:     "fig11",
 		Title:  "FASE results for the Intel Core i7 desktop, LDM/LDL1 modulating activity",
 		Tables: []report.Table{campaignTable(sys, r, res), groupTable(res)},
+		Notes:  []string{fmt.Sprintf("total detections: %d, unexplained by a modulated emitter's lines: %d", len(res.Detections), unexplained)},
+		Claims: []report.Claim{
+			{ID: "memory-side-found",
+				Text:  "memory regulator (315 kHz), memory interface regulator (475 kHz) and refresh comb (512 kHz) each reported within 1 kHz",
+				Holds: found(sys.MemRegulator.FSw) && found(sys.MemCtlRegulator.FSw) && found(512e3)},
+			{ID: "core-regulator-absent",
+				Text:  "no detection within 1 kHz of the core regulator (332.5 kHz) (paper: visible in the spectrum but not modulated by LDM/LDL1)",
+				Holds: !found(sys.CoreRegulator.FSw)},
+			{ID: "all-explained",
+				Text:  "every detection lies within 2 kHz of a line of an emitter LDM/LDL1 modulates (validation's rule)",
+				Holds: unexplained == 0},
+		},
 	}
-	// Validate the paper's three findings: memory regulator set, memory
-	// controller regulator, memory refresh set; core regulator absent.
-	found := func(f float64) bool {
-		for _, d := range res.Detections {
-			if math.Abs(d.Freq-f) < 1e3 {
-				return true
-			}
-		}
-		return false
-	}
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("memory regulator (315 kHz): %v; memory interface regulator (475 kHz): %v; refresh comb (512 kHz): %v",
-			found(sys.MemRegulator.FSw), found(sys.MemCtlRegulator.FSw), found(512e3)),
-		fmt.Sprintf("core regulator (332.5 kHz) reported: %v (paper: visible in the spectrum but NOT reported — not modulated by LDM/LDL1)",
-			found(sys.CoreRegulator.FSw)),
-		fmt.Sprintf("total detections: %d, all attributable to modulated emitters", len(res.Detections)))
-	return out
 }
 
 // fig12: the core-regulator carrier and side-bands under on-chip
@@ -295,11 +284,6 @@ func fig13(cfg Config) *report.Output {
 		F1: 0.1e6, F2: 4e6, Fres: 50, FAlt1: 43.3e3, FDelta: 0.5e3,
 		X: activity.LDL2, Y: activity.LDL1, Seed: cfg.Seed + 130,
 	})
-	out := &report.Output{
-		ID:     "fig13",
-		Title:  "FASE results for the Intel Core i7 desktop, LDL2/LDL1 modulating activity",
-		Tables: []report.Table{campaignTable(sys, r, res)},
-	}
 	onlyCore := true
 	for _, d := range res.Detections {
 		n := math.Round(d.Freq / sys.CoreRegulator.FSw)
@@ -307,8 +291,13 @@ func fig13(cfg Config) *report.Output {
 			onlyCore = false
 		}
 	}
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("%d detections; only core-regulator harmonics: %v (paper: 'Only one type of carrier was found to be modulated in this case')",
-			len(res.Detections), onlyCore))
-	return out
+	return &report.Output{
+		ID:     "fig13",
+		Title:  "FASE results for the Intel Core i7 desktop, LDL2/LDL1 modulating activity",
+		Tables: []report.Table{campaignTable(sys, r, res)},
+		Notes:  []string{fmt.Sprintf("%d detections", len(res.Detections))},
+		Claims: []report.Claim{{ID: "only-core-regulator",
+			Text:  "every detection is within 2 kHz of a core-regulator (332.5 kHz) harmonic (paper: 'Only one type of carrier was found to be modulated in this case')",
+			Holds: onlyCore}},
+	}
 }

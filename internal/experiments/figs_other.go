@@ -15,15 +15,6 @@ import (
 	"fase/internal/specan"
 )
 
-func init() {
-	register("fig17", fig17)
-	register("refresh-inverse", refreshInverse)
-	register("fm-rejection", fmRejection)
-	register("nearfield-gcd", nearfieldGCD)
-	register("validation", validation)
-	register("baseline-comparison", baselineComparison)
-}
-
 // fig17: FASE on the AMD Turion X2 laptop with LDM/LDL1 activity —
 // memory regulator, 132 kHz refresh, two unidentified regulators; the
 // FM-modulated core regulator must not appear.
@@ -34,25 +25,23 @@ func fig17(cfg Config) *report.Output {
 		F1: 0.1e6, F2: 1.1e6, Fres: 50, FAlt1: 43.3e3, FDelta: 0.5e3,
 		X: activity.LDM, Y: activity.LDL1, Seed: cfg.Seed + 170,
 	})
-	out := &report.Output{
+	found := func(f float64) bool { return detected(res.Detections, f, 1.5e3) }
+	return &report.Output{
 		ID:     "fig17",
 		Title:  "FASE results for the AMD Turion X2 laptop, LDM/LDL1 modulating activity",
 		Tables: []report.Table{campaignTable(sys, r, res), groupTable(res)},
+		Claims: []report.Claim{
+			{ID: "refresh-132khz",
+				Text:  "refresh carrier at 132 kHz (not 128 kHz as on the other systems) reported within 1.5 kHz",
+				Holds: found(132e3)},
+			{ID: "memory-side-found",
+				Text:  "memory regulator (250 kHz) and unidentified regulators A (540 kHz) and B (820 kHz) each reported within 1.5 kHz",
+				Holds: found(250e3) && found(540e3) && found(820e3)},
+			{ID: "fm-regulator-absent",
+				Text:  "no detection within 1.5 kHz of the FM core regulator (390 kHz) (paper: FASE correctly does not report it)",
+				Holds: !found(sys.FMCoreRegulator.F0)},
+		},
 	}
-	found := func(f float64) bool {
-		for _, d := range res.Detections {
-			if math.Abs(d.Freq-f) < 1.5e3 {
-				return true
-			}
-		}
-		return false
-	}
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("refresh carrier at 132 kHz (not 128 kHz as on the other systems): %v", found(132e3)),
-		fmt.Sprintf("memory regulator (250 kHz): %v; unidentified A (540 kHz): %v; unidentified B (820 kHz): %v",
-			found(250e3), found(540e3), found(820e3)),
-		fmt.Sprintf("FM core regulator (390 kHz) reported: %v (paper: FASE correctly does not report it)", found(sys.FMCoreRegulator.F0)))
-	return out
 }
 
 // refreshInverse reproduces §4.2's counterintuitive observation: the
@@ -93,8 +82,10 @@ func refreshInverse(cfg Config) *report.Output {
 		Title:  "§4.2: refresh carrier weakens as memory activity increases",
 		Series: []report.Series{series},
 		Tables: []report.Table{tbl},
-		Notes: []string{fmt.Sprintf("idle→full-load drop %.1f dB, monotone: %v (paper: 'strongest when there is no memory activity and weakest when we generate continuous memory activity')",
-			drop, monotone)},
+		Notes:  []string{fmt.Sprintf("idle→full-load drop %.1f dB", drop)},
+		Claims: []report.Claim{{ID: "weakens-monotonically",
+			Text:  "as DRAM load grows, each 512 kHz line reading rises at most 3 dB above the previous one or stays within 6 dB of the floor (paper: 'strongest when there is no memory activity and weakest when we generate continuous memory activity')",
+			Holds: monotone}},
 	}
 }
 
@@ -111,12 +102,6 @@ func fmRejection(cfg Config) *report.Output {
 		F1: f0 - 90e3, F2: f0 + 90e3, Fres: 50, FAlt1: 43.3e3, FDelta: 0.5e3,
 		X: activity.LDL2, Y: activity.LDL1, Seed: cfg.Seed + 190,
 	})
-	reported := false
-	for _, d := range res.Detections {
-		if math.Abs(d.Freq-f0) < 50e3 {
-			reported = true
-		}
-	}
 	// Spectrogram/discriminator confirmation of FM ("we confirmed this
 	// with a spectrogram of the modulation"): capture the regulator at
 	// baseband under a slow core-load alternation and compare the mean
@@ -125,10 +110,10 @@ func fmRejection(cfg Config) *report.Output {
 	return &report.Output{
 		ID:    "fm-rejection",
 		Title: "§4.4: frequency-modulated regulator is correctly not reported; spectrogram confirms FM",
-		Notes: []string{
-			fmt.Sprintf("FASE detections near %.0f kHz: %v (want none — the signal is FM, not AM)", f0/1e3, reported),
-			stats,
-		},
+		Notes: []string{stats},
+		Claims: []report.Claim{{ID: "not-reported",
+			Text:  "no FASE detection within 50 kHz of the FM regulator (390 kHz): the signal is FM, not AM",
+			Holds: !detected(res.Detections, f0, 50e3)}},
 	}
 }
 
@@ -248,10 +233,6 @@ func validation(cfg Config) *report.Output {
 		Title:  "Ground-truth validation: FASE across systems and activity pairs",
 		Header: []string{"system", "pair", "detections", "explained", "unexplained (FP)", "modulated emitters", "found (recall)"},
 	}
-	out := &report.Output{
-		ID:    "validation",
-		Title: "FASE validation against simulator ground truth",
-	}
 	type pairT struct{ x, y activity.Kind }
 	pairs := []pairT{{activity.LDM, activity.LDL1}, {activity.LDL2, activity.LDL1}}
 	allClean := true
@@ -268,32 +249,15 @@ func validation(cfg Config) *report.Output {
 				F1: f1, F2: f2, Fres: 50, FAlt1: 43.3e3, FDelta: 0.5e3,
 				X: p.x, Y: p.y, Seed: cfg.Seed + 210,
 			})
-			lines := explainableLines(scene, f1, f2, p.x, p.y)
-			explained, fp := 0, 0
-			for _, d := range res.Detections {
-				if matchesAny(d.Freq, lines, 2e3) {
-					explained++
-				} else {
-					fp++
-				}
-			}
+			explained, fp, _ := detectionStats(r, res, p.x, p.y)
 			heads := headlineCarriers(scene, f1, f2, p.x, p.y)
 			foundCount := 0
 			for _, lines := range heads {
-				found := false
 				for _, f := range lines {
-					for _, d := range res.Detections {
-						if math.Abs(d.Freq-f) < 2e3 {
-							found = true
-							break
-						}
-					}
-					if found {
+					if detected(res.Detections, f, 2e3) {
+						foundCount++
 						break
 					}
-				}
-				if found {
-					foundCount++
 				}
 			}
 			if fp > 0 || foundCount < len(heads) {
@@ -309,11 +273,14 @@ func validation(cfg Config) *report.Output {
 			})
 		}
 	}
-	out.Tables = append(out.Tables, tbl)
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("all systems clean (zero unexplained detections, full headline recall): %v", allClean),
-		"paper: 'FASE successfully rejected all such signals, while reporting the small number of remaining signals that were indeed modulated'")
-	return out
+	return &report.Output{
+		ID:     "validation",
+		Title:  "FASE validation against simulator ground truth",
+		Tables: []report.Table{tbl},
+		Claims: []report.Claim{{ID: "all-clean",
+			Text:  "every campaign clean: zero unexplained detections and every modulated emitter found (paper: 'FASE successfully rejected all such signals, while reporting the small number of remaining signals that were indeed modulated')",
+			Holds: allClean}},
+	}
 }
 
 func pairName(x, y activity.Kind) string { return x.String() + "/" + y.String() }

@@ -1,6 +1,7 @@
 // Package report holds the output containers experiments produce — data
-// series (figure reproductions) and tables — plus text/CSV renderers used
-// by the benchmark harness and the experiments command.
+// series (figure reproductions), tables and the paper's claims as computed
+// values — plus the text, markdown and CSV renderers the commands, the
+// benchmark harness and the EXPERIMENTS.md tests print them with.
 package report
 
 import (
@@ -37,14 +38,23 @@ type Table struct {
 	Rows   [][]string
 }
 
+// Claim is one checkable statement of the paper, evaluated on one run.
+type Claim struct {
+	ID    string // unique within its experiment, e.g. "core-regulator-absent"
+	Text  string // the statement; the same for every run of an ID
+	Holds bool
+}
+
 // Output is everything one experiment produces.
 type Output struct {
 	ID     string // e.g. "fig11"
 	Title  string // what the paper shows
 	Series []Series
 	Tables []Table
-	// Notes record paper-vs-measured observations for EXPERIMENTS.md.
-	Notes []string
+	// Notes record the run's paper-vs-measured numbers; what the paper
+	// asserts and the run either bears out or not is a Claim.
+	Notes  []string
+	Claims []Claim
 }
 
 // FormatTable renders a table as aligned text.
@@ -113,20 +123,29 @@ func WriteCSV(w io.Writer, series []Series) error {
 	return nil
 }
 
-// Summarize renders a short, stable description of an output for
-// benchmark logs: series peaks and table row counts.
-func Summarize(o *Output) string {
+// Markdown renders an output as its section of EXPERIMENTS.md's
+// per-experiment record: a heading, the tables, one line per series
+// (point count and peak), the notes, and each claim with its verdict.
+func Markdown(o *Output) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "[%s] %s\n", o.ID, o.Title)
+	fmt.Fprintf(&b, "## %s — %s\n\n", o.ID, o.Title)
+	for _, t := range o.Tables {
+		fmt.Fprintf(&b, "**%s**\n\n%s\n", t.Title, FormatMarkdownTable(t))
+	}
 	for _, s := range o.Series {
 		x, y := s.Peak()
-		fmt.Fprintf(&b, "  series %-28s %5d pts, peak %.6g at %.6g\n", s.Name, len(s.X), y, x)
-	}
-	for _, t := range o.Tables {
-		fmt.Fprintf(&b, "  table  %-28s %d rows\n", t.Title, len(t.Rows))
+		fmt.Fprintf(&b, "- series `%s`: %d points, peak %.6g at %.6g\n", s.Name, len(s.X), y, x)
 	}
 	for _, n := range o.Notes {
-		fmt.Fprintf(&b, "  note   %s\n", n)
+		fmt.Fprintf(&b, "- %s\n", n)
 	}
+	for _, c := range o.Claims {
+		verdict := "holds"
+		if !c.Holds {
+			verdict = "FAILS"
+		}
+		fmt.Fprintf(&b, "- claim `%s` %s: %s\n", c.ID, verdict, c.Text)
+	}
+	b.WriteString("\n")
 	return b.String()
 }

@@ -60,18 +60,24 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
+// TestMarkdown pins the record layout EXPERIMENTS.md is generated in:
+// heading, tables, series summaries, notes, then claims with verdicts.
+func TestMarkdown(t *testing.T) {
 	out := &Output{
 		ID:     "figX",
 		Title:  "demo figure",
 		Series: []Series{{Name: "s", X: []float64{0, 1}, Y: []float64{1, 2}}},
-		Tables: []Table{{Title: "t", Rows: [][]string{{"r"}}}},
+		Tables: []Table{{Title: "t", Header: []string{"a"}, Rows: [][]string{{"r"}}}},
 		Notes:  []string{"a note"},
+		Claims: []Claim{{ID: "yes", Text: "it holds", Holds: true}, {ID: "no", Text: "it fails"}},
 	}
-	got := Summarize(out)
-	for _, frag := range []string{"[figX]", "demo figure", "series", "1 rows", "a note"} {
-		if !strings.Contains(got, frag) {
-			t.Errorf("summary missing %q:\n%s", frag, got)
-		}
+	want := "## figX — demo figure\n\n" +
+		"**t**\n\n| a |\n|---|\n| r |\n\n" +
+		"- series `s`: 2 points, peak 2 at 1\n" +
+		"- a note\n" +
+		"- claim `yes` holds: it holds\n" +
+		"- claim `no` FAILS: it fails\n\n"
+	if got := Markdown(out); got != want {
+		t.Errorf("markdown:\n%q\nwant\n%q", got, want)
 	}
 }
