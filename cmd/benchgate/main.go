@@ -81,6 +81,10 @@ var rows = []row{
 	{".", "BenchmarkRenderRefresh/loaded", "1000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/idle", "2000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/loaded", "2000x", nsPerOp(1.15)},
+	// The window+FFT+power stage of one capture, at the adaptive
+	// corpus's and the campaign's transform sizes, at the kernel bound.
+	{".", "BenchmarkPeriodogram/2048", "40000x", nsPerOp(1.15)},
+	{".", "BenchmarkPeriodogram/16384", "5000x", nsPerOp(1.15)},
 	// One op is 60 concurrent jobs against a saturated server, whose
 	// latency tail is the noisiest measurement here.
 	{"./internal/service/loadtest", "BenchmarkServiceLoad", "1x", []gate{{"p99-ms", 4}, {"jobs/s", 0.25}}},

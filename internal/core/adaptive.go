@@ -430,9 +430,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx)
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
+		colSum := columnSums(sm)
 		best := 0.0
 		for _, h := range probeHarmonics(c.Harmonics) {
-			trace, _ := ScoreDetail(sm, reconFAlts, h)
+			trace, _ := scoreDetail(sm, colSum, reconFAlts, h)
 			for _, v := range trace {
 				if v > best {
 					best = v

@@ -59,15 +59,16 @@ func Score(spectra []*spectral.Spectrum, falts []float64, h int) []float64 {
 // sub-scores discriminates carriers from ghosts without sacrificing the
 // paper's robustness to a minority of obscured side-bands.
 func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float64, []int) {
-	n := len(spectra)
-	if n < 2 {
-		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", n))
-	}
-	if len(falts) != n {
-		panic(fmt.Sprintf("core: %d spectra but %d alternation frequencies", n, len(falts)))
-	}
-	if h == 0 {
-		panic("core: harmonic must be nonzero")
+	return scoreDetail(spectra, columnSums(spectra), falts, h)
+}
+
+// columnSums checks that spectra are at least two measurements of one
+// geometry and returns, per bin, the sum of their floored powers: the
+// totals behind every harmonic's O(1) leave-one-out means, which depend
+// on the spectra alone.
+func columnSums(spectra []*spectral.Spectrum) []float64 {
+	if len(spectra) < 2 {
+		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", len(spectra)))
 	}
 	base := spectra[0]
 	for _, s := range spectra[1:] {
@@ -75,14 +76,7 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float6
 			panic("core: measurement spectra must share geometry")
 		}
 	}
-	bins := base.Bins()
-	// Bin shift of each measurement for this harmonic.
-	shifts := make([]int, n)
-	for i, fa := range falts {
-		shifts[i] = int(math.Round(float64(h) * fa / base.Fres))
-	}
-	// Column sums across measurements, for O(1) leave-one-out means.
-	colSum := make([]float64, bins)
+	colSum := make([]float64, base.Bins())
 	for _, s := range spectra {
 		for m, v := range s.PmW {
 			if v < scoreFloor {
@@ -91,6 +85,20 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float6
 			colSum[m] += v
 		}
 	}
+	return colSum
+}
+
+// scoreDetail is ScoreDetail over the spectra's columnSums.
+func scoreDetail(spectra []*spectral.Spectrum, colSum []float64, falts []float64, h int) ([]float64, []int) {
+	n := len(spectra)
+	if len(falts) != n {
+		panic(fmt.Sprintf("core: %d spectra but %d alternation frequencies", n, len(falts)))
+	}
+	if h == 0 {
+		panic("core: harmonic must be nonzero")
+	}
+	bins := len(colSum)
+	shifts := harmonicShifts(spectra[0].Fres, falts, h)
 	prod := make([]float64, bins)
 	elev := make([]int, bins)
 	for k := range prod {
@@ -119,6 +127,15 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float6
 		elev[k] = count
 	}
 	return prod, elev
+}
+
+// harmonicShifts returns each measurement's bin shift for harmonic h.
+func harmonicShifts(fres float64, falts []float64, h int) []int {
+	shifts := make([]int, len(falts))
+	for i, fa := range falts {
+		shifts[i] = int(math.Round(float64(h) * fa / fres))
+	}
+	return shifts
 }
 
 // SmoothSpectrum returns a copy of s whose bins are replaced by a
@@ -196,8 +213,9 @@ func scoreHarmonics(res *Result, smoothed []*spectral.Spectrum, falts []float64)
 	hs := res.Campaign.Harmonics
 	res.Scores = make(map[int][]float64, len(hs))
 	res.Elevated = make(map[int][]int, len(hs))
+	colSum := columnSums(smoothed)
 	for _, h := range hs {
-		res.Scores[h], res.Elevated[h] = ScoreDetail(smoothed, falts, h)
+		res.Scores[h], res.Elevated[h] = scoreDetail(smoothed, colSum, falts, h)
 	}
 }
 
@@ -217,21 +235,9 @@ func SubScores(spectra []*spectral.Spectrum, falts []float64, h int) [][]float64
 	if n < 2 || len(falts) != n || h == 0 {
 		panic("core: SubScores needs >=2 matching spectra and a nonzero harmonic")
 	}
-	base := spectra[0]
-	bins := base.Bins()
-	shifts := make([]int, n)
-	for i, fa := range falts {
-		shifts[i] = int(math.Round(float64(h) * fa / base.Fres))
-	}
-	colSum := make([]float64, bins)
-	for _, s := range spectra {
-		for m, v := range s.PmW {
-			if v < scoreFloor {
-				v = scoreFloor
-			}
-			colSum[m] += v
-		}
-	}
+	colSum := columnSums(spectra)
+	bins := len(colSum)
+	shifts := harmonicShifts(spectra[0].Fres, falts, h)
 	out := make([][]float64, n)
 	for i := range out {
 		trace := make([]float64, bins)

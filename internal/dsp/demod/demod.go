@@ -13,7 +13,7 @@ import (
 	"math"
 	"math/cmplx"
 
-	"fase/internal/dsp/fft"
+	"fase/internal/dsp/spectral"
 	"fase/internal/dsp/window"
 )
 
@@ -88,8 +88,9 @@ func (sg *Spectrogram) PeakTrack() []float64 {
 const stftWindow = window.Hann
 
 // STFT computes a Hann-windowed spectrogram of a complex-baseband capture
-// with the given frame length and hop. frameLen must be positive, hop
-// positive, and the capture at least one frame long.
+// with the given frame length and hop: each frame is a calibrated
+// spectral.PeriodogramInPlace. frameLen must be positive, hop positive,
+// and the capture at least one frame long.
 func STFT(x []complex128, fs, fc float64, frameLen, hop int) *Spectrogram {
 	if frameLen <= 0 || hop <= 0 {
 		panic(fmt.Sprintf("demod: invalid STFT frame %d hop %d", frameLen, hop))
@@ -97,23 +98,13 @@ func STFT(x []complex128, fs, fc float64, frameLen, hop int) *Spectrogram {
 	if len(x) < frameLen {
 		panic(fmt.Sprintf("demod: capture of %d samples shorter than frame %d", len(x), frameLen))
 	}
-	pc := window.For(stftWindow, frameLen)
-	w := pc.W
-	norm := 1 / (float64(frameLen) * pc.CoherentGain)
-	plan := fft.PlanFor(frameLen)
 	buf := make([]complex128, frameLen)
 	sg := &Spectrogram{FrameHop: hop, FrameLen: frameLen, Fs: fs, Fc: fc}
 	for start := 0; start+frameLen <= len(x); start += hop {
 		copy(buf, x[start:start+frameLen])
-		window.Apply(buf, w)
-		plan.Forward(buf)
-		fft.Shift(buf)
-		frame := make([]float64, frameLen)
-		for k, v := range buf {
-			a := real(v)*real(v) + imag(v)*imag(v)
-			frame[k] = a * norm * norm
-		}
-		sg.PmW = append(sg.PmW, frame)
+		frame := spectral.Spectrum{PmW: make([]float64, frameLen)}
+		spectral.PeriodogramInPlace(&frame, buf, fs, fc, stftWindow)
+		sg.PmW = append(sg.PmW, frame.PmW)
 		sg.FrameTime = append(sg.FrameTime, float64(start)/fs)
 	}
 	return sg

@@ -3,7 +3,11 @@ package demod
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
+
+	"fase/internal/dsp/fft"
+	"fase/internal/dsp/window"
 )
 
 func TestEnvelopeComplex(t *testing.T) {
@@ -112,6 +116,43 @@ func TestSTFTGeometryAndTone(t *testing.T) {
 	}
 	if sg.FrameTime[1]-sg.FrameTime[0] != 256/fs {
 		t.Error("frame time spacing wrong")
+	}
+}
+
+// TestSTFTMatchesUnfusedFrames holds each STFT frame to the pipeline it
+// replaced: Hann multiply, ordered FFT, fftshift and calibrated power, at
+// a power-of-two and a Bluestein frame length.
+func TestSTFTMatchesUnfusedFrames(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const fs, fc = 1e6, 5e5
+	x := make([]complex128, 4096)
+	for i := range x {
+		x[i] = cmplx.Exp(complex(0, 2*math.Pi*123e3*float64(i)/fs)) +
+			complex(r.NormFloat64(), r.NormFloat64())*1e-3
+	}
+	for _, frameLen := range []int{512, 600} {
+		sg := STFT(x, fs, fc, frameLen, 300)
+		pc := window.For(stftWindow, frameLen)
+		norm := 1 / (float64(frameLen) * pc.CoherentGain)
+		h := (frameLen + 1) / 2
+		for f, got := range sg.PmW {
+			start := f * 300
+			buf := make([]complex128, frameLen)
+			for i := range buf {
+				buf[i] = x[start+i] * complex(pc.W[i], 0)
+			}
+			buf = fft.Forward(buf)
+			var peak, worst float64
+			for k := range got {
+				v := buf[(k+h)%frameLen]
+				want := (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
+				peak = math.Max(peak, want)
+				worst = math.Max(worst, math.Abs(got[k]-want))
+			}
+			if worst > 1e-12*peak {
+				t.Fatalf("frameLen %d frame %d: bins differ by %.3g of the peak", frameLen, f, worst/peak)
+			}
+		}
 	}
 }
 

@@ -210,6 +210,11 @@ func Periodogram(x []complex128, fs, fc float64, wt window.Type) *Spectrum {
 // into out, whose PmW must already have len(x) elements. out's F0 and Fres
 // are overwritten. The sweep worker pool pairs this with pooled capture
 // and bin buffers to keep the steady-state render path allocation-free.
+//
+// The window is folded into the transform's first pass, and the power
+// pass reads the transform in the plan's output order (bit-reversed for
+// power-of-two lengths) at fftshift positions, so no window, permutation
+// or shift pass touches x.
 func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window.Type) {
 	n := len(x)
 	if n == 0 {
@@ -219,16 +224,23 @@ func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window
 		panic(fmt.Sprintf("spectral: output has %d bins for a %d-sample capture", len(out.PmW), n))
 	}
 	pc := window.For(wt, n)
-	window.Apply(x, pc.W)
-	fft.PlanFor(n).Forward(x)
-	fft.Shift(x)
+	plan := fft.PlanFor(n)
+	plan.ForwardPermuted(x, pc.W)
 	norm := 1 / (float64(n) * pc.CoherentGain)
 	fres := fs / float64(n)
 	out.F0 = fc - fres*float64(n/2)
 	out.Fres = fres
-	for i, v := range x {
-		a := real(v)*real(v) + imag(v)*imag(v)
-		out.PmW[i] = a * norm * norm
+	// fftshift: output bin i is transform element (i + h) mod n, which
+	// the plan left at x[perm[(i+h) mod n]].
+	perm, h := plan.Perm(), (n+1)/2
+	lo, hi := out.PmW[:n-h], out.PmW[n-h:]
+	for i, k := range perm[h:] {
+		v := x[k]
+		lo[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
+	}
+	for i, k := range perm[:h] {
+		v := x[k]
+		hi[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
 	}
 }
 

@@ -89,6 +89,75 @@ func TestNoiseFloorCalibration(t *testing.T) {
 	}
 }
 
+// refDFT is the reference transform: a recursive radix-2 FFT for powers
+// of two, the direct DFT otherwise.
+func refDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	if n&(n-1) != 0 {
+		for k := range out {
+			for i, v := range x {
+				out[k] += v * cmplx.Rect(1, -2*math.Pi*float64(k*i%n)/float64(n))
+			}
+		}
+		return out
+	}
+	if n == 1 {
+		out[0] = x[0]
+		return out
+	}
+	even, odd := make([]complex128, n/2), make([]complex128, n/2)
+	for i := range even {
+		even[i], odd[i] = x[2*i], x[2*i+1]
+	}
+	e, o := refDFT(even), refDFT(odd)
+	for k := range e {
+		t := cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n)) * o[k]
+		out[k], out[k+n/2] = e[k]+t, e[k]-t
+	}
+	return out
+}
+
+// TestPeriodogramMatchesReference holds the fused periodogram (window in
+// the first pass, power gathered from the bit-reversed transform in
+// fftshift order) to the unfused pipeline: window multiply, reference
+// transform, fftshift, power.
+func TestPeriodogramMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const fs, fc = 1e6, 2e6
+	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 1000} {
+		x := tone(n, fs, 0.1234*fs, -40)
+		for i := range x {
+			x[i] += complex(r.NormFloat64(), r.NormFloat64()) * 1e-6
+		}
+		pc := window.For(window.BlackmanHarris, n)
+		xw := make([]complex128, n)
+		for i, v := range x {
+			xw[i] = v * complex(pc.W[i], 0)
+		}
+		X := refDFT(xw)
+		norm := 1 / (float64(n) * pc.CoherentGain)
+		var peak float64
+		want := make([]float64, n)
+		for i := range want {
+			v := X[(i+(n+1)/2)%n]
+			want[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
+			peak = math.Max(peak, want[i])
+		}
+		got := Periodogram(x, fs, fc, window.BlackmanHarris)
+		if fres := fs / float64(n); got.Fres != fres || got.F0 != fc-fres*float64(n/2) {
+			t.Errorf("n=%d: geometry F0 %g Fres %g", n, got.F0, got.Fres)
+		}
+		var worst float64
+		for i := range want {
+			worst = math.Max(worst, math.Abs(got.PmW[i]-want[i]))
+		}
+		if worst > 1e-14*peak {
+			t.Errorf("n=%d: bins differ by %.3g of the peak power", n, worst/peak)
+		}
+	}
+}
+
 func TestSpectrumGeometry(t *testing.T) {
 	s := New(1000, 10, 100)
 	if s.Freq(0) != 1000 || s.Freq(99) != 1990 || s.FEnd() != 2000 {

@@ -200,13 +200,3 @@ func NENBW(w []float64) float64 {
 	n := float64(len(w))
 	return n * s2 / (s1 * s1)
 }
-
-// Apply multiplies x by the window in place. Panics if lengths differ.
-func Apply(x []complex128, w []float64) {
-	if len(x) != len(w) {
-		panic(fmt.Sprintf("window: length mismatch %d vs %d", len(x), len(w)))
-	}
-	for i := range x {
-		x[i] *= complex(w[i], 0)
-	}
-}

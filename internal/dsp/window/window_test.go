@@ -100,21 +100,9 @@ func TestNENBWAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	x := []complex128{1, 1, 1, 1}
-	w := New(Hann, 4)
-	Apply(x, w)
-	for i := range x {
-		if real(x[i]) != w[i] || imag(x[i]) != 0 {
-			t.Errorf("Apply mismatch at %d", i)
-		}
-	}
-}
-
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { New(Hann, 0) })
 	mustPanic(t, func() { New(Type(99), 8) })
-	mustPanic(t, func() { Apply(make([]complex128, 3), make([]float64, 4)) })
 }
 
 func TestString(t *testing.T) {

@@ -270,6 +270,31 @@ func TestBackgroundHills(t *testing.T) {
 	}
 }
 
+// TestBackgroundPrepareMatchesDensity holds the per-bin deviations to
+// their definition, sqrt(n·N0(f)·fs/2) with N0 = 10^(dB/10) mW/Hz, to
+// rounding.
+func TestBackgroundPrepareMatchesDensity(t *testing.T) {
+	bg := &Background{FloorDBmPerHz: -172, Hills: []Hill{
+		{Center: 450e3, Width: 120e3, GainDB: 4}, {Center: 1.2e6, Width: 300e3, GainDB: -3},
+	}}
+	band := Band{Center: 600e3, SampleRate: 1.6384e6}
+	const n = 2048
+	sd := bg.Prepare(band, n).(*bgPrep).sd
+	fres := band.SampleRate / n
+	for k, got := range sd {
+		f := band.Center - band.SampleRate/2 + float64(k)*fres
+		db := bg.FloorDBmPerHz
+		for _, h := range bg.Hills {
+			d := (f - h.Center) / h.Width
+			db += h.GainDB * math.Exp(-d*d/2)
+		}
+		want := math.Sqrt(n * math.Pow(10, db/10) * band.SampleRate / 2)
+		if math.Abs(got-want) > 1e-13*want {
+			t.Fatalf("bin %d: deviation %g, want %g", k, got, want)
+		}
+	}
+}
+
 func TestStandardEnvironment(t *testing.T) {
 	env := StandardEnvironment(rand.New(rand.NewSource(1)))
 	if len(env) < 10 {

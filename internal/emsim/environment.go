@@ -252,14 +252,15 @@ func (b *Background) Name() string { return "background noise" }
 // BandExtent implements Extenter: broadband noise touches every band.
 func (b *Background) BandExtent() Extent { return Everywhere() }
 
-// densityMwPerHz evaluates the noise density at frequency f.
-func (b *Background) densityMwPerHz(f float64) float64 {
-	gain := 0.0
+// densityDBmPerHz evaluates the noise density at frequency f: the floor
+// plus each hill's Gaussian.
+func (b *Background) densityDBmPerHz(f float64) float64 {
+	db := b.FloorDBmPerHz
 	for _, h := range b.Hills {
 		d := (f - h.Center) / h.Width
-		gain += h.GainDB * math.Exp(-d*d/2)
+		db += h.GainDB * math.Exp(-d*d/2)
 	}
-	return math.Pow(10, (b.FloorDBmPerHz+gain)/10)
+	return db
 }
 
 // bgPrep is Background's per-segment state: the per-bin noise standard
@@ -270,17 +271,19 @@ type bgPrep struct {
 
 // Prepare implements Prepper: the per-bin standard deviations — the
 // expensive part of the density shaping (a Gaussian per hill plus a
-// dB→mW conversion per bin) — are computed once per segment instead of
-// once per capture.
+// dB→amplitude conversion per bin) — are computed once per segment
+// instead of once per capture.
 func (b *Background) Prepare(band Band, n int) any {
 	fs := band.SampleRate
 	f0 := band.Center - fs/2
 	fres := fs / float64(n)
+	// Bin variance n·N0(f)·fs/2 per quadrature gives time-domain density
+	// N0 after the 1/n of the inverse transform, so the deviation is
+	// sqrt(n·fs/2)·10^(N0/20) with N0 in dBm/Hz: one exp per bin.
+	amp := math.Sqrt(float64(n) * fs / 2)
 	sd := make([]float64, n)
 	for k := range sd {
-		// Bin variance n·N0(f)·fs gives time-domain density N0 after the
-		// 1/n of the inverse transform.
-		sd[k] = math.Sqrt(float64(n) * b.densityMwPerHz(f0+float64(k)*fres) * fs / 2)
+		sd[k] = amp * math.Exp(math.Ln10/20*b.densityDBmPerHz(f0+float64(k)*fres))
 	}
 	return &bgPrep{sd: sd}
 }
@@ -298,7 +301,7 @@ func (b *Background) Render(dst []complex128, ctx *Context) {
 	spec := bufpool.Complex(n)
 	// Fill bins directly in post-ifftshift (FFT) order: ascending-frequency
 	// bin k lands at (k + n − n/2) mod n, so writing there up front is the
-	// exact index permutation that undoes fft.Shift — same values, same
+	// exact index permutation that undoes an fftshift — same values, same
 	// noise-draw order, no rotate pass over the buffer.
 	j := n - n/2
 	for _, sd := range ctx.Prep.(*bgPrep).sd {
@@ -307,9 +310,13 @@ func (b *Background) Render(dst []complex128, ctx *Context) {
 			j = 0
 		}
 	}
-	plan.Inverse(spec)
+	// The inverse leaves sample i at spec[perm[i]]; the add-out loop
+	// gathers it there and applies the 1/n.
+	plan.InversePermuted(spec)
+	perm, inv := plan.Perm(), 1/float64(n)
 	for i := range dst {
-		dst[i] += spec[i]
+		v := spec[perm[i]]
+		dst[i] += complex(real(v)*inv, imag(v)*inv)
 	}
 	bufpool.PutComplex(spec)
 }

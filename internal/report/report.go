@@ -146,6 +146,9 @@ func Markdown(o *Output) string {
 		}
 		fmt.Fprintf(&b, "- claim `%s` %s: %s\n", c.ID, verdict, c.Text)
 	}
-	b.WriteString("\n")
+	// A table already ends with a blank line; a bullet list needs one.
+	if len(o.Series)+len(o.Notes)+len(o.Claims) > 0 || len(o.Tables) == 0 {
+		b.WriteString("\n")
+	}
 	return b.String()
 }

@@ -80,4 +80,10 @@ func TestMarkdown(t *testing.T) {
 	if got := Markdown(out); got != want {
 		t.Errorf("markdown:\n%q\nwant\n%q", got, want)
 	}
+	// A section of tables alone ends with one blank line, not two.
+	out.Series, out.Notes, out.Claims = nil, nil, nil
+	want = "## figX — demo figure\n\n**t**\n\n| a |\n|---|\n| r |\n\n"
+	if got := Markdown(out); got != want {
+		t.Errorf("tables-only markdown:\n%q\nwant\n%q", got, want)
+	}
 }
