@@ -68,6 +68,8 @@ equivalence:
 # planner's culling correctness rests on, the campaign config validator,
 # the small-angle Sincos the regulator loops use (within 1 ulp of
 # math.Sincos for |x| <= 2^-5, bit-equal outside, NaN/Inf propagated), the
+# table phasor the impulse trains downconvert with (sig.Cis: each component
+# within 2^-50 of math.Sincos for 0 < |x| < 1.3e7, bit-equal outside), the
 # polyphase impulse kernel (a pulse at any finite position deposits
 # without panicking, every tap within 1e-7 of the exact windowed sinc),
 # the switching regulator's line coefficients (any duty in (0, 1), lines
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCampaignValidate -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAdaptivePlan -fuzztime 5s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzCis -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzImpulseKernel -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzRegulatorLines -fuzztime 5s ./internal/machine
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
@@ -87,11 +90,11 @@ fuzz-smoke:
 # catch a benchmark that no longer compiles or panics, without the cost of
 # a full timing run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|SSC)$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|COT|SSC)$$' -benchtime 1x .
 
 # ab is the speed and output gate: cmd/benchgate exports REF with git
 # archive, builds both trees' benchmarks, times each gated row (the wide
-# sweep, both campaigns, the eight render-kernel rows, the two periodogram
+# sweep, both campaigns, the ten render-kernel rows, the two periodogram
 # rows, the service load) in 10 interleaved pairs on this host, and fails
 # when a row's median per-pair change/base ratio goes past its bound.
 # Then it builds both trees' cmd/fase, runs the five built-in systems'

@@ -71,14 +71,18 @@ var rows = []row{
 	{".", "BenchmarkCampaignAdaptive", "5x", nsPerOp(1.25)},
 	// One render takes from 0.2 to 2 ms, so each kernel row runs for
 	// about a second. The bound is +15% so that a 25% slowdown of one
-	// kernel fails; at +35% it passed. The regulator is gated at both the
-	// single-line shape and the campaign's four-line 16384-sample shape.
+	// kernel fails; at +35% it passed. The switching regulator is gated at
+	// both the single-line shape and the campaign's four-line
+	// 16384-sample shape; refresh and the constant-on-time regulator are
+	// the two impulse trains.
 	{".", "BenchmarkRenderRegulator/idle", "5000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulator/loaded", "5000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulatorWide/idle", "1000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulatorWide/loaded", "600x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRefresh/idle", "1000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRefresh/loaded", "1000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderCOT/idle", "2000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderCOT/loaded", "2000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/idle", "2000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/loaded", "2000x", nsPerOp(1.15)},
 	// The window+FFT+power stage of one capture, at the adaptive

@@ -146,11 +146,10 @@ func renderFixedComb(dst []complex128, z, step []complex128, amp []float64) {
 	}
 }
 
-// impulseKernel8 is the shared band-limited interpolation kernel for
+// impulseKernel is the shared band-limited interpolation kernel for
 // impulse-train emitters. An ImpulseKernel is immutable after
-// construction, so one instance serves all captures concurrently —
-// previously each render rebuilt it.
-var impulseKernel8 = sig.NewImpulseKernel(8)
+// construction, so one instance serves all captures concurrently.
+var impulseKernel = sig.NewImpulseKernel()
 
 // refreshScratch holds the per-render working set of RefreshEmitter: the
 // rank coupling weights and, for the blocked renderer, the surviving
@@ -559,11 +558,11 @@ func (g *ConstantOnTimeRegulator) Render(dst []complex128, ctx *emsim.Context) {
 		}
 		poss[n], tks[n], qs[n] = pos, t, q
 		if n++; n == cotBlock {
-			impulseKernel8.AddTrain(dst, poss[:], tks[:], qs[:], pc, fs)
+			impulseKernel.AddTrain(dst, poss[:], tks[:], qs[:], pc, fs)
 			n = 0
 		}
 	}
-	impulseKernel8.AddTrain(dst, poss[:n], tks[:n], qs[:n], pc, fs)
+	impulseKernel.AddTrain(dst, poss[:n], tks[:n], qs[:n], pc, fs)
 }
 
 // RefreshEmitter models DRAM refresh (§4.2): every tREFI (7.8 µs for
@@ -704,7 +703,7 @@ func (g *RefreshEmitter) Render(dst []complex128, ctx *emsim.Context) {
 	// order. pc·tk associates exactly as the inline -2·π·Center·tk did
 	// (left to right), so the phases are bit-identical.
 	pc := -2 * math.Pi * ctx.Band.Center
-	impulseKernel8.AddTrain(dst, poss, tks, qws, pc, fs)
+	impulseKernel.AddTrain(dst, poss, tks, qws, pc, fs)
 }
 
 // SSCClock models a (possibly spread-spectrum) digital clock: a square

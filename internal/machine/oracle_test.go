@@ -291,7 +291,7 @@ func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 // call, the per-pulse reference the blocked renders must match.
 func depositPulse(dst []complex128, pos, t, q, fs, center float64) {
 	pc := -2 * math.Pi * center
-	impulseKernel8.AddTrain(dst, []float64{pos}, []float64{t}, []float64{q}, pc, fs)
+	impulseKernel.AddTrain(dst, []float64{pos}, []float64{t}, []float64{q}, pc, fs)
 }
 
 // renderPerPulse is RefreshEmitter's pre-blocking render: the same grid

@@ -423,7 +423,8 @@ func TestResubmitIdenticalServedFromCache(t *testing.T) {
 // the SHA-256 of the canonical config JSON alone, and a run archived
 // under model m at the SHA-256 of "fase-model/m\n" and that JSON: model 1
 // before the polyphase impulse kernel moved every score, model 2 before
-// the Horner regulator kernel did, model 3 before the radix-2² FFT did.
+// the Horner regulator kernel did, model 3 before the radix-2² FFT did,
+// model 4 before the table phasor of the impulse trains did.
 // Submitting that config must render it afresh instead of serving any old
 // manifest as a cache hit.
 func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
@@ -452,7 +453,7 @@ func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
 	sum := sha256.Sum256(raw)
 	oldID := hex.EncodeToString(sum[:])[:runstore.IDLen]
 	staleIDs := []string{oldID}
-	for _, model := range []string{"fase-model/1\n", "fase-model/2\n", "fase-model/3\n"} {
+	for _, model := range []string{"fase-model/1\n", "fase-model/2\n", "fase-model/3\n", "fase-model/4\n"} {
 		sum = sha256.Sum256(append([]byte(model), raw...))
 		staleIDs = append(staleIDs, hex.EncodeToString(sum[:])[:runstore.IDLen])
 	}

@@ -23,7 +23,7 @@ func (k *ImpulseKernel) Add(dst []complex128, pos float64, area complex128, fs f
 	// The impulse in sample units has height area·fs distributed over the
 	// windowed sinc.
 	amp := area * complex(fs, 0)
-	h := k.halfTaps
+	const h = kernelHalfTaps
 	dTheta := math.Pi / float64(h+1) // window phase step between taps
 	twoCosD := 2 * math.Cos(dTheta)  // the Chebyshev recurrence coefficient
 	lo := center - h
@@ -80,7 +80,7 @@ func (k *ImpulseKernel) Add(dst []complex128, pos float64, area complex128, fs f
 // bit-identical to the same train split at random points into
 // consecutive calls, the contract the blocked emitters rest on.
 func TestImpulseKernelBatchSplit(t *testing.T) {
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	r := rand.New(rand.NewSource(7))
 	fs := 1.6384e6
 	for trial := 0; trial < 50; trial++ {
@@ -103,20 +103,20 @@ func TestImpulseKernelBatchSplit(t *testing.T) {
 }
 
 // TestImpulseKernelTableBytes pins the shared kernel's size: building
-// NewImpulseKernel(8) allocates at most 16 KB (its table is 67 × 17
+// NewImpulseKernel allocates at most 16 KB (its table is 67 × 17
 // float64s, 9.1 KB). The process-wide kernel lives for the whole run, so
 // its table counts in every retained-heap measurement.
 func TestImpulseKernelTableBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(k)
 	b := after.TotalAlloc - before.TotalAlloc
-	t.Logf("NewImpulseKernel(8) allocated %d bytes", b)
+	t.Logf("NewImpulseKernel allocated %d bytes", b)
 	if b > 16<<10 {
-		t.Errorf("NewImpulseKernel(8) allocated %d bytes, want <= %d", b, 16<<10)
+		t.Errorf("NewImpulseKernel allocated %d bytes, want <= %d", b, 16<<10)
 	}
 }
 
@@ -128,7 +128,7 @@ func FuzzImpulseKernel(f *testing.F) {
 	for _, pos := range []float64{0, 15.5, 16.25, -0.5, 31.5, 32.5, -8.5, -9.25, 40.5, 6.000000000000014, 1e300, -1e300, 9.3e18} {
 		f.Add(pos)
 	}
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	f.Fuzz(func(t *testing.T, pos float64) {
 		if math.IsNaN(pos) || math.IsInf(pos, 0) {
 			t.Skip("not a finite position")

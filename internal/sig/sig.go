@@ -157,7 +157,7 @@ func (r *Rotator) Next4() (v0, v1, v2, v3 complex128) {
 // arguments (and NaN, ±Inf, ±0) go to math.Sincos.
 const smallAngle = 1.0 / 32
 
-// Taylor coefficients of SmallSincos, as compile-time reciprocals.
+// Taylor coefficients of SmallSincos and Cis, as compile-time reciprocals.
 const (
 	sinC1, sinC2, sinC3, sinC4 = -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880
 	cosC2, cosC3, cosC4        = 1.0 / 24, -1.0 / 720, 1.0 / 40320
@@ -179,6 +179,77 @@ func SmallSincos(x float64) (sin, cos float64) {
 	sin = x + x*z*(((sinC4*z+sinC3)*z+sinC2)*z+sinC1)
 	cos = 1 - 0.5*z + z*z*((cosC4*z+cosC3)*z+cosC2)
 	return sin, cos
+}
+
+// cisSteps is the number of table nodes per turn of Cis: node j holds
+// e^{i2πj/cisSteps}, and a reduced argument is at most half a step,
+// π/1024, from its node.
+const cisSteps = 1024
+
+// cisBound is the magnitude from which Cis returns math.Sincos. Below it
+// the rounded step count |k| stays under 2.2e9 < 2³², so k·cisC1 and
+// k·cisC2, 21-bit constants times a 32-bit integer, are exact.
+const cisBound = 1.3e7
+
+// 2π/cisSteps split Cody-Waite style: cisC1 and cisC2 carry 21
+// significant bits each, cisC3 the remainder rounded to float64 (the
+// sum is within 4e-34 of the step).
+const (
+	cisC1 = 0x1.921fbp-8
+	cisC2 = 0x1.5110bp-30
+	cisC3 = 0x1.18469898cc517p-52
+)
+
+// cisTable[j] = e^{i2πj/cisSteps}, 16 KB, filled by init.
+var cisTable [cisSteps]complex128
+
+// init fills cisTable from its first octant, j ≤ cisSteps/8, whose angles
+// j·cisC1 + (j·cisC2 + j·cisC3) are within an ulp of 2πj/cisSteps: the
+// octant reflects about π/4 by swapping sine and cosine, and each later
+// quarter turn is the one before it times i. Both symmetries are exact in
+// floating point.
+func init() {
+	const oct = cisSteps / 8
+	for j := 0; j <= oct; j++ {
+		fj := float64(j)
+		s, c := math.Sincos(fj*cisC1 + (fj*cisC2 + fj*cisC3))
+		cisTable[j] = complex(c, s)
+		cisTable[2*oct-j] = complex(s, c)
+	}
+	for j := 2 * oct; j < cisSteps; j++ {
+		z := cisTable[j-2*oct]
+		cisTable[j] = complex(-imag(z), real(z))
+	}
+}
+
+// Cis returns sin(x) and cos(x) for the full-range downconversion phases
+// of pulse trains, whose arguments change with every pulse, so no
+// recurrence can step them. It rounds k = round(x·1024/2π) by adding
+// 1.5·2⁵², reduces r = x − k·2π/1024 with the three-part split of the
+// step, evaluates degree-5 sine and degree-6 cosine Taylor polynomials on
+// |r| ≤ π/1024 (the truncated terms are below 6e-22) and rotates the
+// result by table node k mod 1024 with one complex multiply. For
+// 0 < |x| < cisBound each component is within 2⁻⁵⁰ of math.Sincos;
+// every other argument (±0, whose sine keeps its sign, NaN and ±Inf
+// included) returns math.Sincos(x) exactly.
+func Cis(x float64) (sin, cos float64) {
+	if a := math.Abs(x); !(a < cisBound) || a == 0 {
+		return math.Sincos(x)
+	}
+	return cisReduced(x)
+}
+
+// cisReduced is Cis's table path for 0 < |x| < cisBound.
+func cisReduced(x float64) (sin, cos float64) {
+	const shift = 1.5 * (1 << 52)
+	kf := x*(cisSteps/(2*math.Pi)) + shift
+	z := cisTable[math.Float64bits(kf)&(cisSteps-1)]
+	kf -= shift
+	r := ((x - kf*cisC1) - kf*cisC2) - kf*cisC3
+	r2 := r * r
+	s := r + r*r2*(sinC2*r2+sinC1)
+	c := 1 - 0.5*r2 + r2*r2*(cosC3*r2+cosC2)
+	return s*real(z) + c*imag(z), c*real(z) - s*imag(z)
 }
 
 // Renormalize rescales a unit phasor back to magnitude 1, undoing the
@@ -343,41 +414,41 @@ func (s *SSC) Phase() float64 { return s.phase }
 // has the four rows its Lagrange blend reads.
 const kernelPhases = 64
 
+// kernelHalfTaps is h, ImpulseKernel's half-width in samples; a pulse
+// reaches kernelTaps = 2h+1 samples.
+const (
+	kernelHalfTaps = 8
+	kernelTaps     = 2*kernelHalfTaps + 1
+)
+
 // ImpulseKernel is a Hamming-windowed band-limited interpolation kernel
 // used to place sub-sample-accurate impulses (e.g. DRAM refresh pulses much
 // narrower than a sample period) into a sampled baseband stream.
 //
 // An impulse at continuous sample position pos deposits the taps
 // k(x) = sinc(x)·(0.54 + 0.46·cos(πx/(h+1))), x = i − pos, on the 2h+1
-// samples i around round(pos), h = halfTaps. The taps depend only on the
+// samples i around round(pos), h = 8. The taps depend only on the
 // fractional offset d = pos − round(pos) ∈ [−½, ½], so the kernel keeps
-// them in a polyphase table: row r holds all 2h+1 taps at
-// d = (r−1)/P − ½, for r = 0…P+2 (P = 64). For h = 8 that is 67 rows of
-// 17 float64s, 9.1 KB, built once by NewImpulseKernel; a pulse's taps are
-// the 4-point Lagrange blend of the four rows around its offset, within
-// 3e-8 of the exact kernel, whose peak is 1 (the tests bound it at 1e-7).
+// them in a polyphase table: row r holds all 17 taps at d = (r−1)/P − ½,
+// for r = 0…P+2 (P = 64). That is 67 rows of 17 float64s, 9.1 KB, built
+// once by NewImpulseKernel; a pulse's taps are the 4-point Lagrange blend
+// of the four rows around its offset, within 3e-8 of the exact kernel,
+// whose peak is 1 (the tests bound it at 1e-7).
 type ImpulseKernel struct {
-	halfTaps int
-	// table holds the taps row by row, 2·halfTaps+1 per row.
-	table []float64
+	table [kernelPhases + 3][kernelTaps]float64
 }
 
-// NewImpulseKernel creates a kernel with the given half-width in samples
-// (total support 2·halfTaps+1). 8 is a good default.
-func NewImpulseKernel(halfTaps int) *ImpulseKernel {
-	if halfTaps < 1 {
-		panic(fmt.Sprintf("sig: impulse kernel half-width must be >= 1, got %d", halfTaps))
-	}
-	n := 2*halfTaps + 1
-	table := make([]float64, (kernelPhases+3)*n)
-	for r := 0; r < kernelPhases+3; r++ {
+// NewImpulseKernel builds the kernel's polyphase table.
+func NewImpulseKernel() *ImpulseKernel {
+	k := new(ImpulseKernel)
+	for r := range k.table {
 		d := float64(r-1)/kernelPhases - 0.5
-		for j := 0; j < n; j++ {
-			x := float64(j-halfTaps) - d
-			table[r*n+j] = sinc(x) * (0.54 + 0.46*math.Cos(math.Pi*x/float64(halfTaps+1)))
+		for j := range k.table[r] {
+			x := float64(j-kernelHalfTaps) - d
+			k.table[r][j] = sinc(x) * (0.54 + 0.46*math.Cos(math.Pi*x/(kernelHalfTaps+1)))
 		}
 	}
-	return &ImpulseKernel{halfTaps: halfTaps, table: table}
+	return k
 }
 
 // AddTrain deposits a batch of downconverted impulses: for each pulse p
@@ -385,26 +456,25 @@ func NewImpulseKernel(halfTaps int) *ImpulseKernel {
 // amp[p]·e^{i·omega·t[p]} (in units of value·seconds), and deposits it at
 // continuous sample position pos[p] into dst, sampled at rate fs.
 // Positions outside dst are clipped sample-by-sample; a pulse more than
-// halfTaps+1 samples outside dst, which reaches no sample, is skipped.
+// h+1 = 9 samples outside dst, which reaches no sample, is skipped.
 // Pulses deposit in order, and each pulse's arithmetic is independent of
 // its batch, so splitting a train into consecutive batches changes
 // nothing.
 //
-// A pulse costs one math.Round, one math.Sincos for its downconversion
-// phasor and a table blend: its 4-point Lagrange weights come from its
-// position within the table interval, and each tap is the weighted sum of
-// the four table rows around it, deposited as complex(ar·v, ai·v). No tap
-// loop calls trig or divides. Each tap is within 1e-7·|amp·fs| of the
-// exact windowed sinc, which the package tests evaluate per pulse by trig
-// recurrence; interior pulses run over a bounds-check-free subslice.
+// A pulse costs one math.Round, one Cis for its downconversion phasor and
+// a table blend: its 4-point Lagrange weights come from its position
+// within the table interval, and each tap is the weighted sum of the four
+// table rows around it, deposited as complex(ar·v, ai·v). No tap loop
+// calls trig or divides. Each tap is within 1e-7·|amp·fs| of the exact
+// windowed sinc, which the package tests evaluate per pulse by trig
+// recurrence; interior pulses deposit into a fixed 17-sample array, free
+// of bounds checks.
 func (k *ImpulseKernel) AddTrain(dst []complex128, pos, t, amp []float64, omega, fs float64) {
 	if len(pos) != len(t) || len(pos) != len(amp) {
 		panic(fmt.Sprintf("sig: AddTrain with %d positions, %d times, %d amplitudes",
 			len(pos), len(t), len(amp)))
 	}
-	h := k.halfTaps
-	n := 2*h + 1
-	tab := k.table
+	const h = kernelHalfTaps
 	// Skipping pulses beyond these bounds also keeps int(c) in range.
 	minPos, maxPos := -float64(h)-1, float64(len(dst)+h)
 	for p, ps := range pos {
@@ -424,17 +494,15 @@ func (k *ImpulseKernel) AddTrain(dst []complex128, pos, t, amp []float64, omega,
 		w1 := tp1 * tm1 * tm2 * 0.5
 		w2 := -tp1 * tt * tm2 * 0.5
 		w3 := tp1 * tt * tm1 * (1.0 / 6)
-		rows := tab[r*n : (r+4)*n]
-		t0, t1, t2, t3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
-		osn, osc := math.Sincos(omega * t[p])
+		t0, t1, t2, t3 := &k.table[r], &k.table[r+1], &k.table[r+2], &k.table[r+3]
+		osn, osc := Cis(omega * t[p])
 		a := amp[p] * fs
 		ar, ai := a*osc, a*osn
 		lo := center - h
 		if lo >= 0 && center+h < len(dst) {
-			// Interior impulse: re-slicing every row to the segment's length
-			// lets the compiler drop the per-tap bounds checks.
-			seg := dst[lo : lo+n]
-			t0, t1, t2, t3 = t0[:len(seg)], t1[:len(seg)], t2[:len(seg)], t3[:len(seg)]
+			// Interior impulse: the segment and the rows are all arrays of
+			// kernelTaps, so the tap loop has no bounds checks.
+			seg := (*[kernelTaps]complex128)(dst[lo : lo+kernelTaps])
 			for j := range seg {
 				v := w0*t0[j] + w1*t1[j] + w2*t2[j] + w3*t3[j]
 				seg[j] += complex(ar*v, ai*v)

@@ -192,7 +192,7 @@ func deposit(k *ImpulseKernel, dst []complex128, pos, area, fs float64) {
 
 func TestImpulseKernelAreaAndPosition(t *testing.T) {
 	fs := 1e6
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	dst := make([]complex128, 64)
 	deposit(k, dst, 32.0, 2e-6, fs) // area 2 µV·s
 	// Sum of samples × dt must equal the area (kernel integrates to 1).
@@ -220,7 +220,7 @@ func TestImpulseKernelSubSample(t *testing.T) {
 	// An impulse between samples must split energy across neighbours and
 	// preserve area.
 	fs := 1.0
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	dst := make([]complex128, 64)
 	deposit(k, dst, 31.5, 1, fs)
 	var sum complex128
@@ -237,13 +237,16 @@ func TestImpulseKernelSubSample(t *testing.T) {
 
 // TestImpulseKernelEdgeClip: a pulse overlapping either edge deposits
 // exactly the in-window taps of the same pulse deposited whole into a
-// wider buffer, and a pulse past either edge deposits nothing. The
-// positions are dyadic, so shifting them by the padding keeps their
-// fractional offsets exact. Negative half-integers are left out: they
-// round away from zero, to the other centre than their shifted twins
+// wider buffer, and a pulse past either edge deposits nothing. The pad
+// of 16 exceeds h+1 = 9, so every shifted pulse lands whole inside the
+// wide buffer, while the 8-sample buffer is narrower than the 17-tap
+// kernel, so every pulse reaching it clips. The positions are dyadic, so
+// shifting them by the padding keeps their fractional offsets exact.
+// Negative half-integers are left out: they round away from zero, to the
+// other centre than their shifted twins
 // (TestImpulseKernelAddTrainMatchesAdd covers them).
 func TestImpulseKernelEdgeClip(t *testing.T) {
-	k := NewImpulseKernel(4)
+	k := NewImpulseKernel()
 	const n, pad = 8, 16
 	for _, pos := range []float64{-2, -0.25, 0.25, -2.375, 6.625, 9.5, 11.125, 12.5, -40, 1e300, -1e300} {
 		dst := make([]complex128, n)
@@ -261,7 +264,6 @@ func TestImpulseKernelEdgeClip(t *testing.T) {
 func TestPanics(t *testing.T) {
 	mustPanic(t, func() { PulseHarmonic(0, 1) })
 	mustPanic(t, func() { PulseHarmonic(1, 1) })
-	mustPanic(t, func() { NewImpulseKernel(0) })
 	r := rand.New(rand.NewSource(6))
 	mustPanic(t, func() {
 		p := OU{Sigma: 1, Tau: 0}
@@ -322,7 +324,7 @@ func TestPowChain(t *testing.T) {
 // TestImpulseKernelMatchesDirectForm verifies the trig-recurrence tap
 // generation against the direct per-tap evaluation it replaced.
 func TestImpulseKernelMatchesDirectForm(t *testing.T) {
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	fs := 1e6
 	for _, pos := range []float64{40.0, 41.37, 39.5001, 3.2, 60.9} {
 		got := make([]complex128, 64)
@@ -375,7 +377,7 @@ func randomTrain(r *rand.Rand) (n int, pos, tk, amp []float64, omega float64) {
 // by tap at 10⁵ random offsets, at every table node and at offsets of
 // exactly ±½.
 func TestImpulseKernelAddTrainMatchesAdd(t *testing.T) {
-	k := NewImpulseKernel(8)
+	k := NewImpulseKernel()
 	r := rand.New(rand.NewSource(99))
 	fs := 1.6384e6
 	for trial := 0; trial < 50; trial++ {

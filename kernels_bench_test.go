@@ -1,8 +1,9 @@
-// Kernel microbenchmarks: single-emitter render times for the three
-// dynamic kernels the campaign spends its cycles in (switching regulator,
-// memory refresh, spread-spectrum clock), each idle and under load. The
-// regulator is timed at two shapes: the narrowband segment, where one of
-// its lines is in band, and the campaign's wide segment, where four are.
+// Kernel microbenchmarks: single-emitter render times for the dynamic
+// kernels the campaigns spend their cycles in (switching regulator,
+// memory refresh, constant-on-time regulator, spread-spectrum clock),
+// each idle and under load. The switching regulator is timed at two
+// shapes: the narrowband segment, where one of its lines is in band, and
+// the campaign's wide segment, where four are.
 //
 // The idle case renders against the constant idle trace — one run for the
 // segmented paths — while the loaded case renders against a generated
@@ -102,6 +103,18 @@ func BenchmarkRenderRefresh(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRenderComponent(b, sys.Refresh, 400e3, kernelBenchN, kernelBenchFs)
+}
+
+// BenchmarkRenderCOT times the Turion laptop's constant-on-time core
+// regulator (390 kHz, §4.4's FM negative control), an impulse train
+// whose period follows the load and a wide wander: about 4000 pulses per
+// 10 ms window, each deposited by the same kernel as refresh.
+func BenchmarkRenderCOT(b *testing.B) {
+	sys, err := fase.LookupSystem("turion-laptop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRenderComponent(b, sys.FMCoreRegulator, 400e3, kernelBenchN, kernelBenchFs)
 }
 
 // BenchmarkRenderSSC times the spread-spectrum DDR3 clock in its own
