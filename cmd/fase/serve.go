@@ -44,6 +44,8 @@ func runServe(args []string) int {
 	}
 	fmt.Printf("serve: listening on http://%s\n", bound)
 	fmt.Printf("serve: POST http://%s/v1/scans to submit; GET /v1/stats for queue state\n", bound)
+	fmt.Printf("serve: the job table keeps the %d most recently finished scans; older results stay at GET /v1/results/{result_id}\n",
+		service.FinishedJobsKept)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,10 +2,13 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 
 	"fase/internal/obs"
+	"fase/internal/runstore"
 )
 
 // Handler returns the service's HTTP API:
@@ -17,12 +20,16 @@ import (
 //	GET    /v1/scans/{id}/result   archived run manifest (404 until done)
 //	GET    /v1/scans/{id}/events   live event journal as SSE
 //	GET    /v1/scans/{id}/progress live progress JSON
+//	GET    /v1/results/{result_id} archived run manifest by result id
 //	GET    /v1/stats               queue/worker/job counters
 //	GET    /metrics                process metrics (JSON; ?format=prom)
 //	GET    /healthz                liveness
 //
-// Admission failures answer 429 with a Retry-After header; malformed
-// submissions answer 400. Every error body is {"error": "..."}.
+// The /v1/scans/{id} routes serve queued and running jobs and the 64
+// most recently finished ones (FinishedJobsKept); an older id answers
+// 404, and its result stays at /v1/results/{result_id}. Admission
+// failures answer 429 with a Retry-After header; malformed submissions
+// answer 400. Every error body is {"error": "..."}.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/scans", s.handleSubmit)
@@ -32,6 +39,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/scans/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/scans/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/scans/{id}/progress", s.handleProgress)
+	mux.HandleFunc("GET /v1/results/{result_id}", s.handleArchived)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
@@ -89,10 +97,22 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("service: no scan %q", r.PathValue("id")))
+		s.noScan(w, r.PathValue("id"))
 		return nil, false
 	}
 	return j, true
+}
+
+// noScan answers 404 for a job id the table does not hold, saying where
+// an evicted job's result went.
+func (s *Server) noScan(w http.ResponseWriter, id string) {
+	msg := fmt.Sprintf("service: no scan %q", id)
+	if s.evicted(id) {
+		msg = fmt.Sprintf("service: scan %s was evicted from the job table, which keeps the %d most recently finished scans; "+
+			"a completed scan's result stays at GET /v1/results/{result_id}, the result_id its submission returned",
+			id, FinishedJobsKept)
+	}
+	writeError(w, http.StatusNotFound, msg)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +124,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("service: no scan %q", r.PathValue("id")))
+		s.noScan(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
@@ -122,6 +142,40 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, m)
+}
+
+// handleArchived serves an archived manifest by result id with one
+// Store.Lookup, the same read as a cached submission, so a result
+// outlives its job's place in the job table.
+func (s *Server) handleArchived(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("result_id")
+	var m *obs.Manifest
+	err := fs.ErrNotExist
+	if validResultID(id) {
+		m, err = s.store.Lookup(id)
+	}
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		writeError(w, http.StatusNotFound, fmt.Sprintf("service: no archived result %q", id))
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err.Error())
+	default:
+		writeJSON(w, http.StatusOK, m)
+	}
+}
+
+// validResultID reports whether id has the form of a run id: IDLen
+// lowercase hex digits, so it names a file in the store and nothing else.
+func validResultID(id string) bool {
+	if len(id) != runstore.IDLen {
+		return false
+	}
+	for _, c := range id {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -38,11 +38,15 @@ type Job struct {
 	heapIndex int   // slot in the queue heap; -1 once popped/removed
 
 	campaign core.Campaign
-	scene    *emsim.Scene
-	system   string
-	envOn    bool
+	// scene is the rendered system; nil for a cached hit, and cleared at
+	// the terminal transition, after the coordinator's last read.
+	scene  *emsim.Scene
+	system string
+	envOn  bool
 
-	// ctx cancels the job; shards and the coordinator observe it.
+	// ctx cancels the job; shards and the coordinator observe it. The
+	// terminal transition cancels it too, which unregisters it from the
+	// server's base context.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -58,6 +62,10 @@ type Job struct {
 	captures   int64
 	started    time.Time
 	finished   time.Time
+	// archiving is when a completed job's archive write began, and
+	// archive how long store.Add took.
+	archiving time.Time
+	archive   time.Duration
 }
 
 // setRunning transitions queued → running and installs the job's
@@ -75,7 +83,8 @@ func (j *Job) setRunning(run *obs.Run) bool {
 }
 
 // finish moves the job to a terminal state (first transition wins) and
-// returns whether this call performed it.
+// returns whether this call performed it. The caller owns the job's
+// coordinator or it never started, so the scene has no reader left.
 func (j *Job) finish(state, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -85,18 +94,31 @@ func (j *Job) finish(state, errMsg string) bool {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	j.scene = nil
 	if j.run != nil {
 		j.captures = j.run.Stat(obs.StatCaptures)
 	}
 	return true
 }
 
-// setResult records a completed job's archived manifest.
-func (j *Job) setResult(m *obs.Manifest) {
+// setResult records a completed job's archived manifest and the archive
+// write that stored it: begun at archiving, taking archive.
+func (j *Job) setResult(m *obs.Manifest, archiving time.Time, archive time.Duration) {
 	j.mu.Lock()
 	j.manifest = m
 	j.detections = len(m.Detections)
+	j.archiving, j.archive = archiving, archive
 	j.mu.Unlock()
+}
+
+// layers splits a completed, rendered job's submitted → finished interval
+// into queue wait (submitted → started), run (started → archive write)
+// and archive (the store.Add call). What is left is the terminal
+// bookkeeping between the archive write and finished.
+func (j *Job) layers() (queueWait, run, archive time.Duration) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.started.Sub(j.submitted), j.archiving.Sub(j.started), j.archive
 }
 
 // journal returns the job's live journal, or nil before it starts.

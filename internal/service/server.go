@@ -7,6 +7,9 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +33,31 @@ var (
 	svcCancelledTotal = obs.Default.Counter("fase_service_cancelled_total")
 	svcCachedTotal    = obs.Default.Counter("fase_service_cached_total")
 	svcShardsTotal    = obs.Default.Counter("fase_service_shards_total")
+
+	// The latency layers of a completed, rendered job: submitted →
+	// started, started → archive write, and the archive write itself.
+	// Together they make up its submit-to-result latency (Job.layers).
+	svcQueueWaitSeconds = obs.Default.Histogram("fase_service_queue_wait_seconds", obs.ExpBuckets(1e-4, 4, 12))
+	svcRunSeconds       = obs.Default.Histogram("fase_service_run_seconds", obs.ExpBuckets(1e-4, 4, 12))
+	svcArchiveSeconds   = obs.Default.Histogram("fase_service_archive_seconds", obs.ExpBuckets(1e-5, 4, 12))
 )
+
+// FinishedJobsKept is how many finished jobs the job table keeps, most
+// recently finished first; queued and running jobs are always kept. A
+// finished job pins its event journal, observability run and manifest,
+// about 18 KB for a small scan, so an unbounded table grows with every
+// job for the life of the process. 64 covers a full default queue's
+// worth of results between two polls. An evicted job's result stays
+// fetchable from the run store at /v1/results/{result_id}.
+const FinishedJobsKept = 64
+
+// cancelledCtx is the context of every cached hit: the job finishes
+// inside Submit, so it derives no context from the server's.
+var cancelledCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Config parameterizes a campaign server. The zero value of every field
 // takes a sensible default (see New).
@@ -86,11 +113,14 @@ type Server struct {
 	tasks  chan func()
 	active chan struct{} // MaxActive semaphore
 
-	seq atomic.Int64
-
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []*Job // submission order, for listing
+	mu  sync.Mutex
+	seq int64 // the last admitted job's sequence number
+	// jobs and order hold every queued and running job and the
+	// FinishedJobsKept most recently finished ones; order is submission
+	// order, for listing, and finished is finish order, for eviction.
+	jobs     map[string]*Job
+	order    []*Job
+	finished []*Job
 
 	running    atomic.Int64
 	submitted  atomic.Int64
@@ -217,10 +247,6 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 	if s.base.Err() != nil {
 		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "service: shutting down"}
 	}
-	scene, err := s.cfg.SceneFor(req.System, c.Seed, req.Environment)
-	if err != nil {
-		return nil, errBadRequest("%v", err)
-	}
 	if herr := s.price(c); herr != nil {
 		return nil, herr
 	}
@@ -233,19 +259,16 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 	if err != nil {
 		return nil, &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
-	seq := s.seq.Add(1)
 	j := &Job{
-		ID: fmt.Sprintf("j%06d", seq), ResultID: resultID,
-		Tenant: req.Tenant, Priority: req.priority(), seq: seq, heapIndex: -1,
-		campaign: c, scene: scene, system: req.System, envOn: req.Environment,
+		ResultID: resultID, Tenant: req.Tenant, Priority: req.priority(), heapIndex: -1,
+		campaign: c, system: req.System, envOn: req.Environment,
 		submitted: time.Now(), state: StateQueued,
 	}
-	j.ctx, j.cancel = context.WithCancel(s.base)
 	// Content-addressed result reuse: look the archive entry up by id
 	// (one file open, no store listing). A hit means this exact work —
 	// same system, environment, resolved config, seed — already ran;
-	// the job completes immediately without queueing, rendering, or
-	// charging the tenant's quota. A missing or unparsable entry is a
+	// the job completes immediately without a scene, queueing, rendering,
+	// or charging the tenant's quota. A missing or unparsable entry is a
 	// miss: the job renders and its archive replaces the entry.
 	if m, lerr := s.store.Lookup(resultID); lerr == nil {
 		j.state = StateDone
@@ -254,19 +277,41 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 		j.detections = len(m.Detections)
 		j.captures = m.Captures
 		j.finished = time.Now()
-		s.addJob(j)
+		j.ctx, j.cancel = cancelledCtx, func() {}
+		s.mu.Lock()
+		s.seq++
+		j.seq, j.ID = s.seq, jobID(s.seq)
+		s.addJobLocked(j)
+		s.retireLocked(j)
+		s.mu.Unlock()
 		s.submitted.Add(1)
 		s.cachedHits.Add(1)
 		svcSubmittedTotal.Inc()
 		svcCachedTotal.Inc()
 		return j, nil
 	}
+	// An unknown system is rejected here: it can never hit.
+	if j.scene, err = s.cfg.SceneFor(req.System, c.Seed, req.Environment); err != nil {
+		return nil, errBadRequest("%v", err)
+	}
+	j.ctx, j.cancel = context.WithCancel(s.base)
+	// The job enters the table in the same critical section as the
+	// queue, so its terminal transition, which may come at once, finds
+	// it there. A rejected job gives its sequence number back: every id
+	// up to s.seq names an admitted job.
+	s.mu.Lock()
+	s.seq++
+	j.seq, j.ID = s.seq, jobID(s.seq)
 	if aerr := s.q.admit(j); aerr != nil {
+		s.seq--
+		s.mu.Unlock()
+		j.cancel()
 		s.rejected.Add(1)
 		svcRejectedTotal.Inc()
 		return nil, aerr.(*httpError)
 	}
-	s.addJob(j)
+	s.addJobLocked(j)
+	s.mu.Unlock()
 	s.submitted.Add(1)
 	svcSubmittedTotal.Inc()
 	return j, nil
@@ -320,11 +365,49 @@ func (s *Server) price(c core.Campaign) *httpError {
 	return nil
 }
 
-func (s *Server) addJob(j *Job) {
-	s.mu.Lock()
+// jobID names the job of admission sequence number seq.
+func jobID(seq int64) string { return fmt.Sprintf("j%06d", seq) }
+
+// addJobLocked enters a numbered job into the job table. Callers hold
+// s.mu.
+func (s *Server) addJobLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
-	s.mu.Unlock()
+}
+
+// retireLocked appends a finished job to the finish-order window and
+// evicts the oldest finished job past FinishedJobsKept from the table.
+// order holds at most FinishedJobsKept + QueueCapacity + MaxActive jobs,
+// so the linear removal does not grow with the jobs ever submitted.
+// Callers hold s.mu.
+func (s *Server) retireLocked(j *Job) {
+	s.finished = append(s.finished, j)
+	if len(s.finished) <= FinishedJobsKept {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	delete(s.jobs, old.ID)
+	if i := slices.Index(s.order, old); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
+}
+
+// evicted reports whether id names a job this server admitted and has
+// since dropped from its job table.
+func (s *Server) evicted(id string) bool {
+	digits, ok := strings.CutPrefix(id, "j")
+	if !ok {
+		return false
+	}
+	seq, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || seq < 1 || jobID(seq) != id {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, kept := s.jobs[id]
+	return seq <= s.seq && !kept
 }
 
 // Job returns a submitted job by id.
@@ -368,7 +451,9 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 }
 
 // terminate performs a job's terminal transition exactly once: state,
-// journal close (ending SSE streams), quota release, counters.
+// journal close (ending SSE streams), context release, quota release,
+// counters and latency layers, and the job's entry into the finished
+// window.
 func (s *Server) terminate(j *Job, state, errMsg string) {
 	if !j.finish(state, errMsg) {
 		return
@@ -376,11 +461,16 @@ func (s *Server) terminate(j *Job, state, errMsg string) {
 	if jr := j.journal(); jr != nil {
 		jr.Close()
 	}
+	j.cancel()
 	s.q.release(j.Tenant)
 	switch state {
 	case StateDone:
 		s.completed.Add(1)
 		svcCompletedTotal.Inc()
+		wait, run, archive := j.layers()
+		svcQueueWaitSeconds.Observe(wait.Seconds())
+		svcRunSeconds.Observe(run.Seconds())
+		svcArchiveSeconds.Observe(archive.Seconds())
 	case StateFailed:
 		s.failed.Add(1)
 		svcFailedTotal.Inc()
@@ -388,6 +478,9 @@ func (s *Server) terminate(j *Job, state, errMsg string) {
 		s.cancelled.Add(1)
 		svcCancelledTotal.Inc()
 	}
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
 }
 
 // runJob is one job's coordinator: it drives the shard fan-out (or the
@@ -439,11 +532,12 @@ func (s *Server) runJob(j *Job) {
 		// Rewrap the manifest config with the scene parameters so the
 		// archive entry lands at the job's content address (ResultID).
 		m.Config = resultConfig{System: j.system, Environment: j.envOn, Scan: m.Config}
+		archiving := time.Now()
 		if _, aerr := s.store.Add(m); aerr != nil {
 			s.terminate(j, StateFailed, aerr.Error())
 			return
 		}
-		j.setResult(m)
+		j.setResult(m, archiving, time.Since(archiving))
 		s.terminate(j, StateDone, "")
 	}
 }
