@@ -74,7 +74,10 @@ equivalence:
 # without panicking, every tap within 1e-7 of the exact windowed sinc),
 # the switching regulator's line coefficients (any duty in (0, 1), lines
 # up to 64 and amplitude scales within 1e-12·d·|scale| of
-# sig.PulseHarmonic), and the campaign service's submit endpoint
+# sig.PulseHarmonic), the random source every render stream runs on
+# (sig.NewRand: for any seed, draw count and mix of Int63, Uint64,
+# Float64, NormFloat64, Intn and Int31n draws, the same values as
+# math/rand's rand.NewSource), and the campaign service's submit endpoint
 # (arbitrary request bodies must answer 400 and never panic the server).
 fuzz-smoke:
 	$(GO) test -run FuzzExtent -fuzz FuzzExtent -fuzztime 5s ./internal/emsim
@@ -83,19 +86,22 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSmallSincos -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzCis -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzImpulseKernel -fuzztime 5s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzSourceMatchesMathRand -fuzztime 5s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzRegulatorLines -fuzztime 5s ./internal/machine
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to
 # catch a benchmark that no longer compiles or panics, without the cost of
-# a full timing run.
+# a full timing run. BenchmarkSceneRender covers both capture shapes,
+# /256 (the service small scan's) and /4096.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|COT|SSC)$$' -benchtime 1x .
 
 # ab is the speed and output gate: cmd/benchgate exports REF with git
 # archive, builds both trees' benchmarks, times each gated row (the wide
-# sweep, both campaigns, the ten render-kernel rows, the two periodogram
-# rows, the service load) in 10 interleaved pairs on this host, and fails
+# sweep, both campaigns, the service small scan's capture render, the ten
+# render-kernel rows, the two periodogram rows, the service load) in 10
+# interleaved pairs on this host, and fails
 # when a row's median per-pair change/base ratio goes past its bound.
 # Then it builds both trees' cmd/fase, runs the five built-in systems'
 # campaigns (seeds 1-8, the fasebench campaign geometry) and the accuracy

@@ -56,20 +56,36 @@ func benchScene(b *testing.B) *emsim.Scene {
 	return sys.Scene(1, true)
 }
 
-// BenchmarkSceneRender times one capture render — the inner loop of every
-// sweep (4096 samples, the narrowband campaign's segment size).
+// BenchmarkSceneRender times one capture render, the inner loop of every
+// sweep. /4096 is the narrowband campaign's segment size, each capture
+// planning itself. /256 is the capture of the service's small scan (256
+// samples at 128 kHz on 330 kHz) under a plan built once, as the analyzer
+// keeps it: seeding the component streams is a large share of its cost.
 func BenchmarkSceneRender(b *testing.B) {
 	scene := benchScene(b)
-	const n = 4096
-	dst := make([]complex128, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scene.RenderInto(dst, emsim.Capture{
-			Band: emsim.Band{Center: 400e3, SampleRate: 409600},
-			N:    n, Seed: int64(i),
-		})
-	}
+	b.Run("256", func(b *testing.B) {
+		band := emsim.Band{Center: 330e3, SampleRate: 128e3}
+		const n = 256
+		plan := scene.Plan(band, n)
+		dst := make([]complex128, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scene.RenderInto(dst, emsim.Capture{Band: band, N: n, Seed: int64(i), Plan: plan})
+		}
+	})
+	b.Run("4096", func(b *testing.B) {
+		const n = 4096
+		dst := make([]complex128, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scene.RenderInto(dst, emsim.Capture{
+				Band: emsim.Band{Center: 400e3, SampleRate: 409600},
+				N:    n, Seed: int64(i),
+			})
+		}
+	})
 }
 
 // BenchmarkPeriodogram times the window+FFT+calibrate stage on one

@@ -18,6 +18,7 @@ import (
 
 	"fase/internal/activity"
 	"fase/internal/obs"
+	"fase/internal/sig"
 )
 
 // Band is the frequency window of one capture.
@@ -167,8 +168,8 @@ type Capture struct {
 	NearField bool
 	// Plan is a render plan computed by Scene.Plan for this capture's Band
 	// and N; RenderInto builds one when it is nil. Components the plan marks
-	// inactive are skipped (their child-seed draw is still consumed, so
-	// culling never shifts another component's stream) and active
+	// inactive are skipped (child seeds are positional, so culling never
+	// shifts another component's stream) and active
 	// components receive their prepared state via Context.Prep.
 	Plan *RenderPlan
 	// Static, when non-nil, is the cached static layer built by
@@ -189,13 +190,13 @@ type Capture struct {
 	Obs *obs.Run
 }
 
-// renderScratch holds the per-capture PRNG and context state RenderInto
-// reuses between captures. Re-seeding a pooled generator produces exactly
-// the same stream as constructing a fresh one, so pooling does not change
-// rendered output.
+// renderScratch holds the per-capture random-stream and context state
+// RenderInto reuses between captures. Its child generator runs on a
+// sig.Source, which re-seeded produces exactly the stream a fresh
+// rand.NewSource would, so pooling does not change rendered output.
 type renderScratch struct {
-	root, child *rand.Rand
-	ctx         Context
+	child *rand.Rand
+	ctx   Context
 	// seeds[i] is component i's child seed and layered[i] its static-layer
 	// membership for the current live-rendered capture.
 	seeds   []int64
@@ -206,19 +207,17 @@ type renderScratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &renderScratch{
-		root:  rand.New(rand.NewSource(0)),
-		child: rand.New(rand.NewSource(0)),
-	}
+	return &renderScratch{child: rand.New(new(sig.Source))}
 }}
 
 // begin prepares the scratch for one capture of a scene with ncomp
-// components: the probe context, and every component's child seed, drawn
-// from the capture's root stream in component-index order (the same
-// derivation as seeding a fresh generator with root.Int63()). The draws
-// happen whatever order the components render in, and even for components
-// a plan culls or a static set replays, so every component's stream — and
-// therefore the rendered output — is independent of all three.
+// components: the probe context, and every component's child seed.
+// Component i's seed is output i of the capture's root stream, the i-th
+// Int63 of a generator seeded with cap.Seed, whatever order the components
+// render in and even for components a plan culls or a static set replays,
+// so every component's stream — and therefore the rendered output — is
+// independent of all three. sig.Int63s computes the seeds without seeding
+// the root stream.
 func (sc *renderScratch) begin(cap Capture, ncomp int) {
 	sc.ctx = Context{
 		Band:      cap.Band,
@@ -226,13 +225,10 @@ func (sc *renderScratch) begin(cap Capture, ncomp int) {
 		N:         cap.N,
 		NearField: cap.NearField,
 	}
-	sc.root.Seed(cap.Seed)
 	if len(sc.seeds) < ncomp {
 		sc.seeds = make([]int64, ncomp)
 	}
-	for i := range ncomp {
-		sc.seeds[i] = sc.root.Int63()
-	}
+	sig.Int63s(cap.Seed, sc.seeds[:ncomp])
 }
 
 // end drops the capture's references and returns the scratch to the pool.
@@ -243,8 +239,9 @@ func (sc *renderScratch) end() {
 
 // renderOne adds component i's render to dst on its own child stream, with
 // the plan's prepared state, timing it into run when one is attached.
-// Seeding the child is deferred to here: rand.Seed walks the generator's
-// whole 607-word state, which costs more than replaying a cached layer.
+// The child is seeded here, not in begin, so a component that a plan
+// culls or a static set replays pays no seeding: even jump-ahead seeding
+// fills the whole 607-word state.
 func (s *Scene) renderOne(dst []complex128, sc *renderScratch, i int, plan *RenderPlan, run *obs.Run) {
 	c := s.Components[i]
 	sc.child.Seed(sc.seeds[i])

@@ -11,11 +11,6 @@ import (
 	"fase/internal/sig"
 )
 
-// audioRandPool recycles the seeded generator stations use to derive
-// their stationary program-audio spectrum each render; re-seeding a
-// pooled generator reproduces exactly the stream a fresh one would give.
-var audioRandPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // AMStation is an AM broadcast transmitter: a strong carrier
 // amplitude-modulated by program audio. It is exactly the signal class
 // FASE must reject — amplitude-modulated, but not by the micro-benchmark
@@ -57,22 +52,40 @@ func (a *AMStation) BandExtent() Extent { return Lines(a.Freq) }
 type stationTones [3]struct{ f, amp float64 }
 
 // deriveTones computes the station audio table from its seed: three tones
-// with frequencies in [300, 300+span] Hz and normalized amplitudes.
+// with frequencies in [300, 300+span] Hz and normalized amplitudes, from
+// the first six Float64 draws of the seed's stream.
 func deriveTones(seed int64, span float64) stationTones {
-	ar := audioRandPool.Get().(*rand.Rand)
-	ar.Seed(seed)
+	u := toneDraws(seed)
 	var tones stationTones
 	var ampSum float64
 	for i := range tones {
-		tones[i].f = 300 + span*ar.Float64()
-		tones[i].amp = 0.3 + 0.7*ar.Float64()
+		tones[i].f = 300 + span*u[2*i]
+		tones[i].amp = 0.3 + 0.7*u[2*i+1]
 		ampSum += tones[i].amp
 	}
-	audioRandPool.Put(ar)
 	for i := range tones {
 		tones[i].amp /= ampSum
 	}
 	return tones
+}
+
+// toneDraws returns the first six Float64 draws of seed's stream, from
+// its first six Int63 outputs: math/rand's Float64 is Int63()/2⁶³. It
+// draws again when that rounds to 1, about once in 2⁵⁴ draws; such a
+// stream is drawn through a generator instead.
+func toneDraws(seed int64) (u [6]float64) {
+	var draws [len(u)]int64
+	sig.Int63s(seed, draws[:])
+	for i, v := range draws {
+		if u[i] = float64(v) / (1 << 63); u[i] == 1 {
+			r := sig.NewRand(seed)
+			for i := range u {
+				u[i] = r.Float64()
+			}
+			return u
+		}
+	}
+	return u
 }
 
 // Prepare implements Prepper: the program-audio tone table is fixed per

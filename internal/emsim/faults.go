@@ -3,9 +3,9 @@ package emsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fase/internal/obs"
+	"fase/internal/sig"
 )
 
 // faultedCaptures counts captures that had at least one fault applied.
@@ -106,7 +106,7 @@ func (p *FaultPlan) DriftFor(sweepSeed int64) float64 {
 	if p == nil || p.FAltDriftPPM == 0 {
 		return 0
 	}
-	r := rand.New(rand.NewSource(p.mix(sweepSeed)))
+	r := sig.NewRand(p.mix(sweepSeed))
 	return p.FAltDriftPPM * 1e-6 * (2*r.Float64() - 1)
 }
 
@@ -118,7 +118,7 @@ func (p *FaultPlan) Apply(dst []complex128, band Band, captureSeed int64) {
 	if p == nil {
 		return
 	}
-	r := rand.New(rand.NewSource(p.mix(captureSeed)))
+	r := sig.NewRand(p.mix(captureSeed))
 	// Fixed draw order: every decision consumes its slot whether or not
 	// the fault is enabled, so plans differing in one knob share all other
 	// per-capture outcomes.

@@ -102,7 +102,7 @@ type RenderPlan struct {
 // band: every component's extent is tested against the band once, and
 // active Preppers precompute their per-segment state. Culling is exact:
 // a skipped component would have left the capture unchanged (see
-// Extenter), and it still consumes its child-seed draw (see RenderInto).
+// Extenter), and it keeps its positional child seed (see RenderInto).
 func (s *Scene) Plan(band Band, n int) *RenderPlan {
 	p := &RenderPlan{
 		band:   band,

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fase/internal/activity"
 	"fase/internal/attack"
 	"fase/internal/core"
 	"fase/internal/machine"
 	"fase/internal/report"
+	"fase/internal/sig"
 )
 
 // fivrBandwidth examines the §4.1 forward-looking claim: integrated
@@ -35,7 +35,7 @@ func fivrBandwidth(cfg Config) *report.Output {
 		X:         activity.LDL2, Y: activity.LDL1, Seed: cfg.Seed + 330,
 	})
 	// Bit-rate sweep through both core-activity channels.
-	r := rand.New(rand.NewSource(cfg.Seed + 331))
+	r := sig.NewRand(cfg.Seed + 331)
 	bits := make([]byte, 128)
 	for i := range bits {
 		bits[i] = byte(r.Intn(2))
@@ -89,7 +89,7 @@ func fivrBandwidth(cfg Config) *report.Output {
 func attackLeakage(cfg Config) *report.Output {
 	sys := machine.IntelCoreI7Desktop()
 	scene := sys.Scene(cfg.Seed, true)
-	r := rand.New(rand.NewSource(cfg.Seed + 300))
+	r := sig.NewRand(cfg.Seed + 300)
 	bits := make([]byte, 192)
 	for i := range bits {
 		bits[i] = byte(r.Intn(2))
@@ -150,7 +150,7 @@ func mitigationRefresh(cfg Config) *report.Output {
 		Title:  "Refresh-interval randomization (tREFI dither) as mitigation",
 		Header: []string{"dither (±% tREFI)", "512 kHz line dBm (idle)", "FASE detections on refresh grid", "attack BER via 512 kHz"},
 	}
-	r := rand.New(rand.NewSource(cfg.Seed + 310))
+	r := sig.NewRand(cfg.Seed + 310)
 	bits := make([]byte, 128)
 	for i := range bits {
 		bits[i] = byte(r.Intn(2))

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"fase/internal/activity"
@@ -36,7 +35,7 @@ func (s *System) Scene(envSeed int64, withEnvironment bool) *emsim.Scene {
 	sc := &emsim.Scene{}
 	sc.Add(s.Emitters...)
 	if withEnvironment {
-		sc.Add(emsim.StandardEnvironment(rand.New(rand.NewSource(envSeed)))...)
+		sc.Add(emsim.StandardEnvironment(sig.NewRand(envSeed))...)
 	} else {
 		sc.Add(&emsim.Background{FloorDBmPerHz: -172})
 	}

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"fase/internal/activity"
+	"fase/internal/sig"
 )
 
 // Jitter describes per-half-period timing variation.
@@ -121,7 +122,7 @@ func Generate(cfg Config, duration float64) *activity.Trace {
 	if duration <= 0 {
 		panic(fmt.Sprintf("microbench: duration must be positive, got %g", duration))
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
+	r := sig.NewRand(cfg.Seed)
 	// Calibration: divide nominal durations by the jitter's mean so the
 	// *average* alternation frequency equals FAlt.
 	meanMult := cfg.Jitter.mean()

@@ -14,13 +14,13 @@ package verify
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fase/internal/activity"
 	"fase/internal/core"
 	"fase/internal/emsim"
 	"fase/internal/machine"
 	"fase/internal/obs"
+	"fase/internal/sig"
 )
 
 // Config tunes the accuracy harness. The zero value of every field
@@ -147,7 +147,7 @@ func (c Config) scenarioSeed(i int) int64 { return c.Seed + int64(i)*6700417 }
 func newScenario(cfg Config, i int) *scenario {
 	seed := cfg.scenarioSeed(i)
 	for attempt := 0; ; attempt++ {
-		r := rand.New(rand.NewSource(seed + int64(attempt)*104729))
+		r := sig.NewRand(seed + int64(attempt)*104729)
 		sys := machine.RandomSystem(r, corpusSpec())
 		scene := sys.Scene(seed, false)
 		truth := scene.GroundTruth(corpusF1, corpusF2, corpusX, corpusY, minDelta)
