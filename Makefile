@@ -95,12 +95,12 @@ fuzz-smoke:
 # a full timing run. BenchmarkSceneRender covers both capture shapes,
 # /256 (the service small scan's) and /4096.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|COT|SSC)$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkSceneRender|BenchmarkPeriodogram|BenchmarkSweep$$|BenchmarkCampaignNarrowband|BenchmarkCampaignAdaptive|BenchmarkRender(Regulator|RegulatorWide|Refresh|COT|SSC|Clock)$$' -benchtime 1x .
 
 # ab is the speed and output gate: cmd/benchgate exports REF with git
 # archive, builds both trees' benchmarks, times each gated row (the wide
-# sweep, both campaigns, the service small scan's capture render, the ten
-# render-kernel rows, the two periodogram rows, the service load) in 10
+# sweep, both campaigns, the service small scan's capture render, the
+# twelve render-kernel rows, the two periodogram rows, the service load) in 10
 # interleaved pairs on this host, and fails
 # when a row's median per-pair change/base ratio goes past its bound.
 # Then it builds both trees' cmd/fase, runs the five built-in systems'

@@ -57,10 +57,10 @@ func benchScene(b *testing.B) *emsim.Scene {
 }
 
 // BenchmarkSceneRender times one capture render, the inner loop of every
-// sweep. /4096 is the narrowband campaign's segment size, each capture
-// planning itself. /256 is the capture of the service's small scan (256
-// samples at 128 kHz on 330 kHz) under a plan built once, as the analyzer
-// keeps it: seeding the component streams is a large share of its cost.
+// sweep, under a plan built once, as the analyzer keeps it. /4096 is the
+// narrowband campaign's segment size. /256 is the capture of the
+// service's small scan (256 samples at 128 kHz on 330 kHz): seeding the
+// component streams is a large share of its cost.
 func BenchmarkSceneRender(b *testing.B) {
 	scene := benchScene(b)
 	b.Run("256", func(b *testing.B) {
@@ -75,15 +75,14 @@ func BenchmarkSceneRender(b *testing.B) {
 		}
 	})
 	b.Run("4096", func(b *testing.B) {
+		band := emsim.Band{Center: 400e3, SampleRate: 409600}
 		const n = 4096
+		plan := scene.Plan(band, n)
 		dst := make([]complex128, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scene.RenderInto(dst, emsim.Capture{
-				Band: emsim.Band{Center: 400e3, SampleRate: 409600},
-				N:    n, Seed: int64(i),
-			})
+			scene.RenderInto(dst, emsim.Capture{Band: band, N: n, Seed: int64(i), Plan: plan})
 		}
 	})
 }

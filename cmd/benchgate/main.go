@@ -78,7 +78,9 @@ var rows = []row{
 	// kernel fails; at +35% it passed. The switching regulator is gated at
 	// both the single-line shape and the campaign's four-line
 	// 16384-sample shape; refresh and the constant-on-time regulator are
-	// the two impulse trains.
+	// the two impulse trains; the two unmodulated clocks, a crystal and a
+	// wandering oscillator, render the static layer's comb kernel at the
+	// wide shape.
 	{".", "BenchmarkRenderRegulator/idle", "5000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulator/loaded", "5000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderRegulatorWide/idle", "1000x", nsPerOp(1.15)},
@@ -89,6 +91,8 @@ var rows = []row{
 	{".", "BenchmarkRenderCOT/loaded", "2000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/idle", "2000x", nsPerOp(1.15)},
 	{".", "BenchmarkRenderSSC/loaded", "2000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderClock/crystal", "1000x", nsPerOp(1.15)},
+	{".", "BenchmarkRenderClock/wander", "1000x", nsPerOp(1.15)},
 	// The window+FFT+power stage of one capture, at the adaptive
 	// corpus's and the campaign's transform sizes, at the kernel bound.
 	{".", "BenchmarkPeriodogram/2048", "40000x", nsPerOp(1.15)},

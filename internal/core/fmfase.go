@@ -143,7 +143,10 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 		window10 := lineWidth(idle, cd.Index)
 		trackWin := math.Max(window10/2, 3*fmFs/float64(fmFrameLen))
 		// One frequency track per alternation frequency, captured
-		// concurrently (independent seeds and traces).
+		// concurrently (independent seeds and traces) under one plan for
+		// the candidate's band.
+		band := emsim.Band{Center: fc, SampleRate: fmFs}
+		plan := r.Scene.Plan(band, fmCaptureN)
 		tracks := make([][]float64, fmNumAlts)
 		par.Do(len(falts), func(i int) {
 			tr := microbench.Generate(microbench.Config{
@@ -151,10 +154,11 @@ func (r *Runner) RunFM(c FMCampaign) []FMDetection {
 				Seed: c.Seed + int64(i)*7907,
 			}, float64(fmCaptureN)/fmFs+emsim.ActivityLookahead)
 			x := r.Scene.Render(emsim.Capture{
-				Band:     emsim.Band{Center: fc, SampleRate: fmFs},
+				Band:     band,
 				N:        fmCaptureN,
 				Activity: tr,
 				Seed:     c.Seed + int64(i)*104729,
+				Plan:     plan,
 			})
 			sg := demod.STFT(x, fmFs, fc, fmFrameLen, hop)
 			track := windowedPeakTrack(sg, fc, trackWin)

@@ -20,130 +20,206 @@ import (
 	"fase/internal/sig"
 )
 
+// combBlock is the longest stretch comb.add steps before it evaluates,
+// and the length of the rotation blocks the clocks fill for it.
+const combBlock = 256
+
 // combScratch holds the per-render working set of a harmonic-comb
-// synthesis (phasors, power chains, amplitudes; the switching regulator
-// keeps its line coefficients in z). A scene renders dozens of comb
+// synthesis: the line coefficients, a block of per-sample rotations of
+// the fundamental, and the running comb. A scene renders dozens of comb
 // emitters per capture, so this state is pooled to keep steady-state
 // rendering allocation-free.
 type combScratch struct {
-	z, wpow []complex128
-	amp     []float64
+	coef []complex128
+	w    [combBlock]complex128
+	comb comb
 }
 
 var combPool = sync.Pool{New: func() any { return new(combScratch) }}
 
-// grow sizes the phasor slices to k harmonics, reusing capacity.
-func (cs *combScratch) grow(k int) {
-	if cap(cs.z) < k {
-		cs.z = make([]complex128, k)
-		cs.wpow = make([]complex128, k)
-		cs.amp = make([]float64, k)
+// grow sizes the coefficient slice to k lines, reusing capacity.
+func (cs *combScratch) grow(k int) []complex128 {
+	if cap(cs.coef) < k {
+		cs.coef = make([]complex128, k)
 	}
-	cs.z = cs.z[:k]
-	cs.wpow = cs.wpow[:k]
-	cs.amp = cs.amp[:k]
+	cs.coef = cs.coef[:k]
+	return cs.coef
 }
 
 // combPrep is the per-segment state of a harmonic-comb emitter under a
-// render plan: the in-band harmonic numbers and each harmonic's static
-// per-sample rotation (the nominal comb-line offset from the band center).
-// Both depend only on the capture geometry. Read-only once built — one
-// prep serves concurrent captures.
+// render plan. A comb is one oscillator's pulse train (§2.1), and a band
+// is one interval, so its in-band lines n₀, n₀+s, … form one run of
+// stride s: 1 for a regulator's harmonics, 2 for a square-wave clock's
+// odd ones. With U the fundamental's phasor and C the band-centre
+// rotation, line n₀+k·s is C·U^{n₀+k·s} = Y·Vᵏ, where V = Uˢ and
+// Y = C·U^{n₀}: the comb is Y times a polynomial in V. vstep and ystep
+// are V's and Y's static per-sample rotations, e^{i2π·s·f0·dt} and
+// e^{i2π(n₀·f0 − Center)·dt}. All of it depends only on the capture
+// geometry. Read-only once built — one prep serves concurrent captures.
 type combPrep struct {
-	ns         []int
-	stepStatic []complex128
+	ns           []int
+	s            int
+	vstep, ystep complex128
 }
 
-// prepComb builds the comb prep for harmonics n = first, first+stride, …
-// up to maxN of fundamental f0 that land in the band.
-func prepComb(band emsim.Band, f0 float64, maxN, first, stride int) *combPrep {
-	p := &combPrep{}
-	for n := first; n <= maxN; n += stride {
-		if band.Contains(float64(n) * f0) {
-			p.ns = append(p.ns, n)
+// prepComb builds the comb prep for the lines n = 1, 1+s, … maxN of
+// fundamental f0 that inBand accepts. It panics unless they form one run.
+func prepComb(label string, band emsim.Band, f0 float64, maxN, s int, inBand func(n int) bool) *combPrep {
+	p := &combPrep{s: s}
+	for n := 1; n <= maxN; n += s {
+		if !inBand(n) {
+			continue
 		}
+		if k := len(p.ns); k > 0 && n != p.ns[k-1]+s {
+			panic(fmt.Sprintf("machine: %q in-band lines %v and %d are not one run of stride %d", label, p.ns, n, s))
+		}
+		p.ns = append(p.ns, n)
+	}
+	if len(p.ns) == 0 {
+		return p
 	}
 	dt := 1 / band.SampleRate
-	p.stepStatic = make([]complex128, len(p.ns))
-	for k, n := range p.ns {
-		s, c := math.Sincos(2 * math.Pi * (float64(n)*f0 - band.Center) * dt)
-		p.stepStatic[k] = complex(c, s)
-	}
+	sn, c := math.Sincos(2 * math.Pi * (float64(s) * f0) * dt)
+	p.vstep = complex(c, sn)
+	sn, c = math.Sincos(2 * math.Pi * (float64(p.ns[0])*f0 - band.Center) * dt)
+	p.ystep = complex(c, sn)
 	return p
 }
 
+// linesIn is the in-band test of a comb whose lines sit at n·f0.
+func linesIn(band emsim.Band, f0 float64) func(int) bool {
+	return func(n int) bool { return band.Contains(float64(n) * f0) }
+}
+
+// start returns V and Y at a capture's first sample, given the
+// fundamental's initial phase base: V = e^{i·s·base} and
+// Y = e^{i·n₀·base}, the band-centre rotation starting at 1.
+func (p *combPrep) start(base float64) (v, y complex128) {
+	s, c := math.Sincos(wrapPhase(float64(p.s) * base))
+	v = complex(c, s)
+	s, c = math.Sincos(wrapPhase(float64(p.ns[0]) * base))
+	return v, complex(c, s)
+}
+
+// comb is one capture's running comb: V, Y and their renormalization
+// count, and add's per-sample staging of V and Y.
+type comb struct {
+	*combPrep
+	v, y   complex128
+	renorm int
+	vs, ys [combBlock]complex128
+}
+
+// begin sets the scratch's comb going for prep p at the fundamental's
+// initial phase base.
+func (cs *combScratch) begin(p *combPrep, base float64) *comb {
+	c := &cs.comb
+	c.combPrep, c.renorm = p, 0
+	c.v, c.y = p.start(base)
+	return c
+}
+
+// add adds Y·Σₖ coef[k]·Vᵏ to every sample of dst, a stretch over which
+// the line coefficients hold. w holds each sample's rotation of the
+// fundamental (its wander or sweep), or is nil for a fixed-frequency
+// oscillator; V steps by vstep·wˢ and Y by ystep·w^{n₀}, and both are
+// renormalized every sig.RotatorRenorm samples. add steps each block of
+// up to combBlock samples first, then evaluates its polynomials by
+// Horner's rule, four consecutive samples side by side as independent
+// chains, so that one chain's multiply latency does not serialize the
+// block. A sample's arithmetic does not depend on how a capture is cut
+// into stretches.
+func (c *comb) add(dst, coef, w []complex128) {
+	for len(dst) > 0 {
+		n := min(len(dst), combBlock)
+		var wb []complex128
+		if w != nil {
+			wb, w = w[:n], w[n:]
+		}
+		c.stage(n, wb)
+		c.horner(dst[:n], coef)
+		dst = dst[n:]
+	}
+}
+
+// stage records V and Y for the next n samples and steps them past.
+// Only the lines past the first read V, so a one-line comb leaves it.
+func (c *comb) stage(n int, w []complex128) {
+	vs, ys := c.vs[:n], c.ys[:n]
+	v, y, rn := c.v, c.y, c.renorm
+	vstep, ystep := c.vstep, c.ystep
+	n0, s, stepV := c.ns[0], c.s, len(c.ns) > 1
+	for i := range vs {
+		vs[i], ys[i] = v, y
+		if w == nil {
+			if stepV {
+				v *= vstep
+			}
+			y *= ystep
+		} else {
+			wi := w[i]
+			if stepV {
+				ws := wi
+				for j := 1; j < s; j++ {
+					ws *= wi
+				}
+				v *= vstep * ws
+			}
+			wn := wi
+			if n0 > 1 {
+				wn = sig.Ipow(wi, n0)
+			}
+			y *= ystep * wn
+		}
+		if rn++; rn >= sig.RotatorRenorm {
+			rn = 0
+			v = sig.Renormalize(v)
+			y = sig.Renormalize(y)
+		}
+	}
+	c.v, c.y, c.renorm = v, y, rn
+}
+
+// horner adds Y·h to each sample of dst, h = Σₖ coef[k]·Vᵏ by Horner's
+// rule from the staged V and Y.
+func (c *comb) horner(dst, coef []complex128) {
+	vs, ys := c.vs[:len(dst)], c.ys[:len(dst)]
+	last := len(coef) - 1
+	top := coef[last]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v0, v1, v2, v3 := vs[i], vs[i+1], vs[i+2], vs[i+3]
+		h0, h1, h2, h3 := top, top, top, top
+		for k := last - 1; k >= 0; k-- {
+			ck := coef[k]
+			h0 = h0*v0 + ck
+			h1 = h1*v1 + ck
+			h2 = h2*v2 + ck
+			h3 = h3*v3 + ck
+		}
+		dst[i] += ys[i] * h0
+		dst[i+1] += ys[i+1] * h1
+		dst[i+2] += ys[i+2] * h2
+		dst[i+3] += ys[i+3] * h3
+	}
+	for ; i < len(dst); i++ {
+		v, h := vs[i], top
+		for k := last - 1; k >= 0; k-- {
+			h = h*v + coef[k]
+		}
+		dst[i] += ys[i] * h
+	}
+}
+
 // lineExtent is the extent of a comb of lines at n·f0 for
-// n = first, first+stride, … maxN.
-func lineExtent(f0 float64, maxN, first, stride int) emsim.Extent {
+// n = 1, 1+s, … maxN.
+func lineExtent(f0 float64, maxN, s int) emsim.Extent {
 	var spans []emsim.Span
-	for n := first; n <= maxN; n += stride {
+	for n := 1; n <= maxN; n += s {
 		f := float64(n) * f0
 		spans = append(spans, emsim.Span{Lo: f, Hi: f})
 	}
 	return emsim.Extent{Spans: spans}
-}
-
-// renderFixedComb accumulates a fixed-amplitude harmonic comb — the
-// crystal-clock inner loop — into dst, harmonic-major: groups of up to
-// four phasors advance across sample tiles with their state held in
-// registers, instead of every phasor making a memory round trip per
-// sample. Output is bit-identical to the sample-major loop it replaces:
-// per sample, the addends still join dst[i]'s accumulation chain in
-// ascending-harmonic order (group passes store partial chains that the
-// next pass extends — float addition is applied in the same left-to-right
-// order), and each phasor sees the same multiply sequence with
-// renormalization at the same global sample positions, because the tile
-// length is a multiple of the renorm period and tiles start aligned.
-func renderFixedComb(dst []complex128, z, step []complex128, amp []float64) {
-	const tile = 4 * sig.RotatorRenorm
-	n := len(dst)
-	for t0 := 0; t0 < n; t0 += tile {
-		t1 := t0 + tile
-		if t1 > n {
-			t1 = n
-		}
-		seg := dst[t0:t1]
-		k := 0
-		for ; k+4 <= len(z); k += 4 {
-			z0, z1, z2, z3 := z[k], z[k+1], z[k+2], z[k+3]
-			s0, s1, s2, s3 := step[k], step[k+1], step[k+2], step[k+3]
-			a0, a1, a2, a3 := amp[k], amp[k+1], amp[k+2], amp[k+3]
-			rn := 0
-			for i := range seg {
-				acc := seg[i]
-				acc += complex(a0*real(z0), a0*imag(z0))
-				z0 *= s0
-				acc += complex(a1*real(z1), a1*imag(z1))
-				z1 *= s1
-				acc += complex(a2*real(z2), a2*imag(z2))
-				z2 *= s2
-				acc += complex(a3*real(z3), a3*imag(z3))
-				z3 *= s3
-				seg[i] = acc
-				if rn++; rn >= sig.RotatorRenorm {
-					rn = 0
-					z0 = sig.Renormalize(z0)
-					z1 = sig.Renormalize(z1)
-					z2 = sig.Renormalize(z2)
-					z3 = sig.Renormalize(z3)
-				}
-			}
-			z[k], z[k+1], z[k+2], z[k+3] = z0, z1, z2, z3
-		}
-		for ; k < len(z); k++ {
-			zk, sk, ak := z[k], step[k], amp[k]
-			rn := 0
-			for i := range seg {
-				seg[i] += complex(ak*real(zk), ak*imag(zk))
-				zk *= sk
-				if rn++; rn >= sig.RotatorRenorm {
-					rn = 0
-					zk = sig.Renormalize(zk)
-				}
-			}
-			z[k] = zk
-		}
-	}
 }
 
 // impulseKernel is the shared band-limited interpolation kernel for
@@ -251,36 +327,25 @@ func (g *SwitchingRegulator) Carriers(f1, f2 float64) []float64 {
 // the same frequencies Render's in-band scan tests. (The OU wander spreads
 // each line by a few hundred Hz at most, far inside a capture band.)
 func (g *SwitchingRegulator) BandExtent() emsim.Extent {
-	return lineExtent(g.FSw, g.MaxHarmonics, 1, 1)
+	return lineExtent(g.FSw, g.MaxHarmonics, 1)
 }
 
 // regulatorPrep is a switching regulator's per-segment state: the comb
-// prep (its in-band harmonics and their static rotations), 1/(2π·n) for
-// each in-band line, and the fundamental's static step e^{i2π·FSw·dt}.
-// The in-band harmonics are one run n₀…n₀+K−1, since a band is one
-// interval and the regulator's lines are every multiple of FSw: Render
-// evaluates the comb as a polynomial in the fundamental phasor, which
-// needs consecutive powers.
+// prep of its every harmonic (stride 1, so V is the fundamental's phasor
+// U) and 1/(2π·n) for each in-band line.
 type regulatorPrep struct {
 	*combPrep
 	inv2pn []float64
-	fstep  complex128
 }
 
 // Prepare implements emsim.Prepper: the regulator's prep, shared by all
 // captures of a segment.
 func (g *SwitchingRegulator) Prepare(band emsim.Band, _ int) any {
-	p := &regulatorPrep{combPrep: prepComb(band, g.FSw, g.MaxHarmonics, 1, 1)}
+	p := &regulatorPrep{combPrep: prepComb(g.Label, band, g.FSw, g.MaxHarmonics, 1, linesIn(band, g.FSw))}
 	p.inv2pn = make([]float64, len(p.ns))
 	for k, n := range p.ns {
-		if n != p.ns[0]+k {
-			panic(fmt.Sprintf("machine: regulator %q in-band harmonics %v are not consecutive", g.Label, p.ns))
-		}
 		p.inv2pn[k] = 1 / (2 * math.Pi * float64(n))
 	}
-	dt := 1 / band.SampleRate
-	s, c := math.Sincos(2 * math.Pi * g.FSw * dt)
-	p.fstep = complex(c, s)
 	return p
 }
 
@@ -347,13 +412,13 @@ func lineCoeffs(c []complex128, h complex128, n0 int, scale float64, inv2pn []fl
 }
 
 // Render implements emsim.Component. The regulator's in-band lines
-// n₀…n₀+K−1 share one oscillator, so with U the fundamental's phasor
-// (wander included) and C the band-centre rotation, line n's phasor is
-// C·Uⁿ and the comb is Y·Σₖ cₖ·Uᵏ, Y = C·U^{n₀}: one Horner polynomial in
-// U per sample, with the duty and amplitude folded into the K line
-// coefficients cₖ (lineCoeffs). U steps by e^{i2π·FSw·dt}·w and Y by its
-// line's static rotation times w^{n₀}, w being the sample's wander
-// rotation, and both are renormalized every sig.RotatorRenorm samples.
+// n₀…n₀+K−1 share one oscillator, so the comb is Y·Σₖ cₖ·Uᵏ (see
+// combPrep): one Horner polynomial in U per sample, with the duty and
+// amplitude folded into the K line coefficients cₖ (lineCoeffs). U steps
+// by the prep's vstep·w and Y by its ystep·w^{n₀}, w being the sample's
+// wander rotation, and both are renormalized every sig.RotatorRenorm
+// samples. The loop is comb.add's per-sample form, kept apart
+// because the coefficients move on most samples under load.
 //
 // The activity trace is piecewise constant, so the render iterates its
 // constant-load runs (emsim.Context.DomainRuns) instead of walking a
@@ -397,16 +462,11 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 	}
 	loop := filter.NewOnePole(bw, fs)
 
-	base := 2 * math.Pi * r.Float64()
 	n0 := ns[0]
-	s, c := math.Sincos(wrapPhase(base))
-	u := complex(c, s)
-	s, c = math.Sincos(wrapPhase(float64(n0) * base))
-	y := complex(c, s)
-	cs.grow(len(ns))
-	coef := cs.z
+	u, y := pre.start(2 * math.Pi * r.Float64())
+	coef := cs.grow(len(ns))
 	last := len(coef) - 1
-	fstep, ystatic := pre.fstep, pre.stepStatic[0]
+	ustep, ystep := pre.vstep, pre.ystep
 	runs := ctx.DomainRuns(g.Dom)
 	var duty dutyPhasor
 	var h complex128
@@ -453,12 +513,12 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 			dst[i] += y * v
 			// Only the lines past the first read U.
 			if last > 0 {
-				u *= fstep * w
+				u *= ustep * w
 			}
 			if n0 > 1 {
 				w = sig.Ipow(w, n0)
 			}
-			y *= ystatic * w
+			y *= ystep * w
 			if renorm++; renorm >= sig.RotatorRenorm {
 				renorm = 0
 				u = sig.Renormalize(u)
@@ -785,22 +845,10 @@ func (g *SSCClock) BandExtent() emsim.Extent {
 	return emsim.Extent{Spans: spans}
 }
 
-// Prepare implements emsim.Prepper: the in-band harmonic list (by the
-// swept-range test) and static rotation phasors for the segment.
+// Prepare implements emsim.Prepper: the comb prep of the odd harmonics
+// whose swept range meets the band.
 func (g *SSCClock) Prepare(band emsim.Band, _ int) any {
-	p := &combPrep{}
-	for n := 1; n <= g.MaxHarmonics; n += 2 {
-		if g.sscInBand(band, n) {
-			p.ns = append(p.ns, n)
-		}
-	}
-	dt := 1 / band.SampleRate
-	p.stepStatic = make([]complex128, len(p.ns))
-	for k, n := range p.ns {
-		s, c := math.Sincos(2 * math.Pi * (float64(n)*g.F0 - band.Center) * dt)
-		p.stepStatic[k] = complex(c, s)
-	}
-	return p
+	return prepComb(g.Label, band, g.F0, g.MaxHarmonics, 2, func(n int) bool { return g.sscInBand(band, n) })
 }
 
 // Static implements emsim.StaticRenderer: the clock's emission is
@@ -821,16 +869,16 @@ func (g *SSCClock) Static(emsim.Band, int) bool {
 // static classify through Static instead, which takes precedence.)
 func (g *SSCClock) CondStatic(emsim.Band, int) bool { return true }
 
-// Render implements emsim.Component. The default path iterates the
-// activity trace's constant-load runs (emsim.Context.DomainRuns): the
-// envelope and harmonic amplitudes are refreshed once per run instead of
-// being re-derived (and guard-compared) every sample, while the sweep
-// chain, phasor updates, and renorm schedule advance per sample exactly
-// as in a per-sample walk — run loads are the per-sample cursor loads by
-// construction, so the output is bit-identical to that walk (the
-// reference the equivalence tests hold this path to).
+// Render implements emsim.Component: the odd harmonics' comb (see
+// combPrep), its fundamental swept by sig.SSC. It iterates the activity
+// trace's constant-load runs (emsim.Context.DomainRuns): the envelope and
+// line coefficients are refreshed once per run instead of being
+// re-derived (and guard-compared) every sample, while the sweep and the
+// comb advance per sample exactly as in a per-sample walk — run loads are
+// the per-sample cursor loads by construction, so the output is
+// bit-identical to that walk (the reference the equivalence tests hold
+// this path to).
 func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
-	// The odd harmonics whose swept range intersects the band.
 	pre := ctx.Prep.(*combPrep)
 	ns := pre.ns
 	if len(ns) == 0 {
@@ -843,53 +891,41 @@ func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
 	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) * nearGain(ctx)
 	ssc := sig.SSC{F0: g.F0, SpreadHz: g.SpreadHz, RateHz: g.RateHz, Profile: g.Profile}
 	ssc.Start(r)
-	cs.grow(len(ns))
-	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := pre.stepStatic
-	for k, n := range ns {
-		s, c := math.Sincos(wrapPhase(float64(n) * ssc.Phase()))
-		z[k] = complex(c, s)
-		fpow[k] = 1
-	}
+	cb := cs.begin(pre, ssc.Phase())
+	coef := cs.grow(len(ns))
 	spread := g.SpreadHz != 0
 	lastEnv := math.NaN()
 	runs := ctx.DomainRuns(g.Dom)
-	renorm := 0
 	for {
 		load, i0, i1, ok := runs.Next()
 		if !ok {
 			break
 		}
-		// Envelope and amplitudes are constants of the run — the same
+		// Envelope and coefficients are constants of the run — the same
 		// expressions the per-sample guard evaluates, hoisted.
 		env := g.IdleFrac + (1-g.IdleFrac)*load
 		if env != lastEnv {
 			for k, n := range ns {
-				amp[k] = a0 * env / float64(n) // square-wave harmonic rolloff
+				coef[k] = complex(a0*env/float64(n), 0) // square-wave harmonic rolloff
 			}
 			lastEnv = env
 		}
-		for i := i0; i < i1; i++ {
-			if spread {
-				fs2, fc2 := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
-				sig.PowChain(fpow, ns, complex(fc2, fs2))
+		if !spread {
+			cb.add(dst[i0:i1], coef, nil)
+			continue
+		}
+		for i := i0; i < i1; i += combBlock {
+			seg := dst[i:min(i+combBlock, i1)]
+			w := cs.w[:len(seg)]
+			for k := range w {
+				s, c := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
+				w[k] = complex(c, s)
+				// ssc's own phase accumulator is unused — the comb
+				// integrates Freq() through w — but Step also advances
+				// the sweep position, which Freq() reads.
+				ssc.Step(dt, 0)
 			}
-			acc := dst[i]
-			for k := range ns {
-				acc += complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-				z[k] *= stepStatic[k] * fpow[k]
-			}
-			dst[i] = acc
-			// ssc's own phase accumulator is unused — the per-harmonic
-			// phasors above integrate n·Freq() directly — but Step also
-			// advances the sweep position, which Freq() reads.
-			ssc.Step(dt, 0)
-			if renorm++; renorm >= sig.RotatorRenorm {
-				renorm = 0
-				for k := range z {
-					z[k] = sig.Renormalize(z[k])
-				}
-			}
+			cb.add(seg, coef, w)
 		}
 	}
 }
@@ -933,13 +969,13 @@ func (g *UnmodulatedClock) Carriers(f1, f2 float64) []float64 {
 // BandExtent implements emsim.Extenter: lines at the odd harmonics of F0
 // — the same frequencies Render's in-band scan tests.
 func (g *UnmodulatedClock) BandExtent() emsim.Extent {
-	return lineExtent(g.F0, g.MaxHarmonics, 1, 2)
+	return lineExtent(g.F0, g.MaxHarmonics, 2)
 }
 
-// Prepare implements emsim.Prepper: the in-band harmonic list and static
-// rotation phasors for the segment.
+// Prepare implements emsim.Prepper: the comb prep of the in-band odd
+// harmonics.
 func (g *UnmodulatedClock) Prepare(band emsim.Band, _ int) any {
-	return prepComb(band, g.F0, g.MaxHarmonics, 1, 2)
+	return prepComb(g.Label, band, g.F0, g.MaxHarmonics, 2, linesIn(band, g.F0))
 }
 
 // Static implements emsim.StaticRenderer: the clock never reads the
@@ -947,7 +983,10 @@ func (g *UnmodulatedClock) Prepare(band emsim.Band, _ int) any {
 // comb is activity-independent.
 func (g *UnmodulatedClock) Static(emsim.Band, int) bool { return true }
 
-// Render implements emsim.Component.
+// Render implements emsim.Component: the odd harmonics' comb (see
+// combPrep) with constant coefficients, its fundamental rotated per
+// sample by the OU wander (stepped inline from sig.OU.Discretize, the
+// same draws as OU.Step) unless the clock is a crystal.
 func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
 	pre := ctx.Prep.(*combPrep)
 	ns := pre.ns
@@ -961,73 +1000,26 @@ func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
 	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10))
 	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
 	wander.Init(r)
-	// Phasor rotation: static per-harmonic step plus the n-th power of the
-	// shared wander rotation (skipped entirely for crystal clocks with
-	// zero wander — then the loop is trig-free).
-	base := 2 * math.Pi * r.Float64()
-	cs.grow(len(ns))
-	z, wpow, amp := cs.z, cs.wpow, cs.amp
+	cb := cs.begin(pre, 2*math.Pi*r.Float64())
+	coef := cs.grow(len(ns))
 	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
-		z[k] = complex(c, s)
-		wpow[k] = 1
-		amp[k] = a0 / fn
+		coef[k] = complex(a0/float64(n), 0)
 	}
-	// Re-slice the working arrays to a common length so the hot loops
-	// index them without bounds checks.
-	z = z[:len(ns)]
-	stepStatic := pre.stepStatic[:len(z)]
-	amp = amp[:len(z)]
-	renorm := 0
 	if g.WanderSigma == 0 {
-		// Crystal clock: no wander process to step (Step draws nothing and
-		// returns 0 for Sigma == 0) and wpow stays the identity, so the
-		// comb is a fixed-amplitude rotate-and-accumulate — the blocked
-		// kernel's case.
-		renderFixedComb(dst, z, stepStatic, amp)
+		// Crystal clock: no wander to step or draw (OU.Step draws nothing
+		// for Sigma == 0), so the comb steps by its static rotations alone.
+		cb.add(dst, coef, nil)
 		return
 	}
-	for i := range dst {
-		df := wander.Step(dt, r)
-		if df != 0 {
-			// The wander power chain is fused into the accumulation loop:
-			// cur advances through the same sequence of multiplies PowChain
-			// would store into wpow, so z evolves bit-identically while the
-			// wpow array round trip disappears.
-			ws, wc := sig.SmallSincos(2 * math.Pi * df * dt)
-			w := complex(wc, ws)
-			cur := complex(1, 0)
-			m := 0
-			acc := dst[i]
-			for k := range z {
-				d := ns[k] - m
-				if d < 8 {
-					for ; d > 0; d-- {
-						cur *= w
-					}
-				} else {
-					cur *= sig.Ipow(w, d)
-				}
-				m = ns[k]
-				zk := z[k]
-				acc += complex(amp[k]*real(zk), amp[k]*imag(zk))
-				z[k] = zk * (stepStatic[k] * cur)
-			}
-			dst[i] = acc
-		} else {
-			acc := dst[i]
-			for k := range z {
-				acc += complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-				z[k] *= stepStatic[k] * wpow[k]
-			}
-			dst[i] = acc
+	x, a, noise := wander.Discretize(dt)
+	for i := 0; i < len(dst); i += combBlock {
+		seg := dst[i:min(i+combBlock, len(dst))]
+		w := cs.w[:len(seg)]
+		for k := range w {
+			x = a*x + noise*r.NormFloat64()
+			s, c := sig.SmallSincos(2 * math.Pi * x * dt)
+			w[k] = complex(c, s)
 		}
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
-		}
+		cb.add(seg, coef, w)
 	}
 }

@@ -169,8 +169,7 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	u := complex(c, s)
 	s, c = math.Sincos(wrapPhase(float64(n0) * base))
 	y := complex(c, s)
-	cs.grow(len(ns))
-	coef := cs.z
+	coef := cs.grow(len(ns))
 	var duty dutyPhasor
 	var h complex128
 	lastD, lastAmpl := math.NaN(), math.NaN()
@@ -213,12 +212,16 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	}
 }
 
-// renderPerSample is SSCClock's pre-segmentation render: it re-reads the
-// activity envelope on every sample instead of once per constant-load run.
+// renderPerSample is SSCClock's pre-segmentation render: the same comb
+// kernel, but it re-reads the activity envelope on every sample instead
+// of once per constant-load run, and steps the sweep, V and Y and
+// evaluates the polynomial one sample at a time instead of in blocks and
+// four-sample chains.
 func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	cs := combPool.Get().(*combScratch)
 	defer combPool.Put(cs)
-	// Derived inline, like the regulator oracle's, not read from ctx.Prep.
+	// The in-band harmonics and V's and Y's static steps are derived
+	// inline, like the regulator oracle's, not read from ctx.Prep.
 	var ns []int
 	for n := 1; n <= g.MaxHarmonics; n += 2 {
 		if g.sscInBand(ctx.Band, n) {
@@ -234,23 +237,18 @@ func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 	ssc := sig.SSC{F0: g.F0, SpreadHz: g.SpreadHz, RateHz: g.RateHz, Profile: g.Profile}
 	ssc.Start(r)
 	cur := ctx.Loads()
-	// Phasor rotation: each harmonic advances by a static step (nominal
-	// comb line at n·F0 offset from the band center) times the n-th power
-	// of the shared sweep rotation e^{i2π(f−F0)dt} — one trig call per
-	// sample instead of one per harmonic per sample.
-	cs.grow(len(ns))
-	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := make([]complex128, len(ns))
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * ssc.Phase()))
-		z[k] = complex(c, s)
-		s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-		stepStatic[k] = complex(c, s)
-		fpow[k] = 1
-	}
+	n0 := ns[0]
+	s, c := math.Sincos(2 * math.Pi * (2 * g.F0) * dt)
+	vstep := complex(c, s)
+	s, c = math.Sincos(2 * math.Pi * (float64(n0)*g.F0 - ctx.Band.Center) * dt)
+	ystep := complex(c, s)
+	s, c = math.Sincos(wrapPhase(2 * ssc.Phase()))
+	v := complex(c, s)
+	s, c = math.Sincos(wrapPhase(float64(n0) * ssc.Phase()))
+	y := complex(c, s)
+	coef := cs.grow(len(ns))
 	spread := g.SpreadHz != 0
-	// Harmonic amplitudes depend only on the activity envelope, which is
+	// Line coefficients depend only on the activity envelope, which is
 	// piecewise constant — refresh them when it moves, not every sample.
 	lastEnv := math.NaN()
 	renorm := 0
@@ -258,31 +256,35 @@ func (g *SSCClock) renderPerSample(dst []complex128, ctx *emsim.Context) {
 		t := ctx.Start + float64(i)*dt
 		load := g.Dom.Of(cur.At(t))
 		env := g.IdleFrac + (1-g.IdleFrac)*load
-		if spread {
-			fs2, fc2 := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
-			sig.PowChain(fpow, ns, complex(fc2, fs2))
-		}
 		if env != lastEnv {
 			for k, n := range ns {
-				amp[k] = a0 * env / float64(n) // square-wave harmonic rolloff
+				coef[k] = complex(a0*env/float64(n), 0) // square-wave harmonic rolloff
 			}
 			lastEnv = env
 		}
-		acc := dst[i]
-		for k := range ns {
-			acc += complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-			z[k] *= stepStatic[k] * fpow[k]
+		h := coef[len(coef)-1]
+		for k := len(coef) - 2; k >= 0; k-- {
+			h = h*v + coef[k]
 		}
-		dst[i] = acc
-		// ssc's own phase accumulator is unused — the per-harmonic phasors
-		// above integrate n·Freq() directly — but Step also advances the
-		// sweep position, which Freq() reads.
-		ssc.Step(dt, 0)
+		dst[i] += y * h
+		if spread {
+			s, c := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
+			w := complex(c, s)
+			ssc.Step(dt, 0)
+			wn := w
+			if n0 > 1 {
+				wn = sig.Ipow(w, n0)
+			}
+			v *= vstep * (w * w)
+			y *= ystep * wn
+		} else {
+			v *= vstep
+			y *= ystep
+		}
 		if renorm++; renorm >= sig.RotatorRenorm {
 			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
+			v = sig.Renormalize(v)
+			y = sig.Renormalize(y)
 		}
 	}
 }

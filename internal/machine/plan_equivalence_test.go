@@ -63,6 +63,19 @@ func randomScene(r *rand.Rand) *emsim.Scene {
 			MaxHarmonics:   1,
 			Dom:            activity.DomainNone,
 		},
+		// A low clock whose swept odd harmonics put several lines in
+		// most bands, so the comb's polynomial has more than one term.
+		&SSCClock{
+			Label:          "spread comb",
+			F0:             20e3 + r.Float64()*40e3,
+			SpreadHz:       r.Float64() * 300,
+			RateHz:         30e3,
+			Profile:        sig.TriangleSweep{},
+			FundamentalDBm: -116,
+			IdleFrac:       0.3,
+			MaxHarmonics:   1 + 2*r.Intn(20),
+			Dom:            activity.DomainCore,
+		},
 		&RefreshEmitter{
 			Label:           "refresh",
 			TRefi:           7.8125e-6,

@@ -36,7 +36,7 @@ const IDLen = 12
 // that changes a run's output for an unchanged config and seed: runs
 // archived under the old model then no longer answer the new ids, so a
 // store never serves a stale result as a cache hit.
-const ModelVersion = 5
+const ModelVersion = 6
 
 // Store is a directory of archived run manifests, one <id>.json each.
 type Store struct{ Dir string }

@@ -424,7 +424,8 @@ func TestResubmitIdenticalServedFromCache(t *testing.T) {
 // under model m at the SHA-256 of "fase-model/m\n" and that JSON: model 1
 // before the polyphase impulse kernel moved every score, model 2 before
 // the Horner regulator kernel did, model 3 before the radix-2² FFT did,
-// model 4 before the table phasor of the impulse trains did.
+// model 4 before the table phasor of the impulse trains did, model 5
+// before the clock combs became Horner polynomials.
 // Submitting that config must render it afresh instead of serving any old
 // manifest as a cache hit.
 func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
@@ -453,7 +454,7 @@ func TestStoreEntryFromOlderModelNotServed(t *testing.T) {
 	sum := sha256.Sum256(raw)
 	oldID := hex.EncodeToString(sum[:])[:runstore.IDLen]
 	staleIDs := []string{oldID}
-	for _, model := range []string{"fase-model/1\n", "fase-model/2\n", "fase-model/3\n", "fase-model/4\n"} {
+	for _, model := range []string{"fase-model/1\n", "fase-model/2\n", "fase-model/3\n", "fase-model/4\n", "fase-model/5\n"} {
 		sum = sha256.Sum256(append([]byte(model), raw...))
 		staleIDs = append(staleIDs, hex.EncodeToString(sum[:])[:runstore.IDLen])
 	}

@@ -259,36 +259,9 @@ func Renormalize(z complex128) complex128 {
 	return complex(real(z)/m, imag(z)/m)
 }
 
-// PowChain fills dst[j] = w^ns[j] for an ascending list of positive
-// harmonic numbers ns. Consecutive harmonics cost one multiply per unit of
-// spacing; large gaps (sparse high harmonics) fall back to binary
-// exponentiation. Comb renderers call this once per sample with the shared
-// per-sample rotation (frequency wander or sweep offset) to advance every
-// harmonic's phasor without per-harmonic trig.
-func PowChain(dst []complex128, ns []int, w complex128) {
-	cur := complex(1, 0)
-	m := 0
-	for j, n := range ns {
-		d := n - m
-		if d < 8 {
-			for ; d > 0; d-- {
-				cur *= w
-			}
-		} else {
-			cur *= Ipow(w, d)
-		}
-		m = n
-		dst[j] = cur
-	}
-}
-
-// Ipow computes w^e by binary exponentiation. It is the gap fallback of
-// PowChain, exported so renderers that fuse the power chain into their
-// accumulation loop (avoiding the wpow round trip through memory) produce
-// the exact same sequence of multiplies, and therefore the exact same
-// bits, as a PowChain pass followed by a separate loop. The switching
-// regulator also raises its duty and wander rotations to its first
-// in-band harmonic with it.
+// Ipow computes w^e by binary exponentiation. The comb renderers raise
+// a sample's wander or sweep rotation to their line stride and first
+// in-band harmonic with it, and the switching regulator its duty phasor.
 func Ipow(w complex128, e int) complex128 {
 	r := complex(1, 0)
 	for e > 0 {

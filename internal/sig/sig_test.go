@@ -306,21 +306,6 @@ func TestRotatorAccuracy(t *testing.T) {
 	}
 }
 
-// TestPowChain checks w^n generation for consecutive, sparse, and large
-// harmonic numbers against direct exponentiation.
-func TestPowChain(t *testing.T) {
-	w := cmplx.Exp(complex(0, 0.0313))
-	ns := []int{1, 3, 5, 7, 37, 61, 200}
-	dst := make([]complex128, len(ns))
-	PowChain(dst, ns, w)
-	for j, n := range ns {
-		want := cmplx.Pow(w, complex(float64(n), 0))
-		if e := cmplx.Abs(dst[j] - want); e > 1e-12 {
-			t.Errorf("PowChain w^%d off by %g", n, e)
-		}
-	}
-}
-
 // TestImpulseKernelMatchesDirectForm verifies the trig-recurrence tap
 // generation against the direct per-tap evaluation it replaced.
 func TestImpulseKernelMatchesDirectForm(t *testing.T) {

@@ -1,9 +1,10 @@
 // Kernel microbenchmarks: single-emitter render times for the dynamic
 // kernels the campaigns spend their cycles in (switching regulator,
 // memory refresh, constant-on-time regulator, spread-spectrum clock),
-// each idle and under load. The switching regulator is timed at two
-// shapes: the narrowband segment, where one of its lines is in band, and
-// the campaign's wide segment, where four are.
+// each idle and under load, and for two unmodulated clocks of the static
+// layer. The switching regulator is timed at two shapes: the narrowband
+// segment, where one of its lines is in band, and the campaign's wide
+// segment, where four are.
 //
 // The idle case renders against the constant idle trace — one run for the
 // segmented paths — while the loaded case renders against a generated
@@ -57,18 +58,21 @@ func benchRenderComponent(b *testing.B, c emsim.Component, center float64, n int
 		if loaded {
 			name, activity = "loaded", trace
 		}
-		b.Run(name, func(b *testing.B) {
-			dst := make([]complex128, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scene.RenderInto(dst, emsim.Capture{
-					Band:     emsim.Band{Center: center, SampleRate: fs},
-					N:        n,
-					Seed:     int64(i),
-					Activity: activity,
-				})
-			}
+		b.Run(name, func(b *testing.B) { benchRenderScene(b, scene, center, n, fs, activity) })
+	}
+}
+
+// benchRenderScene times scene's render of n samples at rate fs.
+func benchRenderScene(b *testing.B, scene *emsim.Scene, center float64, n int, fs float64, activity *fase.Trace) {
+	dst := make([]complex128, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scene.RenderInto(dst, emsim.Capture{
+			Band:     emsim.Band{Center: center, SampleRate: fs},
+			N:        n,
+			Seed:     int64(i),
+			Activity: activity,
 		})
 	}
 }
@@ -125,4 +129,30 @@ func BenchmarkRenderSSC(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRenderComponent(b, sys.DRAMClock, 333e6, kernelBenchN, kernelBenchFs)
+}
+
+// BenchmarkRenderClock times two of the i7's unmodulated clocks at the
+// campaign's wide shape centred at 550 kHz: /crystal is the RTC crystal
+// (21 odd lines in band, no wander), /wander the neighbouring monitor's
+// SMPS (10 odd lines, OU frequency wander).
+func BenchmarkRenderClock(b *testing.B) {
+	sys, err := fase.LookupSystem("i7-desktop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, label string }{
+		{"crystal", "RTC crystal (32.768 kHz)"},
+		{"wander", "neighbouring monitor SMPS (65 kHz)"},
+	} {
+		scene := &emsim.Scene{}
+		for _, e := range sys.Emitters {
+			if e.Name() == c.label {
+				scene.Add(e)
+			}
+		}
+		if len(scene.Components) != 1 {
+			b.Fatalf("i7-desktop has %d components named %q", len(scene.Components), c.label)
+		}
+		b.Run(c.name, func(b *testing.B) { benchRenderScene(b, scene, 550e3, kernelWideN, kernelWideFs, nil) })
+	}
 }
