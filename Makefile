@@ -99,17 +99,19 @@ bench-smoke:
 
 # ab is the speed and output gate: cmd/benchgate exports REF with git
 # archive, builds both trees' benchmarks, times each gated row (the wide
-# sweep, both campaigns, the service small scan's capture render, the
-# twelve render-kernel rows, the two periodogram rows, the service load) in 10
-# interleaved pairs on this host, and fails
-# when a row's median per-pair change/base ratio goes past its bound.
+# sweep, both campaigns with their bytes allocated per op, the service
+# small scan's capture render, the twelve render-kernel rows, the two
+# periodogram rows, the service load) in 10 interleaved pairs on this
+# host, and fails when a row's median per-pair change/base ratio goes
+# past its bound.
 # Then it builds both trees' cmd/fase, runs the five built-in systems'
 # campaigns (seeds 1-8, the fasebench campaign geometry) and the accuracy
 # corpus once per side, and fails when a detection appears on one side
 # only, a matched score moves by more than 1e-6 relative or its magnitude
 # by more than 1e-4 dB, or a verify-report integer changes or float moves
-# by more than 1e-6 relative. The bounds are constants in cmd/benchgate. To gate a change,
-# point REF at its parent: make ab REF=<rev>.
+# by more than 1e-6 relative. The bounds are constants in cmd/benchgate.
+# The last line of its output is the verdict as one JSON object. To gate a
+# change, point REF at its parent: make ab REF=<rev>.
 REF ?= HEAD
 ab:
 	$(GO) run ./cmd/benchgate $(REF)

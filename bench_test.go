@@ -15,6 +15,8 @@ package fase_test
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"fase"
@@ -232,5 +234,45 @@ func TestCampaignAdaptiveCaptures(t *testing.T) {
 		if res.Captures != 19 {
 			t.Errorf("seed %d: adaptive campaign used %d captures, want 19", seed, res.Captures)
 		}
+	}
+}
+
+// TestCampaignAdaptiveAllocBytes pins the bytes one adaptive campaign
+// allocates, the campaign BenchmarkCampaignAdaptive times: the median over
+// seeds 0 to 4 of one run each, at GOMAXPROCS 1 (sync.Pool keeps a slot
+// per P, so buffers a warm-up left on another P would read as fresh
+// allocation) after a warm-up run has filled the pools, FFT plans and
+// window tables. A change that copies spectra, regenerates traces or
+// stores scores per window again fails here even when it runs fast.
+func TestCampaignAdaptiveAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops pooled buffers; the pin only holds on plain builds")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runner, campaign, _ := adaptiveCampaign(t)
+	run := func(seed int64) {
+		c := campaign
+		c.Seed = seed
+		if _, err := runner.RunE(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(100)
+	mb := make([]float64, 5)
+	for seed := range mb {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(int64(seed))
+		runtime.ReadMemStats(&after)
+		mb[seed] = float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	}
+	sort.Float64s(mb)
+	t.Logf("allocated %.2f MB per campaign (median; seeds read %.2f to %.2f MB)", mb[2], mb[0], mb[4])
+	// Measured 1.49 MB (seeds 0.98 to 1.61 MB) on a 2-vCPU x86-64 host with
+	// Go 1.24; 2.91 MB before sweeps reduced in place, the planner kept one
+	// trace per ladder index and windows scored from one sub-score table.
+	const maxMB = 1.25 * 1.49
+	if mb[2] > maxMB {
+		t.Errorf("adaptive campaign allocated %.2f MB, want <= %.2f MB", mb[2], maxMB)
 	}
 }

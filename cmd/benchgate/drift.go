@@ -18,20 +18,19 @@ import (
 )
 
 // outputDrift builds both trees' fase CLI, runs every drift row once per
-// side and prints the largest drift each row saw; it returns false when
-// any row goes past its bounds.
-func outputDrift(ref string, trees [2]string, tmp string) (bool, error) {
+// side, prints the largest drift each row saw and returns the rows.
+func outputDrift(ref string, trees [2]string, tmp string) ([]driftRow, error) {
 	var bins [2]string
 	for side, tree := range trees {
 		bins[side] = filepath.Join(tmp, fmt.Sprintf("%d-fase", side))
 		cmd := exec.Command("go", "build", "-o", bins[side], "./cmd/fase")
 		cmd.Dir, cmd.Stdout, cmd.Stderr = tree, os.Stderr, os.Stderr
 		if err := cmd.Run(); err != nil {
-			return false, fmt.Errorf("build cmd/fase in %s: %w", tree, err)
+			return nil, fmt.Errorf("build cmd/fase in %s: %w", tree, err)
 		}
 	}
 	fmt.Printf("\noutput drift: base %s, change: the working tree, campaign seeds 1-%d\n", ref, driftSeeds)
-	ok := true
+	var rows []driftRow
 	for _, sys := range machine.Names() {
 		var d detectionDrift
 		for seed := 1; seed <= driftSeeds; seed++ {
@@ -40,38 +39,63 @@ func outputDrift(ref string, trees [2]string, tmp string) (bool, error) {
 				path := filepath.Join(tmp, fmt.Sprintf("%d-%s-%d.json", side, sys, seed))
 				args := append([]string{"-system", sys, "-seed", strconv.Itoa(seed), "-manifest-out", path}, driftCampaign...)
 				if err := runFase(bin, args...); err != nil {
-					return false, err
+					return nil, err
 				}
 				data, err := os.ReadFile(path)
 				if err != nil {
-					return false, err
+					return nil, err
 				}
 				if m[side], err = obs.ReadManifest(data); err != nil {
-					return false, fmt.Errorf("%s: %w", path, err)
+					return nil, fmt.Errorf("%s: %w", path, err)
 				}
 			}
 			d.add(runstore.Compare(m[0], m[1], "base", "change").Detections)
 		}
 		line, pass := d.verdict()
-		ok = ok && pass
-		fmt.Printf("%-32s %s\n", "fase -system "+sys, line)
+		name := "fase -system " + sys
+		rows = append(rows, driftRow{Row: name, Compared: d.matched, Mismatched: d.oneSided + d.moved,
+			MaxDrift: finite(d.score), MaxDriftDB: finite(d.dB), Pass: pass})
+		fmt.Printf("%-32s %s\n", name, line)
 	}
 	var reps [2]*verify.Report
 	for side, bin := range bins {
 		path := filepath.Join(tmp, fmt.Sprintf("%d-verify.json", side))
 		if err := runFase(bin, "-verify", "-verify-budget", "-verify-out", path); err != nil {
-			return false, err
+			return nil, err
 		}
 		var err error
 		if reps[side], err = verify.ReadReport(path); err != nil {
-			return false, err
+			return nil, err
 		}
 	}
 	var rd reportDrift
 	rd.walk("report", reflect.ValueOf(reps[0]).Elem(), reflect.ValueOf(reps[1]).Elem())
 	line, pass := rd.verdict()
-	fmt.Printf("%-32s %s\n", "fase -verify -verify-budget", line)
-	return ok && pass, nil
+	name := "fase -verify -verify-budget"
+	rows = append(rows, driftRow{Row: name, Compared: rd.fields, Mismatched: len(rd.changed),
+		MaxDrift: finite(rd.worst), Pass: pass})
+	fmt.Printf("%-32s %s\n", name, line)
+	return rows, nil
+}
+
+// driftRow is one output-drift row as data: how many detections (a
+// campaign row) or report fields (the verify row) it compared, how many
+// of them differ outright (one-sided or moved detections, changed
+// integer, string or boolean fields), and the largest drift: relative
+// score or float drift, and a campaign row's magnitude drift in dB.
+type driftRow struct {
+	Row        string  `json:"row"`
+	Compared   int     `json:"compared"`
+	Mismatched int     `json:"mismatched"`
+	MaxDrift   float64 `json:"max_drift"`
+	MaxDriftDB float64 `json:"max_drift_db"`
+	Pass       bool    `json:"pass"`
+}
+
+// finite caps an infinite drift, which relDrift reports when only one
+// side is NaN, at the largest float64: JSON has no infinity.
+func finite(x float64) float64 {
+	return math.Min(x, math.MaxFloat64)
 }
 
 // runFase runs one fase CLI invocation, discarding its report on

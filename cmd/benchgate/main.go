@@ -29,9 +29,15 @@
 // two sides' detections with runstore.Compare; the corpus row compares
 // the two reports field by field. Each row prints the largest drift it
 // saw.
+//
+// The last line of standard output is the whole verdict as one JSON
+// object (result): per gated metric its samples, per-pair ratios and
+// their quartiles, the base IQR, the bound and the verdict, and per drift
+// row its largest drift.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -66,9 +72,13 @@ func nsPerOp(bound float64) []gate { return []gate{{"ns/op", bound}} }
 
 var rows = []row{
 	{".", "BenchmarkWideSweep", "5x", nsPerOp(1.20)},
-	// The campaigns add scoring and detection to their sweeps.
-	{".", "BenchmarkCampaignNarrowband", "5x", nsPerOp(1.25)},
-	{".", "BenchmarkCampaignAdaptive", "5x", nsPerOp(1.25)},
+	// The campaigns add scoring and detection to their sweeps. Their
+	// bytes allocated per op are gated too, each bound set from one A/A
+	// run (both sides the same tree, 10 pairs). Narrowband: pair ratios
+	// 0.82-1.33, quartiles 0.990/0.999/1.087, base IQR 9.5%. Adaptive:
+	// pair ratios 0.94-1.01, quartiles 0.963/0.989/0.998, base IQR 1.8%.
+	{".", "BenchmarkCampaignNarrowband", "5x", []gate{{"ns/op", 1.25}, {"B/op", 1.15}}},
+	{".", "BenchmarkCampaignAdaptive", "5x", []gate{{"ns/op", 1.25}, {"B/op", 1.05}}},
 	// One capture of the service's small scan, where seeding the
 	// component streams is a large share of the cost; its base side
 	// spreads about ±10%, so it takes the campaigns' bound.
@@ -191,52 +201,118 @@ func abTest(ref string) (bool, error) {
 		}
 		log.Printf("pair %d of %d done", p+1, pairs)
 	}
+	res := result{Base: ref, Pairs: pairs, Pass: true}
 	fmt.Printf("base %s, change: the working tree, %d pairs\n", ref, pairs)
 	fmt.Printf("%-32s %-6s %10s %10s %6s %20s %8s %6s\n",
 		"row", "metric", "base", "change", "ratio", "pair ratio q1/med/q3", "base IQR", "bound")
-	ok := true
 	for i, r := range rows {
 		for _, g := range r.gates {
-			base, change := samples[i][0][g.unit], samples[i][1][g.unit]
-			fmt.Printf("%-32s %-6s ", r.bench, g.unit)
-			if len(change) == 0 {
-				fmt.Println("FAIL: the change lacks this row")
-				ok = false
-				continue
-			}
-			if len(base) == 0 {
-				fmt.Printf("%10s %10.4g   not gated: %s lacks this row\n", "-", quantile(change, 0.5), ref)
-				continue
-			}
-			line, pass := verdict(base, change, g.bound)
-			ok = ok && pass
-			fmt.Println(line)
+			sr := verdict(r.bench, g, samples[i][0][g.unit], samples[i][1][g.unit])
+			res.Pass = res.Pass && sr.Verdict != verdictFail
+			res.Speed = append(res.Speed, sr)
+			fmt.Printf("%-32s %-6s %s\n", r.bench, g.unit, sr.line(ref))
 		}
 	}
-	driftOK, err := outputDrift(ref, trees, tmp)
-	return ok && driftOK, err
+	drift, err := outputDrift(ref, trees, tmp)
+	if err != nil {
+		return false, err
+	}
+	for _, d := range drift {
+		res.Pass = res.Pass && d.Pass
+	}
+	res.Drift = drift
+	line, err := json.Marshal(res)
+	if err != nil {
+		return false, fmt.Errorf("result JSON: %w", err)
+	}
+	fmt.Printf("%s\n", line)
+	return res.Pass, nil
 }
 
-// verdict formats one gated metric's comparison and reports whether the
-// median per-pair ratio stays within bound.
-func verdict(base, change []float64, bound float64) (string, bool) {
-	mb, mc := quantile(base, 0.5), quantile(change, 0.5)
-	pr := make([]float64, len(change))
-	for j := range pr {
-		pr[j] = change[j] / base[j]
+// result is benchgate's verdict as data, the last line of its output.
+type result struct {
+	Base  string     `json:"base"` // the base revision, as given
+	Pairs int        `json:"pairs"`
+	Pass  bool       `json:"pass"`
+	Speed []speedRow `json:"speed"`
+	Drift []driftRow `json:"drift"`
+}
+
+// The verdicts of a speed row's metric.
+const (
+	verdictPass = "pass"
+	verdictFail = "fail" // past its bound, or the change lacks the row
+	// verdictNotGated marks a row the base lacks: REF predates it.
+	verdictNotGated = "not gated"
+)
+
+// speedRow is one gated metric of a row: both sides' samples in pair
+// order, the per-pair change/base ratios with their quartiles, the base's
+// interquartile range relative to its median, the bound and the verdict.
+type speedRow struct {
+	Row     string    `json:"row"`
+	Metric  string    `json:"metric"`
+	Base    []float64 `json:"base"`
+	Change  []float64 `json:"change"`
+	Ratios  []float64 `json:"pair_ratios"`
+	Q1      float64   `json:"ratio_q1"`
+	Median  float64   `json:"ratio_median"`
+	Q3      float64   `json:"ratio_q3"`
+	BaseIQR float64   `json:"base_iqr"`
+	Bound   float64   `json:"bound"`
+	Verdict string    `json:"verdict"`
+}
+
+// verdict compares a metric's samples against its gate: the median
+// per-pair ratio must stay within the bound. A bound above 1 caps a
+// lower-is-better metric; below 1 it floors a higher-is-better one.
+func verdict(bench string, g gate, base, change []float64) speedRow {
+	sr := speedRow{Row: bench, Metric: g.unit, Base: base, Change: change, Bound: g.bound}
+	switch {
+	case len(change) == 0:
+		sr.Verdict = verdictFail
+		return sr
+	case len(base) == 0:
+		sr.Verdict = verdictNotGated
+		return sr
 	}
-	med := quantile(pr, 0.5)
-	iqr := (quantile(base, 0.75) - quantile(base, 0.25)) / mb
-	cmp, pass := "<=", med <= bound
-	if bound < 1 {
-		cmp, pass = ">=", med >= bound
+	sr.Ratios = make([]float64, len(change))
+	for j := range sr.Ratios {
+		sr.Ratios[j] = change[j] / base[j]
 	}
-	q := fmt.Sprintf("%.3f/%.3f/%.3f", quantile(pr, 0.25), med, quantile(pr, 0.75))
-	s := fmt.Sprintf("%10.4g %10.4g %6.3f %20s %7.1f%% %s%.2f", mb, mc, mc/mb, q, 100*iqr, cmp, bound)
-	if !pass {
+	sr.Q1, sr.Median, sr.Q3 = quantile(sr.Ratios, 0.25), quantile(sr.Ratios, 0.5), quantile(sr.Ratios, 0.75)
+	sr.BaseIQR = (quantile(base, 0.75) - quantile(base, 0.25)) / quantile(base, 0.5)
+	pass := sr.Median <= g.bound
+	if g.bound < 1 {
+		pass = sr.Median >= g.bound
+	}
+	sr.Verdict = verdictFail
+	if pass {
+		sr.Verdict = verdictPass
+	}
+	return sr
+}
+
+// line formats the row's text: the medians and their ratio, the pair
+// ratios' quartiles, the base IQR and the bound, flagged when it fails.
+func (sr speedRow) line(ref string) string {
+	switch {
+	case len(sr.Change) == 0:
+		return "FAIL: the change lacks this row"
+	case len(sr.Base) == 0:
+		return fmt.Sprintf("%10s %10.4g   not gated: %s lacks this row", "-", quantile(sr.Change, 0.5), ref)
+	}
+	mb, mc := quantile(sr.Base, 0.5), quantile(sr.Change, 0.5)
+	cmp := "<="
+	if sr.Bound < 1 {
+		cmp = ">="
+	}
+	q := fmt.Sprintf("%.3f/%.3f/%.3f", sr.Q1, sr.Median, sr.Q3)
+	s := fmt.Sprintf("%10.4g %10.4g %6.3f %20s %7.1f%% %s%.2f", mb, mc, mc/mb, q, 100*sr.BaseIQR, cmp, sr.Bound)
+	if sr.Verdict == verdictFail {
 		s += "  FAIL"
 	}
-	return s, pass
+	return s
 }
 
 // export writes the tree of ref into dir: git archive piped into tar.
@@ -267,7 +343,7 @@ func runRow(bin, dir string, r row) (map[string]float64, error) {
 		parts[i] = "^" + regexp.QuoteMeta(p) + "$"
 	}
 	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", strings.Join(parts, "/"),
-		"-test.benchtime", r.benchtime, "-test.timeout", "10m")
+		"-test.benchtime", r.benchtime, "-test.benchmem", "-test.timeout", "10m")
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
 	out, err := cmd.Output()
 	if err != nil {

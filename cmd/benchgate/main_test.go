@@ -1,13 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"fase/internal/machine"
 	"fase/internal/obs"
 	"fase/internal/runstore"
 	"fase/internal/verify"
@@ -64,7 +67,8 @@ func TestVerdict(t *testing.T) {
 		// 1.133, but the pairs read 1.5 and 0.95, median 1.225.
 		{[]float64{100, 100, 200, 200}, []float64{150, 150, 190, 190}, 1.15, false},
 	} {
-		s, pass := verdict(c.base, c.change, c.bound)
+		sr := verdict("BenchmarkX", gate{"ns/op", c.bound}, c.base, c.change)
+		s, pass := sr.line("HEAD"), sr.Verdict == verdictPass
 		if pass != c.pass || strings.Contains(s, "FAIL") == pass {
 			t.Errorf("verdict(%v, %v, bound %v) = %q, pass %v; want pass %v", c.base, c.change, c.bound, s, pass, c.pass)
 		}
@@ -145,5 +149,46 @@ func TestReportDrift(t *testing.T) {
 		if pass != c.pass || strings.Contains(line, "FAIL") == pass {
 			t.Errorf("%s: %q, pass %v; want pass %v", c.name, line, pass, c.pass)
 		}
+	}
+}
+
+// TestRecordedResult parses the result line of a recorded `make ab` run
+// (testdata/reduce-once.txt: the sweep reduce, sub-score table and
+// planner trace changes against their parent) and checks that the data
+// agrees with itself: every compared metric's ratios are change/base per
+// pair, its quartiles and base IQR follow from them, its verdict from the
+// bound, and the overall verdict from the rows.
+func TestRecordedResult(t *testing.T) {
+	data, err := os.ReadFile("testdata/reduce-once.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var res result
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
+		t.Fatalf("last line is not the result: %v", err)
+	}
+	if res.Pairs != pairs || len(res.Speed) == 0 || len(res.Drift) != len(machine.Names())+1 {
+		t.Fatalf("result has %d pairs, %d speed rows, %d drift rows", res.Pairs, len(res.Speed), len(res.Drift))
+	}
+	pass := true
+	for _, sr := range res.Speed {
+		pass = pass && sr.Verdict != verdictFail
+		if sr.Verdict == verdictNotGated {
+			continue
+		}
+		if len(sr.Base) != pairs || len(sr.Change) != pairs {
+			t.Fatalf("%s %s: %d base and %d change samples", sr.Row, sr.Metric, len(sr.Base), len(sr.Change))
+		}
+		g := gate{sr.Metric, sr.Bound}
+		if want := verdict(sr.Row, g, sr.Base, sr.Change); !reflect.DeepEqual(sr, want) {
+			t.Errorf("%s %s: recorded %+v, recomputed %+v", sr.Row, sr.Metric, sr, want)
+		}
+	}
+	for _, d := range res.Drift {
+		pass = pass && d.Pass
+	}
+	if pass != res.Pass {
+		t.Errorf("overall verdict %v, rows say %v", res.Pass, pass)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
+	"fase/internal/activity"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
 	"fase/internal/obs"
@@ -210,18 +212,52 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 
 // sweepBand runs one sweep per ladder index in idx over [f1, f2] on an,
 // returning spectra ordered like idx. Each sweep uses its global ladder
-// index (see sweepLadder), so a refinement sweep at falts[i] sees the
-// same alternation realization the exhaustive campaign's sweep i would.
-// The planner processes windows sequentially, so each journal track sees
-// its sweeps in a deterministic order even though the sweeps of one band
-// run concurrently.
-func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int) []*spectral.Spectrum {
+// index and that index's trace from traces (see sweepLadder), so a
+// refinement sweep at falts[i] sees the same alternation realization the
+// exhaustive campaign's sweep i would. The planner processes windows
+// sequentially, so each journal track sees its sweeps in a deterministic
+// order even though the sweeps of one band run concurrently.
+func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int, traces *ladderTraces) []*spectral.Spectrum {
 	out := make([]*spectral.Spectrum, len(idx))
 	par.Do(len(idx), func(j int) {
 		i := idx[j]
-		out[j] = r.sweepLadder(nil, an, c, f1, f2, falts[i], i, r.Obs)
+		tr := traces.get(i, traceSeconds(an, f1, f2))
+		out[j] = r.sweepLadder(nil, an, c, f1, f2, falts[i], i, tr, r.Obs)
 	})
 	return out
+}
+
+// ladderTraces holds an adaptive campaign's alternation trace per ladder
+// index, so that an index's recon, probe and refine sweeps share one
+// generation instead of one per window. An index's first trace lasts
+// first seconds; a sweep that outlasts its trace regenerates it at the
+// sweep's own length. Both are exact, since any trace of index i that
+// outlasts a sweep renders it the same (ladderTrace). Each index has its
+// own lock: a band's sweeps, one per index, run concurrently.
+type ladderTraces struct {
+	c     Campaign
+	falts []float64
+	first float64
+	slots []traceSlot
+}
+
+// traceSlot is one index's trace and the seconds it lasts.
+type traceSlot struct {
+	mu      sync.Mutex
+	tr      *activity.Trace
+	seconds float64
+}
+
+// get returns ladder index i's trace, lasting at least seconds.
+func (lt *ladderTraces) get(i int, seconds float64) *activity.Trace {
+	sl := &lt.slots[i]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.tr == nil || sl.seconds < seconds {
+		sl.seconds = max(seconds, lt.first)
+		sl.tr = ladderTrace(lt.c, lt.falts[i], i, sl.seconds)
+	}
+	return sl.tr
 }
 
 // priorityHarmonics is the low-order subset (|h| ≤ 2) used to rank
@@ -399,7 +435,11 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		recon.End()
 		return nil, fmt.Errorf("core: adaptive Budget %d cannot fund the %d-capture recon pass", c.Budget, reconCost)
 	}
-	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx)
+	// An index's first trace serves its recon sweep and any one-segment
+	// window (a one-bin window is one segment).
+	traces := &ladderTraces{c: c, falts: falts, slots: make([]traceSlot, len(falts)),
+		first: max(traceSeconds(reconAn, c.F1, c.F2), traceSeconds(refineAn, c.F1, c.F1+c.Fres))}
+	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx, traces)
 	res.Measurements = make([]Measurement, len(reconSpectra))
 	for j, sp := range reconSpectra {
 		res.Measurements[j] = Measurement{FAlt: reconFAlts[j], Spectrum: sp}
@@ -426,27 +466,31 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	}
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))
+	// Windows read each harmonic's scores before scoring the next and
+	// store none, so one pair of arrays serves every probe and refinement.
+	var pair harmonicPair
 	probe := func(w refineWindow) float64 {
-		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx)
+		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx, traces)
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
-		colSum := columnSums(sm)
+		t := newSubScores(sm)
 		best := 0.0
 		for _, h := range probeHarmonics(c.Harmonics) {
-			trace, _ := scoreDetail(sm, colSum, reconFAlts, h)
+			trace, _ := pair.score(t, reconFAlts, h)
 			for _, v := range trace {
 				if v > best {
 					best = v
 				}
 			}
 		}
+		t.release()
 		releaseSmoothed(sm)
 		r.Obs.Track(0).Emit(obs.Event{Kind: obs.EventWindowProbe,
 			F1Hz: w.f1, F2Hz: w.f2, Priority: w.priority, Score: best})
 		return best
 	}
 	refine := func(w refineWindow, _ float64) int {
-		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx)
+		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx, traces)
 		spectra := make([]*spectral.Spectrum, c.NumAlts)
 		for j, i := range reconIdx {
 			spectra[i] = probeStash[w.idx][j]
@@ -455,13 +499,12 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 			spectra[i] = comp[j]
 		}
 		probeStash[w.idx] = nil
-		wres := &Result{Campaign: c, Measurements: make([]Measurement, len(spectra))}
-		for i, sp := range spectra {
-			wres.Measurements[i] = Measurement{FAlt: falts[i], Spectrum: sp}
-		}
 		smoothed := smoothPooled(spectra, c.SmoothBins)
-		scoreHarmonics(wres, smoothed, falts)
-		dets := detect(wres, spectra, smoothed, falts)
+		t := newSubScores(smoothed)
+		dets := detect(c, spectra, smoothed, falts, func(h int) ([]float64, []int) {
+			return pair.score(t, falts, h)
+		})
+		t.release()
 		releaseSmoothed(smoothed)
 		windowDets[w.idx] = dets
 		return len(dets)

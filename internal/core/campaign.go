@@ -327,6 +327,9 @@ type Result struct {
 	Adaptive *obs.AdaptiveStats
 }
 
+// harmonic returns harmonic h's stored trace and elevated counts.
+func (r *Result) harmonic(h int) ([]float64, []int) { return r.Scores[h], r.Elevated[h] }
+
 // Grid returns the frequency of score bin k.
 func (r *Result) Grid(k int) float64 {
 	return r.Measurements[0].Spectrum.Freq(k)
@@ -524,8 +527,10 @@ func staticStrongBins(smoothed []*spectral.Spectrum, marginDB float64) []bool {
 }
 
 // detect converts heuristic traces into merged carrier detections.
-func detect(res *Result, spectra, smoothed []*spectral.Spectrum, falts []float64) []Detection {
-	c := res.Campaign
+// score(h) returns harmonic h's trace and elevated counts over the
+// spectra's grid; detect reads each before it asks for the next, so a
+// scorer may refill one pair of arrays.
+func detect(c Campaign, spectra, smoothed []*spectral.Spectrum, falts []float64, score func(h int) ([]float64, []int)) []Detection {
 	static := staticStrongBins(smoothed, 12)
 	bins := len(static)
 	type cand struct {
@@ -535,8 +540,7 @@ func detect(res *Result, spectra, smoothed []*spectral.Spectrum, falts []float64
 	}
 	var cands []cand
 	for _, h := range c.Harmonics {
-		trace := res.Scores[h]
-		elev := res.Elevated[h]
+		trace, elev := score(h)
 		shifts := make([]int, len(falts))
 		for i, fa := range falts {
 			shifts[i] = int(math.Round(float64(h) * fa / c.Fres))
@@ -591,7 +595,7 @@ func detect(res *Result, spectra, smoothed []*spectral.Spectrum, falts []float64
 			continue
 		}
 		d := Detection{
-			Freq:         res.Grid(cd.bin),
+			Freq:         spectra[0].Freq(cd.bin),
 			Bin:          cd.bin,
 			Score:        cd.score,
 			BestHarmonic: cd.harmonic,

@@ -59,16 +59,31 @@ func Score(spectra []*spectral.Spectrum, falts []float64, h int) []float64 {
 // sub-scores discriminates carriers from ghosts without sacrificing the
 // paper's robustness to a minority of obscured side-bands.
 func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int) ([]float64, []int) {
-	return scoreDetail(spectra, columnSums(spectra), falts, h)
+	t := newSubScores(spectra)
+	defer t.release()
+	prod, elev := make([]float64, t.bins), make([]int, t.bins)
+	t.product(prod, elev, falts, h)
+	return prod, elev
 }
 
-// columnSums checks that spectra are at least two measurements of one
-// geometry and returns, per bin, the sum of their floored powers: the
-// totals behind every harmonic's O(1) leave-one-out means, which depend
-// on the spectra alone.
-func columnSums(spectra []*spectral.Spectrum) []float64 {
-	if len(spectra) < 2 {
-		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", len(spectra)))
+// subScores is Eq. 2's sub-score table for one set of measurements: row
+// i, bin m holds measurement i's power at m over the mean of the other
+// measurements there, each floored at scoreFloor. A sub-score of
+// harmonic h at bin k is row i at m = k + shift_i(h), so the table holds
+// every harmonic's ratios, each computed once; only the shift depends on
+// h. The rows live in one pooled buffer; release returns it.
+type subScores struct {
+	n, bins int
+	fres    float64
+	r       []float64 // r[i·bins+m], then scratch
+}
+
+// newSubScores checks that spectra are at least two measurements of one
+// geometry and builds their sub-score table.
+func newSubScores(spectra []*spectral.Spectrum) *subScores {
+	n := len(spectra)
+	if n < 2 {
+		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", n))
 	}
 	base := spectra[0]
 	for _, s := range spectra[1:] {
@@ -76,7 +91,13 @@ func columnSums(spectra []*spectral.Spectrum) []float64 {
 			panic("core: measurement spectra must share geometry")
 		}
 	}
-	colSum := make([]float64, base.Bins())
+	bins := base.Bins()
+	// One pooled buffer holds the n rows and, after them, colSum[m]: the
+	// measurements' floored total at bin m, summed in measurement order,
+	// which makes a leave-one-out mean O(1).
+	t := &subScores{n: n, bins: bins, fres: base.Fres, r: bufpool.Float((n + 1) * bins)}
+	colSum := t.r[n*bins:]
+	clear(colSum)
 	for _, s := range spectra {
 		for m, v := range s.PmW {
 			if v < scoreFloor {
@@ -85,31 +106,9 @@ func columnSums(spectra []*spectral.Spectrum) []float64 {
 			colSum[m] += v
 		}
 	}
-	return colSum
-}
-
-// scoreDetail is ScoreDetail over the spectra's columnSums.
-func scoreDetail(spectra []*spectral.Spectrum, colSum []float64, falts []float64, h int) ([]float64, []int) {
-	n := len(spectra)
-	if len(falts) != n {
-		panic(fmt.Sprintf("core: %d spectra but %d alternation frequencies", n, len(falts)))
-	}
-	if h == 0 {
-		panic("core: harmonic must be nonzero")
-	}
-	bins := len(colSum)
-	shifts := harmonicShifts(spectra[0].Fres, falts, h)
-	prod := make([]float64, bins)
-	elev := make([]int, bins)
-	for k := range prod {
-		score := 1.0
-		count := 0
-		for i, s := range spectra {
-			m := k + shifts[i]
-			if m < 0 || m >= bins {
-				continue // out of range: neutral sub-score
-			}
-			v := s.PmW[m]
+	for i, s := range spectra {
+		row := t.row(i)
+		for m, v := range s.PmW {
 			if v < scoreFloor {
 				v = scoreFloor
 			}
@@ -117,25 +116,59 @@ func scoreDetail(spectra []*spectral.Spectrum, colSum []float64, falts []float64
 			if denom < scoreFloor {
 				denom = scoreFloor
 			}
-			r := v / denom
-			score *= r
-			if r >= elevatedRatio {
-				count++
-			}
+			row[m] = v / denom
 		}
-		prod[k] = score
-		elev[k] = count
 	}
-	return prod, elev
+	return t
 }
 
-// harmonicShifts returns each measurement's bin shift for harmonic h.
-func harmonicShifts(fres float64, falts []float64, h int) []int {
-	shifts := make([]int, len(falts))
-	for i, fa := range falts {
-		shifts[i] = int(math.Round(float64(h) * fa / fres))
+// row returns measurement i's sub-scores by unshifted bin.
+func (t *subScores) row(i int) []float64 { return t.r[i*t.bins : (i+1)*t.bins] }
+
+// shift is measurement i's bin shift for harmonic h at alternation
+// frequency fa.
+func (t *subScores) shift(fa float64, h int) int {
+	return int(math.Round(float64(h) * fa / t.fres))
+}
+
+// release returns the table's buffer to the pool; t is unusable after.
+func (t *subScores) release() {
+	bufpool.PutFloat(t.r)
+	t.r = nil
+}
+
+// product writes harmonic h's heuristic trace into prod and, per bin, its
+// count of sub-scores of at least elevatedRatio into elev; both must hold
+// t.bins elements. Sub-scores whose shifted bin leaves the span are
+// neutral. The walk goes measurement by measurement, so every bin
+// multiplies its sub-scores in measurement order, starting from 1.
+func (t *subScores) product(prod []float64, elev []int, falts []float64, h int) {
+	if len(falts) != t.n {
+		panic(fmt.Sprintf("core: %d spectra but %d alternation frequencies", t.n, len(falts)))
 	}
-	return shifts
+	if h == 0 {
+		panic("core: harmonic must be nonzero")
+	}
+	prod, elev = prod[:t.bins], elev[:t.bins]
+	for k := range prod {
+		prod[k], elev[k] = 1, 0
+	}
+	for i, fa := range falts {
+		sh := t.shift(fa, h)
+		// Bins k with k+sh in [0, bins).
+		k0, k1 := max(0, -sh), min(t.bins, t.bins-sh)
+		if k0 >= k1 {
+			continue
+		}
+		row := t.row(i)[k0+sh : k1+sh]
+		p, e := prod[k0:k1], elev[k0:k1]
+		for j, r := range row {
+			p[j] *= r
+			if r >= elevatedRatio {
+				e[j]++
+			}
+		}
+	}
 }
 
 // SmoothSpectrum returns a copy of s whose bins are replaced by a
@@ -208,15 +241,38 @@ func releaseSmoothed(sm []*spectral.Spectrum) {
 }
 
 // scoreHarmonics scores every harmonic of res's campaign over the
-// smoothed spectra into res.Scores and res.Elevated.
+// smoothed spectra into res.Scores and res.Elevated, from one sub-score
+// table.
 func scoreHarmonics(res *Result, smoothed []*spectral.Spectrum, falts []float64) {
 	hs := res.Campaign.Harmonics
 	res.Scores = make(map[int][]float64, len(hs))
 	res.Elevated = make(map[int][]int, len(hs))
-	colSum := columnSums(smoothed)
+	t := newSubScores(smoothed)
 	for _, h := range hs {
-		res.Scores[h], res.Elevated[h] = scoreDetail(smoothed, colSum, falts, h)
+		prod, elev := make([]float64, t.bins), make([]int, t.bins)
+		t.product(prod, elev, falts, h)
+		res.Scores[h], res.Elevated[h] = prod, elev
 	}
+	t.release()
+}
+
+// harmonicPair is one reusable heuristic trace and its elevated counts,
+// for scoring that reads each harmonic before it scores the next and
+// keeps none: the adaptive planner's window probes and refinements.
+type harmonicPair struct {
+	prod []float64
+	elev []int
+}
+
+// score fills the pair with harmonic h's product and elevated counts
+// over t and returns them, valid until the next call.
+func (p *harmonicPair) score(t *subScores, falts []float64, h int) ([]float64, []int) {
+	if cap(p.prod) < t.bins {
+		p.prod, p.elev = make([]float64, t.bins), make([]int, t.bins)
+	}
+	p.prod, p.elev = p.prod[:t.bins], p.elev[:t.bins]
+	t.product(p.prod, p.elev, falts, h)
+	return p.prod, p.elev
 }
 
 func minInt(a, b int) int {
@@ -235,28 +291,18 @@ func SubScores(spectra []*spectral.Spectrum, falts []float64, h int) [][]float64
 	if n < 2 || len(falts) != n || h == 0 {
 		panic("core: SubScores needs >=2 matching spectra and a nonzero harmonic")
 	}
-	colSum := columnSums(spectra)
-	bins := len(colSum)
-	shifts := harmonicShifts(spectra[0].Fres, falts, h)
+	t := newSubScores(spectra)
+	defer t.release()
 	out := make([][]float64, n)
 	for i := range out {
-		trace := make([]float64, bins)
-		s := spectra[i]
+		trace := make([]float64, t.bins)
+		row, sh := t.row(i), t.shift(falts[i], h)
 		for k := range trace {
-			m := k + shifts[i]
-			if m < 0 || m >= bins {
+			if m := k + sh; m >= 0 && m < t.bins {
+				trace[k] = row[m]
+			} else {
 				trace[k] = 1
-				continue
 			}
-			v := s.PmW[m]
-			if v < scoreFloor {
-				v = scoreFloor
-			}
-			denom := (colSum[m] - v) / float64(n-1)
-			if denom < scoreFloor {
-				denom = scoreFloor
-			}
-			trace[k] = v / denom
 		}
 		out[i] = trace
 	}

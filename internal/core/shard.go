@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fase/internal/activity"
 	"fase/internal/dsp/spectral"
 	"fase/internal/emsim"
 	"fase/internal/microbench"
@@ -88,25 +89,33 @@ func (p *ShardPlan) Begin(an *specan.Analyzer, run *obs.Run) {
 func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, _ obs.Span) Measurement {
 	c := p.Campaign
 	fa := p.FAlts[i]
-	return Measurement{FAlt: fa, Spectrum: r.sweepLadder(ctx, an, c, c.F1, c.F2, fa, i, run)}
+	tr := ladderTrace(c, fa, i, traceSeconds(an, c.F1, c.F2))
+	return Measurement{FAlt: fa, Spectrum: r.sweepLadder(ctx, an, c, c.F1, c.F2, fa, i, tr, run)}
 }
 
-// sweepLadder sweeps [f1, f2] while the micro-benchmark alternates at fa,
-// the frequency of ladder index i. The alternation trace and its fault
-// drift derive from c.Seed + i·104729, and a trace is a prefix of every
-// longer trace of its configuration (microbench.Generate), so a
-// refinement sweep over part of the band sees the same realization the
-// exhaustive sweep i would, for as long as its shorter trace runs. The
-// sweep's journal events land on track 1+i.
-func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, run *obs.Run) *spectral.Spectrum {
+// ladderTrace generates seconds of the micro-benchmark alternating at
+// fa, the frequency of ladder index i. The trace and its fault drift
+// derive from c.Seed + i·104729, and a trace is a prefix of every longer
+// trace of its configuration (microbench.Generate), so a sweep renders
+// the same under any trace of index i that outlasts its own
+// traceSeconds.
+func ladderTrace(c Campaign, fa float64, i int, seconds float64) *activity.Trace {
 	seed := c.Seed + int64(i)*104729
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
 	// the nominal ladder.
-	tr := microbench.Generate(microbench.Config{
+	return microbench.Generate(microbench.Config{
 		X: c.X, Y: c.Y, FAlt: fa * (1 + c.Faults.DriftFor(seed)),
 		Jitter: microbench.DefaultJitter(), Seed: seed,
-	}, traceSeconds(an, f1, f2))
+	}, seconds)
+}
+
+// sweepLadder sweeps [f1, f2] under tr, ladder index i's alternation
+// trace at fa (ladderTrace), which must last at least traceSeconds for
+// the sweep. A refinement sweep over part of the band therefore sees the
+// same realization the exhaustive sweep i would. The sweep's journal
+// events land on track 1+i.
+func (r *Runner) sweepLadder(ctx context.Context, an *specan.Analyzer, c Campaign, f1, f2, fa float64, i int, tr *activity.Trace, run *obs.Run) *spectral.Spectrum {
 	// Journal track 1+i belongs to this ladder index: events within it
 	// are sequential, so the canonical journal is identical at any
 	// parallelism and any shard placement.
@@ -175,7 +184,7 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ ob
 	scoreHarmonics(res, smoothed, falts)
 	score.End()
 	detectStage := run.Begin("detect")
-	res.Detections = detect(res, spectra, smoothed, falts)
+	res.Detections = detect(c, spectra, smoothed, falts, res.harmonic)
 	releaseSmoothed(smoothed)
 	detectionsTotal.Add(int64(len(res.Detections)))
 	var prov []obs.DetectionRecord

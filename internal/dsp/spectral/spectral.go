@@ -246,6 +246,9 @@ func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window
 
 // Averager accumulates power spectra with identical geometry and yields
 // their mean, the standard spectrum-analyzer trace-averaging operation.
+// The analyzer's sweep (package specan) computes the same mean in place;
+// Averager, Slice and Stitch are the reference its reduce is tested
+// against.
 type Averager struct {
 	sum   *Spectrum
 	count int

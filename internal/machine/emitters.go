@@ -125,9 +125,12 @@ func (cs *combScratch) begin(p *combPrep, base float64) *comb {
 // oscillator; V steps by vstep·wˢ and Y by ystep·w^{n₀}, and both are
 // renormalized every sig.RotatorRenorm samples. add steps each block of
 // up to combBlock samples first, then evaluates its polynomials by
-// Horner's rule, four consecutive samples side by side as independent
+// Horner's rule, three consecutive samples side by side as independent
 // chains, so that one chain's multiply latency does not serialize the
-// block. A sample's arithmetic does not depend on how a capture is cut
+// block. Three chains, not four: the four chains' operands outgrew the
+// 16 XMM registers, and the compiled inner loop moved about ten values
+// through the stack per 32 floating-point operations; three move four
+// per 24. A sample's arithmetic does not depend on how a capture is cut
 // into stretches.
 func (c *comb) add(dst, coef, w []complex128) {
 	for len(dst) > 0 {
@@ -187,20 +190,18 @@ func (c *comb) horner(dst, coef []complex128) {
 	last := len(coef) - 1
 	top := coef[last]
 	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		v0, v1, v2, v3 := vs[i], vs[i+1], vs[i+2], vs[i+3]
-		h0, h1, h2, h3 := top, top, top, top
+	for ; i+3 <= len(dst); i += 3 {
+		v0, v1, v2 := vs[i], vs[i+1], vs[i+2]
+		h0, h1, h2 := top, top, top
 		for k := last - 1; k >= 0; k-- {
 			ck := coef[k]
 			h0 = h0*v0 + ck
 			h1 = h1*v1 + ck
 			h2 = h2*v2 + ck
-			h3 = h3*v3 + ck
 		}
 		dst[i] += ys[i] * h0
 		dst[i+1] += ys[i+1] * h1
 		dst[i+2] += ys[i+2] * h2
-		dst[i+3] += ys[i+3] * h3
 	}
 	for ; i < len(dst); i++ {
 		v, h := vs[i], top
@@ -920,10 +921,9 @@ func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
 			for k := range w {
 				s, c := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
 				w[k] = complex(c, s)
-				// ssc's own phase accumulator is unused — the comb
-				// integrates Freq() through w — but Step also advances
-				// the sweep position, which Freq() reads.
-				ssc.Step(dt, 0)
+				// The comb integrates Freq() through w, so only the
+				// sweep position moves.
+				ssc.Advance(dt)
 			}
 			cb.add(seg, coef, w)
 		}

@@ -372,6 +372,12 @@ func (s *SSC) Freq() float64 {
 // Step advances by dt against reference frequency fref.
 func (s *SSC) Step(dt, fref float64) {
 	s.phase += 2 * math.Pi * (s.Freq() - fref) * dt
+	s.Advance(dt)
+}
+
+// Advance moves the sweep position by dt without touching the phase, for
+// a caller that integrates Freq itself.
+func (s *SSC) Advance(dt float64) {
 	s.u += s.RateHz * dt
 	if s.u >= 1 {
 		s.u -= math.Floor(s.u)

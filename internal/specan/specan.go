@@ -400,7 +400,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	// counters, and the (garbage) sweep result is discarded by the caller.
 	if req.Ctx != nil && req.Ctx.Err() != nil {
 		// Keep the slot's geometry valid so the discarded sweep can still
-		// reduce without tripping the Averager; the power stays zero.
+		// reduce without tripping its geometry check.
 		_, center, _ := a.segGeom(p, req.F1, capIdx/a.cfg.Averages)
 		fres := p.fs / float64(p.nfft)
 		out.F0 = center - fres*float64(p.nfft/2)
@@ -488,32 +488,80 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 		// sweep's other captures finish (see par.Do).
 		par.Do(nCaps, func(i int) { a.capture(req, p, i, &specs[i]) })
 	}
-	// Deterministic reduction: segment by segment, traces in capture
-	// order, exactly as the serial sweep accumulated them. Progress
-	// events stride this loop (not render completion), so the journal
-	// sees the same positions at any Parallelism.
-	stride := p.segs / 8
-	if stride < 1 {
-		stride = 1
-	}
-	parts := make([]*spectral.Spectrum, 0, p.segs)
-	for s := 0; s < p.segs; s++ {
-		fStart, _, bins := a.segGeom(p, req.F1, s)
-		var avg spectral.Averager
-		for t := 0; t < a.cfg.Averages; t++ {
-			sp := &specs[s*a.cfg.Averages+t]
-			avg.Add(sp)
-			a.arena.PutFloat(sp.PmW)
-			sp.PmW = nil
-		}
-		parts = append(parts, avg.Mean().Slice(fStart, fStart+float64(bins)*a.cfg.Fres))
+	// Progress events stride the reduce (not render completion), so the
+	// journal sees the same positions at any Parallelism.
+	stride := max(p.segs/8, 1)
+	out := a.reduce(p, req.F1, specs, func(s int) {
 		if req.Events != nil && (s+1)%stride == 0 && s+1 < p.segs {
 			req.Events.Emit(obs.Event{Kind: obs.EventSweepProgress,
 				Captures: int64((s + 1) * a.cfg.Averages), Total: int64(nCaps)})
 		}
-	}
+	})
 	// Through the run, which counts the finished sweep for /progress.
 	a.cfg.Obs.Emit(req.Events, obs.Event{Kind: obs.EventSweepEnd,
 		Captures: int64(nCaps), Total: int64(nCaps)})
-	return spectral.Stitch(parts)
+	return out
+}
+
+// reduce averages each segment's traces and stitches the segments'
+// usable bins into the sweep's one spectrum, returning every trace
+// buffer to the arena; done(s) runs after segment s. It computes what
+// spectral.Averager, Mean, Spectrum.Slice and Stitch compute, bit for
+// bit, without their copies: a segment's traces sum in place into its
+// first trace's buffer, in capture order, the sum is scaled by
+// 1/Averages, and the bins Slice would keep (the same ceil(offset −
+// 1e-6) boundary rule, from the same F0) append straight to the output.
+// Their geometry checks stay: traces of a segment must match, and
+// segments must be contiguous within half a bin.
+func (a *Analyzer) reduce(p plan, f1 float64, specs []spectral.Spectrum, done func(s int)) *spectral.Spectrum {
+	avg := a.cfg.Averages
+	inv := 1 / float64(avg)
+	out := &spectral.Spectrum{PmW: make([]float64, 0, p.needBins)}
+	prevEnd := 0.0 // the previous segment's FEnd, as Stitch checks it
+	for s := 0; s < p.segs; s++ {
+		traces := specs[s*avg : (s+1)*avg]
+		sum := &traces[0]
+		for t := 1; t < avg; t++ {
+			tr := &traces[t]
+			if tr.F0 != sum.F0 || tr.Fres != sum.Fres || len(tr.PmW) != len(sum.PmW) {
+				panic("specan: trace geometry mismatch within a segment")
+			}
+			acc := sum.PmW[:len(tr.PmW)]
+			for i, v := range tr.PmW {
+				acc[i] += v
+			}
+			a.arena.PutFloat(tr.PmW)
+			tr.PmW = nil
+		}
+		fStart, _, bins := a.segGeom(p, f1, s)
+		i1 := sliceIndex(sum, fStart)
+		i2 := max(sliceIndex(sum, fStart+float64(bins)*a.cfg.Fres), i1)
+		f0 := sum.Freq(i1)
+		if s == 0 {
+			out.F0, out.Fres = f0, sum.Fres
+		} else {
+			if math.Abs(sum.Fres-out.Fres) > 1e-9*out.Fres {
+				panic("specan: segment Fres mismatch")
+			}
+			if math.Abs(f0-prevEnd) > out.Fres/2 {
+				panic(fmt.Sprintf("specan: segment %d starts at %g, expected %g", s, f0, prevEnd))
+			}
+		}
+		prevEnd = f0 + float64(i2-i1)*sum.Fres
+		for _, v := range sum.PmW[i1:i2] {
+			out.PmW = append(out.PmW, v*inv)
+		}
+		a.arena.PutFloat(sum.PmW)
+		sum.PmW = nil
+		done(s)
+	}
+	return out
+}
+
+// sliceIndex is spectral.Spectrum.Slice's boundary bin for frequency f:
+// the first bin at or above f, with a 1e-6-bin tolerance that keeps a
+// grid-aligned boundary inclusive, clamped to the spectrum.
+func sliceIndex(s *spectral.Spectrum, f float64) int {
+	i := int(math.Ceil((f-s.F0)/s.Fres - 1e-6))
+	return min(max(i, 0), len(s.PmW))
 }
