@@ -101,9 +101,9 @@ bench-smoke:
 # archive, builds both trees' benchmarks, times each gated row (the wide
 # sweep, both campaigns with their bytes allocated per op, the service
 # small scan's capture render, the twelve render-kernel rows, the two
-# periodogram rows, the service load) in 10 interleaved pairs on this
-# host, and fails when a row's median per-pair change/base ratio goes
-# past its bound.
+# periodogram rows, the service load with its bytes allocated per op) in
+# 10 interleaved pairs on this host, and fails when a row's median
+# per-pair change/base ratio goes past its bound.
 # Then it builds both trees' cmd/fase, runs the five built-in systems'
 # campaigns (seeds 1-8, the fasebench campaign geometry) and the accuracy
 # corpus once per side, and fails when a detection appears on one side

@@ -24,6 +24,7 @@ import (
 	"fase/internal/dsp/window"
 	"fase/internal/emsim"
 	"fase/internal/experiments"
+	"fase/internal/obs"
 	"fase/internal/report"
 	"fase/internal/specan"
 )
@@ -237,6 +238,36 @@ func TestCampaignAdaptiveCaptures(t *testing.T) {
 	}
 }
 
+// TestCampaignAdaptiveTraceGenerations pins the alternation traces an
+// adaptive campaign generates, over the 20 campaigns of a 20-op
+// BenchmarkCampaignAdaptive: at most one per ladder index plus one per
+// recon index (whose recon-length trace may be outlasted once by the
+// widest refinement window), 7 here. Traces sized before the windows
+// were known regenerated for each wider window: these 20 campaigns then
+// generated 143 traces, up to 10 in one campaign; sized to the widest
+// window they generate 122.
+func TestCampaignAdaptiveTraceGenerations(t *testing.T) {
+	runner, campaign, _ := adaptiveCampaign(t)
+	traces := obs.Default.Counter(obs.MetricTraces)
+	var total int64
+	for seed := int64(0); seed < 20; seed++ {
+		c := campaign
+		c.Seed = seed
+		before := traces.Value()
+		res, err := runner.RunE(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := traces.Value() - before
+		total += n
+		if limit := int64(res.Campaign.NumAlts + len(res.Measurements)); n > limit {
+			t.Errorf("seed %d: %d trace generations, want <= %d (one per ladder index, one more per recon index)",
+				seed, n, limit)
+		}
+	}
+	t.Logf("%d trace generations over 20 campaigns", total)
+}
+
 // TestCampaignAdaptiveAllocBytes pins the bytes one adaptive campaign
 // allocates, the campaign BenchmarkCampaignAdaptive times: the median over
 // seeds 0 to 4 of one run each, at GOMAXPROCS 1 (sync.Pool keeps a slot
@@ -268,10 +299,13 @@ func TestCampaignAdaptiveAllocBytes(t *testing.T) {
 	}
 	sort.Float64s(mb)
 	t.Logf("allocated %.2f MB per campaign (median; seeds read %.2f to %.2f MB)", mb[2], mb[0], mb[4])
-	// Measured 1.49 MB (seeds 0.98 to 1.61 MB) on a 2-vCPU x86-64 host with
-	// Go 1.24; 2.91 MB before sweeps reduced in place, the planner kept one
-	// trace per ladder index and windows scored from one sub-score table.
-	const maxMB = 1.25 * 1.49
+	// Measured 0.96 MB (seeds 0.76 to 1.11 MB) on a 2-vCPU x86-64 host with
+	// Go 1.24; 1.49 MB before traces stored 8-byte switch times, captures
+	// kept only their bins, the recon and refine analyzers shared one
+	// render cache and traces were sized from the windows; 2.91 MB before
+	// sweeps reduced in place, the planner kept one trace per ladder index
+	// and windows scored from one sub-score table.
+	const maxMB = 1.25 * 0.96
 	if mb[2] > maxMB {
 		t.Errorf("adaptive campaign allocated %.2f MB, want <= %.2f MB", mb[2], maxMB)
 	}

@@ -152,14 +152,23 @@ func TestReportDrift(t *testing.T) {
 	}
 }
 
-// TestRecordedResult parses the result line of a recorded `make ab` run
-// (testdata/reduce-once.txt: the sweep reduce, sub-score table and
-// planner trace changes against their parent) and checks that the data
-// agrees with itself: every compared metric's ratios are change/base per
+// TestRecordedResult parses the result line of each recorded `make ab`
+// run (testdata/reduce-once.txt: the sweep reduce, sub-score table and
+// planner trace changes against their parent; testdata/alloc-keep.txt:
+// the trace, kept-bins and shared-cache changes against theirs) and
+// checks that the data agrees with itself: every compared metric's ratios are change/base per
 // pair, its quartiles and base IQR follow from them, its verdict from the
 // bound, and the overall verdict from the rows.
 func TestRecordedResult(t *testing.T) {
-	data, err := os.ReadFile("testdata/reduce-once.txt")
+	for _, name := range []string{"reduce-once.txt", "alloc-keep.txt"} {
+		t.Run(name, func(t *testing.T) { checkRecordedResult(t, "testdata/"+name) })
+	}
+}
+
+// checkRecordedResult checks the recorded run in file (see
+// TestRecordedResult).
+func checkRecordedResult(t *testing.T, file string) {
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestAlternationTrace(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Segments) < 150 {
-		t.Errorf("segments: %d", len(tr.Segments))
+	if tr.Len() < 150 {
+		t.Errorf("segments: %d", tr.Len())
 	}
 }

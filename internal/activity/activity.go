@@ -197,44 +197,74 @@ func (d Domain) Of(l Load) float64 {
 	}
 }
 
-// Segment is a constant-load interval of a trace.
+// Segment is one constant-load interval of a trace: its load holds from
+// Start until the next segment's Start.
 type Segment struct {
 	Start float64 // seconds
 	Load  Load
 }
 
-// Trace is a piecewise-constant load envelope: Segments[i] holds from its
-// Start until Segments[i+1].Start (the last holds forever). Segments must
-// be sorted by Start; the first segment should start at or before 0.
+// Trace is a piecewise-constant load envelope: segment i holds from its
+// start until segment i+1's (the last holds forever). Starts must be
+// sorted, and the first should be at or before 0.
+//
+// A trace keeps its segments' start times apart from their loads, and
+// segment i holds loads[i mod len(loads)]: an alternation between two
+// activities stores its two loads once and 8 bytes per switch, while a
+// trace of arbitrary loads stores one load per segment. The zero value
+// is the empty trace, which reads the zero load everywhere.
 type Trace struct {
-	Segments []Segment
+	starts []float64
+	loads  []Load
+}
+
+// New returns the trace whose segment i starts at starts[i] and holds
+// loads[i mod len(loads)]: pass one load per start for arbitrary loads,
+// or the cycle of loads an alternation repeats. The trace keeps starts
+// and loads, which the caller must not modify afterwards.
+func New(starts []float64, loads ...Load) *Trace {
+	if len(starts) > 0 && len(loads) == 0 {
+		panic("activity: a trace with segments needs at least one load")
+	}
+	return &Trace{starts: starts, loads: loads}
 }
 
 // NewConstant returns a trace that holds a single load forever.
 func NewConstant(l Load) *Trace {
-	return &Trace{Segments: []Segment{{Start: 0, Load: l}}}
+	return New([]float64{0}, l)
 }
+
+// Len returns the number of segments.
+func (tr *Trace) Len() int { return len(tr.starts) }
+
+// Segment returns segment i.
+func (tr *Trace) Segment(i int) Segment {
+	return Segment{Start: tr.starts[i], Load: tr.load(i)}
+}
+
+// load returns the load segment i holds.
+func (tr *Trace) load(i int) Load { return tr.loads[i%len(tr.loads)] }
 
 // At returns the load at time t using binary search. For sample-by-sample
 // rendering use a Cursor, which is O(1) amortized for monotone time.
 func (tr *Trace) At(t float64) Load {
-	if len(tr.Segments) == 0 {
+	if len(tr.starts) == 0 {
 		return Load{}
 	}
-	i := sort.Search(len(tr.Segments), func(i int) bool { return tr.Segments[i].Start > t })
+	i := sort.Search(len(tr.starts), func(i int) bool { return tr.starts[i] > t })
 	if i == 0 {
-		return tr.Segments[0].Load
+		return tr.load(0)
 	}
-	return tr.Segments[i-1].Load
+	return tr.load(i - 1)
 }
 
 // End returns the start time of the last segment (the trace holds its last
 // load beyond this).
 func (tr *Trace) End() float64 {
-	if len(tr.Segments) == 0 {
+	if len(tr.starts) == 0 {
 		return 0
 	}
-	return tr.Segments[len(tr.Segments)-1].Start
+	return tr.starts[len(tr.starts)-1]
 }
 
 // Cursor iterates a trace with monotonically non-decreasing time queries.
@@ -249,14 +279,14 @@ func (tr *Trace) Cursor() *Cursor { return &Cursor{trace: tr} }
 // At returns the load at time t. Queries must be non-decreasing in t;
 // earlier times return the load at the cursor's current segment.
 func (c *Cursor) At(t float64) Load {
-	segs := c.trace.Segments
-	if len(segs) == 0 {
+	starts := c.trace.starts
+	if len(starts) == 0 {
 		return Load{}
 	}
-	for c.idx+1 < len(segs) && segs[c.idx+1].Start <= t {
+	for c.idx+1 < len(starts) && starts[c.idx+1] <= t {
 		c.idx++
 	}
-	return segs[c.idx].Load
+	return c.trace.load(c.idx)
 }
 
 // SampleRuns iterates the maximal constant-segment runs of the uniform
@@ -264,12 +294,12 @@ func (c *Cursor) At(t float64) Load {
 // sample range [i0, i1) whose samples all read the same trace segment.
 //
 // Boundary samples are assigned by the exact Cursor predicate
-// (Segments[s+1].Start <= t_i), evaluated with the same float expressions
+// (segment s+1's start <= t_i), evaluated with the same float expressions
 // a per-sample Cursor walk uses, so for every i the run covering i carries
 // precisely the load Cursor.At(t_i) would return — renderers can iterate
 // runs instead of samples with bit-identical results. dt must be positive.
 type SampleRuns struct {
-	segs      []Segment
+	tr        *Trace
 	start, dt float64
 	n         int
 	i         int // next sample index to assign
@@ -279,10 +309,11 @@ type SampleRuns struct {
 // SampleRuns returns a run iterator over the first n samples of the grid
 // t_i = start + i·dt.
 func (tr *Trace) SampleRuns(start, dt float64, n int) SampleRuns {
-	sr := SampleRuns{segs: tr.Segments, start: start, dt: dt, n: n}
+	sr := SampleRuns{tr: tr, start: start, dt: dt, n: n}
 	// Position the cursor at sample 0 — the same advance a Cursor performs
 	// for its first At(t_0) query (t_0 = start + 0·dt = start).
-	for sr.seg+1 < len(sr.segs) && sr.segs[sr.seg+1].Start <= start {
+	starts := tr.starts
+	for sr.seg+1 < len(starts) && starts[sr.seg+1] <= start {
 		sr.seg++
 	}
 	return sr
@@ -295,17 +326,18 @@ func (sr *SampleRuns) Next() (load Load, i0, i1 int, ok bool) {
 		return Load{}, 0, 0, false
 	}
 	i0 = sr.i
-	if len(sr.segs) == 0 {
+	starts := sr.tr.starts
+	if len(starts) == 0 {
 		// Empty trace: Cursor.At returns the zero load everywhere.
 		sr.i = sr.n
 		return Load{}, i0, sr.n, true
 	}
-	load = sr.segs[sr.seg].Load
-	if sr.seg+1 >= len(sr.segs) {
+	load = sr.tr.load(sr.seg)
+	if sr.seg+1 >= len(starts) {
 		sr.i = sr.n
 		return load, i0, sr.n, true
 	}
-	next := sr.segs[sr.seg+1].Start
+	next := starts[sr.seg+1]
 	// The run ends at the smallest i with t_i >= next (the cursor's advance
 	// predicate). t_i = start + float64(i)·dt is non-decreasing in i (float
 	// rounding is monotone), so an arithmetic estimate fixed up by direct
@@ -331,7 +363,7 @@ func (sr *SampleRuns) Next() (load Load, i0, i1 int, ok bool) {
 		// skipping segments shorter than a sample period, exactly as
 		// Cursor.At does.
 		t := sr.start + float64(i1)*sr.dt
-		for sr.seg+1 < len(sr.segs) && sr.segs[sr.seg+1].Start <= t {
+		for sr.seg+1 < len(starts) && starts[sr.seg+1] <= t {
 			sr.seg++
 		}
 	}
@@ -395,17 +427,17 @@ func (dr *DomainRuns) Next() (load float64, i0, i1 int, ok bool) {
 // reads the returned value, while a false result may miss a constancy
 // that holds on the sample grid.
 func (tr *Trace) DomainConstant(d Domain, t0, t1 float64) (float64, bool) {
-	segs := tr.Segments
-	if len(segs) == 0 {
+	starts := tr.starts
+	if len(starts) == 0 {
 		return 0, true
 	}
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].Start > t0 })
+	i := sort.Search(len(starts), func(i int) bool { return starts[i] > t0 })
 	if i > 0 {
 		i--
 	}
-	v := d.Of(segs[i].Load)
-	for i++; i < len(segs) && segs[i].Start <= t1; i++ {
-		if d.Of(segs[i].Load) != v {
+	v := d.Of(tr.load(i))
+	for i++; i < len(starts) && starts[i] <= t1; i++ {
+		if d.Of(tr.load(i)) != v {
 			return 0, false
 		}
 	}
@@ -414,13 +446,14 @@ func (tr *Trace) DomainConstant(d Domain, t0, t1 float64) (float64, bool) {
 
 // Validate checks trace invariants: sorted starts, loads within [0, 1].
 func (tr *Trace) Validate() error {
-	for i, s := range tr.Segments {
-		if i > 0 && s.Start < tr.Segments[i-1].Start {
-			return fmt.Errorf("activity: segment %d starts at %g before previous %g", i, s.Start, tr.Segments[i-1].Start)
+	for i, s := range tr.starts {
+		if i > 0 && s < tr.starts[i-1] {
+			return fmt.Errorf("activity: segment %d starts at %g before previous %g", i, s, tr.starts[i-1])
 		}
-		for _, v := range []float64{s.Load.Core, s.Load.MemCtl, s.Load.DRAM} {
+		l := tr.load(i)
+		for _, v := range []float64{l.Core, l.MemCtl, l.DRAM} {
 			if v < 0 || v > 1 {
-				return fmt.Errorf("activity: segment %d load %+v out of [0,1]", i, s.Load)
+				return fmt.Errorf("activity: segment %d load %+v out of [0,1]", i, l)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package activity
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -93,11 +94,7 @@ func TestDomainOf(t *testing.T) {
 }
 
 func TestTraceAt(t *testing.T) {
-	tr := &Trace{Segments: []Segment{
-		{Start: 0, Load: Load{Core: 0.1}},
-		{Start: 1, Load: Load{Core: 0.2}},
-		{Start: 2, Load: Load{Core: 0.3}},
-	}}
+	tr := New([]float64{0, 1, 2}, Load{Core: 0.1}, Load{Core: 0.2}, Load{Core: 0.3})
 	cases := map[float64]float64{-1: 0.1, 0: 0.1, 0.5: 0.1, 1: 0.2, 1.99: 0.2, 2: 0.3, 100: 0.3}
 	for at, want := range cases {
 		if got := tr.At(at).Core; got != want {
@@ -116,12 +113,14 @@ func TestCursorMatchesAt(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(50)
-		tr := &Trace{}
+		starts := make([]float64, n)
+		loads := make([]Load, n)
 		t0 := 0.0
-		for i := 0; i < n; i++ {
-			tr.Segments = append(tr.Segments, Segment{Start: t0, Load: Load{Core: r.Float64()}})
+		for i := range starts {
+			starts[i], loads[i] = t0, Load{Core: r.Float64()}
 			t0 += r.Float64()
 		}
+		tr := New(starts, loads...)
 		// Monotone queries through the cursor must match binary search.
 		c := tr.Cursor()
 		times := make([]float64, 100)
@@ -159,14 +158,86 @@ func TestNewConstant(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	bad := &Trace{Segments: []Segment{{Start: 1}, {Start: 0}}}
+	bad := New([]float64{1, 0}, Load{})
 	if bad.Validate() == nil {
 		t.Error("unsorted trace should fail validation")
 	}
-	bad2 := &Trace{Segments: []Segment{{Start: 0, Load: Load{Core: 2}}}}
+	bad2 := New([]float64{0}, Load{Core: 2})
 	if bad2.Validate() == nil {
 		t.Error("out-of-range load should fail validation")
 	}
+}
+
+// TestCyclicLoadsMatchPerSegment: a trace that stores a cycle of loads
+// reads, through every accessor, exactly what the same trace storing one
+// load per segment reads: the same segments, the same loads at and
+// between every switch, the same sample runs, domain runs and window
+// constancy, and the same validation verdict.
+func TestCyclicLoadsMatchPerSegment(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	x, y := LoadOf(LDM), LoadOf(LDL1)
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + r.Intn(60)
+		starts := make([]float64, n)
+		loads := make([]Load, n)
+		t0 := -r.Float64() * 1e-4
+		for i := range starts {
+			starts[i], loads[i] = t0, x
+			if i%2 == 1 {
+				loads[i] = y
+			}
+			t0 += r.Float64() * 20e-6
+		}
+		cyc, flat := New(starts, x, y), New(starts, loads...)
+		if cyc.Len() != n || cyc.End() != flat.End() {
+			t.Fatalf("trial %d: %d segments ending %g, want %d ending %g", trial, cyc.Len(), cyc.End(), n, flat.End())
+		}
+		for i := 0; i < n; i++ {
+			if cyc.Segment(i) != flat.Segment(i) {
+				t.Fatalf("trial %d: segment %d is %+v, want %+v", trial, i, cyc.Segment(i), flat.Segment(i))
+			}
+			for _, at := range []float64{starts[i], math.Nextafter(starts[i], math.Inf(-1))} {
+				if cyc.At(at) != flat.At(at) {
+					t.Fatalf("trial %d: At(%g) = %+v, want %+v", trial, at, cyc.At(at), flat.At(at))
+				}
+			}
+		}
+		start, dt, m := starts[0]+r.Float64()*5e-6, 1/(200e3+r.Float64()*400e3), 1+r.Intn(512)
+		cr, fr := cyc.SampleRuns(start, dt, m), flat.SampleRuns(start, dt, m)
+		for {
+			l1, a1, b1, ok1 := cr.Next()
+			l2, a2, b2, ok2 := fr.Next()
+			if l1 != l2 || a1 != a2 || b1 != b2 || ok1 != ok2 {
+				t.Fatalf("trial %d: run %+v [%d,%d) %v, want %+v [%d,%d) %v", trial, l1, a1, b1, ok1, l2, a2, b2, ok2)
+			}
+			if !ok1 {
+				break
+			}
+		}
+		t1 := start + float64(m-1)*dt
+		for _, dom := range []Domain{DomainCore, DomainMemCtl, DomainDRAM} {
+			cd, fd := cyc.DomainRuns(dom, start, dt, m), flat.DomainRuns(dom, start, dt, m)
+			for {
+				l1, a1, b1, ok1 := cd.Next()
+				l2, a2, b2, ok2 := fd.Next()
+				if l1 != l2 || a1 != a2 || b1 != b2 || ok1 != ok2 {
+					t.Fatalf("trial %d %v: domain run differs", trial, dom)
+				}
+				if !ok1 {
+					break
+				}
+			}
+			v1, c1 := cyc.DomainConstant(dom, start, t1)
+			v2, c2 := flat.DomainConstant(dom, start, t1)
+			if v1 != v2 || c1 != c2 {
+				t.Fatalf("trial %d %v: DomainConstant %v %v, want %v %v", trial, dom, v1, c1, v2, c2)
+			}
+		}
+		if (cyc.Validate() == nil) != (flat.Validate() == nil) {
+			t.Fatalf("trial %d: Validate %v, want %v", trial, cyc.Validate(), flat.Validate())
+		}
+	}
+	mustPanic(t, func() { New([]float64{0}) })
 }
 
 func mustPanic(t *testing.T, f func()) {

@@ -9,7 +9,8 @@ import (
 // randTrace builds an adversarial trace: random segment starts (possibly
 // negative, duplicated, or closer together than a sample period), with
 // loads drawn from a small palette so adjacent segments often repeat a
-// domain value — the case DomainRuns must merge.
+// domain value — the case DomainRuns must merge. One trace in three is
+// an alternation instead, storing a cycle of two palette loads.
 func randTrace(r *rand.Rand) *Trace {
 	nseg := r.Intn(40)
 	palette := []Load{
@@ -18,15 +19,19 @@ func randTrace(r *rand.Rand) *Trace {
 		{Core: 0.50, MemCtl: 0.05, DRAM: 0.02},
 		{Core: r.Float64(), MemCtl: r.Float64(), DRAM: r.Float64()},
 	}
-	tr := &Trace{}
+	starts := make([]float64, nseg)
+	loads := make([]Load, nseg)
 	t := -r.Float64() * 1e-3
-	for i := 0; i < nseg; i++ {
-		tr.Segments = append(tr.Segments, Segment{Start: t, Load: palette[r.Intn(len(palette))]})
+	for i := range starts {
+		starts[i], loads[i] = t, palette[r.Intn(len(palette))]
 		if r.Intn(4) != 0 { // leave some duplicate starts in place
 			t += r.Float64() * 50e-6 // 0..50 µs vs ~2.4 µs sample period
 		}
 	}
-	return tr
+	if r.Intn(3) == 0 {
+		return New(starts, palette[r.Intn(len(palette))], palette[r.Intn(len(palette))])
+	}
+	return New(starts, loads...)
 }
 
 // TestSampleRunsMatchCursor is the segmentation property test: the runs

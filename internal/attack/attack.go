@@ -82,16 +82,16 @@ func SecretTrace(bits []byte, x, y activity.Kind, tBit float64) *activity.Trace 
 	if tBit <= 0 {
 		panic(fmt.Sprintf("attack: tBit %g must be positive", tBit))
 	}
-	tr := &activity.Trace{}
 	lx, ly := activity.LoadOf(x), activity.LoadOf(y)
+	starts := make([]float64, len(bits))
+	loads := make([]activity.Load, len(bits))
 	for i, b := range bits {
-		l := ly
+		starts[i], loads[i] = float64(i)*tBit, ly
 		if b != 0 {
-			l = lx
+			loads[i] = lx
 		}
-		tr.Segments = append(tr.Segments, activity.Segment{Start: float64(i) * tBit, Load: l})
 	}
-	return tr
+	return activity.New(starts, loads...)
 }
 
 // RecoverBits slices the demodulated envelope into nBits windows of tBit

@@ -22,8 +22,8 @@ func randomBits(r *rand.Rand, n int) []byte {
 
 func TestSecretTrace(t *testing.T) {
 	tr := SecretTrace([]byte{1, 0, 1}, activity.LDM, activity.LDL1, 1e-3)
-	if len(tr.Segments) != 3 {
-		t.Fatalf("segments: %d", len(tr.Segments))
+	if tr.Len() != 3 {
+		t.Fatalf("segments: %d", tr.Len())
 	}
 	if tr.At(0.0005).DRAM != activity.LoadOf(activity.LDM).DRAM {
 		t.Error("bit 1 should run X activity")

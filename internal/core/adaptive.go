@@ -229,11 +229,15 @@ func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falt
 
 // ladderTraces holds an adaptive campaign's alternation trace per ladder
 // index, so that an index's recon, probe and refine sweeps share one
-// generation instead of one per window. An index's first trace lasts
-// first seconds; a sweep that outlasts its trace regenerates it at the
-// sweep's own length. Both are exact, since any trace of index i that
-// outlasts a sweep renders it the same (ladderTrace). Each index has its
-// own lock: a band's sweeps, one per index, run concurrently.
+// generation instead of one per window. A trace lasts at least first
+// seconds: the recon sweep's length (or a one-segment window's) during
+// recon, raised to the widest window's once the windows are built, so a
+// recon index regenerates at most once and a complement index never. A
+// sweep that outlasts its trace regenerates it at the sweep's own
+// length. Every trace is exact, since any trace of index i that outlasts
+// a sweep renders it the same (ladderTrace). Each index has its own
+// lock: a band's sweeps, one per index, run concurrently; first changes
+// only between passes.
 type ladderTraces struct {
 	c     Campaign
 	falts []float64
@@ -410,13 +414,15 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	// analyzers.
 	recon := run.Begin("recon")
 
-	// Recon and refine analyzers each get their own static render cache:
-	// every sweep of a pass shares the campaign seed, so a pass's captures
-	// replay each other's static layers.
+	// The recon and refine analyzers share one render cache: each
+	// geometry's plan is built once, one set of buffers serves both
+	// passes, and since every sweep shares the campaign seed, a pass's
+	// captures replay each other's static layers.
+	cache := specan.NewStaticCache()
 	anCfg := func(fres float64, avg int, m *specan.Meter) specan.Config {
 		return specan.Config{Fres: fres, Averages: avg, Parallelism: c.Parallelism,
 			MaxFFT: c.MaxFFT, Faults: c.Faults, Meter: m,
-			Statics: specan.NewStaticCache(), Obs: run}
+			Statics: cache, Obs: run}
 	}
 	// Price the equivalent exhaustive campaign (same geometry, no meter)
 	// for the manifest's savings ratio.
@@ -463,6 +469,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		perSweep := refineAn.SweepCaptures(windows[i].f1, windows[i].f2)
 		windows[i].probeCost = int64(len(reconIdx)) * perSweep
 		windows[i].fullCost = int64(len(compIdx)) * perSweep
+		// From here on every trace lasts the widest window: a complement
+		// index's first trace serves all its windows, and a recon index
+		// regenerates at most once.
+		traces.first = max(traces.first, traceSeconds(refineAn, windows[i].f1, windows[i].f2))
 	}
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))

@@ -18,6 +18,7 @@ import (
 var (
 	campaignsTotal  = obs.Default.Counter(obs.MetricCampaigns)
 	detectionsTotal = obs.Default.Counter(obs.MetricDetections)
+	tracesTotal     = obs.Default.Counter(obs.MetricTraces)
 )
 
 // Campaign describes one FASE measurement campaign: a frequency range, a

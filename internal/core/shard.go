@@ -49,12 +49,14 @@ func PlanShards(c Campaign) (*ShardPlan, error) {
 }
 
 // AnalyzerConfig is the specan configuration RunE would build for this
-// campaign, including a fresh static render cache that every analyzer
-// built from the returned config shares: the campaign's sweeps all use the
-// campaign seed, so each capture's static layer is built once and replayed
-// by the other NumAlts-1 sweeps. Callers running shards on separate
-// analyzers (one per worker) should override Parallelism to 1 so the
-// fleet, not each analyzer, bounds concurrency.
+// campaign, including a fresh render cache (specan.StaticCache) that
+// every analyzer built from the returned config shares: each segment's
+// render plan is built once, one set of capture and bin buffers serves
+// every sweep, and, since the campaign's sweeps all use the campaign
+// seed, each capture's static layer is built once and replayed by the
+// other NumAlts-1 sweeps. Callers running shards on separate analyzers
+// (one per worker) should override Parallelism to 1 so the fleet, not
+// each analyzer, bounds concurrency.
 func (p *ShardPlan) AnalyzerConfig(run *obs.Run) specan.Config {
 	c := p.Campaign
 	return specan.Config{Fres: c.Fres, Averages: c.Averages, Parallelism: c.Parallelism,
@@ -101,6 +103,7 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 // traceSeconds.
 func ladderTrace(c Campaign, fa float64, i int, seconds float64) *activity.Trace {
 	seed := c.Seed + int64(i)*104729
+	tracesTotal.Inc()
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
 	// the nominal ladder.

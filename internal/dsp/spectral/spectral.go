@@ -208,37 +208,53 @@ func Periodogram(x []complex128, fs, fc float64, wt window.Type) *Spectrum {
 // PeriodogramInPlace is the allocation-free core of Periodogram: it uses x
 // as the transform buffer (destroying its contents) and writes the result
 // into out, whose PmW must already have len(x) elements. out's F0 and Fres
-// are overwritten. The sweep worker pool pairs this with pooled capture
-// and bin buffers to keep the steady-state render path allocation-free.
+// are overwritten. It is PeriodogramBins over every bin.
+func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window.Type) {
+	PeriodogramBins(out, x, fs, fc, wt, 0, len(x))
+}
+
+// PeriodogramBins is the periodogram of x restricted to output bins
+// [i1, i2) of the len(x) bins PeriodogramInPlace computes: out.PmW must
+// hold i2−i1 elements, and out.F0 is the frequency of bin i1. Each kept
+// bin is bit-identical to the same bin of the full periodogram. x is the
+// transform buffer and is destroyed. The sweep keeps only the bins a
+// segment contributes, so its capture buffers hold those bins alone.
 //
 // The window is folded into the transform's first pass, and the power
 // pass reads the transform in the plan's output order (bit-reversed for
 // power-of-two lengths) at fftshift positions, so no window, permutation
 // or shift pass touches x.
-func PeriodogramInPlace(out *Spectrum, x []complex128, fs, fc float64, wt window.Type) {
+func PeriodogramBins(out *Spectrum, x []complex128, fs, fc float64, wt window.Type, i1, i2 int) {
 	n := len(x)
 	if n == 0 {
 		panic("spectral: empty capture")
 	}
-	if len(out.PmW) != n {
-		panic(fmt.Sprintf("spectral: output has %d bins for a %d-sample capture", len(out.PmW), n))
+	if i1 < 0 || i2 > n || i2 < i1 {
+		panic(fmt.Sprintf("spectral: bins [%d, %d) of a %d-sample capture", i1, i2, n))
+	}
+	if len(out.PmW) != i2-i1 {
+		panic(fmt.Sprintf("spectral: output has %d bins for bins [%d, %d)", len(out.PmW), i1, i2))
 	}
 	pc := window.For(wt, n)
 	plan := fft.PlanFor(n)
 	plan.ForwardPermuted(x, pc.W)
 	norm := 1 / (float64(n) * pc.CoherentGain)
 	fres := fs / float64(n)
-	out.F0 = fc - fres*float64(n/2)
+	f0 := fc - fres*float64(n/2)
+	out.F0 = f0 + float64(i1)*fres
 	out.Fres = fres
 	// fftshift: output bin i is transform element (i + h) mod n, which
-	// the plan left at x[perm[(i+h) mod n]].
+	// the plan left at x[perm[(i+h) mod n]]. Bins below n−h read
+	// perm[i+h], the rest perm[i−(n−h)].
 	perm, h := plan.Perm(), (n+1)/2
-	lo, hi := out.PmW[:n-h], out.PmW[n-h:]
-	for i, k := range perm[h:] {
+	split := n - h
+	a, b := min(i1, split), min(i2, split)
+	lo, hi := out.PmW[:b-a], out.PmW[b-a:]
+	for i, k := range perm[a+h : b+h] {
 		v := x[k]
 		lo[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
 	}
-	for i, k := range perm[:h] {
+	for i, k := range perm[max(i1, split)-split : max(i2, split)-split] {
 		v := x[k]
 		hi[i] = (real(v)*real(v) + imag(v)*imag(v)) * norm * norm
 	}

@@ -353,8 +353,49 @@ func TestGoertzelMatchesDFTBin(t *testing.T) {
 	}
 }
 
+// TestPeriodogramBinsMatchFull: a periodogram restricted to bins
+// [i1, i2) holds, bit for bit, those bins of the full periodogram, and its
+// F0 is the full spectrum's Freq(i1), for ranges below, across and above
+// the fftshift split, empty ranges and the full range, at even, odd and
+// power-of-two lengths.
+func TestPeriodogramBinsMatchFull(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	const fs, fc = 1.6e6, 550e3
+	for _, n := range []int{64, 65, 1000, 2048, 16384} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+		full := &Spectrum{PmW: make([]float64, n)}
+		PeriodogramInPlace(full, append([]complex128(nil), x...), fs, fc, window.BlackmanHarris)
+		split := n - (n+1)/2
+		ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {0, split}, {split, n}, {split - 1, split + 1}, {split, split}}
+		for k := 0; k < 20; k++ {
+			i1 := r.Intn(n + 1)
+			ranges = append(ranges, [2]int{i1, i1 + r.Intn(n+1-i1)})
+		}
+		for _, rg := range ranges {
+			i1, i2 := rg[0], rg[1]
+			got := &Spectrum{PmW: make([]float64, i2-i1)}
+			PeriodogramBins(got, append([]complex128(nil), x...), fs, fc, window.BlackmanHarris, i1, i2)
+			if math.Float64bits(got.F0) != math.Float64bits(full.Freq(i1)) || got.Fres != full.Fres {
+				t.Fatalf("n=%d bins [%d, %d): F0 %v Fres %v, want %v %v", n, i1, i2, got.F0, got.Fres, full.Freq(i1), full.Fres)
+			}
+			for i, v := range got.PmW {
+				if math.Float64bits(v) != math.Float64bits(full.PmW[i1+i]) {
+					t.Fatalf("n=%d bins [%d, %d): bin %d = %v, want %v", n, i1, i2, i1+i, v, full.PmW[i1+i])
+				}
+			}
+		}
+	}
+}
+
 func TestPeriodogramPanics(t *testing.T) {
 	mustPanic(t, func() { Periodogram(nil, 1e6, 0, window.Hann) })
+	x := make([]complex128, 64)
+	mustPanic(t, func() { PeriodogramBins(&Spectrum{PmW: make([]float64, 8)}, x, 1e6, 0, window.Hann, 4, 8) })
+	mustPanic(t, func() { PeriodogramBins(&Spectrum{PmW: make([]float64, 8)}, x, 1e6, 0, window.Hann, 60, 68) })
+	mustPanic(t, func() { PeriodogramBins(&Spectrum{}, x, 1e6, 0, window.Hann, 8, 4) })
 	mustPanic(t, func() { New(0, -1, 10) })
 	mustPanic(t, func() { New(0, 1, 10).Slice(100, 50) })
 }

@@ -217,8 +217,8 @@ func fig06(cfg Config) *report.Output {
 	durs := map[string]int{}
 	var total float64
 	n := 0
-	for i := 1; i < len(tr.Segments); i++ {
-		d := tr.Segments[i].Start - tr.Segments[i-1].Start
+	for i := 1; i < tr.Len(); i++ {
+		d := tr.Segment(i).Start - tr.Segment(i-1).Start
 		total += d
 		n++
 		key := fmt.Sprintf("%.1f µs", math.Round(d*1e7)/10)

@@ -13,15 +13,13 @@ import (
 // withTail returns tr's segments that start before cut, followed by one
 // segment that holds load from cut on.
 func withTail(tr *activity.Trace, cut float64, load activity.Load) *activity.Trace {
-	out := &activity.Trace{}
-	for _, s := range tr.Segments {
-		if s.Start >= cut {
-			break
-		}
-		out.Segments = append(out.Segments, s)
+	var starts []float64
+	var loads []activity.Load
+	for i := 0; i < tr.Len() && tr.Segment(i).Start < cut; i++ {
+		starts = append(starts, tr.Segment(i).Start)
+		loads = append(loads, tr.Segment(i).Load)
 	}
-	out.Segments = append(out.Segments, activity.Segment{Start: cut, Load: load})
-	return out
+	return activity.New(append(starts, cut), append(loads, load)...)
 }
 
 // TestActivityLookaheadEquivalence holds every built-in system (near and

@@ -130,21 +130,22 @@ func Generate(cfg Config, duration float64) *activity.Trace {
 	xLoad := activity.LoadOf(cfg.X)
 	yLoad := activity.LoadOf(cfg.Y)
 
-	tr := &activity.Trace{}
-	// The mean real-time period is period·meanMult = 1/FAlt, so the
-	// expected segment count is 2·duration·FAlt; a little headroom keeps
-	// the append loop from ever regrowing (and re-copying) the slice.
-	tr.Segments = make([]activity.Segment, 0, 2*int(duration*cfg.FAlt+16)*9/8)
+	// The trace stores each switch time once and the two loads once:
+	// segment 2k runs X, segment 2k+1 runs Y. The mean real-time period
+	// is period·meanMult = 1/FAlt, so the expected switch count is
+	// 2·duration·FAlt; a little headroom keeps the append loop from ever
+	// regrowing (and re-copying) the slice.
+	starts := make([]float64, 0, 2*int(duration*cfg.FAlt+16)*9/8)
 	t := 0.0
 	for t < duration {
 		dx := period * duty * cfg.Jitter.draw(r)
 		dy := period * (1 - duty) * cfg.Jitter.draw(r)
-		tr.Segments = append(tr.Segments, activity.Segment{Start: t, Load: xLoad})
+		starts = append(starts, t)
 		t += dx
-		tr.Segments = append(tr.Segments, activity.Segment{Start: t, Load: yLoad})
+		starts = append(starts, t)
 		t += dy
 	}
-	return tr
+	return activity.New(starts, xLoad, yLoad)
 }
 
 // Constant returns a trace that runs one activity continuously — the

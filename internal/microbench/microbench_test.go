@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fase/internal/activity"
+	"fase/internal/sig"
 )
 
 func TestGenerateAlternates(t *testing.T) {
@@ -14,11 +15,12 @@ func TestGenerateAlternates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 ms at 1 kHz -> 10 periods -> 20 segments.
-	if len(tr.Segments) != 20 {
-		t.Fatalf("segments = %d, want 20", len(tr.Segments))
+	segs := segments(tr)
+	if len(segs) != 20 {
+		t.Fatalf("segments = %d, want 20", len(segs))
 	}
 	ldm, ldl1 := activity.LoadOf(activity.LDM), activity.LoadOf(activity.LDL1)
-	for i, s := range tr.Segments {
+	for i, s := range segs {
 		want := ldm
 		if i%2 == 1 {
 			want = ldl1
@@ -28,7 +30,7 @@ func TestGenerateAlternates(t *testing.T) {
 		}
 	}
 	// Perfect square wave: starts at multiples of 0.5 ms.
-	for i, s := range tr.Segments {
+	for i, s := range segs {
 		if math.Abs(s.Start-float64(i)*0.0005) > 1e-12 {
 			t.Fatalf("segment %d starts at %g", i, s.Start)
 		}
@@ -40,7 +42,7 @@ func TestGenerateCalibratedMeanPeriod(t *testing.T) {
 	cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: 43300, Jitter: DefaultJitter(), Seed: 7}
 	dur := 2.0
 	tr := Generate(cfg, dur)
-	periods := float64(len(tr.Segments)) / 2
+	periods := float64(tr.Len()) / 2
 	gotFAlt := periods / tr.End() // approximately; End is start of last segment
 	if math.Abs(gotFAlt-43300)/43300 > 0.01 {
 		t.Errorf("mean alternation frequency %g, want ~43300", gotFAlt)
@@ -51,8 +53,8 @@ func TestGenerateJitterVariesDurations(t *testing.T) {
 	cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: 1000, Jitter: DefaultJitter(), Seed: 3}
 	tr := Generate(cfg, 1.0)
 	durs := map[float64]bool{}
-	for i := 1; i < len(tr.Segments); i++ {
-		d := math.Round((tr.Segments[i].Start-tr.Segments[i-1].Start)*1e7) / 1e7
+	for i := 1; i < tr.Len(); i++ {
+		d := math.Round((tr.Segment(i).Start-tr.Segment(i-1).Start)*1e7) / 1e7
 		durs[d] = true
 	}
 	if len(durs) < 3 {
@@ -62,13 +64,13 @@ func TestGenerateJitterVariesDurations(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Config{X: activity.LDL2, Y: activity.LDL1, FAlt: 500, Jitter: DefaultJitter(), Seed: 42}
-	a := Generate(cfg, 0.1)
-	b := Generate(cfg, 0.1)
-	if len(a.Segments) != len(b.Segments) {
+	a := segments(Generate(cfg, 0.1))
+	b := segments(Generate(cfg, 0.1))
+	if len(a) != len(b) {
 		t.Fatal("non-deterministic segment count")
 	}
-	for i := range a.Segments {
-		if a.Segments[i] != b.Segments[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("non-deterministic trace")
 		}
 	}
@@ -78,8 +80,8 @@ func TestGenerateDuty(t *testing.T) {
 	cfg := Config{X: activity.LDM, Y: activity.LDL1, FAlt: 1000, Jitter: NoJitter(), Seed: 1}
 	tr := Generate(cfg, 0.01)
 	// X and Y each take half of the 1 ms period.
-	dx := tr.Segments[1].Start - tr.Segments[0].Start
-	dy := tr.Segments[2].Start - tr.Segments[1].Start
+	dx := tr.Segment(1).Start - tr.Segment(0).Start
+	dy := tr.Segment(2).Start - tr.Segment(1).Start
 	if math.Abs(dx-0.0005) > 1e-12 || math.Abs(dy-0.0005) > 1e-12 {
 		t.Errorf("duty 0.5: dx=%g dy=%g", dx, dy)
 	}
@@ -121,25 +123,26 @@ func TestGeneratePrefix(t *testing.T) {
 				for _, d := range [][2]float64{{0.0035, 0.0525}, {0.009, 0.058}, {0.041, 0.09}} {
 					d1, d2 := d[0], d[1]
 					short, long := Generate(cfg, d1), Generate(cfg, d2)
+					ss, ls := segments(short), segments(long)
 					n := 0
-					for n < len(short.Segments) && short.Segments[n].Start < d1 {
+					for n < len(ss) && ss[n].Start < d1 {
 						n++
 					}
-					if n == 0 || n >= len(long.Segments) {
+					if n == 0 || n >= len(ls) {
 						t.Fatalf("%s seed %d f_alt %g: %d segments before %g s, %d in the %g s trace",
-							jt.name, seed, falt, n, d1, len(long.Segments), d2)
+							jt.name, seed, falt, n, d1, len(ls), d2)
 					}
-					for i, s := range short.Segments[:n] {
-						if s != long.Segments[i] {
+					for i, s := range ss[:n] {
+						if s != ls[i] {
 							t.Fatalf("%s seed %d f_alt %g: segment %d is %+v in the %g s trace, %+v in the %g s one",
-								jt.name, seed, falt, i, s, d1, long.Segments[i], d2)
+								jt.name, seed, falt, i, s, d1, ls[i], d2)
 						}
 					}
 					// Each segment boundary below d1 of either trace, the
 					// instant before it, and a fine grid up to d1.
 					var ts []float64
-					for _, tr := range []*activity.Trace{short, long} {
-						for _, s := range tr.Segments {
+					for _, segs := range [][]activity.Segment{ss, ls} {
+						for _, s := range segs {
 							if s.Start < d1 {
 								ts = append(ts, s.Start, math.Nextafter(s.Start, math.Inf(-1)))
 							}
@@ -154,6 +157,56 @@ func TestGeneratePrefix(t *testing.T) {
 							t.Fatalf("%s seed %d f_alt %g: load at %g s is %+v in the %g s trace, %+v in the %g s one",
 								jt.name, seed, falt, at, a, d1, b, d2)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// segments lists a trace's segments.
+func segments(tr *activity.Trace) []activity.Segment {
+	out := make([]activity.Segment, tr.Len())
+	for i := range out {
+		out[i] = tr.Segment(i)
+	}
+	return out
+}
+
+// referenceGenerate is Generate as it stood when a trace stored one
+// 32-byte Segment per half-period: the same draws in the same order.
+func referenceGenerate(cfg Config, duration float64) []activity.Segment {
+	r := sig.NewRand(cfg.Seed)
+	period := 1 / cfg.FAlt / cfg.Jitter.mean()
+	xLoad, yLoad := activity.LoadOf(cfg.X), activity.LoadOf(cfg.Y)
+	var segs []activity.Segment
+	t := 0.0
+	for t < duration {
+		dx := period * duty * cfg.Jitter.draw(r)
+		dy := period * (1 - duty) * cfg.Jitter.draw(r)
+		segs = append(segs, activity.Segment{Start: t, Load: xLoad})
+		t += dx
+		segs = append(segs, activity.Segment{Start: t, Load: yLoad})
+		t += dy
+	}
+	return segs
+}
+
+// TestGenerateMatchesSegmentReference: a trace stored as switch times and
+// two loads holds, segment for segment, the starts and loads the
+// one-Segment-per-half-period generator produced, bit for bit.
+func TestGenerateMatchesSegmentReference(t *testing.T) {
+	for _, j := range []Jitter{DefaultJitter(), NoJitter()} {
+		for _, seed := range []int64{1, 42, 104730} {
+			for _, falt := range []float64{500, 43.3e3, 312.5e3} {
+				cfg := Config{X: activity.LDL2, Y: activity.LDL1, FAlt: falt, Jitter: j, Seed: seed}
+				got, want := segments(Generate(cfg, 0.02)), referenceGenerate(cfg, 0.02)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d f_alt %g: %d segments, want %d", seed, falt, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i].Start) != math.Float64bits(want[i].Start) || got[i].Load != want[i].Load {
+						t.Fatalf("seed %d f_alt %g: segment %d is %+v, want %+v", seed, falt, i, got[i], want[i])
 					}
 				}
 			}

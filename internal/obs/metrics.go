@@ -58,6 +58,7 @@ const (
 	MetricStaticReplays        = "fase_render_static_component_replays_total"
 	MetricCampaigns            = "fase_core_campaigns_total"
 	MetricDetections           = "fase_core_detections_total"
+	MetricTraces               = "fase_core_traces_generated_total"
 	// Adaptive-planner counters: campaigns run in adaptive mode, and the
 	// fate of each refinement window the planner scheduled (fully
 	// refined, abandoned after its probe, or skipped for lack of budget).

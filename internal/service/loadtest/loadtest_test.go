@@ -65,8 +65,10 @@ func TestServiceLoad(t *testing.T) {
 
 // BenchmarkServiceLoad runs the full load once per iteration, each on a
 // fresh server and store, and reports the mean p99 submit-to-complete
-// latency and throughput: the service rows of `make ab`.
+// latency and throughput, and the bytes allocated per run: the service
+// rows of `make ab`.
 func BenchmarkServiceLoad(b *testing.B) {
+	b.ReportAllocs()
 	var p99, jobsPerSec float64
 	for i := 0; i < b.N; i++ {
 		rep, err := Run(startLoad(b))

@@ -1,0 +1,8 @@
+//go:build race
+
+package service
+
+// raceEnabled lets tests whose assertions are meaningless under the race
+// detector (allocation pins: race instrumentation allocates) skip
+// themselves.
+const raceEnabled = true

@@ -319,11 +319,13 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 
 // maxTraceSegments caps the activity segments of one sweep's alternation
 // trace (core.Campaign.TraceSegments), which microbench.Generate
-// preallocates at 32 bytes a segment before the sweep renders: 2^24 admits
-// the paper's ladders at the simulated-time guard (a 45.3 kHz ladder over
-// 600 s needs about 11 M) and keeps one trace near half a gigabyte. Go
-// cannot recover from running out of memory, so a larger trace is refused
-// at admission instead.
+// preallocates at 8 bytes a segment (one switch time; the two loads are
+// stored once) before the sweep renders: 2^24 admits the paper's ladders
+// at the simulated-time guard (a 45.3 kHz ladder over 600 s needs about
+// 11 M) and keeps one trace near 150 MB. Go cannot recover from running
+// out of memory, so a larger trace is refused at admission instead. The
+// limit stays a count of segments, so what it admits does not depend on
+// how a trace stores them.
 const maxTraceSegments = 1 << 24
 
 // price rejects submissions whose measurement cost exceeds the per-job
@@ -545,8 +547,9 @@ func (s *Server) runJob(j *Job) {
 // runShardedJob fans an exhaustive campaign's ladder sweeps out to the
 // worker fleet as independent shard tasks and reduces them in fixed
 // ladder order. Each shard gets its own single-threaded analyzer — the
-// fleet is the concurrency bound — while one shared StaticCache keeps
-// the cross-sweep static-layer reuse the serial path enjoys. Bit-
+// fleet is the concurrency bound — while one shared StaticCache gives
+// them what the serial path's one analyzer has: each plan built once,
+// one set of buffers, and the cross-sweep static-layer reuse. Bit-
 // identity with the serial path holds because both execute the same
 // core.ShardPlan methods with the same seeds.
 func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
@@ -555,7 +558,7 @@ func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
 		return nil, err
 	}
 	runner := &core.Runner{Scene: j.scene, Obs: run}
-	// Every shard analyzer shares acfg's static cache.
+	// Every shard analyzer shares acfg's render cache.
 	acfg := plan.AnalyzerConfig(run)
 	acfg.Parallelism = 1
 	plan.Begin(specan.New(acfg), run)

@@ -54,11 +54,12 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	// Measured 2026-08: 83 allocs/sweep (down from 148 before the refresh
 	// renderer's weights/pulse arrays were pooled); 59 since the reduce
 	// averages in place, where the averager, mean and slice of each of the
-	// 4 segments and the stitch cost 22 more. The bound leaves ~10%
-	// headroom for toolchain drift — less than the +16 a single extra
-	// allocation per capture would add.
+	// 4 segments and the stitch cost 22 more; 43 since returning a buffer
+	// to bufpool stopped boxing its slice header, which cost one per
+	// capture. The bound leaves ~10% headroom for toolchain drift — less
+	// than the +16 a single extra allocation per capture would add.
 	t.Logf("measured %.0f allocs/sweep", allocs)
-	const maxAllocs = 66
+	const maxAllocs = 47
 	if allocs > maxAllocs {
 		t.Errorf("steady-state sweep made %.0f allocations, want <= %d", allocs, maxAllocs)
 	}
@@ -94,7 +95,7 @@ func TestSweepSteadyStateAllocsInstrumented(t *testing.T) {
 		}
 	})
 	t.Logf("measured %.0f allocs/sweep", allocs)
-	const maxAllocs = 66
+	const maxAllocs = 47
 	if allocs > maxAllocs {
 		t.Errorf("steady-state instrumented sweep made %.0f allocations, want <= %d", allocs, maxAllocs)
 	}
@@ -149,8 +150,8 @@ func TestSweepReuseStaticSteadyStateAllocs(t *testing.T) {
 // 100 Hz RBW (one 16384-sample segment, 4 captures) under a campaign's
 // LDM/LDL1 alternation, on an analyzer whose cache has never seen the
 // request. Each capture's static layer is one summed 16384-sample buffer
-// (256 KiB), so the cold sweep stays near 2.5 MB including the analyzer's
-// first plan and arena buffers; caching one addend stream per harmonic
+// (256 KiB), so the cold sweep stays near 2 MB including the cache's
+// first plan and buffers; caching one addend stream per harmonic
 // instead would cost about 70 MB and fail here. A warm-up sweep on another
 // analyzer and cache first fills the process-wide pools and FFT plans.
 func TestSweepColdStaticBytes(t *testing.T) {

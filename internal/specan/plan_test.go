@@ -89,7 +89,7 @@ func TestSweepPlanCacheReuse(t *testing.T) {
 	an := New(Config{Fres: 200, MaxFFT: 4096, Parallelism: 1})
 	an.Sweep(Request{Scene: scene, F1: 0.2e6, F2: 0.8e6, Seed: 1})
 	var first []*emsim.RenderPlan
-	an.plans.Range(func(_, v any) bool {
+	an.cache.plans.Range(func(_, v any) bool {
 		first = append(first, v.(*planEntry).plan)
 		return true
 	})
@@ -98,11 +98,39 @@ func TestSweepPlanCacheReuse(t *testing.T) {
 	}
 	an.Sweep(Request{Scene: scene, F1: 0.2e6, F2: 0.8e6, Seed: 2})
 	count := 0
-	an.plans.Range(func(_, v any) bool {
+	an.cache.plans.Range(func(_, v any) bool {
 		count++
 		return true
 	})
 	if count != len(first) {
 		t.Errorf("second sweep grew the plan cache to %d entries (was %d)", count, len(first))
+	}
+}
+
+// TestSharedCacheBuildsPlansOnce: analyzers sharing one StaticCache, as a
+// campaign's shard analyzers and an adaptive campaign's recon and refine
+// analyzers do, share its plans: a sibling's sweep of a geometry the
+// first analyzer planned builds none, while an analyzer without a shared
+// cache plans for itself.
+func TestSharedCacheBuildsPlansOnce(t *testing.T) {
+	scene := &emsim.Scene{}
+	scene.Add(&tone{freq: 0.5e6, dbm: -80}, &emsim.Background{FloorDBmPerHz: -172})
+	req := Request{Scene: scene, F1: 0.2e6, F2: 0.8e6, Seed: 1}
+	run := obs.NewRun()
+	cache := NewStaticCache()
+	cfg := Config{Fres: 200, MaxFFT: 4096, Parallelism: 1, Statics: cache, Obs: run}
+	New(cfg).Sweep(req)
+	built := run.Stat(obs.StatPlanMisses)
+	if built == 0 {
+		t.Fatal("sweep built no plans")
+	}
+	New(cfg).Sweep(req)
+	if got := run.Stat(obs.StatPlanMisses); got != built {
+		t.Errorf("a sibling analyzer built %d more plans, want 0", got-built)
+	}
+	cfg.Statics = nil
+	New(cfg).Sweep(req)
+	if got := run.Stat(obs.StatPlanMisses); got != 2*built {
+		t.Errorf("an analyzer without a shared cache built %d plans, want %d", got-built, built)
 	}
 }

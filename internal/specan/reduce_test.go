@@ -8,30 +8,36 @@ import (
 	"fase/internal/dsp/spectral"
 )
 
-// reduceCase fills a sweep's traces with random powers at the geometry
-// renderCapture gives them, so reduce and the reference see one input.
-func reduceCase(rng *rand.Rand, an *Analyzer, p plan, f1 float64) []spectral.Spectrum {
+// reduceCase fills a sweep's full periodograms with random powers at the
+// geometry a capture's periodogram has, and returns them with the traces
+// the sweep keeps of them: each segment's kept bins (Analyzer.kept) at
+// the F0 spectral.PeriodogramBins gives them, in arena buffers.
+func reduceCase(rng *rand.Rand, an *Analyzer, p plan, f1 float64) (full, kept []spectral.Spectrum) {
 	avg := an.cfg.Averages
-	specs := make([]spectral.Spectrum, p.segs*avg)
+	full = make([]spectral.Spectrum, p.segs*avg)
+	kept = make([]spectral.Spectrum, p.segs*avg)
 	fres := p.fs / float64(p.nfft)
-	for i := range specs {
-		_, center, _ := an.segGeom(p, f1, i/avg)
-		specs[i] = spectral.Spectrum{F0: center - fres*float64(p.nfft/2), Fres: fres, PmW: an.arena.Float(p.nfft)}
-		for k := range specs[i].PmW {
+	for i := range full {
+		center, i1, i2 := an.kept(p, f1, i/avg)
+		full[i] = spectral.Spectrum{F0: center - fres*float64(p.nfft/2), Fres: fres, PmW: make([]float64, p.nfft)}
+		for k := range full[i].PmW {
 			// Powers over 40 orders of magnitude, with empty bins.
 			v := 1e-9 * math.Exp(10*rng.NormFloat64())
 			if rng.Intn(50) == 0 {
 				v = 0
 			}
-			specs[i].PmW[k] = v
+			full[i].PmW[k] = v
 		}
+		kept[i] = spectral.Spectrum{F0: full[i].Freq(i1), Fres: fres, PmW: an.cache.arena.Float(i2 - i1)}
+		copy(kept[i].PmW, full[i].PmW[i1:i2])
 	}
-	return specs
+	return full, kept
 }
 
-// TestReduceMatchesAveragerStitch holds the sweep's in-place reduce to
-// the chain it replaced — spectral.Averager, Mean, Spectrum.Slice and
-// Stitch, which stay in spectral as this reference — bit for bit, over
+// TestReduceMatchesAveragerStitch holds the sweep's in-place reduce of
+// the kept bins to the chain it replaced on full periodograms —
+// spectral.Averager, Mean, Spectrum.Slice and Stitch, which stay in
+// spectral as this reference — bit for bit, over
 // random geometries: Averages 1 to 4, one to many segments, resolutions
 // on and off a round grid, and last segments both full and short. A short
 // last segment of odd width sits half a bin off the sweep's grid, where
@@ -52,7 +58,7 @@ func TestReduceMatchesAveragerStitch(t *testing.T) {
 		f2 := f1 + float64(1+rng.Intn(6*maxFFT))*fres
 		an := New(Config{Fres: fres, Averages: avg, MaxFFT: maxFFT, Parallelism: 1})
 		p := an.planSweep(f1, f2)
-		specs := reduceCase(rng, an, p, f1)
+		full, specs := reduceCase(rng, an, p, f1)
 
 		want, wantPanic := catch(func() *spectral.Spectrum {
 			parts := make([]*spectral.Spectrum, p.segs)
@@ -60,7 +66,7 @@ func TestReduceMatchesAveragerStitch(t *testing.T) {
 				fStart, _, bins := an.segGeom(p, f1, s)
 				var a spectral.Averager
 				for k := 0; k < avg; k++ {
-					a.Add(&specs[s*avg+k])
+					a.Add(&full[s*avg+k])
 				}
 				parts[s] = a.Mean().Slice(fStart, fStart+float64(bins)*fres)
 			}
@@ -68,7 +74,7 @@ func TestReduceMatchesAveragerStitch(t *testing.T) {
 		})
 		var done []int
 		got, gotPanic := catch(func() *spectral.Spectrum {
-			return an.reduce(p, f1, specs, func(s int) { done = append(done, s) })
+			return an.reduce(p, specs, func(s int) { done = append(done, s) })
 		})
 		if wantPanic || gotPanic {
 			if wantPanic != gotPanic {
@@ -140,9 +146,9 @@ func TestReduceGeometryChecks(t *testing.T) {
 			}
 		},
 	} {
-		specs := reduceCase(rng, an, p, 1e6)
+		_, specs := reduceCase(rng, an, p, 1e6)
 		plant(specs)
-		if _, panicked := catch(func() *spectral.Spectrum { return an.reduce(p, 1e6, specs, func(int) {}) }); !panicked {
+		if _, panicked := catch(func() *spectral.Spectrum { return an.reduce(p, specs, func(int) {}) }); !panicked {
 			t.Errorf("%s: reduce did not panic", name)
 		}
 	}

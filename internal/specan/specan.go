@@ -61,22 +61,25 @@ type Config struct {
 	// Meter.Reserve before each Sweep call. Nil (the default) keeps the
 	// capture path meter-free.
 	Meter *Meter
-	// Statics, when non-nil, is the static render cache: the
-	// activity-independent layer of each capture identity (segment band,
-	// length, seed, start time, probe placement — see emsim.StaticSet) is
-	// built once and replayed by every sweep that renders the same
-	// identity. Profitable exactly when sweeps share Seed and differ only
-	// in activity, as a campaign's alternation sweeps do — which is why
-	// every campaign analyzer gets one (core.ShardPlan.AnalyzerConfig). One
-	// cache may serve several analyzers: the campaign service renders a
+	// Statics, when non-nil, is the campaign's render cache, shared by
+	// every analyzer built with it (see StaticCache): render plans per
+	// segment geometry, the capture and bin buffers, and the static
+	// layers. The activity-independent layer of each capture identity
+	// (segment band, length, seed, start time, probe placement — see
+	// emsim.StaticSet) is built once and replayed by every sweep that
+	// renders the same identity. Profitable exactly when sweeps share Seed
+	// and differ only in activity, as a campaign's alternation sweeps do —
+	// which is why every campaign analyzer gets one
+	// (core.ShardPlan.AnalyzerConfig). The campaign service renders a
 	// campaign's ladder sweeps on separate single-threaded analyzers, one
-	// per shard, all sharing the campaign's cache. Sharing is only
-	// meaningful between analyzers with identical geometry configuration
-	// (Fres, Averages, MaxFFT); cache keys carry the
-	// full capture identity, so mismatched sharing is wasteful, never
-	// incorrect. Replay is bit-identical to live rendering at any
-	// Parallelism. Nil — the default, kept by one-off analyzers — renders
-	// every capture live.
+	// per shard, and the adaptive planner its recon and refinement passes
+	// on two analyzers; each campaign's analyzers share one cache, so
+	// each plan is built once and one set of buffers serves them all.
+	// Cache keys carry the full capture identity, so sharing between
+	// analyzers of different geometry is correct. Replay is bit-identical
+	// to live rendering at any Parallelism. Nil — the default, kept by
+	// one-off analyzers — gives the analyzer a private cache of plans and
+	// buffers only, and renders every static layer live.
 	Statics *StaticCache
 	// Obs, when non-nil, attaches run-level observability: per-capture
 	// render/FFT timing, plan-cache statistics, and — when Obs.Trace is
@@ -121,18 +124,9 @@ type Analyzer struct {
 	// sem is the capture-level concurrency budget shared by all sweeps on
 	// this analyzer.
 	sem chan struct{}
-	// plans caches render plans per segment geometry (planKey). Segment
-	// geometry is identical across a sweep's averages and across the
-	// NumAlts sweeps of a campaign sharing this analyzer, so each segment's
-	// component culling and per-component preparation happens once, not
-	// once per capture.
-	plans sync.Map
-	// arena retains capture and bin buffers for the analyzer's lifetime:
-	// the process-wide bufpool can lose its contents to a garbage
-	// collection between sweeps, but a campaign's analyzer re-renders the
-	// same geometry for every alternation sweep, so pinning the buffers
-	// here keeps repeated sweeps allocation-free end to end.
-	arena bufpool.Arena
+	// cache holds the render plans and buffers: Config.Statics, or a
+	// private cache when that is nil.
+	cache *StaticCache
 }
 
 // staticKey is the full capture identity a cached static layer is valid
@@ -147,16 +141,33 @@ type staticKey struct {
 	nearField  bool
 }
 
-// StaticCache is a static-layer render cache (see Config.Statics),
-// shareable between analyzers. A plain struct-keyed map behind an RWMutex
-// rather than a sync.Map: warm lookups then neither box the key nor
-// allocate, keeping the steady-state sweep allocation-free. Each identity
-// holds a bucket keyed by the capture's conditional-static key (empty for
-// sets with no conditional layer), so sweeps under different
-// window-constant loads cache distinct sets side by side.
+// StaticCache is a campaign's render cache (see Config.Statics), shared
+// by the campaign's analyzers and dropped with them. It holds three
+// things:
+//
+//   - Render plans per segment geometry (planKey). Segment geometry is
+//     the same across a sweep's averages and across the campaign's
+//     alternation sweeps, so each segment's component culling and
+//     per-component preparation happens once per campaign.
+//   - The capture and bin buffers. The process-wide bufpool can lose its
+//     contents to a garbage collection between sweeps, but a campaign
+//     re-renders the same geometries for every alternation sweep, so
+//     keeping the buffers here keeps repeated sweeps allocation-free end
+//     to end.
+//   - The static layers, in a plain struct-keyed map behind an RWMutex
+//     rather than a sync.Map: warm lookups then neither box the key nor
+//     allocate, keeping the steady-state sweep allocation-free. Each
+//     identity holds a bucket keyed by the capture's conditional-static
+//     key (empty for sets with no conditional layer), so sweeps under
+//     different window-constant loads cache distinct sets side by side.
+//
+// The zero value caches plans and buffers only; it is the private cache
+// of an analyzer without Config.Statics.
 type StaticCache struct {
-	mu sync.RWMutex
-	m  map[staticKey]*staticBucket
+	plans sync.Map
+	arena bufpool.Arena
+	mu    sync.RWMutex
+	m     map[staticKey]*staticBucket
 }
 
 // NewStaticCache returns an empty cache for Config.Statics.
@@ -211,9 +222,9 @@ type planEntry struct {
 // first use.
 func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.RenderPlan {
 	key := planKey{scene: scene, center: band.Center, fs: band.SampleRate, n: n}
-	v, ok := a.plans.Load(key)
+	v, ok := a.cache.plans.Load(key)
 	if !ok {
-		v, _ = a.plans.LoadOrStore(key, &planEntry{})
+		v, _ = a.cache.plans.LoadOrStore(key, &planEntry{})
 	}
 	e := v.(*planEntry)
 	stat := obs.StatPlanHits
@@ -252,7 +263,7 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 		})
 		cond = kb.b
 	}
-	sc := a.cfg.Statics
+	sc := a.cache
 	sc.mu.RLock()
 	bk := sc.m[key]
 	sc.mu.RUnlock()
@@ -298,7 +309,11 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 // New creates an analyzer. See Config for defaults.
 func New(cfg Config) *Analyzer {
 	cfg = cfg.withDefaults()
-	return &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
+	cache := cfg.Statics
+	if cache == nil {
+		cache = &StaticCache{}
+	}
+	return &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism), cache: cache}
 }
 
 // Fres returns the configured resolution bandwidth.
@@ -388,29 +403,52 @@ func (a *Analyzer) segGeom(p plan, f1 float64, s int) (fStart, center float64, b
 	return fStart, center, bins
 }
 
-// renderCapture renders capture capIdx of the sweep and writes its
-// periodogram into out (whose PmW the caller supplies). All scratch comes
-// from pools, so steady state allocates nothing. With Config.Obs attached
-// the two halves — scene render and window+FFT+calibrate — are timed
-// separately; timing never touches the sample math, so output is
-// identical either way.
+// kept returns segment s's centre and the bins [i1, i2) of its capture's
+// nfft-bin periodogram that the sweep keeps: those of [fStart, fStart +
+// bins·Fres), by Spectrum.Slice's boundary rule (sliceIndex) on the grid
+// spectral.PeriodogramInPlace gives the capture, from the same float
+// expressions. A capture computes and stores only these bins.
+func (a *Analyzer) kept(p plan, f1 float64, s int) (center float64, i1, i2 int) {
+	fStart, center, bins := a.segGeom(p, f1, s)
+	fres := p.fs / float64(p.nfft)
+	f0 := center - fres*float64(p.nfft/2)
+	i1 = sliceIndex(f0, fres, p.nfft, fStart)
+	i2 = max(sliceIndex(f0, fres, p.nfft, fStart+float64(bins)*a.cfg.Fres), i1)
+	return center, i1, i2
+}
+
+// sliceIndex is spectral.Spectrum.Slice's boundary bin for frequency f
+// on an n-bin grid from f0 at fres: the first bin at or above f, with a
+// 1e-6-bin tolerance that keeps a grid-aligned boundary inclusive,
+// clamped to the grid.
+func sliceIndex(f0, fres float64, n int, f float64) int {
+	i := int(math.Ceil((f-f0)/fres - 1e-6))
+	return min(max(i, 0), n)
+}
+
+// renderCapture renders capture capIdx of the sweep and writes the kept
+// bins of its periodogram into out (whose PmW the caller supplies, sized
+// by kept). All scratch comes from the cache's arena and pools, so
+// steady state allocates nothing. With Config.Obs attached the two
+// halves — scene render and window+FFT+calibrate — are timed separately;
+// timing never touches the sample math, so output is identical either
+// way.
 func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.Spectrum) {
+	center, i1, i2 := a.kept(p, req.F1, capIdx/a.cfg.Averages)
 	// Cancelled sweeps stop paying for captures immediately: the spectrum
-	// slot stays zeroed, nothing is charged to the meter or the capture
+	// slot stays dirty, nothing is charged to the meter or the capture
 	// counters, and the (garbage) sweep result is discarded by the caller.
 	if req.Ctx != nil && req.Ctx.Err() != nil {
 		// Keep the slot's geometry valid so the discarded sweep can still
 		// reduce without tripping its geometry check.
-		_, center, _ := a.segGeom(p, req.F1, capIdx/a.cfg.Averages)
 		fres := p.fs / float64(p.nfft)
-		out.F0 = center - fres*float64(p.nfft/2)
+		out.F0 = center - fres*float64(p.nfft/2) + float64(i1)*fres
 		out.Fres = fres
 		return
 	}
 	run := a.cfg.Obs
-	_, center, _ := a.segGeom(p, req.F1, capIdx/a.cfg.Averages)
 	band := emsim.Band{Center: center, SampleRate: p.fs}
-	buf := a.arena.Complex(p.nfft)
+	buf := a.cache.arena.Complex(p.nfft)
 	var t0, t1 time.Time
 	if run != nil {
 		t0 = time.Now()
@@ -442,8 +480,8 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		// parallelism exactly like the render itself.
 		fp.Apply(buf, band, capSeed)
 	}
-	spectral.PeriodogramInPlace(out, buf, p.fs, center, analyzerWindow)
-	a.arena.PutComplex(buf)
+	spectral.PeriodogramBins(out, buf, p.fs, center, analyzerWindow, i1, i2)
+	a.cache.arena.PutComplex(buf)
 	a.cfg.Meter.record()
 	run.Capture(req.Events, t0, t1, a.CaptureDuration())
 }
@@ -476,8 +514,11 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 	req.Events.Emit(obs.Event{Kind: obs.EventSweepStart,
 		F1Hz: req.F1, F2Hz: req.F2, Total: int64(nCaps)})
 	specs := make([]spectral.Spectrum, nCaps)
-	for i := range specs {
-		specs[i].PmW = a.arena.Float(p.nfft)
+	for s := 0; s < p.segs; s++ {
+		_, i1, i2 := a.kept(p, req.F1, s)
+		for t := s * a.cfg.Averages; t < (s+1)*a.cfg.Averages; t++ {
+			specs[t].PmW = a.cache.arena.Float(i2 - i1)
+		}
 	}
 	if a.cfg.Parallelism == 1 {
 		for i := 0; i < nCaps; i++ {
@@ -491,7 +532,7 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 	// Progress events stride the reduce (not render completion), so the
 	// journal sees the same positions at any Parallelism.
 	stride := max(p.segs/8, 1)
-	out := a.reduce(p, req.F1, specs, func(s int) {
+	out := a.reduce(p, specs, func(s int) {
 		if req.Events != nil && (s+1)%stride == 0 && s+1 < p.segs {
 			req.Events.Emit(obs.Event{Kind: obs.EventSweepProgress,
 				Captures: int64((s + 1) * a.cfg.Averages), Total: int64(nCaps)})
@@ -503,17 +544,17 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 	return out
 }
 
-// reduce averages each segment's traces and stitches the segments'
-// usable bins into the sweep's one spectrum, returning every trace
-// buffer to the arena; done(s) runs after segment s. It computes what
-// spectral.Averager, Mean, Spectrum.Slice and Stitch compute, bit for
+// reduce averages each segment's traces and stitches the segments into
+// the sweep's one spectrum, returning every trace buffer to the arena;
+// done(s) runs after segment s. Each trace holds only its segment's kept
+// bins (Analyzer.kept), so the reduce computes what spectral.Averager,
+// Mean, Spectrum.Slice and Stitch compute on full periodograms, bit for
 // bit, without their copies: a segment's traces sum in place into its
-// first trace's buffer, in capture order, the sum is scaled by
-// 1/Averages, and the bins Slice would keep (the same ceil(offset −
-// 1e-6) boundary rule, from the same F0) append straight to the output.
-// Their geometry checks stay: traces of a segment must match, and
-// segments must be contiguous within half a bin.
-func (a *Analyzer) reduce(p plan, f1 float64, specs []spectral.Spectrum, done func(s int)) *spectral.Spectrum {
+// first trace's buffer, in capture order, and the sum, scaled by
+// 1/Averages, appends straight to the output. Their geometry checks
+// stay: traces of a segment must match, and segments must be contiguous
+// within half a bin.
+func (a *Analyzer) reduce(p plan, specs []spectral.Spectrum, done func(s int)) *spectral.Spectrum {
 	avg := a.cfg.Averages
 	inv := 1 / float64(avg)
 	out := &spectral.Spectrum{PmW: make([]float64, 0, p.needBins)}
@@ -530,38 +571,26 @@ func (a *Analyzer) reduce(p plan, f1 float64, specs []spectral.Spectrum, done fu
 			for i, v := range tr.PmW {
 				acc[i] += v
 			}
-			a.arena.PutFloat(tr.PmW)
+			a.cache.arena.PutFloat(tr.PmW)
 			tr.PmW = nil
 		}
-		fStart, _, bins := a.segGeom(p, f1, s)
-		i1 := sliceIndex(sum, fStart)
-		i2 := max(sliceIndex(sum, fStart+float64(bins)*a.cfg.Fres), i1)
-		f0 := sum.Freq(i1)
 		if s == 0 {
-			out.F0, out.Fres = f0, sum.Fres
+			out.F0, out.Fres = sum.F0, sum.Fres
 		} else {
 			if math.Abs(sum.Fres-out.Fres) > 1e-9*out.Fres {
 				panic("specan: segment Fres mismatch")
 			}
-			if math.Abs(f0-prevEnd) > out.Fres/2 {
-				panic(fmt.Sprintf("specan: segment %d starts at %g, expected %g", s, f0, prevEnd))
+			if math.Abs(sum.F0-prevEnd) > out.Fres/2 {
+				panic(fmt.Sprintf("specan: segment %d starts at %g, expected %g", s, sum.F0, prevEnd))
 			}
 		}
-		prevEnd = f0 + float64(i2-i1)*sum.Fres
-		for _, v := range sum.PmW[i1:i2] {
+		prevEnd = sum.FEnd()
+		for _, v := range sum.PmW {
 			out.PmW = append(out.PmW, v*inv)
 		}
-		a.arena.PutFloat(sum.PmW)
+		a.cache.arena.PutFloat(sum.PmW)
 		sum.PmW = nil
 		done(s)
 	}
 	return out
-}
-
-// sliceIndex is spectral.Spectrum.Slice's boundary bin for frequency f:
-// the first bin at or above f, with a 1e-6-bin tolerance that keeps a
-// grid-aligned boundary inclusive, clamped to the spectrum.
-func sliceIndex(s *spectral.Spectrum, f float64) int {
-	i := int(math.Ceil((f-s.F0)/s.Fres - 1e-6))
-	return min(max(i, 0), len(s.PmW))
 }
